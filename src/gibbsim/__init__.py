@@ -18,6 +18,7 @@ from .model import (
     build_hamiltonian,
     energy_distribution,
     gibbs_state,
+    ising_split,
     maximally_mixed,
     named_point,
     parity_projector,

@@ -188,14 +188,15 @@ def _build_step_v(a, cfg, coherent):
     s_max = cfg.oft_steps
     dt = cfg.dt_oft_effective
     f = FilterSpec(cfg.beta)
-    dim = 2 * (2 ** a.n if hasattr(a, "n") else a.shape[0])
+    amat = a.matrix() if hasattr(a, "matrix") else np.asarray(a)
+    dim = 2 * amat.shape[0]
 
     u_plus = kron(PAULI_I, coherent.unitary(-dt, cfg.r_big))
     u_minus = kron(PAULI_I, coherent.unitary(dt, cfg.r_big))
     gates = {}
     for s in range(-s_max, s_max + 1):
         weight = dt if abs(s) < s_max else dt / 2.0
-        gates[s] = b_gate(a, complex(filter_time(f, s * dt)), weight, cfg.dt_ev, cfg.gamma)
+        gates[s] = b_gate(amat, complex(filter_time(f, s * dt)), weight, cfg.dt_ev, cfg.gamma)
 
     forward = np.eye(dim, dtype=complex)
     for s in range(-s_max, s_max + 1):
@@ -207,7 +208,11 @@ def _build_step_v(a, cfg, coherent):
 
 
 class ProtocolEngine:
-    """Precomputed V^a unitaries and coherent step for the M-step loop."""
+    """Precomputed Kraus operators of W-tilde for the M-step loop.
+
+    The ancilla enters in |0>, so only the 0-column blocks of V^a act:
+    W-tilde(rho) = sum_m K_m rho K_m^dag with K_m = V^a[m-block, 0-block] U_ev.
+    """
 
     def __init__(self, ham, cfg, ham_split=None):
         self.cfg = cfg
@@ -217,11 +222,11 @@ class ProtocolEngine:
         self.spec = eig_hermitian(self.ham)
         self.coherent = _CoherentFactory(self.spec, cfg.coherent_mode, ham_split)
         self.jump_set = sample_jump_set(self.n, cfg.k, cfg.jump_count, cfg.seed)
-        self.v_ops = np.stack(
-            [_build_step_v(a, cfg, self.coherent) for a in self.jump_set]
-        )
-        self.v_dag = self.v_ops.conj().transpose(0, 2, 1)
         self.u_ev = self.coherent.unitary(cfg.dt_ev, cfg.r_delta)
+        v_ops = np.stack([_build_step_v(a, cfg, self.coherent) for a in self.jump_set])
+        # (jump, m, D, D): rows of ancilla block m, columns of ancilla block 0
+        self.kraus = v_ops[:, :, : self.dim].reshape(-1, 2, self.dim, self.dim) @ self.u_ev
+        self.kraus_dag = self.kraus.conj().swapaxes(-1, -2)
 
     def step_wtilde(self, rho, a_index):
         """W-tilde: coherent step, dilated dissipation, ancilla reset."""
@@ -237,54 +242,60 @@ class ProtocolEngine:
         return u @ inner @ u.conj().T
 
     def step_wtilde_batch(self, rho, a_indices):
-        evolved = self.u_ev @ rho @ self.u_ev.conj().T
-        big = np.zeros(rho.shape[:1] + (2 * self.dim, 2 * self.dim), dtype=complex)
-        big[:, : self.dim, : self.dim] = evolved
-        big = np.matmul(self.v_ops[a_indices], np.matmul(big, self.v_dag[a_indices]))
-        return (
-            big[:, : self.dim, : self.dim]
-            + big[:, self.dim :, self.dim :]
-        )
+        """W-tilde on a stack of states, state r with jump a_indices[r]."""
+        branches = self.kraus[a_indices] @ rho[:, None] @ self.kraus_dag[a_indices]
+        return branches[:, 0] + branches[:, 1]
 
 
-def _depolarize_adjacent_pair(rho, pair, n, lam):
-    """Two-qubit depolarizing channel on sites (pair, pair+1).
+def _depolarize_adjacent_pairs(rho, counts, lam):
+    """Fused two-qubit depolarizing events on the adjacent pairs of a stack.
 
-    Adjacent sites occupy contiguous bits, so the pair factors out of the
-    row and column indices by reshaping alone (no axis moves).
+    rho has shape (R, D, D) and counts (R, n - 1): counts[r, p] events of
+    strength `lam` hit sites (p, p+1) of state r.  Pauli channels commute
+    and k events on one pair compose to one of strength 1 - (1 - lam)^k, so
+    each pair is applied once, with a per-state strength.  Adjacent sites
+    occupy contiguous bits, so a pair factors out of the row and column
+    indices by reshaping alone (no axis moves).
     """
-    left = 1 << pair
-    right = 1 << (n - 2 - pair)
-    t = rho.reshape(left, 4, right, left, 4, right)
-    reduced = np.einsum("aibcid->abcd", t)
-    out = (1.0 - lam) * t
-    quarter = 0.25 * lam
-    for i in range(4):
-        out[:, i, :, :, i, :] += quarter * reduced
-    return out.reshape(rho.shape)
+    reps, dim = rho.shape[0], rho.shape[-1]
+    n = counts.shape[1] + 1
+    out = rho
+    for pair in np.flatnonzero(counts.any(axis=0)):
+        keep = (1.0 - lam) ** counts[:, pair]
+        left = 1 << pair
+        right = 1 << (n - 2 - pair)
+        t = out.reshape(reps, left, 4, right, left, 4, right)
+        quarter = 0.25 * (1.0 - keep)
+        reduced = quarter[:, None, None, None, None] * np.einsum("raibcid->rabcd", t)
+        out = keep[:, None, None, None, None, None, None] * t
+        for i in range(4):
+            out[:, :, i, :, :, i, :] += reduced
+        out = out.reshape(reps, dim, dim)
+    return out
 
 
 def apply_noise(rho, noise, step_context):
-    """Apply the per-step noise channel.
+    """Apply the per-step noise channel to one state (D, D) or a stack (R, D, D).
 
-    step_context carries the placement RNG and the per-step gate budget for
-    the depolarizing mode; it is ignored for the global channels.
+    step_context carries the placement RNG (a sequence of R generators for
+    a stack) and the per-step gate budget for the depolarizing mode; it is
+    ignored for the global channels.  Each state draws its N_g pair indices
+    in one call, which leaves its stream where N_g single draws would.
     """
     if noise.kind == "none":
         return rho
-    dim = rho.shape[0]
+    dim = rho.shape[-1]
     if noise.kind == "global_stochastic":
-        tr = np.trace(rho)
-        return (1.0 - noise.lam) * rho + noise.lam * tr * np.eye(dim) / dim
+        tr = np.einsum("...ii->...", rho)
+        return (1.0 - noise.lam) * rho + noise.lam * tr[..., None, None] * np.eye(dim) / dim
     n = int(round(math.log2(dim)))
     if n < 2:
         raise DimensionMismatch("two-qubit noise needs at least two qubits")
-    rng = step_context["rng"]
-    out = rho
-    for _ in range(step_context["n_g"]):
-        pair = int(rng.integers(n - 1))
-        out = _depolarize_adjacent_pair(out, pair, n, noise.lambda_g)
-    return out
+    rngs = step_context["rng"] if rho.ndim == 3 else [step_context["rng"]]
+    n_g = step_context["n_g"]
+    counts = np.stack([np.bincount(rng.integers(n - 1, size=n_g), minlength=n - 1) for rng in rngs])
+    out = _depolarize_adjacent_pairs(rho.reshape(-1, dim, dim), counts, noise.lambda_g)
+    return out.reshape(rho.shape)
 
 
 def simulate_protocol(ham, cfg, noise, target, rho0=None, ham_split=None):
@@ -323,22 +334,15 @@ def simulate_protocol(ham, cfg, noise, target, rho0=None, ham_split=None):
         avg = 0.5 * (avg + avg.conj().T)
         times.append(j * cfg.dt_ev)
         avg_dist.append(trace_distance(avg, target))
-        per_dist.append([trace_distance(rho[r], target) for r in range(n_rep)])
+        per_dist.append(trace_distance(rho, target))
         return avg
 
     avg = record(0)
     grid_pos = 1
+    noise_context = {"rng": noise_rngs, "n_g": n_g}
     for j in range(1, m_steps + 1):
         rho = engine.step_wtilde_batch(rho, draws[:, j - 1])
-        if noise.kind == "global_stochastic":
-            tr = np.einsum("rii->r", rho)
-            mixed = np.eye(dim) / dim
-            rho = (1.0 - noise.lam) * rho + noise.lam * tr[:, None, None] * mixed
-        elif noise.kind == "depolarizing_budget":
-            for r in range(n_rep):
-                rho[r] = apply_noise(
-                    rho[r], noise, {"rng": noise_rngs[r], "n_g": n_g}
-                )
+        rho = apply_noise(rho, noise, noise_context)
         if grid_pos < len(grid) and j == grid[grid_pos]:
             avg = record(j)
             grid_pos += 1

@@ -27,6 +27,7 @@ from .model import (
     bohr_frequencies,
     build_hamiltonian,
     gibbs_state,
+    ising_split,
     maximally_mixed,
     named_point,
 )
@@ -101,6 +102,14 @@ def _float_list(cfg, key, default):
         raise ConfigError(f"bad float list for {key!r}: {raw!r}") from exc
 
 
+def _validated(build, **kwargs):
+    """Build a config object, reporting a rejected value as a config error."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{build.__name__}: {exc}") from exc
+
+
 def resolve_model(cfg):
     n = _get(cfg, "n", int, required=True)
     j = _get(cfg, "J", float, 1.0)
@@ -108,11 +117,11 @@ def resolve_model(cfg):
     if point is not None:
         if point not in NAMED_POINTS:
             raise ConfigError(f"unknown named point {point!r}")
-        params = named_point(point, n, j)
+        params = _validated(named_point, key=point, n=n, J=j)
     else:
         h = _get(cfg, "h", float, required=True)
         m = _get(cfg, "m", float, required=True)
-        params = IsingParams(n=n, J=j, h=h, m=m)
+        params = _validated(IsingParams, n=n, J=j, h=h, m=m)
     beta = _get(cfg, "beta", float, params.beta_default)
     return params, beta
 
@@ -132,10 +141,8 @@ def write_csv(path, header_units, columns, rows):
 
 
 def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.floating,)):
-        return repr(float(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))  # numpy 2 scalars repr as 'np.float64(x)'
     return str(v)
 
 
@@ -155,7 +162,8 @@ def _solver_config(cfg, params, default_dt=None):
     if default_dt is None:
         table = RK_STEP_TABLE.get(point, {})
         default_dt = table.get(params.n, 0.1) / params.J
-    return SolverConfig(
+    return _validated(
+        SolverConfig,
         dt_rk0=_get(cfg, "solver.dt_rk0", float, default_dt),
         max_steps=_get(cfg, "solver.max_steps", int, 300_000),
         n_traj=_get(cfg, "solver.n_traj", int, 10),
@@ -324,7 +332,8 @@ def run_accuracy_scan(cfg, out_dir, threads):
 
 
 def _circuit_config(cfg, beta):
-    return CircuitConfig(
+    return _validated(
+        CircuitConfig,
         dt_ev=_get(cfg, "circuit.dt_ev", float, required=True),
         dt_oft=_get(cfg, "circuit.dt_oft", float, required=True),
         T=_get(cfg, "circuit.T", float, 1.6),
@@ -343,13 +352,19 @@ def _circuit_config(cfg, beta):
 
 
 def _noise_spec(cfg):
-    kind = cfg.get("noise.kind", "none")
-    return NoiseSpec(
-        kind=kind,
+    return _validated(
+        NoiseSpec,
+        kind=cfg.get("noise.kind", "none"),
         lam=_get(cfg, "noise.lambda", float, 0.0),
         lambda_g=_get(cfg, "noise.lambda_g", float, 0.0),
         n_g_override=_get(cfg, "noise.n_g", int, None),
     )
+
+
+def _simulate(params, ham, circuit_cfg, noise, target):
+    """simulate_protocol, with the chain's Ising split for trotter2 steps."""
+    split = ising_split(params) if circuit_cfg.coherent_mode == "trotter2" else None
+    return simulate_protocol(ham, circuit_cfg, noise, target, ham_split=split)
 
 
 @experiment("circuit")
@@ -359,7 +374,7 @@ def run_circuit(cfg, out_dir, threads):
     ham = build_hamiltonian(params)
     spec = eig_hermitian(ham)
     target = gibbs_state(spec, beta)
-    record = simulate_protocol(ham, circuit_cfg, _noise_spec(cfg), target)
+    record = _simulate(params, ham, circuit_cfg, _noise_spec(cfg), target)
     record.to_csv(os.path.join(out_dir, "circuit_distances.csv"))
     write_json(
         os.path.join(out_dir, "plateau.json"),
@@ -385,8 +400,8 @@ def run_circuit_noise(cfg, out_dir, threads):
         lam_g, dt_ev = point
         circuit_cfg = _circuit_config({**cfg, "circuit.dt_ev": repr(dt_ev)}, beta)
         kind = "none" if lam_g == 0 else "depolarizing_budget"
-        noise = NoiseSpec(kind=kind, lambda_g=lam_g)
-        record = simulate_protocol(ham, circuit_cfg, noise, target)
+        noise = _validated(NoiseSpec, kind=kind, lambda_g=lam_g)
+        record = _simulate(params, ham, circuit_cfg, noise, target)
         return (lam_g, dt_ev, circuit_cfg.dt_oft, plateau_level(record))
 
     points = [(lam_g, dt_ev) for lam_g in lambdas for dt_ev in dt_evs]
@@ -448,7 +463,7 @@ def run_error_fit(cfg, out_dir, threads):
         circuit_cfg = _circuit_config(
             {**cfg, "circuit.dt_ev": repr(dt_ev), "circuit.dt_oft": repr(dt_oft)}, beta
         )
-        record = simulate_protocol(ham, circuit_cfg, NoiseSpec(kind="none"), target)
+        record = _simulate(params, ham, circuit_cfg, NoiseSpec(kind="none"), target)
         return (dt_ev, dt_oft, plateau_level(record))
 
     points = [(dt_ev, dt_oft) for dt_ev in dt_evs for dt_oft in dt_ofts]

@@ -92,23 +92,32 @@ class BohrSpectrum:
         return self.frequencies[self.pair_index]
 
 
+def ising_split(p):
+    """Diagonal part -J sum Z_i Z_{i+1} - m sum Z_i and transverse part
+    -h sum X_i of the chain Hamiltonian, the split used by trotter2 steps."""
+    n = p.n
+    dim = 2**n
+    diag = np.zeros((dim, dim), dtype=complex)
+    for i in range(n - 1):
+        factors = [PAULI_I] * n
+        factors[i] = PAULI_Z
+        factors[i + 1] = PAULI_Z
+        diag -= p.J * kron_all(factors)
+    for i in range(n):
+        diag -= p.m * embed_single_site(PAULI_Z, i, n)
+    transverse = np.zeros((dim, dim), dtype=complex)
+    for i in range(n):
+        transverse -= p.h * embed_single_site(PAULI_X, i, n)
+    return diag, transverse
+
+
 def build_hamiltonian(p):
     """H = -J sum Z_i Z_{i+1} - h sum X_i - m sum Z_i, open boundaries.
 
     Site 0 is the leftmost (most significant) tensor factor.
     """
-    n = p.n
-    dim = 2**n
-    ham = np.zeros((dim, dim), dtype=complex)
-    for i in range(n - 1):
-        factors = [PAULI_I] * n
-        factors[i] = PAULI_Z
-        factors[i + 1] = PAULI_Z
-        ham -= p.J * kron_all(factors)
-    for i in range(n):
-        ham -= p.h * embed_single_site(PAULI_X, i, n)
-        ham -= p.m * embed_single_site(PAULI_Z, i, n)
-    return ham
+    diag, transverse = ising_split(p)
+    return diag + transverse
 
 
 def gibbs_state(spec, beta):

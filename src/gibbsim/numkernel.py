@@ -73,16 +73,21 @@ def expm_phase(spec, theta):
 def trace_distance(a, b):
     """(1/2) ||a - b||_1 for Hermitian a, b of equal dimension.
 
-    The difference is symmetrized before diagonalization so that
-    accumulated anti-Hermitian roundoff does not bias the result.
+    `a` may be a stack (..., D, D) compared against one (D, D) matrix `b`
+    (or a stack of the same shape); the stack is diagonalized in one call
+    and the distances come back as an array of shape (...).  Two single
+    matrices give a float.  The difference is symmetrized before
+    diagonalization so that accumulated anti-Hermitian roundoff does not
+    bias the result.
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape:
+    if a.ndim < 2 or b.shape not in (a.shape, a.shape[-2:]):
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
     diff = a - b
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+    diff = 0.5 * (diff + diff.conj().swapaxes(-1, -2))
+    dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    return float(dist) if a.ndim == 2 else dist
 
 
 def partial_trace_ancilla(a):

@@ -9,32 +9,15 @@ from gibbsim.circuit import (
     CircuitConfig,
     NoiseSpec,
     ProtocolEngine,
-    _depolarize_adjacent_pair,
+    _depolarize_adjacent_pairs,
     step_v_reference,
 )
 from gibbsim.liouville import apply_lindbladian, unvec, vec
-from gibbsim.numkernel import PAULI_I, PAULI_X, PAULI_Z, embed_single_site, kron_all
+from gibbsim.numkernel import PAULI_X
 
 from conftest import BETA, lindblad_setup, point_setup, random_density_matrix
 
 F = gs.FilterSpec(BETA)
-
-
-def ising_split(params):
-    """Diagonal (ZZ + Z) and transverse (X) parts of the chain Hamiltonian."""
-    n = params.n
-    dim = 2**n
-    diag = np.zeros((dim, dim), dtype=complex)
-    for i in range(n - 1):
-        factors = [PAULI_I] * n
-        factors[i] = factors[i + 1] = PAULI_Z
-        diag -= params.J * kron_all(factors)
-    for i in range(n):
-        diag -= params.m * embed_single_site(PAULI_Z, i, n)
-    off = np.zeros((dim, dim), dtype=complex)
-    for i in range(n):
-        off -= params.h * embed_single_site(PAULI_X, i, n)
-    return diag, off
 
 
 # ----------------------------------------------------------------- dilation
@@ -170,7 +153,7 @@ def test_step_v_trotter2_matches_exact_at_high_order():
         a,
         CircuitConfig(coherent_mode="trotter2", r_delta=400, r_big=400, **kwargs),
         ham,
-        ham_split=ising_split(params),
+        ham_split=gs.ising_split(params),
     )
     assert np.max(np.abs(v_exact - v_trott)) < 1e-6
 
@@ -195,6 +178,23 @@ def test_step_wtilde_gamma_zero_is_pure_conjugation(rng):
     rho = random_density_matrix(8, rng)
     u = gs.expm_phase(setup["spec"], cfg.dt_ev)
     assert np.max(np.abs(engine.step_wtilde(rho, 0) - u @ rho @ u.conj().T)) < 1e-12
+
+
+def test_step_wtilde_batch_matches_zero_padded_dilation(rng):
+    # reference: pad rho with the ancilla in |0>, conjugate by the full V^a,
+    # trace the ancilla out
+    setup = point_setup("CH", 3)
+    cfg = CircuitConfig(dt_ev=0.3, dt_oft=0.2, T=1.6, jump_count=5, seed=2, beta=BETA)
+    engine = ProtocolEngine(setup["ham"], cfg)
+    u = gs.expm_phase(setup["spec"], cfg.dt_ev)
+    rho = np.stack([random_density_matrix(8, rng) for _ in range(cfg.jump_count)])
+    out = engine.step_wtilde_batch(rho, np.arange(cfg.jump_count))
+    for idx, a in enumerate(engine.jump_set):
+        v = gs.step_V(a, cfg, setup["spec"])
+        big = np.zeros((16, 16), dtype=complex)
+        big[:8, :8] = u @ rho[idx] @ u.conj().T
+        expected = gs.partial_trace_ancilla(v @ big @ v.conj().T)
+        assert np.max(np.abs(out[idx] - expected)) < 1e-12
 
 
 def test_step_w_average_matches_exact_channel_second_order(rng):
@@ -246,25 +246,63 @@ def test_budget_survival_probability_bernoulli_product(rng):
     assert np.max(np.abs(out - expected)) < 1e-12
 
 
+def _pair_event_oracle(rho, pair, n, lam):
+    """One depolarizing event on sites (pair, pair+1): partial trace over the
+    pair, re-embedded next to I/4 by explicit tensor-index contraction."""
+    t = rho.reshape((2,) * (2 * n))
+    idx = list(range(2 * n))
+    idx[n + pair] = pair
+    idx[n + pair + 1] = pair + 1
+    keep = [i for i in range(n) if i not in (pair, pair + 1)]
+    red = np.einsum(t, idx, keep + [k + n for k in keep])
+    l = 2**pair
+    r = 2 ** (n - 2 - pair)
+    red_t = red.reshape(l, r, l, r)
+    emb = np.einsum("ij,albm->ailbjm", np.eye(4) / 4, red_t).reshape(2**n, 2**n)
+    return (1 - lam) * rho + lam * emb
+
+
 def test_depolarize_pair_against_kron_oracle(rng):
     for n in (3, 4):
         rho = random_density_matrix(2**n, rng)
         for pair in range(n - 1):
             lam = 0.37
-            out = _depolarize_adjacent_pair(rho, pair, n, lam)
-            t = rho.reshape((2,) * (2 * n))
-            idx = list(range(2 * n))
-            idx[n + pair] = pair
-            idx[n + pair + 1] = pair + 1
-            keep = [i for i in range(n) if i not in (pair, pair + 1)]
-            red = np.einsum(t, idx, keep + [k + n for k in keep])
-            red = red.reshape(2 ** (n - 2), 2 ** (n - 2))
-            l = 2**pair
-            r = 2 ** (n - 2 - pair)
-            red_t = red.reshape(l, r, l, r)
-            emb = np.einsum("ij,albm->ailbjm", np.eye(4) / 4, red_t).reshape(2**n, 2**n)
-            oracle = (1 - lam) * rho + lam * emb
-            assert np.max(np.abs(out - oracle)) < 1e-13
+            counts = np.zeros((1, n - 1), dtype=int)
+            counts[0, pair] = 1
+            out = _depolarize_adjacent_pairs(rho[None], counts, lam)[0]
+            assert np.max(np.abs(out - _pair_event_oracle(rho, pair, n, lam))) < 1e-13
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_fused_budget_matches_sequential_events(n, rng):
+    # one fused channel per pair reproduces N_g single-pair events drawn one
+    # at a time, and leaves every placement stream where the scalar draws do
+    reps, lam_g = 3, 0.03
+    noise = NoiseSpec(kind="depolarizing_budget", lambda_g=lam_g)
+    rho = np.stack([random_density_matrix(2**n, rng) for _ in range(reps)])
+    for n_g in (1, 7, 61):
+        fused_rngs = [np.random.default_rng([11, r, n_g]) for r in range(reps)]
+        seq_rngs = [np.random.default_rng([11, r, n_g]) for r in range(reps)]
+        fused = gs.apply_noise(rho, noise, {"rng": fused_rngs, "n_g": n_g})
+        for r in range(reps):
+            expected = rho[r]
+            for _ in range(n_g):
+                expected = _pair_event_oracle(expected, int(seq_rngs[r].integers(n - 1)), n, lam_g)
+            assert np.max(np.abs(fused[r] - expected)) < 1e-12
+            single = gs.apply_noise(
+                rho[r], noise, {"rng": np.random.default_rng([11, r, n_g]), "n_g": n_g}
+            )
+            assert np.max(np.abs(single - expected)) < 1e-12
+        for fused_rng, seq_rng in zip(fused_rngs, seq_rngs):
+            assert fused_rng.integers(2**62) == seq_rng.integers(2**62)
+
+
+def test_global_stochastic_batch_matches_single_states(rng):
+    rho = np.stack([random_density_matrix(8, rng) for _ in range(3)])
+    noise = NoiseSpec(kind="global_stochastic", lam=0.2)
+    batch = gs.apply_noise(rho, noise, {})
+    for r in range(3):
+        assert np.array_equal(batch[r], gs.apply_noise(rho[r], noise, {}))
 
 
 def test_gate_count_lookup_and_linear_rule():

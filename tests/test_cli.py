@@ -35,7 +35,7 @@ def test_unknown_experiment_exits_2(tmp_path, capsys):
 
 def test_missing_key_exits_2(tmp_path):
     cfg = write_cfg(tmp_path, "bad.cfg", "experiment = spectrum\n")  # no n
-    assert main(["run", cfg]) == 2
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
 
 
 def test_gap_scan_ceiling_exits_3(tmp_path):
@@ -220,3 +220,70 @@ def test_threads_on_closure_experiments(tmp_path):
     assert main(["run", cfg, "--out-dir", str(out1)]) == 0
     assert main(["run", cfg, "--out-dir", str(out2), "--threads", "4"]) == 0
     assert (out1 / "heatmap.csv").read_bytes() == (out2 / "heatmap.csv").read_bytes()
+
+
+CIRCUIT_N3 = (
+    "experiment = circuit\npoint = CH\nn = 3\ncircuit.dt_ev = 0.5\ncircuit.dt_oft = 0.2\n"
+    "circuit.t_max = 5\ncircuit.n_rep = 2\njumps.count = 4\nseed = 0\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (CIRCUIT_N3, 0),
+        (CIRCUIT_N3 + "circuit.dt_ev = -1\n", 2),
+        (CIRCUIT_N3 + "circuit.coherent_mode = bogus\n", 2),
+        (CIRCUIT_N3 + "noise.kind = depolarizing_budget\nnoise.lambda_g = 2\n", 2),
+        (CIRCUIT_N3 + "n = 0\n", 2),
+        ("experiment = evolve\npoint = CH\nn = 3\nsolver.n_traj = 0\n", 2),
+        (
+            "experiment = circuit-noise\npoint = CH\nn = 3\ncircuit.dt_oft = 0.2\n"
+            "circuit.t_max = 5\ngrid.lambda_g = 1.5\ngrid.dt_ev = 1.0\n",
+            2,
+        ),
+        ("experiment = accuracy-scan\npoint = CH\nn = 7\ngrid.jumps = 5\n", 3),
+    ],
+    ids=[
+        "ok", "dt_ev", "coherent_mode", "lambda_g", "n", "n_traj", "grid.lambda_g", "ceiling",
+    ],
+)
+def test_documented_exit_codes(tmp_path, capsys, text, code):
+    # 0 success, 2 config error, 3 resource ceiling; never a traceback
+    cfg = write_cfg(tmp_path, "run.cfg", text)
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith({0: "", 2: "config error:", 3: "resource ceiling:"}[code])
+
+
+def test_circuit_trotter2_mode_runs(tmp_path):
+    cfg = write_cfg(
+        tmp_path, "trotter.cfg",
+        CIRCUIT_N3 + "circuit.coherent_mode = trotter2\ncircuit.r_delta = 2\ncircuit.r_big = 2\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    assert json.loads((out / "plateau.json").read_text())["plateau_distance"] > 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = spectrum\npoint = CH\nn = 3\n",
+        "experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5\n",
+        "experiment = chaos-scan\nn = 3\ngrid.h = 0.5\ngrid.m = 0.4\n",
+        CIRCUIT_N3,
+        "experiment = noise-bounds\npoint = CH\nn = 3\njumps.count = 10\n"
+        "solver.t_max = 400\nsolver.n_traj = 5\nseed = 5\n",
+    ],
+    ids=["spectrum", "accuracy-scan", "chaos-scan", "circuit", "noise-bounds"],
+)
+def test_csv_values_are_plain_numbers(tmp_path, text):
+    # numpy 2 scalars repr as 'np.float64(x)'; CSVs must hold plain literals
+    cfg = write_cfg(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    csvs = sorted(out.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert "np." not in path.read_text(), path.name

@@ -47,6 +47,20 @@ def test_ch_point_matches_pauli_sum_oracle():
     assert np.allclose(np.linalg.eigvalsh(ham), np.linalg.eigvalsh(oracle))
 
 
+@pytest.mark.parametrize("key", ["CH", "REG"])
+def test_ising_split_parts_sum_to_hamiltonian(key):
+    params = gs.named_point(key, 4)
+    diag, transverse = gs.ising_split(params)
+    assert np.array_equal(diag, np.diag(np.diag(diag)))
+    assert np.max(np.abs(np.diag(transverse))) == 0
+    expected = -params.h * sum(
+        gs.kron(gs.kron(np.eye(2**i), np.array([[0, 1], [1, 0]])), np.eye(2 ** (3 - i)))
+        for i in range(4)
+    )
+    assert np.max(np.abs(transverse - expected)) < 1e-14
+    assert np.array_equal(diag + transverse, gs.build_hamiltonian(params))
+
+
 def test_named_point_values():
     assert gs.NAMED_POINTS["CH"] == (1.0, 0.4)
     assert gs.NAMED_POINTS["REG"] == (0.1585, 3.062)

@@ -92,6 +92,22 @@ def test_trace_distance_dim_mismatch():
         gs.trace_distance(np.eye(2), np.eye(4))
 
 
+def test_trace_distance_batch_matches_per_matrix_loop(rng):
+    target = random_density_matrix(8, rng)
+    stack = np.stack([random_density_matrix(8, rng) for _ in range(6)]).reshape(2, 3, 8, 8)
+    batched = gs.trace_distance(stack, target)
+    assert batched.shape == (2, 3)
+    for i in range(2):
+        for j in range(3):
+            assert abs(batched[i, j] - gs.trace_distance(stack[i, j], target)) < 1e-12
+    paired = gs.trace_distance(stack, stack[::-1])
+    assert paired[0, 0] == pytest.approx(gs.trace_distance(stack[0, 0], stack[1, 0]), abs=1e-12)
+    with pytest.raises(DimensionMismatch):
+        gs.trace_distance(stack, np.eye(4))
+    with pytest.raises(DimensionMismatch):
+        gs.trace_distance(stack, stack[0])
+
+
 def test_trace_distance_triangle_inequality(rng):
     for _ in range(20):
         a = random_density_matrix(8, rng)

@@ -178,7 +178,7 @@ class ETHStats:
 
 def eth_statistics(a, spec, e_bins=8, nu_bins=8):
     """Diagonal profile and off-diagonal bin statistics of <E_i|A|E_j>."""
-    amat = a.matrix() if hasattr(a, "matrix") else np.asarray(a)
+    amat = np.asarray(a)
     tilde = spec.to_eigenbasis(amat)
     w = spec.values
 

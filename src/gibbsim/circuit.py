@@ -12,11 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import EvolutionRecord
+from .dynamics import _run_batched
 from .errors import DimensionMismatch
 from .jumps import FilterSpec, filter_time, sample_jump_set
 from .model import maximally_mixed
-from .numkernel import PAULI_I, eig_hermitian, expm_phase, kron, trace_distance
+from .numkernel import PAULI_I, eig_hermitian, expm_phase, kron
 
 GATE_COUNT_LOOKUP_N5 = {1.0: 308, 3.0: 484, 5.0: 644}
 GATE_COUNT_PER_QUBIT_TIME = 50.0
@@ -109,7 +109,7 @@ def gate_count(noise, n, dt_ev):
 
 def dilation_discrete(lbar):
     """Hermitian dilation |1><0| (x) L + |0><1| (x) L^dag on dim 2D."""
-    L = lbar.matrix if hasattr(lbar, "matrix") else np.asarray(lbar)
+    L = np.asarray(lbar)
     lower = np.array([[0, 0], [1, 0]], dtype=complex)
     return kron(lower, L) + kron(lower.T, L.conj().T)
 
@@ -120,7 +120,7 @@ def b_gate(a, g_s, weight, dt_ev, gamma):
     The generator squares to a multiple of the identity, so the exponential
     is evaluated in closed form.
     """
-    amat = a.matrix() if hasattr(a, "matrix") else np.asarray(a)
+    amat = np.asarray(a)
     dim = 2 * amat.shape[0]
     mag = abs(g_s)
     theta = 0.5 * math.sqrt(dt_ev * gamma) * weight * mag
@@ -188,7 +188,7 @@ def _build_step_v(a, cfg, coherent):
     s_max = cfg.oft_steps
     dt = cfg.dt_oft_effective
     f = FilterSpec(cfg.beta)
-    amat = a.matrix() if hasattr(a, "matrix") else np.asarray(a)
+    amat = np.asarray(a)
     dim = 2 * amat.shape[0]
 
     u_plus = kron(PAULI_I, coherent.unitary(-dt, cfg.r_big))
@@ -308,54 +308,23 @@ def simulate_protocol(ham, cfg, noise, target, rho0=None, ham_split=None):
     and noisy runs at the same seed share jump trajectories.
     """
     engine = ProtocolEngine(ham, cfg, ham_split)
-    dim = engine.dim
     if rho0 is None:
         rho0 = maximally_mixed(engine.n)
-    m_steps = cfg.n_steps
     n_g = gate_count(noise, engine.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
 
-    n_rep = cfg.n_rep
-    jump_rngs = [np.random.default_rng([cfg.seed, rep, 0]) for rep in range(n_rep)]
-    noise_rngs = [np.random.default_rng([cfg.seed, rep, 1]) for rep in range(n_rep)]
+    jump_rngs = [np.random.default_rng([cfg.seed, rep, 0]) for rep in range(cfg.n_rep)]
+    noise_rngs = [np.random.default_rng([cfg.seed, rep, 1]) for rep in range(cfg.n_rep)]
     draws = np.stack(
-        [rng.integers(0, cfg.jump_count, size=m_steps) for rng in jump_rngs]
+        [rng.integers(0, cfg.jump_count, size=cfg.n_steps) for rng in jump_rngs]
     )
-
-    stride = max(1, math.ceil(m_steps / cfg.grid_points))
-    grid = list(range(0, m_steps + 1, stride))
-    if grid[-1] != m_steps:
-        grid.append(m_steps)
-
-    rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (n_rep, dim, dim)).copy()
-    times, avg_dist, per_dist = [], [], []
-
-    def record(j):
-        avg = rho.mean(axis=0)
-        avg = 0.5 * (avg + avg.conj().T)
-        times.append(j * cfg.dt_ev)
-        avg_dist.append(trace_distance(avg, target))
-        per_dist.append(trace_distance(rho, target))
-        return avg
-
-    avg = record(0)
-    grid_pos = 1
     noise_context = {"rng": noise_rngs, "n_g": n_g}
-    for j in range(1, m_steps + 1):
-        rho = engine.step_wtilde_batch(rho, draws[:, j - 1])
-        rho = apply_noise(rho, noise, noise_context)
-        if grid_pos < len(grid) and j == grid[grid_pos]:
-            avg = record(j)
-            grid_pos += 1
 
-    return EvolutionRecord(
-        times=np.array(times),
-        per_traj_distance=np.array(per_dist).T,
-        avg_distance=np.array(avg_dist),
-        final_dt_rk=cfg.dt_ev,
-        halvings=0,
-        final_avg_state=avg,
-        meta={"n_steps": m_steps, "gate_count": n_g, "engine_jumps": len(engine.jump_set)},
-    ).validate()
+    def step(rho, sel):
+        return apply_noise(engine.step_wtilde_batch(rho, sel), noise, noise_context)
+
+    record = _run_batched(step, rho0, draws, cfg.dt_ev, cfg.grid_points, target)
+    record.meta.update(gate_count=n_g, engine_jumps=len(engine.jump_set))
+    return record
 
 
 def plateau_level(record, tail_frac=0.2):

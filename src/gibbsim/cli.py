@@ -175,9 +175,19 @@ def _solver_config(cfg, params, default_dt=None):
     )
 
 
-def _jump_setup(cfg, params, beta):
-    count = _get(cfg, "jumps.count", int, 20)
+def _jump_keys(cfg, n, count_default):
+    """jumps.k and jumps.count, checked for an n-qubit chain."""
     k = _get(cfg, "jumps.k", int, 2)
+    count = _get(cfg, "jumps.count", int, count_default)
+    if not 1 <= k <= n:
+        raise ConfigError(f"jumps.k = {k} outside [1, {n}]")
+    if count < 1:
+        raise ConfigError(f"jumps.count = {count} must be at least 1")
+    return k, count
+
+
+def _jump_setup(cfg, params, beta):
+    k, count = _jump_keys(cfg, params.n, 20)
     seed = _get(cfg, "seed", int, 0)
     jump_set = sample_jump_set(params.n, k, count, seed)
     ham = build_hamiltonian(params)
@@ -294,7 +304,7 @@ def run_gap_scan(cfg, out_dir, threads):
         raise ResourceCeiling(
             f"gap computation beyond n={GAP_QUBIT_CEILING} requires allow_large = true"
         )
-    k = _get(cfg, "jumps.k", int, 2)
+    k, _ = _jump_keys(cfg, min(n_values), 20)
     seed = _get(cfg, "seed", int, 0)
     tasks = []
     for n in n_values:
@@ -314,7 +324,7 @@ def run_gap_scan(cfg, out_dir, threads):
 def run_accuracy_scan(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
     counts = _int_list(cfg, "grid.jumps", [5, 10, 20, 50, 100])
-    k = _get(cfg, "jumps.k", int, 2)
+    k, _ = _jump_keys(cfg, params.n, 20)
     seed = _get(cfg, "seed", int, 0)
     if params.n > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
         raise ResourceCeiling(
@@ -331,7 +341,8 @@ def run_accuracy_scan(cfg, out_dir, threads):
     )
 
 
-def _circuit_config(cfg, beta):
+def _circuit_config(cfg, n, beta):
+    k, jump_count = _jump_keys(cfg, n, 10)
     return _validated(
         CircuitConfig,
         dt_ev=_get(cfg, "circuit.dt_ev", float, required=True),
@@ -339,8 +350,8 @@ def _circuit_config(cfg, beta):
         T=_get(cfg, "circuit.T", float, 1.6),
         gamma=_get(cfg, "circuit.gamma", float, 1.0),
         t_max=_get(cfg, "circuit.t_max", float, 500.0),
-        jump_count=_get(cfg, "jumps.count", int, 10),
-        k=_get(cfg, "jumps.k", int, 2),
+        jump_count=jump_count,
+        k=k,
         seed=_get(cfg, "seed", int, 0),
         beta=beta,
         coherent_mode=cfg.get("circuit.coherent_mode", "exact"),
@@ -370,7 +381,7 @@ def _simulate(params, ham, circuit_cfg, noise, target):
 @experiment("circuit")
 def run_circuit(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
-    circuit_cfg = _circuit_config(cfg, beta)
+    circuit_cfg = _circuit_config(cfg, params.n, beta)
     ham = build_hamiltonian(params)
     spec = eig_hermitian(ham)
     target = gibbs_state(spec, beta)
@@ -398,7 +409,7 @@ def run_circuit_noise(cfg, out_dir, threads):
 
     def one(point):
         lam_g, dt_ev = point
-        circuit_cfg = _circuit_config({**cfg, "circuit.dt_ev": repr(dt_ev)}, beta)
+        circuit_cfg = _circuit_config({**cfg, "circuit.dt_ev": repr(dt_ev)}, params.n, beta)
         kind = "none" if lam_g == 0 else "depolarizing_budget"
         noise = _validated(NoiseSpec, kind=kind, lambda_g=lam_g)
         record = _simulate(params, ham, circuit_cfg, noise, target)
@@ -461,7 +472,7 @@ def run_error_fit(cfg, out_dir, threads):
     def one(point):
         dt_ev, dt_oft = point
         circuit_cfg = _circuit_config(
-            {**cfg, "circuit.dt_ev": repr(dt_ev), "circuit.dt_oft": repr(dt_oft)}, beta
+            {**cfg, "circuit.dt_ev": repr(dt_ev), "circuit.dt_oft": repr(dt_oft)}, params.n, beta
         )
         record = _simulate(params, ham, circuit_cfg, NoiseSpec(kind="none"), target)
         return (dt_ev, dt_oft, plateau_level(record))

@@ -4,6 +4,12 @@ Three solvers share one record format: the randomized density-matrix RK4
 scheme (one jump operator sampled per step, Hermiticity-gated adaptive step),
 the exact full-Lindbladian RK4, and a Monte-Carlo wave-function unraveling
 used as a cross-check.  Times are in units of 1/J.
+
+Both RK4 solvers, and the circuit protocol in `circuit.simulate_protocol`,
+run one trajectory loop, `_run_batched`: a batch of states advanced by a
+per-step map chosen by pre-drawn indices, recorded on the grid of
+`_grid_indices` (which `mcwf_evolve` also uses).  The exact solver is a
+batch of one state with a single index.
 """
 
 import math
@@ -52,7 +58,6 @@ class SolverConfig:
     n_traj: int = 10
     herm_tol: float = 1e-6
     seed: int = 0
-    restart_policy: str = "from_scratch"
     t_max: float | None = None
     stop_below: float | None = None
     grid_points: int = 2000
@@ -62,8 +67,6 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt_rk0 <= 0 or self.n_traj < 1 or self.herm_tol <= 0:
             raise ValueError("invalid solver configuration")
-        if self.restart_policy != "from_scratch":
-            raise ValueError("only from_scratch restarts are supported")
 
 
 @dataclass
@@ -122,8 +125,10 @@ def rk4_step(rho, generator, dt):
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _grid_indices(n_steps, cfg):
-    stride = 1 if cfg.grid_points <= 0 else max(1, math.ceil(n_steps / cfg.grid_points))
+def _grid_indices(n_steps, grid_points):
+    """Recorded step indices: every step for grid_points <= 0, else a stride
+    giving about grid_points points; always 0 and n_steps."""
+    stride = 1 if grid_points <= 0 else max(1, math.ceil(n_steps / grid_points))
     idx = list(range(0, n_steps + 1, stride))
     if idx[-1] != n_steps:
         idx.append(n_steps)
@@ -144,7 +149,7 @@ def _prepare_lindblads(ham, jump_set, f, lindblads):
         lindblads = [
             lindblad_op_exact(a, spec, f, bohr, source=i) for i, a in enumerate(jump_set)
         ]
-    return np.stack([l.matrix if hasattr(l, "matrix") else l for l in lindblads])
+    return np.stack(lindblads)
 
 
 def evolve_randomized(
@@ -180,65 +185,118 @@ def evolve_randomized(
             out += -1j * (ham @ rho - rho @ ham)
         return out
 
+    def draw(n_steps):
+        rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
+        return np.stack([rng.integers(0, n_jump, size=n_steps) for rng in rngs])
+
+    return _rk4_with_halving(generator_batch, draw, rho0, cfg, target)
+
+
+def evolve_exact(ham, lindblads, gammas, rho0, cfg, target, include_coherent=True):
+    """Deterministic RK4 with the full Lindbladian (all jump channels at once)."""
+    l_ops = np.stack(lindblads)
+    gammas = np.asarray(gammas, dtype=float)
+    l_weighted = gammas[:, None, None] * l_ops
+    l_dag = l_ops.conj().transpose(0, 2, 1)
+    decay = np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
+    ham = np.asarray(ham, dtype=complex)
+
+    def generator_batch(rho, sel):
+        (one,) = rho
+        out = np.einsum("aij,jk,alk->il", l_weighted, one, l_ops.conj())
+        out -= 0.5 * (decay @ one + one @ decay)
+        if include_coherent:
+            out += -1j * (ham @ one - one @ ham)
+        return out[None, :, :]
+
+    def draw(n_steps):
+        return np.zeros((1, n_steps), dtype=int)
+
+    return _rk4_with_halving(generator_batch, draw, rho0, cfg, target)
+
+
+def _rk4_with_halving(generator_batch, draw, rho0, cfg, target):
+    """RK4 on a trajectory batch, restarted from rho0 with half the step
+    whenever a step fails the Hermiticity gate.
+
+    generator_batch(rho, sel) is the generator on the (R, D, D) batch with
+    trajectory r under jump sel[r]; draw(n_steps) returns the (R, n_steps)
+    jump indices for one attempt.
+    """
     dt = cfg.dt_rk0
     halvings = 0
     while True:
+
+        def step(rho, sel):
+            k1 = generator_batch(rho, sel)
+            k2 = generator_batch(rho + 0.5 * dt * k1, sel)
+            k3 = generator_batch(rho + 0.5 * dt * k2, sel)
+            k4 = generator_batch(rho + dt * k3, sel)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            dev = np.abs(rho - rho.conj().transpose(0, 2, 1)).max()
+            if not np.isfinite(dev) or dev > cfg.herm_tol:
+                raise _HermiticityViolation
+            rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+            tr = np.einsum("tii->t", rho).real
+            rho /= tr[:, None, None]
+            return rho
+
         try:
-            record = _run_randomized(generator_batch, n_jump, rho0, cfg, target, dt)
-            record.halvings = halvings
-            return record.validate()
+            record = _run_batched(
+                step, rho0, draw(_n_steps(cfg, dt)), dt, cfg.grid_points, target,
+                cfg.stop_below, cfg.store_states, cfg.store_traj_states,
+            )
         except _HermiticityViolation:
             halvings += 1
             dt *= 0.5
             if dt < DT_FLOOR:
                 raise StepUnderflow(f"step fell below {DT_FLOOR}/J after {halvings} halvings")
+            continue
+        record.halvings = halvings
+        return record
 
 
-def _run_randomized(generator_batch, n_jump, rho0, cfg, target, dt):
-    n_steps = _n_steps(cfg, dt)
-    grid = _grid_indices(n_steps, cfg)
-    n_traj = cfg.n_traj
-    rngs = [np.random.default_rng([cfg.seed, i]) for i in range(n_traj)]
-    rho = np.broadcast_to(np.asarray(rho0, dtype=complex), (n_traj,) + rho0.shape).copy()
+def _run_batched(
+    step, rho0, draws, dt, grid_points, target,
+    stop_below=None, store_states=False, store_traj_states=False,
+):
+    """The trajectory loop shared by every batched solver.
+
+    All R = draws.shape[0] trajectories start from rho0 and advance in lock
+    step: step j maps the (R, D, D) batch to step(rho, draws[:, j-1]).  On
+    the grid of `_grid_indices` the record takes the trace distance to
+    `target` of every trajectory (one batched call) and of the symmetrized
+    trajectory average.  The run stops early at the first grid point whose
+    averaged distance is below `stop_below`.
+    """
+    n_traj, n_steps = draws.shape
+    grid = _grid_indices(n_steps, grid_points)
+    rho0 = np.asarray(rho0, dtype=complex)
+    rho = np.broadcast_to(rho0, (n_traj,) + rho0.shape).copy()
 
     times, avg_dist, per_dist, avg_states, traj_states = [], [], [], [], []
 
-    def record_point(j):
+    def record_point(j, rho):
         avg = rho.mean(axis=0)
         avg = 0.5 * (avg + avg.conj().transpose())
         times.append(j * dt)
         avg_dist.append(trace_distance(avg, target))
-        per_dist.append([trace_distance(rho[i], target) for i in range(n_traj)])
-        if cfg.store_states:
+        per_dist.append(trace_distance(rho, target))
+        if store_states:
             avg_states.append(avg.copy())
-        if cfg.store_traj_states:
+        if store_traj_states:
             traj_states.append(rho.copy())
         return avg
 
-    draws = np.stack([rng.integers(0, n_jump, size=n_steps) for rng in rngs])
-
-    avg = record_point(0)
+    avg = record_point(0, rho)
     grid_pos = 1
     stopped = False
     for j in range(1, n_steps + 1):
-        sel = draws[:, j - 1]
-        k1 = generator_batch(rho, sel)
-        k2 = generator_batch(rho + 0.5 * dt * k1, sel)
-        k3 = generator_batch(rho + 0.5 * dt * k2, sel)
-        k4 = generator_batch(rho + dt * k3, sel)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        dev = np.abs(rho - rho.conj().transpose(0, 2, 1)).max()
-        if not np.isfinite(dev) or dev > cfg.herm_tol:
-            raise _HermiticityViolation
-        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-        tr = np.einsum("tii->t", rho).real
-        rho /= tr[:, None, None]
-
+        rho = step(rho, draws[:, j - 1])
         if grid_pos < len(grid) and j == grid[grid_pos]:
-            avg = record_point(j)
+            avg = record_point(j, rho)
             grid_pos += 1
-            if cfg.stop_below is not None and avg_dist[-1] < cfg.stop_below:
+            if stop_below is not None and avg_dist[-1] < stop_below:
                 stopped = True
                 break
 
@@ -249,47 +307,10 @@ def _run_randomized(generator_batch, n_jump, rho0, cfg, target, dt):
         final_dt_rk=dt,
         halvings=0,
         final_avg_state=avg,
-        avg_states=np.array(avg_states) if cfg.store_states else None,
-        traj_states=(
-            np.array(traj_states).transpose(1, 0, 2, 3) if cfg.store_traj_states else None
-        ),
+        avg_states=np.array(avg_states) if store_states else None,
+        traj_states=np.array(traj_states).transpose(1, 0, 2, 3) if store_traj_states else None,
         meta={"n_steps": n_steps, "stopped_early": stopped},
-    )
-
-
-def evolve_exact(ham, lindblads, gammas, rho0, cfg, target, include_coherent=True):
-    """Deterministic RK4 with the full Lindbladian (all jump channels at once)."""
-    l_ops = np.stack([l.matrix if hasattr(l, "matrix") else l for l in lindblads])
-    gammas = np.asarray(gammas, dtype=float)
-    l_weighted = gammas[:, None, None] * l_ops
-    l_dag = l_ops.conj().transpose(0, 2, 1)
-    decay = np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
-    ham = np.asarray(ham, dtype=complex)
-
-    def generator(rho):
-        out = np.einsum("aij,jk,alk->il", l_weighted, rho, l_ops.conj())
-        out -= 0.5 * (decay @ rho + rho @ decay)
-        if include_coherent:
-            out += -1j * (ham @ rho - rho @ ham)
-        return out
-
-    cfg_single = SolverConfig(**{**cfg.__dict__, "n_traj": 1})
-
-    def generator_batch(rho, sel):
-        return generator(rho[0])[None, :, :]
-
-    dt = cfg.dt_rk0
-    halvings = 0
-    while True:
-        try:
-            record = _run_randomized(generator_batch, 1, rho0, cfg_single, target, dt)
-            record.halvings = halvings
-            return record.validate()
-        except _HermiticityViolation:
-            halvings += 1
-            dt *= 0.5
-            if dt < DT_FLOOR:
-                raise StepUnderflow(f"step fell below {DT_FLOOR}/J after {halvings} halvings")
+    ).validate()
 
 
 def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n_batches=0):
@@ -307,14 +328,14 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n
     meta['batch_states'] for jackknife error estimation.
     """
     jump_prob_cap = min(jump_prob_cap, 0.1)
-    l_ops = np.stack([l.matrix if hasattr(l, "matrix") else l for l in lindblads])
+    l_ops = np.stack(lindblads)
     gammas = np.asarray(gammas, dtype=float)
     decay = np.einsum("a,aij,ajk->ik", gammas, l_ops.conj().transpose(0, 2, 1), l_ops)
     h_eff = np.asarray(ham, dtype=complex) - 0.5j * decay
 
     dt = cfg.dt_rk0
     n_steps = _n_steps(cfg, dt)
-    grid = _grid_indices(n_steps, cfg)
+    grid = _grid_indices(n_steps, cfg.grid_points)
     dim = h_eff.shape[0] if psi0 is None else psi0.shape[0]
     n_traj = cfg.n_traj
 
@@ -387,7 +408,7 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n
 
     times = np.array(grid, dtype=float) * dt
     avg_states = sum_state / n_traj
-    avg_dist = np.array([trace_distance(st, target) for st in avg_states])
+    avg_dist = trace_distance(avg_states, target)
     meta = {"n_steps": n_steps}
     if batch_sums is not None:
         sizes = np.array([(i * n_batches // n_traj == b) for b in range(n_batches)

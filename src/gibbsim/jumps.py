@@ -46,6 +46,9 @@ class PauliString:
             factors[s] = PAULIS[l]
         return kron_all(factors)
 
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.matrix(), dtype=dtype)
+
     def label(self):
         body = ["I"] * self.n
         for s, l in zip(self.sites, self.letters):
@@ -165,11 +168,14 @@ class LindbladOperator:
         if not np.all(np.isfinite(self.matrix)):
             raise ValueError("non-finite entries in Lindblad operator")
 
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
 
 def lindblad_op_exact(a, spec, f, bohr, source=0):
     """Exact OFT Lindblad operator: entry (i,j) in the eigenbasis is
     eta(nu_ij) <E_i|A|E_j> with nu_ij the grouped Bohr frequency."""
-    a_eig = spec.to_eigenbasis(a.matrix() if hasattr(a, "matrix") else a)
+    a_eig = spec.to_eigenbasis(np.asarray(a))
     eta = filter_freq(f, bohr.pair_frequencies())
     return LindbladOperator(matrix=spec.from_eigenbasis(eta * a_eig), source=source)
 
@@ -180,7 +186,7 @@ def lindblad_op_discretized(a, spec, f, T, S, source=0):
     Uses exact eigenbasis exponentials: in the eigenbasis the sum collapses
     to eta_bar(E_i - E_j) times the jump matrix element.
     """
-    a_eig = spec.to_eigenbasis(a.matrix() if hasattr(a, "matrix") else a)
+    a_eig = spec.to_eigenbasis(np.asarray(a))
     nu = spec.values[:, None] - spec.values[None, :]
     eta_bar = filter_freq_discretized(f, nu.ravel(), T, S).reshape(nu.shape)
     return LindbladOperator(matrix=spec.from_eigenbasis(eta_bar * a_eig), source=source)
@@ -192,7 +198,7 @@ def bohr_decomposition(a, spec, bohr):
     Returns a dict nu_index -> A_nu in the computational basis, satisfying
     sum_nu A_nu = A exactly (entries are partitioned by frequency cluster).
     """
-    a_eig = spec.to_eigenbasis(a.matrix() if hasattr(a, "matrix") else a)
+    a_eig = spec.to_eigenbasis(np.asarray(a))
     out = {}
     for idx in np.unique(bohr.pair_index):
         mask = bohr.pair_index == idx

@@ -22,17 +22,13 @@ def unvec(v):
     return v.reshape(d, d, order="F")
 
 
-def _matrices(lindblads):
-    return [l.matrix if hasattr(l, "matrix") else np.asarray(l) for l in lindblads]
-
-
 def apply_lindbladian(rho, coherent, lindblads, gammas, include_coherent=True):
     """Direct action L[rho] = -i[G, rho] + sum_a gamma_a D^a[rho]."""
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
     if include_coherent and coherent is not None:
         out += -1j * (coherent @ rho - rho @ coherent)
-    for g, L in zip(gammas, _matrices(lindblads)):
+    for g, L in zip(gammas, map(np.asarray, lindblads)):
         Ld = L.conj().T
         LdL = Ld @ L
         out += g * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
@@ -66,7 +62,7 @@ class Superoperator:
 
 def build_superop(coherent, lindblads, gammas, include_coherent=True):
     """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .})."""
-    mats = _matrices(lindblads)
+    mats = [np.asarray(l) for l in lindblads]
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gammas must be nonnegative")
@@ -165,7 +161,7 @@ def ckg_coherent_term(jump_set, spec, f, bohr, gammas=None):
     d = spec.dim
     g_eig = np.zeros((d, d), dtype=complex)
     for gamma_a, a in zip(gammas, jump_set):
-        a_eig = spec.to_eigenbasis(a.matrix() if hasattr(a, "matrix") else a)
+        a_eig = spec.to_eigenbasis(np.asarray(a))
         l_eig = eta * a_eig
         g_eig += gamma_a * (l_eig.conj().T @ l_eig)
     g_eig *= 0.5j * weight
@@ -193,7 +189,7 @@ def db_residuals(coherent, lindblads, gammas, sigma_beta, seed=0, n_pairs=10):
 
     action = trace_norm(apply_lindbladian(sigma_beta, coherent, lindblads, gammas))
 
-    mats = _matrices(lindblads)
+    mats = [np.asarray(l) for l in lindblads]
     rng = np.random.default_rng(seed)
     d = sigma_beta.shape[0]
 

@@ -130,13 +130,6 @@ def gibbs_state(spec, beta):
     return spec.vectors @ (p[:, None] * spec.vectors.conj().T)
 
 
-def gibbs_populations(spec, beta):
-    """Eigenbasis populations e^{-beta E_i} / Z of the Gibbs state."""
-    w = spec.values - spec.values.min()
-    p = np.exp(-beta * w)
-    return p / p.sum()
-
-
 def bohr_frequencies(spec, tol=None):
     """Group all pairwise differences E_i - E_j into clusters of diameter <= tol.
 

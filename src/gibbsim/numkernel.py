@@ -120,12 +120,3 @@ def embed_single_site(op1q, site, n):
     factors[site] = op1q
     return kron_all(factors)
 
-
-def is_density_matrix(rho, tol=1e-8):
-    """Hermitian, unit trace, positive semidefinite up to `tol`."""
-    rho = np.asarray(rho)
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        return False
-    if abs(np.trace(rho).real - 1.0) > tol:
-        return False
-    return np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) > -tol

@@ -330,6 +330,24 @@ def test_protocol_record_is_deterministic_and_valid():
     assert np.min(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))) > -1e-8
 
 
+def test_grid_points_zero_records_every_step():
+    # grid_points <= 0 records all n_steps + 1 points in the circuit and the RK4 solver alike
+    setup = lindblad_setup("CH", 3, 5)
+    cfg = CircuitConfig(
+        dt_ev=0.5, dt_oft=0.2, T=1.6, t_max=5.0, jump_count=5, k=2,
+        seed=0, beta=BETA, n_rep=2, grid_points=0,
+    )
+    rec = gs.simulate_protocol(setup["ham"], cfg, NoiseSpec(), setup["sigma"])
+    assert np.array_equal(rec.times, cfg.dt_ev * np.arange(cfg.n_steps + 1))
+    assert rec.per_traj_distance.shape == (2, cfg.n_steps + 1)
+    solver = gs.SolverConfig(dt_rk0=0.25, n_traj=2, t_max=2.0, grid_points=0)
+    rec_rk = gs.evolve_randomized(
+        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(3), solver,
+        setup["sigma"], lindblads=list(setup["lindblads"]),
+    )
+    assert len(rec_rk.times) == rec_rk.meta["n_steps"] + 1 == 9
+
+
 def test_protocol_noisy_placement_deterministic():
     setup = point_setup("CH", 3)
     cfg = CircuitConfig(

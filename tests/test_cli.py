@@ -243,9 +243,17 @@ CIRCUIT_N3 = (
             2,
         ),
         ("experiment = accuracy-scan\npoint = CH\nn = 7\ngrid.jumps = 5\n", 3),
+        (CIRCUIT_N3 + "circuit.grid_points = 0\n", 0),
+        (CIRCUIT_N3 + "jumps.k = 4\n", 2),
+        (CIRCUIT_N3 + "jumps.count = 0\n", 2),
+        ("experiment = evolve\npoint = CH\nn = 3\njumps.k = 9\n", 2),
+        ("experiment = evolve\npoint = CH\nn = 3\njumps.count = 0\n", 2),
+        ("experiment = gap-scan\npoint = CH\ngrid.n = 3 4\njumps.k = 4\n", 2),
     ],
     ids=[
         "ok", "dt_ev", "coherent_mode", "lambda_g", "n", "n_traj", "grid.lambda_g", "ceiling",
+        "circuit.grid_points", "circuit.jumps.k", "circuit.jumps.count", "evolve.jumps.k",
+        "evolve.jumps.count", "gap-scan.jumps.k",
     ],
 )
 def test_documented_exit_codes(tmp_path, capsys, text, code):

@@ -227,3 +227,15 @@ def test_pauli_string_invariants_enforced():
         gs.PauliString(n=3, sites=(0, 3), letters=("X", "Z"))
     with pytest.raises(InvalidLocality):
         gs.PauliString(n=3, sites=(0,), letters=("I",))
+
+
+def test_operators_convert_with_asarray():
+    # every solver reads a jump or Lindblad operator, or a plain matrix, by np.asarray
+    setup = lindblad_setup("CH", 3, 4)
+    a, L = setup["jump_set"][0], setup["lindblads"][0]
+    assert np.array_equal(np.asarray(a), a.matrix())
+    assert np.asarray(L) is L.matrix
+    assert np.asarray(L, dtype=complex) is L.matrix
+    assert np.array(L) is not L.matrix and np.array_equal(np.array(L), L.matrix)
+    assert np.array_equal(np.stack(setup["lindblads"])[0], L.matrix)
+    assert np.asarray(a, dtype=np.complex64).dtype == np.complex64

@@ -2,7 +2,8 @@
 
 Every run writes a manifest echoing the fully resolved configuration before
 any computation starts, so a manifest can be re-run to reproduce its outputs
-byte for byte.
+byte for byte.  A run whose config is rejected (exit 2 or 3) removes its
+manifest again, since it wrote no outputs.
 """
 
 import argparse
@@ -154,7 +155,9 @@ def write_manifest(out_dir, cfg):
     lines = [f"artifact_version = {__version__}"]
     for key in sorted(cfg):
         lines.append(f"{key} = {cfg[key]}")
-    _atomic_write(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
+    path = os.path.join(out_dir, "manifest.txt")
+    _atomic_write(path, "\n".join(lines) + "\n")
+    return path
 
 
 def _solver_config(cfg, params, default_dt=None):
@@ -184,6 +187,14 @@ def _jump_keys(cfg, n, count_default):
     if count < 1:
         raise ConfigError(f"jumps.count = {count} must be at least 1")
     return k, count
+
+
+def _jump_counts(cfg, default):
+    """grid.jumps, every entry checked to be at least 1."""
+    counts = _int_list(cfg, "grid.jumps", default)
+    if min(counts, default=1) < 1:
+        raise ConfigError(f"grid.jumps = {cfg['grid.jumps']} has an entry below 1")
+    return counts
 
 
 def _jump_setup(cfg, params, beta):
@@ -299,7 +310,7 @@ def _gap_point(args):
 def run_gap_scan(cfg, out_dir, threads):
     params, beta = resolve_model({**cfg, "n": cfg.get("n", "3")})
     n_values = _int_list(cfg, "grid.n", [3, 4, 5])
-    counts = _int_list(cfg, "grid.jumps", [20])
+    counts = _jump_counts(cfg, [20])
     if max(n_values) > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
         raise ResourceCeiling(
             f"gap computation beyond n={GAP_QUBIT_CEILING} requires allow_large = true"
@@ -323,7 +334,7 @@ def run_gap_scan(cfg, out_dir, threads):
 @experiment("accuracy-scan")
 def run_accuracy_scan(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
-    counts = _int_list(cfg, "grid.jumps", [5, 10, 20, 50, 100])
+    counts = _jump_counts(cfg, [5, 10, 20, 50, 100])
     k, _ = _jump_keys(cfg, params.n, 20)
     seed = _get(cfg, "seed", int, 0)
     if params.n > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
@@ -518,8 +529,12 @@ def run(config_path, seed=None, out_dir=None, threads=1):
         raise ConfigError(f"unknown experiment {kind!r}; have {sorted(EXPERIMENTS)}")
     out_dir = out_dir or cfg.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
-    write_manifest(out_dir, {**cfg, "experiment": kind, "out_dir": out_dir})
-    EXPERIMENTS[kind](cfg, out_dir, threads)
+    manifest = write_manifest(out_dir, {**cfg, "experiment": kind, "out_dir": out_dir})
+    try:
+        EXPERIMENTS[kind](cfg, out_dir, threads)
+    except (ConfigError, ResourceCeiling):
+        os.remove(manifest)  # a rejected config has no outputs to describe
+        raise
     return out_dir
 
 

@@ -10,6 +10,19 @@ run one trajectory loop, `_run_batched`: a batch of states advanced by a
 per-step map chosen by pre-drawn indices, recorded on the grid of
 `_grid_indices` (which `mcwf_evolve` also uses).  The exact solver is a
 batch of one state with a single index.
+
+Both RK4 solvers write the Lindblad generator in three products,
+
+    L(rho) = sum_a gamma_a L_a rho L_a^dag + X + X^dag,   X = A rho,
+    A = -iH - (1/2) sum_a gamma_a L_a^dag L_a,
+
+with A precomputed (per jump for the randomized scheme, summed for the
+exact one).  This equals -i[H, rho] + sum_a gamma_a D^a(rho) exactly
+whenever rho is Hermitian, since then rho A^dag = (A rho)^dag.  Every RK4
+stage input is Hermitian in exact arithmetic: the state is symmetrized
+after each step and the generator preserves Hermiticity.  Only roundoff
+moves, and X + X^dag is Hermitian element for element, so the
+Hermiticity gate sees the roundoff of the jump term and of the RK4 sums.
 """
 
 import math
@@ -172,24 +185,28 @@ def evolve_randomized(
     """
     l_ops = _prepare_lindblads(ham, jump_set, f, lindblads)
     l_dag = l_ops.conj().transpose(0, 2, 1)
-    ldl = np.matmul(l_dag, l_ops)
-    ham = np.asarray(ham, dtype=complex)
+    a_ops = np.matmul(l_dag, l_ops)
+    a_ops *= -0.5 * gamma
+    if include_coherent:
+        a_ops -= 1j * np.asarray(ham, dtype=complex)
     n_jump = l_ops.shape[0]
 
-    def generator_batch(rho, sel):
-        out = np.matmul(l_ops[sel], np.matmul(rho, l_dag[sel]))
-        out -= 0.5 * (np.matmul(ldl[sel], rho) + np.matmul(rho, ldl[sel]))
-        if gamma != 1.0:
-            out *= gamma
-        if include_coherent:
-            out += -1j * (ham @ rho - rho @ ham)
-        return out
+    def generator_for(sel):
+        l_sel, l_dag_sel, a_sel = l_ops[sel], l_dag[sel], a_ops[sel]
+
+        def generator(rho):
+            out = np.matmul(l_sel, np.matmul(rho, l_dag_sel))
+            if gamma != 1.0:
+                out *= gamma
+            return _add_hermitian_part(out, a_sel, rho)
+
+        return generator
 
     def draw(n_steps):
         rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
         return np.stack([rng.integers(0, n_jump, size=n_steps) for rng in rngs])
 
-    return _rk4_with_halving(generator_batch, draw, rho0, cfg, target)
+    return _rk4_with_halving(generator_for, draw, rho0, cfg, target)
 
 
 def evolve_exact(ham, lindblads, gammas, rho0, cfg, target, include_coherent=True):
@@ -198,29 +215,37 @@ def evolve_exact(ham, lindblads, gammas, rho0, cfg, target, include_coherent=Tru
     gammas = np.asarray(gammas, dtype=float)
     l_weighted = gammas[:, None, None] * l_ops
     l_dag = l_ops.conj().transpose(0, 2, 1)
-    decay = np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
-    ham = np.asarray(ham, dtype=complex)
+    a_op = -0.5 * np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
+    if include_coherent:
+        a_op -= 1j * np.asarray(ham, dtype=complex)
 
-    def generator_batch(rho, sel):
-        (one,) = rho
-        out = np.einsum("aij,jk,alk->il", l_weighted, one, l_ops.conj())
-        out -= 0.5 * (decay @ one + one @ decay)
-        if include_coherent:
-            out += -1j * (ham @ one - one @ ham)
-        return out[None, :, :]
+    def generator(rho):
+        out = np.matmul(l_weighted, np.matmul(rho, l_dag)).sum(axis=0, keepdims=True)
+        return _add_hermitian_part(out, a_op, rho)
 
     def draw(n_steps):
         return np.zeros((1, n_steps), dtype=int)
 
-    return _rk4_with_halving(generator_batch, draw, rho0, cfg, target)
+    return _rk4_with_halving(lambda sel: generator, draw, rho0, cfg, target)
 
 
-def _rk4_with_halving(generator_batch, draw, rho0, cfg, target):
+def _add_hermitian_part(out, a, rho):
+    """out + X + X^dag with X = a rho.  For a = -iH - (1/2) sum gamma L^dag L
+    this adds -i[H, rho] - (1/2) sum gamma {L^dag L, rho}, exactly so for
+    Hermitian rho."""
+    x = np.matmul(a, rho)
+    out += x
+    out += x.conj().transpose(0, 2, 1)
+    return out
+
+
+def _rk4_with_halving(generator_for, draw, rho0, cfg, target):
     """RK4 on a trajectory batch, restarted from rho0 with half the step
     whenever a step fails the Hermiticity gate.
 
-    generator_batch(rho, sel) is the generator on the (R, D, D) batch with
-    trajectory r under jump sel[r]; draw(n_steps) returns the (R, n_steps)
+    generator_for(sel) returns the generator on the (R, D, D) batch with
+    trajectory r under jump sel[r]; it is called once per step and its
+    result serves all four stages.  draw(n_steps) returns the (R, n_steps)
     jump indices for one attempt.
     """
     dt = cfg.dt_rk0
@@ -228,15 +253,17 @@ def _rk4_with_halving(generator_batch, draw, rho0, cfg, target):
     while True:
 
         def step(rho, sel):
-            k1 = generator_batch(rho, sel)
-            k2 = generator_batch(rho + 0.5 * dt * k1, sel)
-            k3 = generator_batch(rho + 0.5 * dt * k2, sel)
-            k4 = generator_batch(rho + dt * k3, sel)
+            generator = generator_for(sel)
+            k1 = generator(rho)
+            k2 = generator(rho + 0.5 * dt * k1)
+            k3 = generator(rho + 0.5 * dt * k2)
+            k4 = generator(rho + dt * k3)
             rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            dev = np.abs(rho - rho.conj().transpose(0, 2, 1)).max()
+            rho_dag = rho.conj().transpose(0, 2, 1)
+            dev = np.abs(rho - rho_dag).max()
             if not np.isfinite(dev) or dev > cfg.herm_tol:
                 raise _HermiticityViolation
-            rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+            rho = 0.5 * (rho + rho_dag)
             tr = np.einsum("tii->t", rho).real
             rho /= tr[:, None, None]
             return rho
@@ -265,9 +292,9 @@ def _run_batched(
     All R = draws.shape[0] trajectories start from rho0 and advance in lock
     step: step j maps the (R, D, D) batch to step(rho, draws[:, j-1]).  On
     the grid of `_grid_indices` the record takes the trace distance to
-    `target` of every trajectory (one batched call) and of the symmetrized
-    trajectory average.  The run stops early at the first grid point whose
-    averaged distance is below `stop_below`.
+    `target` of every trajectory and of the symmetrized trajectory average,
+    stacked into one batched call.  The run stops early at the first grid
+    point whose averaged distance is below `stop_below`.
     """
     n_traj, n_steps = draws.shape
     grid = _grid_indices(n_steps, grid_points)
@@ -279,9 +306,10 @@ def _run_batched(
     def record_point(j, rho):
         avg = rho.mean(axis=0)
         avg = 0.5 * (avg + avg.conj().transpose())
+        dist = trace_distance(np.concatenate([rho, avg[None]]), target)
         times.append(j * dt)
-        avg_dist.append(trace_distance(avg, target))
-        per_dist.append(trace_distance(rho, target))
+        avg_dist.append(float(dist[-1]))
+        per_dist.append(dist[:-1])
         if store_states:
             avg_states.append(avg.copy())
         if store_traj_states:
@@ -364,6 +392,7 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n
         np.zeros((n_batches, len(grid), dim, dim), dtype=complex) if n_batches else None
     )
 
+    pures = np.zeros((len(grid), dim, dim), dtype=complex)
     for i in range(n_traj):
         rng = np.random.default_rng([cfg.seed, i])
         if psi0 is None:
@@ -377,13 +406,7 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n
         for j in range(n_steps + 1):
             if j == grid[grid_pos]:
                 unit = psi / np.linalg.norm(psi)
-                pure = np.outer(unit, unit.conj())
-                sum_state[grid_pos] += pure
-                per_dist[i, grid_pos] = trace_distance(pure, target)
-                if traj_states is not None:
-                    traj_states[i, grid_pos] = pure
-                if batch_sums is not None:
-                    batch_sums[i * n_batches // n_traj, grid_pos] += pure
+                pures[grid_pos] = np.outer(unit, unit.conj())
                 grid_pos += 1
                 if grid_pos == len(grid):
                     break
@@ -405,6 +428,12 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n
                     threshold = rng.random()
                 else:
                     psi = candidate
+        sum_state += pures
+        per_dist[i] = trace_distance(pures, target)
+        if traj_states is not None:
+            traj_states[i] = pures
+        if batch_sums is not None:
+            batch_sums[i * n_batches // n_traj] += pures
 
     times = np.array(grid, dtype=float) * dt
     avg_states = sum_state / n_traj

@@ -249,11 +249,14 @@ CIRCUIT_N3 = (
         ("experiment = evolve\npoint = CH\nn = 3\njumps.k = 9\n", 2),
         ("experiment = evolve\npoint = CH\nn = 3\njumps.count = 0\n", 2),
         ("experiment = gap-scan\npoint = CH\ngrid.n = 3 4\njumps.k = 4\n", 2),
+        ("experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 0\n", 2),
+        ("experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 0\n", 2),
     ],
     ids=[
         "ok", "dt_ev", "coherent_mode", "lambda_g", "n", "n_traj", "grid.lambda_g", "ceiling",
         "circuit.grid_points", "circuit.jumps.k", "circuit.jumps.count", "evolve.jumps.k",
-        "evolve.jumps.count", "gap-scan.jumps.k",
+        "evolve.jumps.count", "gap-scan.jumps.k", "gap-scan.grid.jumps",
+        "accuracy-scan.grid.jumps",
     ],
 )
 def test_documented_exit_codes(tmp_path, capsys, text, code):
@@ -262,6 +265,23 @@ def test_documented_exit_codes(tmp_path, capsys, text, code):
     assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert err.startswith({0: "", 2: "config error:", 3: "resource ceiling:"}[code])
+
+
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        ("experiment = evolve\npoint = CH\nn = 3\njumps.count = 0\n", 2),
+        ("experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 0\n", 2),
+        ("experiment = accuracy-scan\npoint = CH\nn = 7\ngrid.jumps = 5\n", 3),
+    ],
+    ids=["evolve.jumps.count", "gap-scan.grid.jumps", "ceiling"],
+)
+def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
+    cfg = write_cfg(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == code
+    assert not (out / "manifest.txt").exists()
+    assert list(out.iterdir()) == []
 
 
 def test_circuit_trotter2_mode_runs(tmp_path):

@@ -130,6 +130,116 @@ def test_step_underflow_raised():
         )
 
 
+def _six_product_rk4(ham, l_ops, gamma, include_coherent, rho0, dt, draws):
+    """States of every trajectory under L rho L^dag - (1/2){L^dag L, rho},
+    scaled by gamma, plus -i[H, rho]: the generator written out term by term,
+    followed by the solver's symmetrization and renormalization."""
+    out = []
+    for sels in draws:
+        rho = rho0.astype(complex)
+        states = [rho]
+        for sel in sels:
+            L = l_ops[sel]
+            ldl = L.conj().T @ L
+
+            def gen(r):
+                g = L @ (r @ L.conj().T) - 0.5 * (ldl @ r + r @ ldl)
+                g = g * gamma
+                if include_coherent:
+                    g = g + -1j * (ham @ r - r @ ham)
+                return g
+
+            rho = gs.rk4_step(rho, gen, dt)
+            rho = 0.5 * (rho + rho.conj().T)
+            rho = rho / np.trace(rho).real
+            states.append(rho)
+        out.append(states)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("include_coherent", [True, False])
+@pytest.mark.parametrize("gamma", [1.0, 0.37])
+@pytest.mark.parametrize("n", [3, 5])
+def test_randomized_generator_matches_six_product_oracle(n, gamma, include_coherent):
+    setup = lindblad_setup("CH", n, 10)
+    cfg = gs.SolverConfig(
+        dt_rk0=0.1, n_traj=3, t_max=1.5, seed=4, grid_points=0, store_traj_states=True
+    )
+    rec = gs.evolve_randomized(
+        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(n), cfg, setup["sigma"],
+        gamma=gamma, lindblads=list(setup["lindblads"]), include_coherent=include_coherent,
+    )
+    assert rec.halvings == 0
+    n_steps = rec.meta["n_steps"]
+    draws = [np.random.default_rng([cfg.seed, i]).integers(0, 10, size=n_steps) for i in range(3)]
+    l_ops = np.stack(setup["lindblads"])
+    oracle = _six_product_rk4(
+        setup["ham"], l_ops, gamma, include_coherent, gs.maximally_mixed(n), 0.1, draws
+    )
+    assert rec.traj_states.shape == oracle.shape
+    assert np.max(np.abs(rec.traj_states - oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("include_coherent", [True, False])
+def test_exact_generator_matches_einsum_oracle(rng, include_coherent):
+    setup = lindblad_setup("CH", 3, 10)
+    ls = list(setup["lindblads"])
+    gammas = rng.uniform(0.02, 0.2, len(ls))
+    cfg = gs.SolverConfig(dt_rk0=0.2, n_traj=1, t_max=4.0, grid_points=0, store_traj_states=True)
+    rec = gs.evolve_exact(
+        setup["ham"], ls, gammas, gs.maximally_mixed(3), cfg, setup["sigma"],
+        include_coherent=include_coherent,
+    )
+    ham = setup["ham"]
+    l_ops = np.stack(ls)
+    l_weighted = gammas[:, None, None] * l_ops
+    decay = np.einsum("a,aij,ajk->ik", gammas, l_ops.conj().transpose(0, 2, 1), l_ops)
+
+    def gen(r):
+        out = np.einsum("aij,jk,alk->il", l_weighted, r, l_ops.conj())
+        out -= 0.5 * (decay @ r + r @ decay)
+        if include_coherent:
+            out += -1j * (ham @ r - r @ ham)
+        return out
+
+    rho = gs.maximally_mixed(3).astype(complex)
+    for j in range(1, rec.meta["n_steps"] + 1):
+        rho = gs.rk4_step(rho, gen, 0.2)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        assert np.max(np.abs(rec.traj_states[0, j] - rho)) <= 1e-12
+
+
+def test_fused_recording_equals_separate_distance_calls():
+    setup = lindblad_setup("CH", 4, 10)
+    cfg = gs.SolverConfig(
+        dt_rk0=0.2, n_traj=5, t_max=3.0, seed=2, grid_points=0,
+        store_states=True, store_traj_states=True,
+    )
+    rec = gs.evolve_randomized(
+        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(4), cfg, setup["sigma"],
+        lindblads=list(setup["lindblads"]),
+    )
+    for j in range(len(rec.times)):
+        per = gs.trace_distance(rec.traj_states[:, j], setup["sigma"])
+        assert np.array_equal(rec.per_traj_distance[:, j], per)
+        assert rec.avg_distance[j] == gs.trace_distance(rec.avg_states[j], setup["sigma"])
+
+
+def test_hermiticity_gate_halves_an_unstable_step():
+    # X + X^dag is Hermitian element for element, so the gate now sees the
+    # roundoff of the jump term and of the RK4 sums; beyond the stability
+    # limit RK4 amplifies that roundoff until the gate fires
+    setup = lindblad_setup("CH", 3, 10)
+    cfg = gs.SolverConfig(dt_rk0=2.0, n_traj=2, t_max=40.0, seed=1)
+    rec = gs.evolve_randomized(
+        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(3), cfg,
+        setup["sigma"], lindblads=list(setup["lindblads"]),
+    )
+    assert rec.halvings == 3
+    assert rec.final_dt_rk == pytest.approx(0.25)
+
+
 # -------------------------------------------------------------------- exact
 def test_exact_converges_to_superop_steady_state():
     setup = gap_setup("CH", 3, 20)
@@ -211,6 +321,20 @@ def test_mcwf_jump_probability_control():
     rec = gs.mcwf_evolve(np.zeros((2, 2)), [lower], [gamma], psi0, cfg, ground)
     expected = np.exp(-gamma * rec.times)
     assert np.max(np.abs(rec.avg_distance - expected)) < 0.05
+
+
+def test_mcwf_distances_match_recorded_pure_states():
+    setup = lindblad_setup("CH", 3, 10)
+    cfg = gs.SolverConfig(
+        dt_rk0=0.2, n_traj=4, t_max=4.0, seed=3, grid_points=8, store_traj_states=True
+    )
+    rec = gs.mcwf_evolve(
+        setup["ham"], list(setup["lindblads"]), 5 * setup["gammas"], None, cfg, setup["sigma"]
+    )
+    for i in range(cfg.n_traj):
+        for j in range(len(rec.times)):
+            single = gs.trace_distance(rec.traj_states[i, j], setup["sigma"])
+            assert rec.per_traj_distance[i, j] == single
 
 
 # ------------------------------------------------------------- mixing time

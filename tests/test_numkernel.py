@@ -108,6 +108,16 @@ def test_trace_distance_batch_matches_per_matrix_loop(rng):
         gs.trace_distance(stack, stack[0])
 
 
+@pytest.mark.parametrize("dim", [8, 16, 32, 64])
+def test_trace_distance_stack_bitwise_equals_single_calls(rng, dim):
+    # grid recording stacks the trajectories and their average into one call
+    target = random_density_matrix(dim, rng)
+    for size in (1, 2, 5):
+        stack = np.stack([random_density_matrix(dim, rng) for _ in range(size)])
+        singles = np.array([gs.trace_distance(one, target) for one in stack])
+        assert np.array_equal(gs.trace_distance(stack, target), singles)
+
+
 def test_trace_distance_triangle_inequality(rng):
     for _ in range(20):
         a = random_density_matrix(8, rng)

@@ -83,24 +83,16 @@ def _get(cfg, key, cast, default=None, required=False):
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
 
 
-def _int_list(cfg, key, default):
-    raw = cfg.get(key)
-    if raw is None:
+def _list(cfg, key, cast, default):
+    """Whitespace- or comma-separated values; a value with no entries is
+    unset, as in `_get`."""
+    tokens = cfg.get(key, "").replace(",", " ").split()
+    if not tokens:
         return default
     try:
-        return [int(tok) for tok in raw.replace(",", " ").split()]
+        return [cast(tok) for tok in tokens]
     except ValueError as exc:
-        raise ConfigError(f"bad integer list for {key!r}: {raw!r}") from exc
-
-
-def _float_list(cfg, key, default):
-    raw = cfg.get(key)
-    if raw is None:
-        return default
-    try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"bad float list for {key!r}: {raw!r}") from exc
+        raise ConfigError(f"bad {cast.__name__} list for {key!r}: {cfg[key]!r}") from exc
 
 
 def _validated(build, **kwargs):
@@ -191,8 +183,8 @@ def _jump_keys(cfg, n, count_default):
 
 def _jump_counts(cfg, default):
     """grid.jumps, every entry checked to be at least 1."""
-    counts = _int_list(cfg, "grid.jumps", default)
-    if min(counts, default=1) < 1:
+    counts = _list(cfg, "grid.jumps", int, default)
+    if min(counts) < 1:
         raise ConfigError(f"grid.jumps = {cfg['grid.jumps']} has an entry below 1")
     return counts
 
@@ -232,8 +224,8 @@ def run_spectrum(cfg, out_dir, threads):
 def run_chaos_scan(cfg, out_dir, threads):
     n = _get(cfg, "n", int, 8)
     j = _get(cfg, "J", float, 1.0)
-    h_vals = _float_list(cfg, "grid.h", list(np.geomspace(0.1, 10.0, 11)))
-    m_vals = _float_list(cfg, "grid.m", [0.0] + list(np.geomspace(0.1, 10.0, 11)))
+    h_vals = _list(cfg, "grid.h", float, list(np.geomspace(0.1, 10.0, 11)))
+    m_vals = _list(cfg, "grid.m", float, [0.0] + list(np.geomspace(0.1, 10.0, 11)))
     basis_key = cfg.get("basis", "z")
     bases = preset_bases(n)
     if basis_key not in bases:
@@ -309,7 +301,7 @@ def _gap_point(args):
 @experiment("gap-scan")
 def run_gap_scan(cfg, out_dir, threads):
     params, beta = resolve_model({**cfg, "n": cfg.get("n", "3")})
-    n_values = _int_list(cfg, "grid.n", [3, 4, 5])
+    n_values = _list(cfg, "grid.n", int, [3, 4, 5])
     counts = _jump_counts(cfg, [20])
     if max(n_values) > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
         raise ResourceCeiling(
@@ -412,8 +404,8 @@ def run_circuit(cfg, out_dir, threads):
 @experiment("circuit-noise")
 def run_circuit_noise(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
-    lambdas = _float_list(cfg, "grid.lambda_g", [1e-6, 1e-5, 1e-4])
-    dt_evs = _float_list(cfg, "grid.dt_ev", [1.0, 3.0, 5.0])
+    lambdas = _list(cfg, "grid.lambda_g", float, [1e-6, 1e-5, 1e-4])
+    dt_evs = _list(cfg, "grid.dt_ev", float, [1.0, 3.0, 5.0])
     ham = build_hamiltonian(params)
     spec = eig_hermitian(ham)
     target = gibbs_state(spec, beta)
@@ -447,7 +439,7 @@ def run_noise_bounds(cfg, out_dir, threads):
     )
     steps = record.times / record.final_dt_rk
     fit = fit_convergence(steps, record.avg_distance)
-    lambdas = _float_list(cfg, "grid.lambda", [1e-3, 1e-2, 1e-1])
+    lambdas = _list(cfg, "grid.lambda", float, [1e-3, 1e-2, 1e-1])
     n_g = _get(cfg, "noise.n_g", int, 50 * params.n)
     rows = []
     for lam in lambdas:
@@ -474,8 +466,8 @@ def run_noise_bounds(cfg, out_dir, threads):
 @experiment("error-fit")
 def run_error_fit(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
-    dt_evs = _float_list(cfg, "grid.dt_ev", [0.05, 0.1, 0.2, 0.3])
-    dt_ofts = _float_list(cfg, "grid.dt_oft", [0.08, 0.12, 0.2, 0.3])
+    dt_evs = _list(cfg, "grid.dt_ev", float, [0.05, 0.1, 0.2, 0.3])
+    dt_ofts = _list(cfg, "grid.dt_oft", float, [0.08, 0.12, 0.2, 0.3])
     ham = build_hamiltonian(params)
     spec = eig_hermitian(ham)
     target = gibbs_state(spec, beta)

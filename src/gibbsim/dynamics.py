@@ -16,9 +16,10 @@ Both RK4 solvers write the Lindblad generator in three products,
     L(rho) = sum_a gamma_a L_a rho L_a^dag + X + X^dag,   X = A rho,
     A = -iH - (1/2) sum_a gamma_a L_a^dag L_a,
 
-with A precomputed (per jump for the randomized scheme, summed for the
-exact one).  This equals -i[H, rho] + sum_a gamma_a D^a(rho) exactly
-whenever rho is Hermitian, since then rho A^dag = (A rho)^dag.  Every RK4
+with A precomputed (per jump for the randomized scheme; summed for the
+exact one by `liouville.drift_operator`, which `build_superop` shares).
+This equals -i[H, rho] + sum_a gamma_a D^a(rho) exactly whenever rho is
+Hermitian, since then rho A^dag = (A rho)^dag.  Every RK4
 stage input is Hermitian in exact arithmetic: the state is symmetrized
 after each step and the generator preserves Hermiticity.  Only roundoff
 moves, and X + X^dag is Hermitian element for element, so the
@@ -33,6 +34,7 @@ import scipy.linalg
 
 from .errors import StepUnderflow
 from .jumps import lindblad_op_exact
+from .liouville import drift_operator
 from .model import bohr_frequencies
 from .numkernel import eig_hermitian, trace_distance
 
@@ -215,9 +217,7 @@ def evolve_exact(ham, lindblads, gammas, rho0, cfg, target, include_coherent=Tru
     gammas = np.asarray(gammas, dtype=float)
     l_weighted = gammas[:, None, None] * l_ops
     l_dag = l_ops.conj().transpose(0, 2, 1)
-    a_op = -0.5 * np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
-    if include_coherent:
-        a_op -= 1j * np.asarray(ham, dtype=complex)
+    a_op = drift_operator(ham if include_coherent else None, l_ops, gammas)
 
     def generator(rho):
         out = np.matmul(l_weighted, np.matmul(rho, l_dag)).sum(axis=0, keepdims=True)

@@ -2,15 +2,44 @@
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho).
 All superoperators here are dense D^2 x D^2 complex matrices.
+
+`steady_state_and_gap` never diagonalizes that complex matrix S:
+
+- Real Hermitian-basis eigensolve.  A Lindbladian maps Hermitian operators
+  to Hermitian operators, so in the orthonormal Hermitian basis
+  {E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 : i < j} it is a real
+  matrix R = U^dag S U.  U is unitary, so R has exactly the spectrum of S,
+  and a real eigensolve without eigenvectors gives every eigenvalue.  R is
+  gathered by index arithmetic, since each basis vector has two nonzeros.
+- Direct steady-state solve, the "direct" method of QuTiP's `steadystate`
+  (Johansson, Nation and Nori, Comput. Phys. Commun. 184, 1234 (2013)).
+  Trace preservation makes the trace functional t (ones on the E_ii
+  coordinates) a left null vector of R, so the first E_ii row of R is
+  minus the sum of the other E_ii rows and carries no equation of its own.  Replacing
+  it by t and solving against e_1 therefore keeps R x = 0 and adds
+  Tr rho = 1; with a simple zero eigenvalue the system is nonsingular and
+  its one solution is the steady state.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateChain, DimensionMismatch, NonUniqueSteadyState, SingularGibbs
+from .errors import (
+    DegenerateChain,
+    DimensionMismatch,
+    NonUniqueSteadyState,
+    NotHermitian,
+    SingularGibbs,
+)
 from .jumps import filter_freq
 from .numkernel import eig_hermitian
+
+# Roundoff bound on the imaginary part dropped from the Hermitian-basis form,
+# relative to its largest entry; measured parts are about 1e-17.
+REAL_FORM_RTOL = 1e-10
+# Rows of R gathered at a time: the complex temporaries stay at 128 x D^2.
+_REAL_FORM_ROWS = 128
 
 
 def vec(rho):
@@ -60,8 +89,31 @@ class Superoperator:
         return float(np.max(np.abs(left)))
 
 
+def drift_operator(coherent, l_ops, gammas):
+    """A = -iG - (1/2) sum_a gamma_a L_a^dag L_a for a (n_jump, D, D) stack;
+    G = 0 when `coherent` is None.
+
+    For Hermitian G the generator is sum_a gamma_a L_a rho L_a^dag +
+    A rho + rho A^dag; `dynamics.evolve_exact` and `build_superop` both use
+    this one operator.
+    """
+    l_dag = l_ops.conj().transpose(0, 2, 1)
+    a = -0.5 * np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
+    if coherent is not None:
+        a = a - 1j * np.asarray(coherent, dtype=complex)
+    return a
+
+
 def build_superop(coherent, lindblads, gammas, include_coherent=True):
-    """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .})."""
+    """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .}).
+
+    S = sum_a gamma_a conj(L_a) kron L_a + I kron A + M^T kron I, where
+    rho -> rho M is the right-hand part, M = iG - (1/2) sum_a gamma_a
+    L_a^dag L_a.  As a 4-D array s4[p, q, r, s] = S[q + D p, s + D r], the
+    jump sum is one product over the jump index, written one row block p
+    at a time, and the two krons with I are D-by-D additions on diagonal
+    views.
+    """
     mats = [np.asarray(l) for l in lindblads]
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas < 0):
@@ -69,23 +121,29 @@ def build_superop(coherent, lindblads, gammas, include_coherent=True):
     if len(mats) != len(gammas):
         raise DimensionMismatch("one weight per Lindblad operator")
     d = mats[0].shape[0] if mats else np.asarray(coherent).shape[0]
-    eye = np.eye(d)
-    out = np.zeros((d * d, d * d), dtype=complex)
-    if include_coherent and coherent is not None:
-        G = np.asarray(coherent, dtype=complex)
-        if G.shape[0] != d:
-            raise DimensionMismatch("coherent term dimension mismatch")
-        out += -1j * (np.kron(eye, G) - np.kron(G.T, eye))
-    for g, L in zip(gammas, mats):
-        if L.shape[0] != d:
-            raise DimensionMismatch("Lindblad operator dimension mismatch")
-        LdL = L.conj().T @ L
-        out += g * (
-            np.kron(L.conj(), L)
-            - 0.5 * np.kron(eye, LdL)
-            - 0.5 * np.kron(LdL.T, eye)
-        )
-    return Superoperator(matrix=out)
+    if any(L.shape[0] != d for L in mats):
+        raise DimensionMismatch("Lindblad operator dimension mismatch")
+    coherent = coherent if include_coherent else None
+    if coherent is not None and np.asarray(coherent).shape[0] != d:
+        raise DimensionMismatch("coherent term dimension mismatch")
+    l_ops = np.array(mats, dtype=complex).reshape(len(mats), d, d)
+    a = drift_operator(coherent, l_ops, gammas)
+    # M^T = conj(A) when G is Hermitian; the correction keeps -i[G, .]
+    # exact for any G.
+    right = a.conj()
+    if coherent is not None:
+        g = np.asarray(coherent, dtype=complex)
+        right += 1j * (g.T - g.conj())
+
+    s4 = np.empty((d, d, d, d), dtype=complex)
+    l_bar = l_ops.conj().transpose(1, 2, 0)  # (p, r, a)
+    l_weighted = (gammas[:, None, None] * l_ops).transpose(1, 0, 2)  # (q, a, s)
+    for p in range(d):
+        np.matmul(l_bar[p], l_weighted, out=s4[p])
+    for p in range(d):
+        s4[p, :, p, :] += a
+        s4[:, p, :, p] += right
+    return Superoperator(matrix=s4.reshape(d * d, d * d))
 
 
 @dataclass(frozen=True)
@@ -97,8 +155,9 @@ class GapResult:
     zero_tol: float
 
     def to_csv(self, path):
-        """Eigenvalue table: index, real part, imaginary part."""
-        order = np.argsort(-self.eigenvalues.real)
+        """Eigenvalue table: index, real part, imaginary part, sorted by
+        (-Re, Im) so that the row order depends on the eigenvalues alone."""
+        order = np.lexsort((self.eigenvalues.imag, -self.eigenvalues.real))
         with open(path, "w") as fh:
             fh.write(f"# generator eigenvalues in J; gap={self.gap!r} zero_count={self.zero_count}\n")
             fh.write("index,re,im\n")
@@ -107,15 +166,63 @@ class GapResult:
                 fh.write(f"{i},{float(ev.real)!r},{float(ev.imag)!r}\n")
 
 
+def _hermitian_basis(d):
+    """The orthonormal Hermitian basis {E_ii, (E_ij + E_ji)/sqrt2,
+    i(E_ij - E_ji)/sqrt2 : i < j} as column-stacked vectors, each with two
+    nonzeros: basis vector k is w1[k] e_{m1[k]} + w2[k] e_{m2[k]}.  A
+    diagonal E_ii is written as two halves on the same index."""
+    diag = np.arange(d) * (d + 1)
+    iu, ju = np.triu_indices(d, 1)
+    upper, lower = iu + d * ju, ju + d * iu
+    n_pair = len(iu)
+    h = np.sqrt(0.5)
+    m1 = np.concatenate([diag, upper, upper])
+    m2 = np.concatenate([diag, lower, lower])
+    w1 = np.concatenate([np.full(d, 0.5), np.full(n_pair, h), np.full(n_pair, 1j * h)])
+    w2 = np.concatenate([np.full(d, 0.5), np.full(n_pair, h), np.full(n_pair, -1j * h)])
+    return m1, w1, m2, w2
+
+
+def _real_form(matrix, basis):
+    """R = U^dag S U in the Hermitian basis U, filled in row blocks by
+    gathering the two nonzeros of each basis vector; never forms U or a
+    complex D^2 x D^2 temporary.  Returns R and max |Im(U^dag S U)|."""
+    m1, w1, m2, w2 = basis
+    n = matrix.shape[0]
+    r = np.empty((n, n))
+    imag = 0.0
+    for lo in range(0, n, _REAL_FORM_ROWS):
+        rows = slice(lo, lo + _REAL_FORM_ROWS)
+        left = w1[rows].conj()[:, None] * matrix[m1[rows]]
+        left += w2[rows].conj()[:, None] * matrix[m2[rows]]
+        block = left[:, m1] * w1
+        block += left[:, m2] * w2
+        r[rows] = block.real
+        imag = max(imag, float(np.max(np.abs(block.imag))))
+    return r, imag
+
+
 def steady_state_and_gap(s):
     """Spectral gap and steady state of a vectorized Lindbladian.
 
     The zero cluster collects eigenvalues of modulus below
     1e-9 * max|Re lambda| (with a floor of 1e-12 * max|lambda| so that a
     purely coherent generator still exposes its exact fixed points).
-    Raises NonUniqueSteadyState when the cluster holds more than one mode.
+    Raises NonUniqueSteadyState when the cluster holds more than one mode,
+    and NotHermitian when the generator does not preserve Hermiticity
+    (its Hermitian-basis form has an imaginary part above
+    REAL_FORM_RTOL * max|R|).
     """
-    evals, evecs = np.linalg.eig(s.matrix)
+    d = s.system_dim
+    basis = _hermitian_basis(d)
+    r, imag = _real_form(s.matrix, basis)
+    r_max = float(max(r.max(), -r.min()))
+    if imag > REAL_FORM_RTOL * r_max:
+        raise NotHermitian(
+            f"generator does not preserve Hermiticity: imaginary part {imag:.3e} "
+            f"of its real form against max|R| = {r_max:.3e}"
+        )
+    evals = np.linalg.eigvals(r).astype(complex, copy=False)
     scale_re = float(np.max(np.abs(evals.real)))
     scale_all = float(np.max(np.abs(evals)))
     zero_tol = max(1e-9 * scale_re, 1e-12 * scale_all, 1e-300)
@@ -127,7 +234,17 @@ def steady_state_and_gap(s):
     if np.max(nonzero.real) > zero_tol:
         raise NonUniqueSteadyState(zero_count)
     gap = float(np.min(np.abs(nonzero.real)))
-    v = evecs[:, int(np.argmax(zero_mask))]
+    # Direct solve (module docstring): the trace functional replaces the
+    # first E_ii row.
+    r[0] = 0.0
+    r[0, :d] = 1.0
+    rhs = np.zeros(d * d)
+    rhs[0] = 1.0
+    x = np.linalg.solve(r, rhs)
+    m1, w1, m2, w2 = basis
+    v = np.zeros(d * d, dtype=complex)
+    np.add.at(v, m1, w1 * x)
+    np.add.at(v, m2, w2 * x)
     rho = unvec(v)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real

@@ -104,6 +104,23 @@ def test_gap_scan_small(tmp_path):
     assert gap > 0
 
 
+@pytest.mark.parametrize(
+    "text, csv, n_rows",
+    [
+        ("experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps =\n", "gaps.csv", 1),
+        ("experiment = gap-scan\npoint = CH\ngrid.n =\ngrid.jumps = 5\n", "gaps.csv", 3),
+        ("experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = ,\n", "accuracy.csv", 5),
+    ],
+    ids=["gap-scan.grid.jumps", "gap-scan.grid.n", "accuracy-scan.grid.jumps"],
+)
+def test_empty_list_value_means_default(tmp_path, text, csv, n_rows):
+    # a list key with no entries is unset, like any other empty value
+    cfg = write_cfg(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    assert len((out / csv).read_text().splitlines()) == 2 + n_rows
+
+
 def test_accuracy_scan_small(tmp_path):
     cfg = write_cfg(
         tmp_path, "acc.cfg",

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import gibbsim as gs
-from gibbsim.errors import DegenerateChain, NonUniqueSteadyState, SingularGibbs
+from gibbsim.errors import DegenerateChain, NonUniqueSteadyState, NotHermitian, SingularGibbs
 from gibbsim.liouville import (
+    GapResult,
     MarkovRestriction,
     apply_lindbladian,
     conductance_cheeger,
@@ -90,6 +92,112 @@ def test_gap_vs_mixing_time_bound():
     norm_inv_sqrt = 1.0 / np.sqrt(np.min(np.linalg.eigvalsh(rho_inf)))
     bound = (1.0 / setup["gap_result"].gap) * np.log(2 * norm_inv_sqrt / 1e-2)
     assert est <= 1.1 * bound
+
+
+# ------------------------------------------ oracle: per-jump kron and eig
+def kron_superop(coherent, lindblads, gammas, include_coherent=True):
+    """The per-jump np.kron build that build_superop replaced."""
+    mats = [np.asarray(l) for l in lindblads]
+    d = mats[0].shape[0] if mats else np.asarray(coherent).shape[0]
+    eye = np.eye(d)
+    out = np.zeros((d * d, d * d), dtype=complex)
+    if include_coherent and coherent is not None:
+        G = np.asarray(coherent, dtype=complex)
+        out += -1j * (np.kron(eye, G) - np.kron(G.T, eye))
+    for g, L in zip(gammas, mats):
+        LdL = L.conj().T @ L
+        out += g * (np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye))
+    return out
+
+
+def eig_steady_state_and_gap(matrix):
+    """The complex-eig gap and eigenvector steady state that
+    steady_state_and_gap replaced: (gap, zero_count, rho, eigenvalues)."""
+    evals, evecs = np.linalg.eig(matrix)
+    scale_re = float(np.max(np.abs(evals.real)))
+    scale_all = float(np.max(np.abs(evals)))
+    zero_tol = max(1e-9 * scale_re, 1e-12 * scale_all, 1e-300)
+    zero_mask = np.abs(evals) < zero_tol
+    zero_count = int(np.sum(zero_mask))
+    if zero_count != 1:
+        raise NonUniqueSteadyState(zero_count)
+    nonzero = evals[~zero_mask]
+    if np.max(nonzero.real) > zero_tol:
+        raise NonUniqueSteadyState(zero_count)
+    gap = float(np.min(np.abs(nonzero.real)))
+    rho = unvec(evecs[:, int(np.argmax(zero_mask))])
+    rho = 0.5 * (rho + rho.conj().T)
+    return gap, zero_count, rho / np.trace(rho).real, evals
+
+
+def oracle_generators():
+    """(id, coherent, lindblads, gammas, include_coherent) at CH and REG,
+    n = 3, 4, with non-uniform weights."""
+    cases = []
+    for key in ("CH", "REG"):
+        for n in (3, 4):
+            s = lindblad_setup(key, n, 12, seed=3)
+            gammas = np.linspace(0.2, 1.0, 12)
+            g_ckg = gs.ckg_coherent_term(s["jump_set"], s["spec"], F, s["bohr"], gammas=gammas)
+            ls = list(s["lindblads"])
+            cases.append((f"{key}-n{n}-H", s["ham"], ls, gammas, True))
+            cases.append((f"{key}-n{n}-dissipative", s["ham"], ls, gammas, False))
+            cases.append((f"{key}-n{n}-ckg", g_ckg, ls, gammas, True))
+    return cases
+
+
+@pytest.mark.parametrize("case", oracle_generators(), ids=lambda c: c[0])
+def test_superop_and_gap_match_kron_eig_oracle(case):
+    _, coherent, ls, gammas, include = case
+    old = kron_superop(coherent, ls, gammas, include)
+    sup = gs.build_superop(coherent, ls, gammas, include_coherent=include)
+    assert sup.matrix.dtype == complex and sup.matrix.shape == old.shape
+    assert np.max(np.abs(sup.matrix - old)) <= 1e-12
+    gap, zero_count, rho, evals = eig_steady_state_and_gap(old)
+    result = gs.steady_state_and_gap(sup)
+    assert result.zero_count == zero_count == 1
+    cost = np.abs(evals[:, None] - result.eigenvalues[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert np.max(cost[rows, cols]) <= 1e-12  # spectra equal as multisets
+    assert abs(result.gap - gap) <= 1e-12
+    assert np.max(np.abs(result.steady_state - rho)) <= 1e-12
+
+
+def non_unique_generators():
+    setup = point_setup("CH", 3)
+    dephasing = np.diag([1.0, -1.0] * 4)
+    decay_01 = np.zeros((8, 8))
+    decay_01[0, 1] = 1.0
+    return [
+        ("dissipation-free", setup["ham"], [np.zeros((8, 8))], [0.0], True),
+        ("pure-dephasing", setup["ham"], [dephasing], [0.7], False),
+        ("one-decay-channel", np.zeros((8, 8)), [decay_01], [1.3], True),
+    ]
+
+
+@pytest.mark.parametrize("case", non_unique_generators(), ids=lambda c: c[0])
+def test_non_unique_cases_match_eig_oracle(case):
+    _, coherent, ls, gammas, include = case
+    old = kron_superop(coherent, ls, gammas, include)
+    sup = gs.build_superop(coherent, ls, gammas, include_coherent=include)
+    assert np.max(np.abs(sup.matrix - old)) <= 1e-12
+    with pytest.raises(NonUniqueSteadyState) as expected:
+        eig_steady_state_and_gap(old)
+    with pytest.raises(NonUniqueSteadyState) as err:
+        gs.steady_state_and_gap(sup)
+    assert err.value.zero_count == expected.value.zero_count > 1
+
+
+def test_non_hermitian_coherent_term_raises(rng):
+    # -i[G, .] with a non-Hermitian G does not map Hermitian operators to
+    # Hermitian ones, so the generator has no real Hermitian-basis form.
+    setup = lindblad_setup("CH", 3, 10)
+    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    ls, gammas = list(setup["lindblads"]), setup["gammas"]
+    sup = gs.build_superop(g, ls, gammas)
+    assert np.max(np.abs(sup.matrix - kron_superop(g, ls, gammas))) <= 1e-12
+    with pytest.raises(NotHermitian):
+        gs.steady_state_and_gap(sup)
 
 
 # ------------------------------------------------------------ coherent term
@@ -268,6 +376,16 @@ def test_gap_result_csv_export(tmp_path):
     assert len(rows) == 2 + 64
     re0 = float(rows[2].split(",")[1])
     assert abs(re0) < result.zero_tol  # zero mode sorted first
+    keys = [(-float(r.split(",")[1]), float(r.split(",")[2])) for r in rows[2:]]
+    assert keys == sorted(keys)  # by (-Re, Im)
+    # the order depends on the eigenvalues alone, not on their input order
+    shuffled = np.random.default_rng(1).permutation(result.eigenvalues)
+    again = tmp_path / "shuffled.csv"
+    GapResult(
+        gap=result.gap, zero_count=result.zero_count, steady_state=result.steady_state,
+        eigenvalues=shuffled, zero_tol=result.zero_tol,
+    ).to_csv(again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_markov_restriction_csv_export(tmp_path):

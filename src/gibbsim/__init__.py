@@ -1,4 +1,9 @@
-"""Dissipative Gibbs-state preparation: Lindblad engineering at desk scale."""
+"""Dissipative Gibbs-state preparation: Lindblad engineering at desk scale.
+
+Importing gibbsim loads numpy only; scipy is loaded on first use by
+`mcwf_evolve`, `fit_effective_gates` and `fit_error_model` (the `error-fit`
+experiment).
+"""
 
 __version__ = "0.1.0"
 

@@ -50,8 +50,8 @@ class CircuitConfig:
     grid_points: int = 2000
 
     def __post_init__(self):
-        if min(self.dt_ev, self.dt_oft, self.T) <= 0:
-            raise ValueError("dt_ev, dt_oft and T must be positive")
+        if min(self.dt_ev, self.dt_oft, self.T, self.t_max) <= 0:
+            raise ValueError("dt_ev, dt_oft, T and t_max must be positive")
         if round(self.T / self.dt_oft) < 1:
             raise ValueError("dt_oft too coarse: T/dt_oft rounds below 1")
         if self.coherent_mode not in ("exact", "trotter2"):

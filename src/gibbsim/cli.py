@@ -2,8 +2,9 @@
 
 Every run writes a manifest echoing the fully resolved configuration before
 any computation starts, so a manifest can be re-run to reproduce its outputs
-byte for byte.  A run whose config is rejected (exit 2 or 3) removes its
-manifest again, since it wrote no outputs.
+byte for byte.  A run whose config is rejected (exit 2 or 3) writes no
+outputs and puts back the out dir's earlier manifest, or removes its own
+when there was none.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import concurrent.futures
 import json
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -147,9 +149,7 @@ def write_manifest(out_dir, cfg):
     lines = [f"artifact_version = {__version__}"]
     for key in sorted(cfg):
         lines.append(f"{key} = {cfg[key]}")
-    path = os.path.join(out_dir, "manifest.txt")
-    _atomic_write(path, "\n".join(lines) + "\n")
-    return path
+    _atomic_write(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
 
 
 def _solver_config(cfg, params, default_dt=None):
@@ -516,16 +516,24 @@ def run(config_path, seed=None, out_dir=None, threads=1):
     if seed is not None:
         cfg["seed"] = str(seed)
     cfg.setdefault("seed", "0")
+    if _get(cfg, "seed", int, 0) < 0:
+        raise ConfigError(f"seed = {cfg['seed']} must be non-negative")
     kind = cfg.get("experiment")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {kind!r}; have {sorted(EXPERIMENTS)}")
     out_dir = out_dir or cfg.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
-    manifest = write_manifest(out_dir, {**cfg, "experiment": kind, "out_dir": out_dir})
+    manifest = Path(out_dir, "manifest.txt")
+    earlier = manifest.read_bytes() if manifest.exists() else None
+    write_manifest(out_dir, {**cfg, "experiment": kind, "out_dir": out_dir})
     try:
         EXPERIMENTS[kind](cfg, out_dir, threads)
     except (ConfigError, ResourceCeiling):
-        os.remove(manifest)  # a rejected config has no outputs to describe
+        # A rejected config wrote no outputs: leave the out dir as it was.
+        if earlier is None:
+            manifest.unlink()
+        else:
+            manifest.write_bytes(earlier)
         raise
     return out_dir
 

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import StepUnderflow
 from .jumps import lindblad_op_exact
@@ -63,7 +62,7 @@ class SolverConfig:
     n_traj : trajectory count for the randomized scheme
     herm_tol : element-wise Hermiticity gate; violation halves the step
     seed : base seed; trajectory i uses the stream (seed, i)
-    t_max : optional time horizon; the run covers min(max_steps, t_max/dt)
+    t_max : optional positive time horizon; the run covers min(max_steps, t_max/dt)
     stop_below : optional early stop once the averaged distance crosses it
     grid_points : distance series is downsampled to about this many points
     """
@@ -82,6 +81,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.dt_rk0 <= 0 or self.n_traj < 1 or self.herm_tol <= 0:
             raise ValueError("invalid solver configuration")
+        if self.t_max is not None and self.t_max <= 0:
+            raise ValueError("t_max must be positive")
 
 
 @dataclass
@@ -355,6 +356,8 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n
     trajectory.  With n_batches > 0, block-averaged states are kept in
     meta['batch_states'] for jackknife error estimation.
     """
+    import scipy.linalg  # imported here so that importing gibbsim loads numpy only
+
     jump_prob_cap = min(jump_prob_cap, 0.1)
     l_ops = np.stack(lindblads)
     gammas = np.asarray(gammas, dtype=float)

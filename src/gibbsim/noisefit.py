@@ -3,13 +3,15 @@
 The convergence of the noiseless protocol is summarized by
 ||rho_M - sigma_beta||_1 <= B e^{-alpha M}; the bounds below propagate a
 per-step stochastic error probability through that envelope.
+
+scipy is imported inside the two fits that call it, so that importing
+gibbsim loads numpy only.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InsufficientDecay
 
@@ -167,6 +169,8 @@ def fit_effective_gates(noisy_plateaus, fit, d0):
     bound_asymptotic(1 - (1-lambda_g)^N) + d0 is fit to the data by least
     squares in log distance over N > 0.
     """
+    from scipy import optimize
+
     pairs = [(float(lg), float(dist)) for lg, dist in noisy_plateaus]
     if len(pairs) < 3:
         raise ValueError("need at least three noise levels")
@@ -203,6 +207,8 @@ def fit_error_model(grid, T, beta, h_norm, bohr_count, dt_ev_max=0.3, dt_oft_max
     outside the validity domain (dt_ev > dt_ev_max, dt_oft > dt_oft_max, or
     where the aliasing exponent argument is not positive) are excluded.
     """
+    from scipy import optimize
+
     pts = []
     for dt_ev, dt_oft, dist in grid:
         if dt_ev > dt_ev_max or dt_oft > dt_oft_max:

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,40 +248,45 @@ CIRCUIT_N3 = (
 
 
 @pytest.mark.parametrize(
-    "text, code",
+    "text, code, args",
     [
-        (CIRCUIT_N3, 0),
-        (CIRCUIT_N3 + "circuit.dt_ev = -1\n", 2),
-        (CIRCUIT_N3 + "circuit.coherent_mode = bogus\n", 2),
-        (CIRCUIT_N3 + "noise.kind = depolarizing_budget\nnoise.lambda_g = 2\n", 2),
-        (CIRCUIT_N3 + "n = 0\n", 2),
-        ("experiment = evolve\npoint = CH\nn = 3\nsolver.n_traj = 0\n", 2),
+        (CIRCUIT_N3, 0, ()),
+        (CIRCUIT_N3 + "circuit.dt_ev = -1\n", 2, ()),
+        (CIRCUIT_N3 + "circuit.coherent_mode = bogus\n", 2, ()),
+        (CIRCUIT_N3 + "noise.kind = depolarizing_budget\nnoise.lambda_g = 2\n", 2, ()),
+        (CIRCUIT_N3 + "n = 0\n", 2, ()),
+        ("experiment = evolve\npoint = CH\nn = 3\nsolver.n_traj = 0\n", 2, ()),
         (
             "experiment = circuit-noise\npoint = CH\nn = 3\ncircuit.dt_oft = 0.2\n"
             "circuit.t_max = 5\ngrid.lambda_g = 1.5\ngrid.dt_ev = 1.0\n",
             2,
+            (),
         ),
-        ("experiment = accuracy-scan\npoint = CH\nn = 7\ngrid.jumps = 5\n", 3),
-        (CIRCUIT_N3 + "circuit.grid_points = 0\n", 0),
-        (CIRCUIT_N3 + "jumps.k = 4\n", 2),
-        (CIRCUIT_N3 + "jumps.count = 0\n", 2),
-        ("experiment = evolve\npoint = CH\nn = 3\njumps.k = 9\n", 2),
-        ("experiment = evolve\npoint = CH\nn = 3\njumps.count = 0\n", 2),
-        ("experiment = gap-scan\npoint = CH\ngrid.n = 3 4\njumps.k = 4\n", 2),
-        ("experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 0\n", 2),
-        ("experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 0\n", 2),
+        ("experiment = accuracy-scan\npoint = CH\nn = 7\ngrid.jumps = 5\n", 3, ()),
+        (CIRCUIT_N3 + "circuit.grid_points = 0\n", 0, ()),
+        (CIRCUIT_N3 + "jumps.k = 4\n", 2, ()),
+        (CIRCUIT_N3 + "jumps.count = 0\n", 2, ()),
+        ("experiment = evolve\npoint = CH\nn = 3\njumps.k = 9\n", 2, ()),
+        ("experiment = evolve\npoint = CH\nn = 3\njumps.count = 0\n", 2, ()),
+        ("experiment = gap-scan\npoint = CH\ngrid.n = 3 4\njumps.k = 4\n", 2, ()),
+        ("experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 0\n", 2, ()),
+        ("experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 0\n", 2, ()),
+        (CIRCUIT_N3 + "seed = -1\n", 2, ()),
+        (CIRCUIT_N3, 2, ("--seed", "-1")),
+        (CIRCUIT_N3 + "circuit.t_max = -1\n", 2, ()),
+        ("experiment = evolve\npoint = CH\nn = 3\nsolver.t_max = -1\n", 2, ()),
     ],
     ids=[
         "ok", "dt_ev", "coherent_mode", "lambda_g", "n", "n_traj", "grid.lambda_g", "ceiling",
         "circuit.grid_points", "circuit.jumps.k", "circuit.jumps.count", "evolve.jumps.k",
         "evolve.jumps.count", "gap-scan.jumps.k", "gap-scan.grid.jumps",
-        "accuracy-scan.grid.jumps",
+        "accuracy-scan.grid.jumps", "seed", "cli.seed", "circuit.t_max", "solver.t_max",
     ],
 )
-def test_documented_exit_codes(tmp_path, capsys, text, code):
+def test_documented_exit_codes(tmp_path, capsys, text, code, args):
     # 0 success, 2 config error, 3 resource ceiling; never a traceback
     cfg = write_cfg(tmp_path, "run.cfg", text)
-    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == code
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out"), *args]) == code
     err = capsys.readouterr().err
     assert err.startswith({0: "", 2: "config error:", 3: "resource ceiling:"}[code])
 
@@ -299,6 +306,49 @@ def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
     assert main(["run", cfg, "--out-dir", str(out)]) == code
     assert not (out / "manifest.txt").exists()
     assert list(out.iterdir()) == []
+
+
+def test_rejected_config_leaves_earlier_run_unchanged(tmp_path):
+    out = tmp_path / "out"
+    spectrum = write_cfg(tmp_path, "spec.cfg", "experiment = spectrum\npoint = CH\nn = 3\n")
+    assert main(["run", spectrum, "--out-dir", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert "manifest.txt" in before
+    rejected = write_cfg(
+        tmp_path, "ev.cfg", "experiment = evolve\npoint = CH\nn = 3\njumps.count = 0\n"
+    )
+    assert main(["run", rejected, "--out-dir", str(out)]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_import_and_runs_load_no_scipy(tmp_path):
+    # scipy is imported only by mcwf_evolve and the noisefit fits that call it
+    configs = {
+        "evolve": "experiment = evolve\npoint = CH\nn = 3\njumps.count = 4\n"
+        "solver.t_max = 5\nsolver.n_traj = 2\n",
+        "circuit": CIRCUIT_N3,
+        "gap-scan": "experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 5\n",
+    }
+    argvs = [
+        ["run", write_cfg(tmp_path, f"{name}.cfg", text), "--out-dir", str(tmp_path / name)]
+        for name, text in configs.items()
+    ]
+    script = (
+        "import json, sys\n"
+        "from gibbsim.cli import main\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert report == {"codes": [0, 0, 0], "scipy": []}
 
 
 def test_circuit_trotter2_mode_runs(tmp_path):

@@ -21,12 +21,10 @@ from .model import (
     NAMED_POINTS,
     bohr_frequencies,
     build_hamiltonian,
-    energy_distribution,
     gibbs_state,
     ising_split,
     maximally_mixed,
     named_point,
-    parity_projector,
 )
 from .jumps import (
     FilterSpec,
@@ -45,7 +43,6 @@ from .liouville import (
     build_superop,
     ckg_coherent_term,
     conductance_cheeger,
-    db_residuals,
     markov_restriction,
     steady_state_and_gap,
     trace_norm,
@@ -76,7 +73,6 @@ from .noisefit import (
     ErrorFitParams,
     bound_asymptotic,
     bound_generic,
-    bound_series,
     bound_unitary_comparison,
     fit_convergence,
     fit_effective_gates,
@@ -89,6 +85,5 @@ from .chaos import (
     SpacingStats,
     eth_statistics,
     fractal_dimension,
-    fractal_scan,
     spacing_ratios,
 )

@@ -5,8 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .model import build_hamiltonian
 from .numkernel import eig_hermitian, kron_all
+
+# Fraction of the spectrum, by energy span or by count, kept by fractal_stats.
+BULK_WINDOW = 0.8
 
 # Single-qubit eigenbases, columns ordered by eigenvalue (+1, -1).
 _EIGENBASES = {
@@ -35,7 +37,6 @@ class FractalStats:
     per_state_D: np.ndarray
     mean: float
     variance: float
-    q: float
     basis_label: str
 
 
@@ -62,50 +63,39 @@ def fractal_dimension(amplitudes, q):
     return float(np.log((p**q).sum()) / ((1.0 - q) * np.log(dim)))
 
 
-def _window_mask(values, window, kind):
-    if not 0 < window <= 1:
-        raise ValueError("window must lie in (0, 1]")
+def _window_mask(values, kind):
     n = len(values)
     if kind == "index":
-        drop = int(round(0.5 * (1.0 - window) * n))
+        drop = int(round(0.5 * (1.0 - BULK_WINDOW) * n))
         mask = np.zeros(n, dtype=bool)
         mask[drop : n - drop] = True
         return mask
     if kind == "energy":
         lo, hi = values[0], values[-1]
-        pad = 0.5 * (1.0 - window) * (hi - lo)
+        pad = 0.5 * (1.0 - BULK_WINDOW) * (hi - lo)
         return (values >= lo + pad) & (values <= hi - pad)
     raise ValueError(f"unknown window kind {kind!r}")
 
 
-def fractal_stats(ham, basis_letters, q=1, window=0.8, window_kind="energy"):
-    """Mean and variance of D_q over the retained bulk of the spectrum.
+def fractal_stats(ham, basis_letters, window_kind="energy"):
+    """Mean and variance of D_1 over the retained bulk of the spectrum.
 
-    The default window keeps the inner 80% of the spectrum by energy span;
+    The window keeps the inner 80% (BULK_WINDOW) of the spectrum by energy span;
     window_kind='index' switches to an eigenvalue-count window.
     """
     spec = eig_hermitian(ham)
     basis = pauli_product_basis(basis_letters)
     amps = basis.conj().T @ spec.vectors
-    mask = _window_mask(spec.values, window, window_kind)
+    mask = _window_mask(spec.values, window_kind)
     dvals = np.array(
-        [fractal_dimension(amps[:, i], q) for i in np.nonzero(mask)[0]]
+        [fractal_dimension(amps[:, i], 1) for i in np.nonzero(mask)[0]]
     )
     return FractalStats(
         per_state_D=dvals,
         mean=float(dvals.mean()),
         variance=float(dvals.var()),
-        q=q,
         basis_label="".join(basis_letters),
     )
-
-
-def fractal_scan(params_grid, basis_letters, q=1, window=0.8, window_kind="energy"):
-    """FractalStats for every parameter point of the grid."""
-    return [
-        fractal_stats(build_hamiltonian(p), basis_letters, q, window, window_kind)
-        for p in params_grid
-    ]
 
 
 def even_sector_basis(n):
@@ -143,15 +133,14 @@ def ratios_from_levels(values, scale=None):
     return SpacingStats(ratios=ratios, mean_r=float(ratios.mean()))
 
 
-def spacing_ratios(ham, n=None):
+def spacing_ratios(ham):
     """Spacing-ratio statistics in the even parity sector of the chain.
 
     The reflection symmetry of the open chain is removed by projecting onto
     its even sector before collecting ratios.
     """
     ham = np.asarray(ham)
-    if n is None:
-        n = int(round(np.log2(ham.shape[0])))
+    n = int(round(np.log2(ham.shape[0])))
     if n < 4:
         raise ValueError("need n >= 4 for meaningful spacing statistics")
     basis = even_sector_basis(n)
@@ -177,7 +166,11 @@ class ETHStats:
 
 
 def eth_statistics(a, spec, e_bins=8, nu_bins=8):
-    """Diagonal profile and off-diagonal bin statistics of <E_i|A|E_j>."""
+    """Diagonal profile and off-diagonal bin statistics of <E_i|A|E_j>.
+
+    No CLI experiment writes these; the function stays in the library
+    because it computes the paper's ETH matrix-element diagnostic.
+    """
     amat = np.asarray(a)
     tilde = spec.to_eigenbasis(amat)
     w = spec.values

@@ -50,8 +50,12 @@ class CircuitConfig:
     grid_points: int = 2000
 
     def __post_init__(self):
-        if min(self.dt_ev, self.dt_oft, self.T, self.t_max) <= 0:
-            raise ValueError("dt_ev, dt_oft, T and t_max must be positive")
+        if not all(0 < x < math.inf for x in (self.dt_ev, self.dt_oft, self.T, self.t_max)):
+            raise ValueError("dt_ev, dt_oft, T and t_max must be positive and finite")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be nonnegative and finite")
+        if not (self.n_rep >= 1 and self.r_delta >= 1 and self.r_big >= 1):
+            raise ValueError("n_rep, r_delta and r_big must be at least 1")
         if round(self.T / self.dt_oft) < 1:
             raise ValueError("dt_oft too coarse: T/dt_oft rounds below 1")
         if self.coherent_mode not in ("exact", "trotter2"):
@@ -90,6 +94,8 @@ class NoiseSpec:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if not 0.0 <= self.lam <= 1.0 or not 0.0 <= self.lambda_g <= 1.0:
             raise ValueError("error probabilities must lie in [0, 1]")
+        if self.n_g_override is not None and not self.n_g_override >= 1:
+            raise ValueError("n_g must be at least 1")
 
 
 def gate_count(noise, n, dt_ev):
@@ -145,14 +151,13 @@ class _CoherentFactory:
             self.spec_a = eig_hermitian(ham_split[0])
             self.spec_b = eig_hermitian(ham_split[1])
 
-    def unitary(self, t, substeps=1):
+    def unitary(self, t, substeps):
         if self.mode == "exact":
             return expm_phase(self.spec, t)
-        r = max(1, substeps)
-        half_a = expm_phase(self.spec_a, t / (2 * r))
-        full_b = expm_phase(self.spec_b, t / r)
+        half_a = expm_phase(self.spec_a, t / (2 * substeps))
+        full_b = expm_phase(self.spec_b, t / substeps)
         step = half_a @ full_b @ half_a
-        return np.linalg.matrix_power(step, r)
+        return np.linalg.matrix_power(step, substeps)
 
 
 def step_V(a, cfg, ham, ham_split=None):
@@ -215,11 +220,10 @@ class ProtocolEngine:
     """
 
     def __init__(self, ham, cfg, ham_split=None):
-        self.cfg = cfg
-        self.ham = np.asarray(ham, dtype=complex)
-        self.dim = self.ham.shape[0]
+        ham = np.asarray(ham, dtype=complex)
+        self.dim = ham.shape[0]
         self.n = int(round(math.log2(self.dim)))
-        self.spec = eig_hermitian(self.ham)
+        self.spec = eig_hermitian(ham)
         self.coherent = _CoherentFactory(self.spec, cfg.coherent_mode, ham_split)
         self.jump_set = sample_jump_set(self.n, cfg.k, cfg.jump_count, cfg.seed)
         self.u_ev = self.coherent.unitary(cfg.dt_ev, cfg.r_delta)
@@ -227,19 +231,6 @@ class ProtocolEngine:
         # (jump, m, D, D): rows of ancilla block m, columns of ancilla block 0
         self.kraus = v_ops[:, :, : self.dim].reshape(-1, 2, self.dim, self.dim) @ self.u_ev
         self.kraus_dag = self.kraus.conj().swapaxes(-1, -2)
-
-    def step_wtilde(self, rho, a_index):
-        """W-tilde: coherent step, dilated dissipation, ancilla reset."""
-        return self.step_wtilde_batch(rho[None, :, :], np.array([a_index]))[0]
-
-    def step_w(self, rho, a_index):
-        """Boundary-restored step whose jump-average matches e^{dt_ev L}
-        to second order; differs from step_wtilde by conjugation with the
-        OFT boundary evolution, which cancels along a full protocol run."""
-        s_shift = self.cfg.oft_steps * self.cfg.dt_oft_effective
-        u = expm_phase(self.spec, s_shift)
-        inner = self.step_wtilde(u.conj().T @ rho @ u, a_index)
-        return u @ inner @ u.conj().T
 
     def step_wtilde_batch(self, rho, a_indices):
         """W-tilde on a stack of states, state r with jump a_indices[r]."""
@@ -298,8 +289,9 @@ def apply_noise(rho, noise, step_context):
     return out.reshape(rho.shape)
 
 
-def simulate_protocol(ham, cfg, noise, target, rho0=None, ham_split=None):
-    """Run the full randomized single-ancilla protocol.
+def simulate_protocol(ham, cfg, noise, target, ham_split=None):
+    """Run the full randomized single-ancilla protocol from the maximally
+    mixed state.
 
     Repetitions evolve in lock step; the recorded series is the trace
     distance of the repetition-averaged state to `target`, and
@@ -308,8 +300,6 @@ def simulate_protocol(ham, cfg, noise, target, rho0=None, ham_split=None):
     and noisy runs at the same seed share jump trajectories.
     """
     engine = ProtocolEngine(ham, cfg, ham_split)
-    if rho0 is None:
-        rho0 = maximally_mixed(engine.n)
     n_g = gate_count(noise, engine.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
 
     jump_rngs = [np.random.default_rng([cfg.seed, rep, 0]) for rep in range(cfg.n_rep)]
@@ -322,13 +312,14 @@ def simulate_protocol(ham, cfg, noise, target, rho0=None, ham_split=None):
     def step(rho, sel):
         return apply_noise(engine.step_wtilde_batch(rho, sel), noise, noise_context)
 
+    rho0 = maximally_mixed(engine.n)
     record = _run_batched(step, rho0, draws, cfg.dt_ev, cfg.grid_points, target)
     record.meta.update(gate_count=n_g, engine_jumps=len(engine.jump_set))
     return record
 
 
-def plateau_level(record, tail_frac=0.2):
-    """Mean averaged distance over the trailing fraction of the series."""
+def plateau_level(record):
+    """Mean averaged distance over the trailing 20% of the series."""
     n = len(record.avg_distance)
-    start = max(0, n - max(1, int(round(tail_frac * n))))
+    start = max(0, n - max(1, int(round(0.2 * n))))
     return float(np.mean(record.avg_distance[start:]))

@@ -118,6 +118,8 @@ def resolve_model(cfg):
         m = _get(cfg, "m", float, required=True)
         params = _validated(IsingParams, n=n, J=j, h=h, m=m)
     beta = _get(cfg, "beta", float, params.beta_default)
+    if not 0 < beta < np.inf:
+        raise ConfigError(f"beta = {beta} must be positive and finite")
     return params, beta
 
 
@@ -197,7 +199,7 @@ def _jump_setup(cfg, params, beta):
     spec = eig_hermitian(ham)
     bohr = bohr_frequencies(spec)
     f = FilterSpec(beta)
-    lindblads = [lindblad_op_exact(a, spec, f, bohr, source=i) for i, a in enumerate(jump_set)]
+    lindblads = [lindblad_op_exact(a, spec, f, bohr) for a in jump_set]
     return ham, spec, bohr, f, jump_set, lindblads
 
 
@@ -226,21 +228,21 @@ def run_chaos_scan(cfg, out_dir, threads):
     j = _get(cfg, "J", float, 1.0)
     h_vals = _list(cfg, "grid.h", float, list(np.geomspace(0.1, 10.0, 11)))
     m_vals = _list(cfg, "grid.m", float, [0.0] + list(np.geomspace(0.1, 10.0, 11)))
+    points = [
+        (h, m, _validated(IsingParams, n=n, J=j, h=h * j, m=m * j)) for h in h_vals for m in m_vals
+    ]
     basis_key = cfg.get("basis", "z")
     bases = preset_bases(n)
     if basis_key not in bases:
         raise ConfigError(f"unknown basis {basis_key!r}; have {sorted(bases)}")
     letters = bases[basis_key]
     window_kind = cfg.get("window_kind", "energy")
-    points = [(h, m) for h in h_vals for m in m_vals]
+    if window_kind not in ("energy", "index"):
+        raise ConfigError(f"unknown window_kind {window_kind!r}; have energy, index")
 
     def one(point):
-        h, m = point
-        stats = fractal_stats(
-            build_hamiltonian(IsingParams(n=n, J=j, h=h * j, m=m * j)),
-            letters,
-            window_kind=window_kind,
-        )
+        h, m, params = point
+        stats = fractal_stats(build_hamiltonian(params), letters, window_kind=window_kind)
         return (h, m, stats.mean, stats.variance)
 
     rows = _map_maybe_parallel(one, points, threads)
@@ -255,6 +257,9 @@ def run_chaos_scan(cfg, out_dir, threads):
 @experiment("evolve")
 def run_evolve(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
+    eps = _get(cfg, "eps", float, 1e-2)
+    if not eps > 0:
+        raise ConfigError(f"eps = {eps} must be positive")
     ham, spec, bohr, f, jump_set, lindblads = _jump_setup(cfg, params, beta)
     target = gibbs_state(spec, beta)
     solver = _solver_config(cfg, params)
@@ -265,7 +270,7 @@ def run_evolve(cfg, out_dir, threads):
     _atomic_write(
         os.path.join(out_dir, "jumps.txt"), jump_set_to_text(jump_set, _get(cfg, "seed", int, 0))
     )
-    estimate = mixing_time_estimate(record, _get(cfg, "eps", float, 1e-2))
+    estimate = mixing_time_estimate(record, eps)
     write_json(
         os.path.join(out_dir, "mixing.json"),
         {
@@ -431,6 +436,12 @@ def run_circuit_noise(cfg, out_dir, threads):
 @experiment("noise-bounds")
 def run_noise_bounds(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
+    lambdas = _list(cfg, "grid.lambda", float, [1e-3, 1e-2, 1e-1])
+    if not all(0 < lam <= 1 for lam in lambdas):
+        raise ConfigError(f"grid.lambda = {cfg['grid.lambda']} has an entry outside (0, 1]")
+    n_g = _get(cfg, "noise.n_g", int, 50 * params.n)
+    if not n_g >= 1:
+        raise ConfigError(f"noise.n_g = {n_g} must be at least 1")
     ham, spec, bohr, f, jump_set, lindblads = _jump_setup(cfg, params, beta)
     target = gibbs_state(spec, beta)
     solver = _solver_config(cfg, params)
@@ -439,8 +450,6 @@ def run_noise_bounds(cfg, out_dir, threads):
     )
     steps = record.times / record.final_dt_rk
     fit = fit_convergence(steps, record.avg_distance)
-    lambdas = _list(cfg, "grid.lambda", float, [1e-3, 1e-2, 1e-1])
-    n_g = _get(cfg, "noise.n_g", int, 50 * params.n)
     rows = []
     for lam in lambdas:
         rows.append(

@@ -38,6 +38,8 @@ from .model import bohr_frequencies
 from .numkernel import eig_hermitian, trace_distance
 
 DT_FLOOR = 1e-6
+# mcwf_evolve splits each step into substeps of jump probability below this.
+JUMP_PROB_CAP = 0.05
 
 
 class _NotConverged:
@@ -75,14 +77,19 @@ class SolverConfig:
     t_max: float | None = None
     stop_below: float | None = None
     grid_points: int = 2000
-    store_states: bool = False
     store_traj_states: bool = False
 
     def __post_init__(self):
-        if self.dt_rk0 <= 0 or self.n_traj < 1 or self.herm_tol <= 0:
-            raise ValueError("invalid solver configuration")
-        if self.t_max is not None and self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.dt_rk0 < math.inf:
+            raise ValueError("dt_rk0 must be positive and finite")
+        if not self.herm_tol > 0:
+            raise ValueError("herm_tol must be positive")
+        if not (self.n_traj >= 1 and self.max_steps >= 1):
+            raise ValueError("n_traj and max_steps must be at least 1")
+        if self.t_max is not None and not 0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
+        if self.stop_below is not None and not self.stop_below > 0:
+            raise ValueError("stop_below must be positive")
 
 
 @dataclass
@@ -100,7 +107,6 @@ class EvolutionRecord:
     final_dt_rk: float
     halvings: int
     final_avg_state: np.ndarray
-    avg_states: np.ndarray | None = None
     traj_states: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
@@ -121,19 +127,14 @@ class EvolutionRecord:
             for row in rows:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
-    def save_states(self, path):
-        """Binary snapshot of the averaged states (requires store_states)."""
-        if self.avg_states is None:
-            raise ValueError("record was built without store_states")
-        np.savez_compressed(path, times=self.times, avg_states=self.avg_states)
-
 
 class _HermiticityViolation(Exception):
     pass
 
 
 def rk4_step(rho, generator, dt):
-    """One classical fourth-order Runge-Kutta step of d rho/dt = generator(rho)."""
+    """One classical fourth-order Runge-Kutta step of d rho/dt = generator(rho);
+    the acceptance order check and the oracle tests step their references with it."""
     k1 = generator(rho)
     k2 = generator(rho + 0.5 * dt * k1)
     k3 = generator(rho + 0.5 * dt * k2)
@@ -162,10 +163,8 @@ def _prepare_lindblads(ham, jump_set, f, lindblads):
     if lindblads is None:
         spec = eig_hermitian(ham)
         bohr = bohr_frequencies(spec)
-        lindblads = [
-            lindblad_op_exact(a, spec, f, bohr, source=i) for i, a in enumerate(jump_set)
-        ]
-    return np.stack(lindblads)
+        lindblads = [lindblad_op_exact(a, spec, f, bohr) for a in jump_set]
+    return np.stack(lindblads).astype(complex, copy=False)
 
 
 def evolve_randomized(
@@ -177,11 +176,11 @@ def evolve_randomized(
     target,
     gamma=1.0,
     lindblads=None,
-    include_coherent=True,
 ):
     """Randomized dmRK4: one uniformly sampled jump operator per step.
 
-    Each trajectory evolves under L^a = -i[H, .] + gamma * D^a.  After every
+    Each trajectory evolves under L^a = -i[H, .] + gamma * D^a (a zero
+    `ham` leaves only the dissipator).  After every
     step the state is checked element-wise for Hermiticity; a violation
     halves the step and restarts every trajectory from rho0.  Surviving
     states are symmetrized and trace-renormalized.
@@ -190,8 +189,7 @@ def evolve_randomized(
     l_dag = l_ops.conj().transpose(0, 2, 1)
     a_ops = np.matmul(l_dag, l_ops)
     a_ops *= -0.5 * gamma
-    if include_coherent:
-        a_ops -= 1j * np.asarray(ham, dtype=complex)
+    a_ops -= 1j * np.asarray(ham, dtype=complex)
     n_jump = l_ops.shape[0]
 
     def generator_for(sel):
@@ -212,13 +210,15 @@ def evolve_randomized(
     return _rk4_with_halving(generator_for, draw, rho0, cfg, target)
 
 
-def evolve_exact(ham, lindblads, gammas, rho0, cfg, target, include_coherent=True):
-    """Deterministic RK4 with the full Lindbladian (all jump channels at once)."""
+def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
+    """Deterministic RK4 with the full Lindbladian (all jump channels at once);
+    `ham` = None leaves only the dissipator.  No CLI experiment runs it; it is
+    the exact reference that the solver tests compare the randomized scheme with."""
     l_ops = np.stack(lindblads)
     gammas = np.asarray(gammas, dtype=float)
     l_weighted = gammas[:, None, None] * l_ops
     l_dag = l_ops.conj().transpose(0, 2, 1)
-    a_op = drift_operator(ham if include_coherent else None, l_ops, gammas)
+    a_op = drift_operator(ham, l_ops, gammas)
 
     def generator(rho):
         out = np.matmul(l_weighted, np.matmul(rho, l_dag)).sum(axis=0, keepdims=True)
@@ -272,7 +272,7 @@ def _rk4_with_halving(generator_for, draw, rho0, cfg, target):
         try:
             record = _run_batched(
                 step, rho0, draw(_n_steps(cfg, dt)), dt, cfg.grid_points, target,
-                cfg.stop_below, cfg.store_states, cfg.store_traj_states,
+                cfg.stop_below, cfg.store_traj_states,
             )
         except _HermiticityViolation:
             halvings += 1
@@ -285,8 +285,7 @@ def _rk4_with_halving(generator_for, draw, rho0, cfg, target):
 
 
 def _run_batched(
-    step, rho0, draws, dt, grid_points, target,
-    stop_below=None, store_states=False, store_traj_states=False,
+    step, rho0, draws, dt, grid_points, target, stop_below=None, store_traj_states=False,
 ):
     """The trajectory loop shared by every batched solver.
 
@@ -302,7 +301,7 @@ def _run_batched(
     rho0 = np.asarray(rho0, dtype=complex)
     rho = np.broadcast_to(rho0, (n_traj,) + rho0.shape).copy()
 
-    times, avg_dist, per_dist, avg_states, traj_states = [], [], [], [], []
+    times, avg_dist, per_dist, traj_states = [], [], [], []
 
     def record_point(j, rho):
         avg = rho.mean(axis=0)
@@ -311,8 +310,6 @@ def _run_batched(
         times.append(j * dt)
         avg_dist.append(float(dist[-1]))
         per_dist.append(dist[:-1])
-        if store_states:
-            avg_states.append(avg.copy())
         if store_traj_states:
             traj_states.append(rho.copy())
         return avg
@@ -336,29 +333,28 @@ def _run_batched(
         final_dt_rk=dt,
         halvings=0,
         final_avg_state=avg,
-        avg_states=np.array(avg_states) if store_states else None,
         traj_states=np.array(traj_states).transpose(1, 0, 2, 3) if store_traj_states else None,
         meta={"n_steps": n_steps, "stopped_early": stopped},
     ).validate()
 
 
-def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n_batches=0):
+def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, n_batches=0):
     """Monte-Carlo wave-function unraveling (quantum-jump method).
 
     Pure trajectories evolve under the effective generator
     H - (i/2) sum_a gamma_a L_a^dag L_a between norm-threshold jumps; the
     substep count per grid step keeps the jump probability below
-    `jump_prob_cap` (cap 0.1 enforced).  The density estimate is the
+    JUMP_PROB_CAP.  The density estimate is the
     trajectory average of |psi><psi|.
 
     psi0 is a normalized pure state; passing None unravels the maximally
     mixed initial state by drawing a computational basis state per
     trajectory.  With n_batches > 0, block-averaged states are kept in
-    meta['batch_states'] for jackknife error estimation.
+    meta['batch_states'] for jackknife error estimation.  No CLI experiment
+    runs it; acceptance criterion 15 checks the randomized scheme against it.
     """
     import scipy.linalg  # imported here so that importing gibbsim loads numpy only
 
-    jump_prob_cap = min(jump_prob_cap, 0.1)
     l_ops = np.stack(lindblads)
     gammas = np.asarray(gammas, dtype=float)
     decay = np.einsum("a,aij,ajk->ik", gammas, l_ops.conj().transpose(0, 2, 1), l_ops)
@@ -415,7 +411,7 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n
                     break
             r, _ = rates(psi)
             total = float(r.sum())
-            k = max(1, math.ceil(dt * total / jump_prob_cap))
+            k = max(1, math.ceil(dt * total / JUMP_PROB_CAP))
             u = propagator(k)
             for _ in range(k):
                 candidate = u @ psi
@@ -439,8 +435,8 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n
             batch_sums[i * n_batches // n_traj] += pures
 
     times = np.array(grid, dtype=float) * dt
-    avg_states = sum_state / n_traj
-    avg_dist = trace_distance(avg_states, target)
+    mean_states = sum_state / n_traj
+    avg_dist = trace_distance(mean_states, target)
     meta = {"n_steps": n_steps}
     if batch_sums is not None:
         sizes = np.array([(i * n_batches // n_traj == b) for b in range(n_batches)
@@ -453,8 +449,7 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, jump_prob_cap=0.05, n
         avg_distance=avg_dist,
         final_dt_rk=dt,
         halvings=0,
-        final_avg_state=avg_states[-1],
-        avg_states=avg_states if cfg.store_states else None,
+        final_avg_state=mean_states[-1],
         traj_states=traj_states,
         meta=meta,
     ).validate()

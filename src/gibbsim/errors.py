@@ -29,10 +29,6 @@ class NonUniqueSteadyState(GibbsimError):
         self.zero_count = zero_count
 
 
-class SingularGibbs(GibbsimError):
-    """Gibbs weight underflow makes the KMS pairing ill-conditioned."""
-
-
 class DegenerateChain(GibbsimError):
     """Markov restriction has no usable transition rates."""
 

@@ -49,12 +49,6 @@ class PauliString:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix(), dtype=dtype)
 
-    def label(self):
-        body = ["I"] * self.n
-        for s, l in zip(self.sites, self.letters):
-            body[s] = l
-        return "".join(body)
-
 
 def sample_jump_set(n, k, count, seed):
     """Sample `count` k-local Pauli strings, with replacement.
@@ -91,19 +85,6 @@ def jump_set_to_text(jump_set, seed=None):
     return "\n".join(lines) + "\n"
 
 
-def jump_set_from_text(text):
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = dict(item.split("=", 1) for item in line.split())
-        sites = tuple(int(s) for s in fields["sites"].split(","))
-        letters = tuple(fields["letters"].split(","))
-        out.append(PauliString(n=int(fields["n"]), sites=sites, letters=letters))
-    return out
-
-
 @dataclass(frozen=True)
 class FilterSpec:
     """Gaussian filter scales: energy width sqrt(2)/beta and shift 1/beta."""
@@ -113,11 +94,6 @@ class FilterSpec:
     @property
     def delta_e(self):
         return math.sqrt(2.0) / self.beta
-
-    @property
-    def omega_gamma(self):
-        # beta * delta_e^2 / 2 = 1/beta for the protocol width
-        return 1.0 / self.beta
 
 
 def filter_time(f, t):
@@ -162,7 +138,6 @@ class LindbladOperator:
     """Filtered jump operator in the computational basis."""
 
     matrix: np.ndarray
-    source: int
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.matrix)):
@@ -172,15 +147,15 @@ class LindbladOperator:
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
-def lindblad_op_exact(a, spec, f, bohr, source=0):
+def lindblad_op_exact(a, spec, f, bohr):
     """Exact OFT Lindblad operator: entry (i,j) in the eigenbasis is
     eta(nu_ij) <E_i|A|E_j> with nu_ij the grouped Bohr frequency."""
     a_eig = spec.to_eigenbasis(np.asarray(a))
     eta = filter_freq(f, bohr.pair_frequencies())
-    return LindbladOperator(matrix=spec.from_eigenbasis(eta * a_eig), source=source)
+    return LindbladOperator(matrix=spec.from_eigenbasis(eta * a_eig))
 
 
-def lindblad_op_discretized(a, spec, f, T, S, source=0):
+def lindblad_op_discretized(a, spec, f, T, S):
     """Trapezoid-discretized OFT Lindblad operator over [-T, T] with S steps.
 
     Uses exact eigenbasis exponentials: in the eigenbasis the sum collapses
@@ -189,18 +164,4 @@ def lindblad_op_discretized(a, spec, f, T, S, source=0):
     a_eig = spec.to_eigenbasis(np.asarray(a))
     nu = spec.values[:, None] - spec.values[None, :]
     eta_bar = filter_freq_discretized(f, nu.ravel(), T, S).reshape(nu.shape)
-    return LindbladOperator(matrix=spec.from_eigenbasis(eta_bar * a_eig), source=source)
-
-
-def bohr_decomposition(a, spec, bohr):
-    """Split a jump operator into its Bohr components {A_nu}.
-
-    Returns a dict nu_index -> A_nu in the computational basis, satisfying
-    sum_nu A_nu = A exactly (entries are partitioned by frequency cluster).
-    """
-    a_eig = spec.to_eigenbasis(np.asarray(a))
-    out = {}
-    for idx in np.unique(bohr.pair_index):
-        mask = bohr.pair_index == idx
-        out[int(idx)] = spec.from_eigenbasis(np.where(mask, a_eig, 0.0))
-    return out
+    return LindbladOperator(matrix=spec.from_eigenbasis(eta_bar * a_eig))

@@ -1,4 +1,4 @@
-"""Vectorized generator, spectral gap, detailed balance and the Markov restriction.
+"""Vectorized generator, spectral gap, detailed-balance coherent term and Markov restriction.
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho).
 All superoperators here are dense D^2 x D^2 complex matrices.
@@ -25,15 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateChain,
-    DimensionMismatch,
-    NonUniqueSteadyState,
-    NotHermitian,
-    SingularGibbs,
-)
+from .errors import DegenerateChain, DimensionMismatch, NonUniqueSteadyState, NotHermitian
 from .jumps import filter_freq
-from .numkernel import eig_hermitian
 
 # Roundoff bound on the imaginary part dropped from the Hermitian-basis form,
 # relative to its largest entry; measured parts are about 1e-17.
@@ -51,11 +44,12 @@ def unvec(v):
     return v.reshape(d, d, order="F")
 
 
-def apply_lindbladian(rho, coherent, lindblads, gammas, include_coherent=True):
-    """Direct action L[rho] = -i[G, rho] + sum_a gamma_a D^a[rho]."""
+def apply_lindbladian(rho, coherent, lindblads, gammas):
+    """Direct action L[rho] = -i[G, rho] + sum_a gamma_a D^a[rho]; G = 0 when
+    `coherent` is None."""
     rho = np.asarray(rho, dtype=complex)
     out = np.zeros_like(rho)
-    if include_coherent and coherent is not None:
+    if coherent is not None:
         out += -1j * (coherent @ rho - rho @ coherent)
     for g, L in zip(gammas, map(np.asarray, lindblads)):
         Ld = L.conj().T
@@ -66,27 +60,17 @@ def apply_lindbladian(rho, coherent, lindblads, gammas, include_coherent=True):
 
 @dataclass(frozen=True)
 class Superoperator:
-    """Dense vectorized generator acting on column-stacked operators."""
+    """Dense vectorized generator acting on column-stacked operators; a class,
+    not a bare array, since the benchmark reads `build_superop(...).matrix.nbytes`."""
 
     matrix: np.ndarray
 
     @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-    @property
     def system_dim(self):
-        return int(round(np.sqrt(self.dim)))
+        return int(round(np.sqrt(self.matrix.shape[0])))
 
     def apply(self, rho):
         return unvec(self.matrix @ vec(rho))
-
-    def trace_defect(self):
-        """Max component of the trace functional acting from the left;
-        vanishes for a trace-preserving generator."""
-        d = self.system_dim
-        left = vec(np.eye(d)).conj() @ self.matrix
-        return float(np.max(np.abs(left)))
 
 
 def drift_operator(coherent, l_ops, gammas):
@@ -104,8 +88,9 @@ def drift_operator(coherent, l_ops, gammas):
     return a
 
 
-def build_superop(coherent, lindblads, gammas, include_coherent=True):
-    """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .}).
+def build_superop(coherent, lindblads, gammas):
+    """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .}),
+    with G = 0 when `coherent` is None.
 
     S = sum_a gamma_a conj(L_a) kron L_a + I kron A + M^T kron I, where
     rho -> rho M is the right-hand part, M = iG - (1/2) sum_a gamma_a
@@ -123,7 +108,6 @@ def build_superop(coherent, lindblads, gammas, include_coherent=True):
     d = mats[0].shape[0] if mats else np.asarray(coherent).shape[0]
     if any(L.shape[0] != d for L in mats):
         raise DimensionMismatch("Lindblad operator dimension mismatch")
-    coherent = coherent if include_coherent else None
     if coherent is not None and np.asarray(coherent).shape[0] != d:
         raise DimensionMismatch("coherent term dimension mismatch")
     l_ops = np.array(mats, dtype=complex).reshape(len(mats), d, d)
@@ -153,17 +137,6 @@ class GapResult:
     steady_state: np.ndarray
     eigenvalues: np.ndarray
     zero_tol: float
-
-    def to_csv(self, path):
-        """Eigenvalue table: index, real part, imaginary part, sorted by
-        (-Re, Im) so that the row order depends on the eigenvalues alone."""
-        order = np.lexsort((self.eigenvalues.imag, -self.eigenvalues.real))
-        with open(path, "w") as fh:
-            fh.write(f"# generator eigenvalues in J; gap={self.gap!r} zero_count={self.zero_count}\n")
-            fh.write("index,re,im\n")
-            for i, idx in enumerate(order):
-                ev = self.eigenvalues[idx]
-                fh.write(f"{i},{float(ev.real)!r},{float(ev.imag)!r}\n")
 
 
 def _hermitian_basis(d):
@@ -292,44 +265,6 @@ def trace_norm(x):
     return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
 
 
-def db_residuals(coherent, lindblads, gammas, sigma_beta, seed=0, n_pairs=10):
-    """Detailed-balance diagnostics of the generator against a Gibbs state.
-
-    Returns dict with `action_on_gibbs` = ||L[sigma]||_1 and
-    `transition_term` = worst KMS self-adjointness defect of the transition
-    part over `n_pairs` random Hermitian operator pairs.
-    """
-    sig_spec = eig_hermitian(sigma_beta)
-    if np.min(sig_spec.values) < 1e-14:
-        raise SingularGibbs(f"smallest Gibbs weight {np.min(sig_spec.values):.3e}")
-    sqrt_sigma = sig_spec.from_eigenbasis(np.diag(np.sqrt(sig_spec.values)))
-
-    action = trace_norm(apply_lindbladian(sigma_beta, coherent, lindblads, gammas))
-
-    mats = [np.asarray(l) for l in lindblads]
-    rng = np.random.default_rng(seed)
-    d = sigma_beta.shape[0]
-
-    def transition_heisenberg(y):
-        out = np.zeros_like(y)
-        for g, L in zip(gammas, mats):
-            out += g * (L.conj().T @ y @ L)
-        return out
-
-    def kms(x, y):
-        return np.trace(x.conj().T @ sqrt_sigma @ y @ sqrt_sigma)
-
-    worst = 0.0
-    for _ in range(n_pairs):
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        x = 0.5 * (x + x.conj().T)
-        y = 0.5 * (y + y.conj().T)
-        defect = abs(kms(x, transition_heisenberg(y)) - kms(transition_heisenberg(x), y))
-        worst = max(worst, float(defect))
-    return {"action_on_gibbs": action, "transition_term": worst}
-
-
 @dataclass(frozen=True)
 class MarkovRestriction:
     """Restriction of the generator to (grouped) eigenstate projectors."""
@@ -339,19 +274,6 @@ class MarkovRestriction:
     r: float
     pi: np.ndarray
     block_energies: np.ndarray
-
-    def to_csv(self, path):
-        """Edge table: source, target, rate q, transition probability P."""
-        n = len(self.pi)
-        with open(path, "w") as fh:
-            fh.write(f"# rates in J; shift r={self.r!r}\n")
-            fh.write("source,target,energy_source,pi_source,q,P\n")
-            for i in range(n):
-                for j in range(n):
-                    fh.write(
-                        f"{i},{j},{float(self.block_energies[i])!r},{float(self.pi[i])!r},"
-                        f"{float(self.q[i, j])!r},{float(self.P[i, j])!r}\n"
-                    )
 
 
 def markov_restriction(s, spec, sigma_beta, level_tol=None):

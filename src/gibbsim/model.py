@@ -1,4 +1,4 @@
-"""Mixed-field Ising chain, Gibbs states, Bohr frequencies and symmetry tools.
+"""Mixed-field Ising chain, Gibbs states and Bohr frequencies.
 
 Energies are quoted in units of the coupling J and times in 1/J.  The
 default inverse temperature everywhere is beta = 1/(2J).
@@ -32,8 +32,10 @@ class IsingParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("need at least one qubit")
-        if self.J <= 0:
-            raise ValueError("J sets the energy scale and must be positive")
+        if not 0 < self.J < np.inf:
+            raise ValueError("J sets the energy scale and must be positive and finite")
+        if not (np.isfinite(self.h) and np.isfinite(self.m)):
+            raise ValueError("fields h and m must be finite")
 
     @property
     def beta_default(self):
@@ -169,33 +171,6 @@ def bohr_frequencies(spec, tol=None):
     zero_idx = len(reps) - 1  # index of 0 within `frequencies`
     pair_index = np.where(diffs >= 0, zero_idx + idx_abs, zero_idx - idx_abs)
     return BohrSpectrum(frequencies=frequencies, pair_index=pair_index)
-
-
-def energy_distribution(state, spec):
-    """Populations <E_i| rho |E_i> of a density matrix over the eigenbasis."""
-    amps = spec.vectors.conj().T @ np.asarray(state) @ spec.vectors
-    return np.real(np.diag(amps))
-
-
-def parity_projector(n):
-    """Projector onto the even sector of reflection about the chain center."""
-    if n < 2:
-        raise ValueError("need at least two sites for a reflection")
-    dim = 2**n
-    refl = np.zeros((dim, dim))
-    for x in range(dim):
-        bits = [(x >> k) & 1 for k in range(n)]
-        y = 0
-        for k, b in enumerate(bits[::-1]):
-            y |= b << k
-        refl[y, x] = 1.0
-    return 0.5 * (np.eye(dim) + refl)
-
-
-def haar_random_state(dim, rng):
-    """Haar-random pure state as a normalized complex Gaussian vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def maximally_mixed(n):

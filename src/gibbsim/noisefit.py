@@ -44,13 +44,13 @@ class ErrorFitParams:
     a4: float
 
 
-def fit_convergence(steps, distances, min_points=5):
+def fit_convergence(steps, distances):
     """Least squares of log(distance) against M over the decaying window.
 
     The plateau level is the median of the last 10% of points; the window
     ends at the first point within twice the plateau.  Raises
     InsufficientDecay when the series never drops a full decade below its
-    maximum or the window is shorter than `min_points`.
+    maximum or the window holds fewer than five points.
     """
     steps = np.asarray(steps, dtype=float)
     d = np.asarray(distances, dtype=float)
@@ -66,7 +66,7 @@ def fit_convergence(steps, distances, min_points=5):
     x, y = steps[window], d[window]
     good = y > 0
     x, y = x[good], np.log(y[good])
-    if len(x) < min_points:
+    if len(x) < 5:
         raise InsufficientDecay(f"only {len(x)} points above the plateau")
     slope, intercept = np.polyfit(x, y, 1)
     if slope >= 0:
@@ -83,27 +83,12 @@ def fit_convergence(steps, distances, min_points=5):
     )
 
 
-def _u0(fit, lam):
-    return (1.0 - lam) * math.exp(-fit.alpha)
-
-
-def bound_series(fit, lam, m):
-    """Distance bound after m noisy steps:
-    B [u0^m (1 - lam/(1-u0)) + lam/(1-u0)] with u0 = (1-lam) e^{-alpha}."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    if lam == 0.0:
-        return fit.B * np.exp(-fit.alpha * np.asarray(m, dtype=float))
-    u0 = _u0(fit, lam)
-    tail = lam / (1.0 - u0)
-    return fit.B * (u0 ** np.asarray(m, dtype=float) * (1.0 - tail) + tail)
-
-
 def bound_asymptotic(fit, lam):
-    """Steady-state bound B lam / (1 - u0)."""
+    """Steady-state bound B lam / (1 - u0) with u0 = (1 - lam) e^{-alpha}."""
     if not 0.0 < lam <= 1.0:
         raise ValueError("lam must lie in (0, 1]")
-    return fit.B * lam / (1.0 - _u0(fit, lam))
+    u0 = (1.0 - lam) * math.exp(-fit.alpha)
+    return fit.B * lam / (1.0 - u0)
 
 
 def bound_generic(fit, lam):
@@ -167,7 +152,8 @@ def fit_effective_gates(noisy_plateaus, fit, d0):
 
     noisy_plateaus is a list of (lambda_g, distance) pairs; the model
     bound_asymptotic(1 - (1-lambda_g)^N) + d0 is fit to the data by least
-    squares in log distance over N > 0.
+    squares in log distance over N > 0.  No CLI experiment calls it; it stays
+    in the library because it computes the paper's effective gate count.
     """
     from scipy import optimize
 
@@ -200,18 +186,18 @@ def error_model(params, dt_ev, dt_oft, T, beta, h_norm, bohr_count):
     return params.a1 + params.a2 * dt_ev + params.a3 * T * dt_oft**2 / dt_ev + params.a4 * alias
 
 
-def fit_error_model(grid, T, beta, h_norm, bohr_count, dt_ev_max=0.3, dt_oft_max=0.37):
+def fit_error_model(grid, T, beta, h_norm, bohr_count):
     """Fit the four error coefficients in log10 space.
 
     `grid` is a list of (dt_ev, dt_oft, plateau_distance) triples.  Points
-    outside the validity domain (dt_ev > dt_ev_max, dt_oft > dt_oft_max, or
+    outside the validity domain (dt_ev > 0.3, dt_oft > 0.37, or
     where the aliasing exponent argument is not positive) are excluded.
     """
     from scipy import optimize
 
     pts = []
     for dt_ev, dt_oft, dist in grid:
-        if dt_ev > dt_ev_max or dt_oft > dt_oft_max:
+        if dt_ev > 0.3 or dt_oft > 0.37:
             continue
         if 2.0 * math.pi * beta / dt_oft - 2.0 * beta * h_norm - 1.0 <= 0:
             continue

@@ -35,8 +35,7 @@ def lindblad_setup(key, n, count, k=2, seed=0):
     base = point_setup(key, n)
     jump_set = tuple(gs.sample_jump_set(n, k, count, seed))
     lindblads = tuple(
-        gs.lindblad_op_exact(a, base["spec"], base["filter"], base["bohr"], source=i)
-        for i, a in enumerate(jump_set)
+        gs.lindblad_op_exact(a, base["spec"], base["filter"], base["bohr"]) for a in jump_set
     )
     gammas = np.full(count, 1.0 / count)
     return {**base, "jump_set": jump_set, "lindblads": lindblads, "gammas": gammas}

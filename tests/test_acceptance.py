@@ -251,7 +251,7 @@ def test_criterion_07_order_checks(rng):
     lset = lindblad_setup("CH", 3, 5)
     L = lset["lindblads"][0].matrix
     kspec = gs.eig_hermitian(gs.dilation_discrete(L))
-    sup = gs.build_superop(None, [L], [1.0], include_coherent=False)
+    sup = gs.build_superop(None, [L], [1.0])
     rho = random_density_matrix(8, rng)
 
     def dilation_err(dt):

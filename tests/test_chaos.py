@@ -66,14 +66,6 @@ def test_fractal_stats_windows_and_determinism():
     assert 0 <= by_energy.mean <= 1
 
 
-def test_fractal_scan_grid():
-    grid = [gs.IsingParams(n=4, J=1.0, h=h, m=0.4) for h in (0.5, 1.0)]
-    stats = gs.fractal_scan(grid, "Z" * 4)
-    assert len(stats) == 2
-    for st in stats:
-        assert np.all((st.per_state_D >= -1e-12) & (st.per_state_D <= 1 + 1e-12))
-
-
 def test_preset_bases_are_deterministic():
     assert preset_bases(8) == preset_bases(8)
     assert preset_bases(8)["z"] == "Z" * 8

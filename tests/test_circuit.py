@@ -37,7 +37,7 @@ def test_dilation_identity_second_order(rng):
     L = setup["lindblads"][0].matrix
     kbar = gs.dilation_discrete(L)
     kspec = gs.eig_hermitian(kbar)
-    sup = gs.build_superop(None, [L], [1.0], include_coherent=False)
+    sup = gs.build_superop(None, [L], [1.0])
     rho = random_density_matrix(8, rng)
 
     def err(dt):
@@ -164,8 +164,7 @@ def test_step_wtilde_trace_preserving_and_positive(rng):
     cfg = CircuitConfig(dt_ev=0.2, dt_oft=0.1, T=1.6, jump_count=4, seed=0, beta=BETA)
     engine = ProtocolEngine(setup["ham"], cfg)
     rho = random_density_matrix(8, rng)
-    for idx in range(4):
-        out = engine.step_wtilde(rho, idx)
+    for out in engine.step_wtilde_batch(np.stack([rho] * 4), np.arange(4)):
         assert abs(np.trace(out).real - 1.0) < 1e-10
         assert np.max(np.abs(out - out.conj().T)) < 1e-9
         assert np.min(np.linalg.eigvalsh(0.5 * (out + out.conj().T))) > -1e-8
@@ -177,7 +176,8 @@ def test_step_wtilde_gamma_zero_is_pure_conjugation(rng):
     engine = ProtocolEngine(setup["ham"], cfg)
     rho = random_density_matrix(8, rng)
     u = gs.expm_phase(setup["spec"], cfg.dt_ev)
-    assert np.max(np.abs(engine.step_wtilde(rho, 0) - u @ rho @ u.conj().T)) < 1e-12
+    out = engine.step_wtilde_batch(rho[None], np.array([0]))[0]
+    assert np.max(np.abs(out - u @ rho @ u.conj().T)) < 1e-12
 
 
 def test_step_wtilde_batch_matches_zero_padded_dilation(rng):
@@ -197,6 +197,15 @@ def test_step_wtilde_batch_matches_zero_padded_dilation(rng):
         assert np.max(np.abs(out[idx] - expected)) < 1e-12
 
 
+def step_w(engine, cfg, rho, a_indices):
+    """Boundary-restored step W for each jump index: W-tilde conjugated by
+    the OFT boundary evolution u = e^{-iHS Dt}, which cancels along a full
+    protocol run; the jump average of W matches e^{dt_ev L} to second order."""
+    u = gs.expm_phase(engine.spec, cfg.oft_steps * cfg.dt_oft_effective)
+    inner = engine.step_wtilde_batch(np.stack([u.conj().T @ rho @ u] * len(a_indices)), a_indices)
+    return u @ inner @ u.conj().T
+
+
 def test_step_w_average_matches_exact_channel_second_order(rng):
     setup = point_setup("CH", 3)
     spec, bohr = setup["spec"], setup["bohr"]
@@ -210,7 +219,7 @@ def test_step_w_average_matches_exact_channel_second_order(rng):
         ls = [gs.lindblad_op_exact(a, spec, F, bohr) for a in engine.jump_set]
         sup = gs.build_superop(setup["ham"], ls, np.full(8, cfg.gamma / 8))
         ref = unvec(scipy.linalg.expm(dt_ev * sup.matrix) @ vec(rho))
-        avg = np.mean([engine.step_w(rho, i) for i in range(8)], axis=0)
+        avg = np.mean(step_w(engine, cfg, rho, np.arange(8)), axis=0)
         return np.max(np.abs(avg - ref))
 
     ratio = err(0.08) / err(0.04)
@@ -397,7 +406,7 @@ def test_gibbs_drift_per_step_follows_taxonomy_regimes():
     def drift(dt_oft):
         cfg = CircuitConfig(dt_ev=0.1, dt_oft=dt_oft, T=T, jump_count=6, seed=0, beta=BETA)
         engine = ProtocolEngine(setup["ham"], cfg)
-        outs = [engine.step_wtilde(setup["sigma"], i) for i in range(6)]
+        outs = engine.step_wtilde_batch(np.stack([setup["sigma"]] * 6), np.arange(6))
         return cfg, engine, gs.trace_distance(np.mean(outs, axis=0), setup["sigma"])
 
     _, _, fine = drift(0.1)
@@ -412,8 +421,6 @@ def test_gibbs_drift_per_step_follows_taxonomy_regimes():
         gs.lindblad_op_discretized(a, setup["spec"], F, cfg.T, cfg.oft_steps)
         for a in engine.jump_set
     ]
-    gen = apply_lindbladian(
-        setup["sigma"], None, lbars, np.full(6, cfg.gamma / 6), include_coherent=False
-    )
+    gen = apply_lindbladian(setup["sigma"], None, lbars, np.full(6, cfg.gamma / 6))
     expected = gs.trace_distance(setup["sigma"] + cfg.dt_ev * gen, setup["sigma"])
     assert mid == pytest.approx(expected, rel=0.02)

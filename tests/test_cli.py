@@ -1,11 +1,15 @@
+import ast
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gibbsim
 from gibbsim.cli import list_points, main, parse_config
 from gibbsim.errors import ConfigError
 
@@ -245,6 +249,40 @@ CIRCUIT_N3 = (
     "experiment = circuit\npoint = CH\nn = 3\ncircuit.dt_ev = 0.5\ncircuit.dt_oft = 0.2\n"
     "circuit.t_max = 5\ncircuit.n_rep = 2\njumps.count = 4\nseed = 0\n"
 )
+EVOLVE_N3 = "experiment = evolve\npoint = CH\nn = 3\nsolver.t_max = 5\nsolver.n_traj = 2\n"
+NOISE_BOUNDS_N3 = (
+    "experiment = noise-bounds\npoint = CH\nn = 3\njumps.count = 10\n"
+    "solver.t_max = 400\nsolver.n_traj = 5\nseed = 5\n"
+)
+CHAOS_N3 = "experiment = chaos-scan\nn = 3\ngrid.h = 0.5\ngrid.m = 0.4\n"
+# Out-of-range values that each experiment must reject as a config error;
+# NaN fails every comparison, so each range check reads `not lo < x < hi`.
+REJECTED_VALUES = {
+    "solver.t_max.nan": EVOLVE_N3 + "solver.t_max = nan\n",
+    "solver.t_max.inf": EVOLVE_N3 + "solver.t_max = inf\n",
+    "solver.dt_rk0.nan": EVOLVE_N3 + "solver.dt_rk0 = nan\n",
+    "solver.dt_rk0.inf": EVOLVE_N3 + "solver.dt_rk0 = inf\n",
+    "solver.herm_tol.nan": EVOLVE_N3 + "solver.herm_tol = nan\n",
+    "solver.max_steps": EVOLVE_N3 + "solver.max_steps = -1\n",
+    "solver.stop_below.nan": EVOLVE_N3 + "solver.stop_below = nan\n",
+    "evolve.eps.nan": EVOLVE_N3 + "eps = nan\n",
+    "circuit.t_max.nan": CIRCUIT_N3 + "circuit.t_max = nan\n",
+    "circuit.t_max.inf": CIRCUIT_N3 + "circuit.t_max = inf\n",
+    "circuit.dt_ev.nan": CIRCUIT_N3 + "circuit.dt_ev = nan\n",
+    "circuit.gamma": CIRCUIT_N3 + "circuit.gamma = -1\n",
+    "circuit.n_rep": CIRCUIT_N3 + "circuit.n_rep = 0\n",
+    "circuit.r_delta": CIRCUIT_N3 + "circuit.coherent_mode = trotter2\ncircuit.r_delta = 0\n",
+    "circuit.noise.n_g": CIRCUIT_N3
+    + "noise.kind = depolarizing_budget\nnoise.lambda_g = 0.001\nnoise.n_g = -1\n",
+    "noise-bounds.noise.n_g": NOISE_BOUNDS_N3 + "noise.n_g = 0\n",
+    "noise-bounds.grid.lambda": NOISE_BOUNDS_N3 + "grid.lambda = 0 0.1\n",
+    "chaos-scan.J": CHAOS_N3 + "J = 0\n",
+    "chaos-scan.n": CHAOS_N3 + "n = 0\n",
+    "chaos-scan.window_kind": CHAOS_N3 + "window_kind = foo\n",
+    "spectrum.beta": "experiment = spectrum\npoint = CH\nn = 3\nbeta = nan\n",
+    "evolve.beta": EVOLVE_N3 + "beta = nan\n",
+    "spectrum.J": "experiment = spectrum\npoint = CH\nn = 3\nJ = nan\n",
+}
 
 
 @pytest.mark.parametrize(
@@ -275,12 +313,14 @@ CIRCUIT_N3 = (
         (CIRCUIT_N3, 2, ("--seed", "-1")),
         (CIRCUIT_N3 + "circuit.t_max = -1\n", 2, ()),
         ("experiment = evolve\npoint = CH\nn = 3\nsolver.t_max = -1\n", 2, ()),
+        *((text, 2, ()) for text in REJECTED_VALUES.values()),
     ],
     ids=[
         "ok", "dt_ev", "coherent_mode", "lambda_g", "n", "n_traj", "grid.lambda_g", "ceiling",
         "circuit.grid_points", "circuit.jumps.k", "circuit.jumps.count", "evolve.jumps.k",
         "evolve.jumps.count", "gap-scan.jumps.k", "gap-scan.grid.jumps",
         "accuracy-scan.grid.jumps", "seed", "cli.seed", "circuit.t_max", "solver.t_max",
+        *REJECTED_VALUES,
     ],
 )
 def test_documented_exit_codes(tmp_path, capsys, text, code, args):
@@ -297,8 +337,9 @@ def test_documented_exit_codes(tmp_path, capsys, text, code, args):
         ("experiment = evolve\npoint = CH\nn = 3\njumps.count = 0\n", 2),
         ("experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 0\n", 2),
         ("experiment = accuracy-scan\npoint = CH\nn = 7\ngrid.jumps = 5\n", 3),
+        *((text, 2) for text in REJECTED_VALUES.values()),
     ],
-    ids=["evolve.jumps.count", "gap-scan.grid.jumps", "ceiling"],
+    ids=["evolve.jumps.count", "gap-scan.grid.jumps", "ceiling", *REJECTED_VALUES],
 )
 def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
     cfg = write_cfg(tmp_path, "run.cfg", text)
@@ -382,3 +423,54 @@ def test_csv_values_are_plain_numbers(tmp_path, text):
     assert csvs
     for path in csvs:
         assert "np." not in path.read_text(), path.name
+
+
+# Public names that no other module and no acceptance criterion names, kept
+# with one reason each.
+PUBLIC_KEEP = {
+    "eth_statistics": "computes the paper's ETH matrix-element diagnostic",
+    "fit_effective_gates": "computes the paper's effective gate count",
+    "apply_noise": "the per-step noise channel that simulate_protocol applies",
+    "b_gate": "the ancilla rotation that every step_V product is built from",
+    "fractal_dimension": "the per-state D_1 that fractal_stats averages",
+}
+
+
+def test_every_public_name_is_used():
+    # A name exported by gibbsim must appear as a word in another module of
+    # the package or in the acceptance criteria, be a class that a used
+    # function of its module builds, or be kept above with a reason.
+    package = Path(gibbsim.__file__).parent
+    exported = {
+        alias.name: node.module
+        for node in ast.parse((package / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = {path.stem: path.read_text() for path in package.glob("*.py")}
+    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+
+    def used(name, module):
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        others = [text for stem, text in sources.items() if stem not in (module, "__init__")]
+        return any(word.search(text) for text in [acceptance, *others])
+
+    def built_by_used_function(name, module):
+        return any(
+            isinstance(fn, ast.FunctionDef)
+            and used(fn.name, module)
+            and any(
+                isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+                for call in ast.walk(fn)
+            )
+            for fn in ast.walk(ast.parse(sources[module]))
+        )
+
+    unused = [
+        name
+        for name, module in exported.items()
+        if not used(name, module)
+        and not (isinstance(getattr(gibbsim, name), type) and built_by_used_function(name, module))
+        and name not in PUBLIC_KEEP
+    ]
+    assert unused == []

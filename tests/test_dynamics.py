@@ -74,10 +74,9 @@ def test_identity_jump_set_keeps_state_constant():
     sigma = setup["sigma"]
     cfg = gs.SolverConfig(dt_rk0=0.1, n_traj=3, t_max=5.0, seed=0, grid_points=10)
     eta0 = float(gs.filter_freq(F, 0.0))
-    ident = [gs.LindbladOperator(matrix=eta0 * np.eye(8), source=0)]
+    ident = [gs.LindbladOperator(matrix=eta0 * np.eye(8))]
     rec = gs.evolve_randomized(
-        setup["ham"], [np.eye(8)], F, sigma, cfg, sigma,
-        lindblads=ident, include_coherent=False,
+        np.zeros((8, 8)), [np.eye(8)], F, sigma, cfg, sigma, lindblads=ident,
     )
     assert rec.halvings == 0
     assert np.max(rec.avg_distance) < 1e-10
@@ -130,7 +129,7 @@ def test_step_underflow_raised():
         )
 
 
-def _six_product_rk4(ham, l_ops, gamma, include_coherent, rho0, dt, draws):
+def _six_product_rk4(ham, l_ops, gamma, coherent, rho0, dt, draws):
     """States of every trajectory under L rho L^dag - (1/2){L^dag L, rho},
     scaled by gamma, plus -i[H, rho]: the generator written out term by term,
     followed by the solver's symmetrization and renormalization."""
@@ -145,7 +144,7 @@ def _six_product_rk4(ham, l_ops, gamma, include_coherent, rho0, dt, draws):
             def gen(r):
                 g = L @ (r @ L.conj().T) - 0.5 * (ldl @ r + r @ ldl)
                 g = g * gamma
-                if include_coherent:
+                if coherent:
                     g = g + -1j * (ham @ r - r @ ham)
                 return g
 
@@ -157,40 +156,42 @@ def _six_product_rk4(ham, l_ops, gamma, include_coherent, rho0, dt, draws):
     return np.array(out)
 
 
-@pytest.mark.parametrize("include_coherent", [True, False])
+@pytest.mark.parametrize("coherent", [True, False])
 @pytest.mark.parametrize("gamma", [1.0, 0.37])
 @pytest.mark.parametrize("n", [3, 5])
-def test_randomized_generator_matches_six_product_oracle(n, gamma, include_coherent):
+def test_randomized_generator_matches_six_product_oracle(n, gamma, coherent):
+    # coherent=False runs the dissipator alone, with a zero Hamiltonian
     setup = lindblad_setup("CH", n, 10)
     cfg = gs.SolverConfig(
         dt_rk0=0.1, n_traj=3, t_max=1.5, seed=4, grid_points=0, store_traj_states=True
     )
+    ham = setup["ham"] if coherent else np.zeros_like(setup["ham"])
     rec = gs.evolve_randomized(
-        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(n), cfg, setup["sigma"],
-        gamma=gamma, lindblads=list(setup["lindblads"]), include_coherent=include_coherent,
+        ham, list(setup["jump_set"]), F, gs.maximally_mixed(n), cfg, setup["sigma"],
+        gamma=gamma, lindblads=list(setup["lindblads"]),
     )
     assert rec.halvings == 0
     n_steps = rec.meta["n_steps"]
     draws = [np.random.default_rng([cfg.seed, i]).integers(0, 10, size=n_steps) for i in range(3)]
     l_ops = np.stack(setup["lindblads"])
     oracle = _six_product_rk4(
-        setup["ham"], l_ops, gamma, include_coherent, gs.maximally_mixed(n), 0.1, draws
+        setup["ham"], l_ops, gamma, coherent, gs.maximally_mixed(n), 0.1, draws
     )
     assert rec.traj_states.shape == oracle.shape
     assert np.max(np.abs(rec.traj_states - oracle)) <= 1e-12
 
 
-@pytest.mark.parametrize("include_coherent", [True, False])
-def test_exact_generator_matches_einsum_oracle(rng, include_coherent):
+@pytest.mark.parametrize("coherent", [True, False])
+def test_exact_generator_matches_einsum_oracle(rng, coherent):
     setup = lindblad_setup("CH", 3, 10)
     ls = list(setup["lindblads"])
     gammas = rng.uniform(0.02, 0.2, len(ls))
     cfg = gs.SolverConfig(dt_rk0=0.2, n_traj=1, t_max=4.0, grid_points=0, store_traj_states=True)
-    rec = gs.evolve_exact(
-        setup["ham"], ls, gammas, gs.maximally_mixed(3), cfg, setup["sigma"],
-        include_coherent=include_coherent,
-    )
     ham = setup["ham"]
+    rec = gs.evolve_exact(
+        ham if coherent else np.zeros_like(ham), ls, gammas, gs.maximally_mixed(3), cfg,
+        setup["sigma"],
+    )
     l_ops = np.stack(ls)
     l_weighted = gammas[:, None, None] * l_ops
     decay = np.einsum("a,aij,ajk->ik", gammas, l_ops.conj().transpose(0, 2, 1), l_ops)
@@ -198,7 +199,7 @@ def test_exact_generator_matches_einsum_oracle(rng, include_coherent):
     def gen(r):
         out = np.einsum("aij,jk,alk->il", l_weighted, r, l_ops.conj())
         out -= 0.5 * (decay @ r + r @ decay)
-        if include_coherent:
+        if coherent:
             out += -1j * (ham @ r - r @ ham)
         return out
 
@@ -213,8 +214,7 @@ def test_exact_generator_matches_einsum_oracle(rng, include_coherent):
 def test_fused_recording_equals_separate_distance_calls():
     setup = lindblad_setup("CH", 4, 10)
     cfg = gs.SolverConfig(
-        dt_rk0=0.2, n_traj=5, t_max=3.0, seed=2, grid_points=0,
-        store_states=True, store_traj_states=True,
+        dt_rk0=0.2, n_traj=5, t_max=3.0, seed=2, grid_points=0, store_traj_states=True
     )
     rec = gs.evolve_randomized(
         setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(4), cfg, setup["sigma"],
@@ -223,7 +223,9 @@ def test_fused_recording_equals_separate_distance_calls():
     for j in range(len(rec.times)):
         per = gs.trace_distance(rec.traj_states[:, j], setup["sigma"])
         assert np.array_equal(rec.per_traj_distance[:, j], per)
-        assert rec.avg_distance[j] == gs.trace_distance(rec.avg_states[j], setup["sigma"])
+        avg = rec.traj_states[:, j].mean(axis=0)
+        avg = 0.5 * (avg + avg.conj().transpose())
+        assert rec.avg_distance[j] == gs.trace_distance(avg, setup["sigma"])
 
 
 def test_hermiticity_gate_halves_an_unstable_step():
@@ -407,19 +409,3 @@ def test_double_halving_from_coarse_start():
     )
     assert rec.final_dt_rk == pytest.approx(0.125)
     assert rec.halvings == 2
-
-
-def test_state_snapshot_export(tmp_path):
-    setup = lindblad_setup("CH", 3, 5)
-    cfg = gs.SolverConfig(
-        dt_rk0=0.25, n_traj=2, t_max=5.0, seed=0, grid_points=10, store_states=True
-    )
-    rec = gs.evolve_randomized(
-        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(3), cfg,
-        setup["sigma"], lindblads=list(setup["lindblads"]),
-    )
-    path = tmp_path / "states.npz"
-    rec.save_states(path)
-    data = np.load(path)
-    assert np.array_equal(data["times"], rec.times)
-    assert data["avg_states"].shape == (len(rec.times), 8, 8)

@@ -3,13 +3,7 @@ import pytest
 
 import gibbsim as gs
 from gibbsim.errors import InvalidLocality
-from gibbsim.jumps import (
-    FilterSpec,
-    bohr_decomposition,
-    filter_freq_discretized,
-    jump_set_from_text,
-    jump_set_to_text,
-)
+from gibbsim.jumps import FilterSpec, PauliString, filter_freq_discretized, jump_set_to_text
 
 from conftest import BETA, lindblad_setup, point_setup
 
@@ -47,11 +41,17 @@ def test_invalid_locality():
         gs.sample_jump_set(3, 0, 1, seed=0)
 
 
-def test_jump_serialization_roundtrip():
-    jumps = gs.sample_jump_set(5, 2, 7, seed=3)
-    text = jump_set_to_text(jumps, seed=3)
-    back = jump_set_from_text(text)
-    assert [(a.sites, a.letters) for a in back] == [(a.sites, a.letters) for a in jumps]
+def test_jump_set_text_golden():
+    # the jumps.txt format that the evolve experiment writes
+    jumps = [
+        PauliString(n=4, sites=(0, 2), letters=("X", "Z")),
+        PauliString(n=4, sites=(1, 3), letters=("Y", "Y")),
+    ]
+    assert jump_set_to_text(jumps, seed=7) == (
+        "# jump set  n=4  k=2  seed=7\n"
+        "n=4 k=2 sites=0,2 letters=X,Z\n"
+        "n=4 k=2 sites=1,3 letters=Y,Y\n"
+    )
 
 
 # ---------------------------------------------------------------- filters
@@ -150,17 +150,6 @@ def test_exact_op_matches_time_quadrature_oracle():
         u = gs.expm_phase(spec, -ti)  # e^{+iHt}
         acc += w * gv * (u @ amat @ u.conj().T)
     assert np.max(np.abs(acc - L)) < 1e-6
-
-
-def test_parseval_over_bohr_sectors():
-    setup = lindblad_setup("CH", 4, 3, seed=5)
-    for a in setup["jump_set"]:
-        parts = bohr_decomposition(a, setup["spec"], setup["bohr"])
-        total = sum(np.linalg.norm(p, "fro") ** 2 for p in parts.values())
-        amat = a.matrix()
-        assert total == pytest.approx(np.linalg.norm(amat, "fro") ** 2, rel=1e-10)
-        rebuilt = sum(parts.values())
-        assert np.max(np.abs(rebuilt - amat)) < 1e-10
 
 
 def test_lindblad_entries_finite_and_adjoint_closure():

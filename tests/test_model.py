@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import gibbsim as gs
-from gibbsim.model import RK_STEP_TABLE, haar_random_state
+from gibbsim.chaos import even_sector_basis
+from gibbsim.model import RK_STEP_TABLE
 
 from conftest import BETA, point_setup
 
@@ -138,74 +139,14 @@ def test_bohr_reg_far_fewer_clusters_than_ch(n):
     assert counts["REG"] < counts["CH"] / 3
 
 
-def test_energy_distribution_maximally_mixed():
-    setup = point_setup("CH", 3)
-    p = gs.energy_distribution(gs.maximally_mixed(3), setup["spec"])
-    assert np.allclose(p, 1 / 8)
-
-
-def test_energy_distribution_eigenstate():
-    setup = point_setup("CH", 3)
-    spec = setup["spec"]
-    k = 5
-    state = np.outer(spec.vectors[:, k], spec.vectors[:, k].conj())
-    p = gs.energy_distribution(state, spec)
-    assert np.allclose(p, np.eye(8)[k], atol=1e-12)
-
-
-def test_energy_distribution_haar_monte_carlo(rng):
-    # Over Haar states the mean population is uniform; check within 3 sigma
-    # of the sample error for 100 draws.
-    setup = point_setup("CH", 3)
-    spec = setup["spec"]
-    samples = []
-    for _ in range(100):
-        psi = haar_random_state(8, rng)
-        p = gs.energy_distribution(np.outer(psi, psi.conj()), spec)
-        assert abs(p.sum() - 1.0) < 1e-10
-        assert np.min(p) > -1e-12
-        samples.append(p)
-    samples = np.array(samples)
-    sem = samples.std(axis=0, ddof=1) / np.sqrt(len(samples))
-    assert np.all(np.abs(samples.mean(axis=0) - 1 / 8) < 3 * sem + 1e-3)
-
-
-def test_energy_distribution_of_gibbs_state():
-    setup = point_setup("CH", 4)
-    p = gs.energy_distribution(setup["sigma"], setup["spec"])
-    w = setup["spec"].values
-    expected = np.exp(-BETA * (w - w.min()))
-    expected /= expected.sum()
-    assert np.max(np.abs(p - expected)) < 1e-12
-
-
-def test_parity_projector_rank_n2():
-    p = gs.parity_projector(2)
-    assert np.allclose(p @ p, p)
-    assert np.allclose(p, p.conj().T)
-    assert np.trace(p).real == pytest.approx(3.0, abs=1e-12)
-
-
-def test_parity_projector_rank_oracle_n3():
-    # reflection-orbit oracle: palindromes contribute one even state each,
-    # two-element orbits one even combination each
-    n = 3
-    palindromes = sum(
-        1
-        for x in range(2**n)
-        if all(((x >> k) & 1) == ((x >> (n - 1 - k)) & 1) for k in range(n))
-    )
-    expected_rank = palindromes + (2**n - palindromes) // 2
-    assert expected_rank == 6
-    assert np.trace(gs.parity_projector(n)).real == pytest.approx(expected_rank, abs=1e-12)
-
-
 @pytest.mark.parametrize("key", ["CH", "REG", "KIH"])
 def test_parity_commutes_with_hamiltonian(key):
-    setup = point_setup(key, 4)
-    p = gs.parity_projector(4)
-    comm = p @ setup["ham"] - setup["ham"] @ p
-    assert np.max(np.abs(comm)) < 1e-10
+    # H maps the even sector of site reversal into itself, the premise of
+    # spacing_ratios: max |(I - B B^dag) H B| vanishes
+    ham = point_setup(key, 4)["ham"]
+    b = even_sector_basis(4)
+    leak = ham @ b - b @ (b.conj().T @ ham @ b)
+    assert np.max(np.abs(leak)) < 1e-10
 
 
 def test_invalid_params_rejected():

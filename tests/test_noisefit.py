@@ -43,44 +43,6 @@ def test_fit_envelope_dominates_window():
     assert fit.B >= fit.B_lsq
 
 
-# ------------------------------------------------------------- bound_series
-def test_bound_series_limits():
-    fit = synthetic_fit()
-    m = np.arange(50)
-    assert np.allclose(gs.bound_series(fit, 0.0, m), fit.B * np.exp(-fit.alpha * m))
-    assert gs.bound_series(fit, 0.3, 0) == pytest.approx(fit.B, abs=1e-12)
-
-
-def test_bound_series_matches_geometric_sum_oracle():
-    fit = synthetic_fit(B=1.0, alpha=1.0)
-    lam, m = 0.1, 10
-    # term-by-term: (1-lam)^M e^{-alpha M} B + lam sum_{k=0}^{M-1} (1-lam)^k e^{-alpha k} B
-    u0 = (1 - lam) * np.exp(-fit.alpha)
-    oracle = fit.B * (u0**m + lam * sum(u0**k for k in range(m)))
-    assert gs.bound_series(fit, lam, m) == pytest.approx(oracle, rel=1e-12)
-
-
-def test_bound_series_monotone_in_m_and_lambda():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        fit = synthetic_fit(B=rng.uniform(0.5, 5), alpha=rng.uniform(0.005, 0.5))
-        lam = rng.uniform(1e-4, 0.5)
-        m = np.arange(0, 200, 7)
-        series = gs.bound_series(fit, lam, m)
-        assert np.all(np.diff(series) <= 1e-12)
-        lam2 = lam * rng.uniform(1.01, 3.0)
-        if lam2 <= 1:
-            assert np.all(gs.bound_series(fit, lam2, m) >= series - 1e-12)
-
-
-def test_bound_series_limit_is_asymptotic():
-    fit = synthetic_fit()
-    lam = 0.05
-    assert gs.bound_series(fit, lam, 100000) == pytest.approx(
-        gs.bound_asymptotic(fit, lam), rel=1e-9
-    )
-
-
 # ---------------------------------------------------------- asymptotic bound
 def test_bound_asymptotic_limits():
     fit = synthetic_fit()

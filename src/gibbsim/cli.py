@@ -22,7 +22,7 @@ from .circuit import CircuitConfig, NoiseSpec, plateau_level, simulate_protocol
 from .dynamics import NOT_CONVERGED, SolverConfig, evolve_randomized, mixing_time_estimate
 from .errors import ConfigError, GibbsimError, ResourceCeiling
 from .jumps import FilterSpec, jump_set_to_text, lindblad_op_exact, sample_jump_set
-from .liouville import build_superop, steady_state_and_gap
+from .liouville import steady_state_and_gap
 from .model import (
     IsingParams,
     NAMED_POINTS,
@@ -183,11 +183,12 @@ def _jump_keys(cfg, n, count_default):
     return k, count
 
 
-def _jump_counts(cfg, default):
-    """grid.jumps, every entry checked to be at least 1."""
-    counts = _list(cfg, "grid.jumps", int, default)
+def _counts(cfg, key, default):
+    """An int list such as grid.jumps or grid.n, every entry checked to be at
+    least 1."""
+    counts = _list(cfg, key, int, default)
     if min(counts) < 1:
-        raise ConfigError(f"grid.jumps = {cfg['grid.jumps']} has an entry below 1")
+        raise ConfigError(f"{key} = {cfg[key]} has an entry below 1")
     return counts
 
 
@@ -292,7 +293,7 @@ def _gap_point(args):
     jump_set = sample_jump_set(params.n, k, count, seed)
     lindblads = [lindblad_op_exact(a, spec, f, bohr) for a in jump_set]
     gammas = np.full(count, 1.0 / count)
-    result = steady_state_and_gap(build_superop(ham, lindblads, gammas))
+    result = steady_state_and_gap(ham, lindblads, gammas)
     sigma = gibbs_state(spec, beta)
     return (
         params.n,
@@ -306,8 +307,8 @@ def _gap_point(args):
 @experiment("gap-scan")
 def run_gap_scan(cfg, out_dir, threads):
     params, beta = resolve_model({**cfg, "n": cfg.get("n", "3")})
-    n_values = _list(cfg, "grid.n", int, [3, 4, 5])
-    counts = _jump_counts(cfg, [20])
+    n_values = _counts(cfg, "grid.n", [3, 4, 5])
+    counts = _counts(cfg, "grid.jumps", [20])
     if max(n_values) > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
         raise ResourceCeiling(
             f"gap computation beyond n={GAP_QUBIT_CEILING} requires allow_large = true"
@@ -331,7 +332,7 @@ def run_gap_scan(cfg, out_dir, threads):
 @experiment("accuracy-scan")
 def run_accuracy_scan(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
-    counts = _jump_counts(cfg, [5, 10, 20, 50, 100])
+    counts = _counts(cfg, "grid.jumps", [5, 10, 20, 50, 100])
     k, _ = _jump_keys(cfg, params.n, 20)
     seed = _get(cfg, "seed", int, 0)
     if params.n > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
@@ -370,14 +371,23 @@ def _circuit_config(cfg, n, beta):
     )
 
 
-def _noise_spec(cfg):
-    return _validated(
+def _noise_spec(cfg, n):
+    noise = _validated(
         NoiseSpec,
         kind=cfg.get("noise.kind", "none"),
         lam=_get(cfg, "noise.lambda", float, 0.0),
         lambda_g=_get(cfg, "noise.lambda_g", float, 0.0),
         n_g_override=_get(cfg, "noise.n_g", int, None),
     )
+    if noise.kind == "depolarizing_budget":
+        _check_pair_noise(n, "noise.kind = depolarizing_budget")
+    return noise
+
+
+def _check_pair_noise(n, source):
+    """The depolarizing budget acts on adjacent qubit pairs."""
+    if n < 2:
+        raise ConfigError(f"{source} depolarizes qubit pairs and needs n >= 2, got n = {n}")
 
 
 def _simulate(params, ham, circuit_cfg, noise, target):
@@ -390,10 +400,11 @@ def _simulate(params, ham, circuit_cfg, noise, target):
 def run_circuit(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
     circuit_cfg = _circuit_config(cfg, params.n, beta)
+    noise = _noise_spec(cfg, params.n)
     ham = build_hamiltonian(params)
     spec = eig_hermitian(ham)
     target = gibbs_state(spec, beta)
-    record = _simulate(params, ham, circuit_cfg, _noise_spec(cfg), target)
+    record = _simulate(params, ham, circuit_cfg, noise, target)
     record.to_csv(os.path.join(out_dir, "circuit_distances.csv"))
     write_json(
         os.path.join(out_dir, "plateau.json"),
@@ -411,6 +422,8 @@ def run_circuit_noise(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
     lambdas = _list(cfg, "grid.lambda_g", float, [1e-6, 1e-5, 1e-4])
     dt_evs = _list(cfg, "grid.dt_ev", float, [1.0, 3.0, 5.0])
+    if any(lam_g != 0 for lam_g in lambdas):
+        _check_pair_noise(params.n, "grid.lambda_g > 0")
     ham = build_hamiltonian(params)
     spec = eig_hermitian(ham)
     target = gibbs_state(spec, beta)

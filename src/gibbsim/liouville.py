@@ -1,16 +1,28 @@
 """Vectorized generator, spectral gap, detailed-balance coherent term and Markov restriction.
 
 Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho).
-All superoperators here are dense D^2 x D^2 complex matrices.
+`build_superop` returns the dense D^2 x D^2 complex matrix S.
 
-`steady_state_and_gap` never diagonalizes that complex matrix S:
+Row q + D p of S, read as a D x D matrix over columns s + D r, is
+sum_a gamma_a conj(L_a[p, :])^T L_a[q, :], plus A[q, :] on its row r = p
+and M^T[p, :] on its column s = q (A and M are the left- and right-hand
+parts, see `build_superop`).  One row kernel, `_GeneratorFactors.rows`,
+builds any block of rows straight from (G, L_a, gamma_a) as one batched
+product over the jump index; `build_superop` writes S with it, and
+`steady_state_and_gap` gathers its real form from it without ever holding
+S.  A gap therefore holds R and the copy LAPACK factors, 16 D^4 bytes in
+all; S alone would take 16 D^4 more.
+
+`steady_state_and_gap` never diagonalizes the complex matrix S:
 
 - Real Hermitian-basis eigensolve.  A Lindbladian maps Hermitian operators
   to Hermitian operators, so in the orthonormal Hermitian basis
   {E_ii, (E_ij + E_ji)/sqrt2, i(E_ij - E_ji)/sqrt2 : i < j} it is a real
   matrix R = U^dag S U.  U is unitary, so R has exactly the spectrum of S,
   and a real eigensolve without eigenvectors gives every eigenvalue.  R is
-  gathered by index arithmetic, since each basis vector has two nonzeros.
+  gathered by index arithmetic, since each basis vector has two nonzeros:
+  a block of rows of R takes two rows of S per basis vector from the row
+  kernel and two of their entries per basis vector.
 - Direct steady-state solve, the "direct" method of QuTiP's `steadystate`
   (Johansson, Nation and Nori, Comput. Phys. Commun. 184, 1234 (2013)).
   Trace preservation makes the trace functional t (ones on the E_ii
@@ -31,8 +43,6 @@ from .jumps import filter_freq
 # Roundoff bound on the imaginary part dropped from the Hermitian-basis form,
 # relative to its largest entry; measured parts are about 1e-17.
 REAL_FORM_RTOL = 1e-10
-# Rows of R gathered at a time: the complex temporaries stay at 128 x D^2.
-_REAL_FORM_ROWS = 128
 
 
 def vec(rho):
@@ -65,10 +75,6 @@ class Superoperator:
 
     matrix: np.ndarray
 
-    @property
-    def system_dim(self):
-        return int(round(np.sqrt(self.matrix.shape[0])))
-
     def apply(self, rho):
         return unvec(self.matrix @ vec(rho))
 
@@ -78,8 +84,8 @@ def drift_operator(coherent, l_ops, gammas):
     G = 0 when `coherent` is None.
 
     For Hermitian G the generator is sum_a gamma_a L_a rho L_a^dag +
-    A rho + rho A^dag; `dynamics.evolve_exact` and `build_superop` both use
-    this one operator.
+    A rho + rho A^dag; `dynamics.evolve_exact` and the superoperator rows
+    both use this one operator.
     """
     l_dag = l_ops.conj().transpose(0, 2, 1)
     a = -0.5 * np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
@@ -88,17 +94,43 @@ def drift_operator(coherent, l_ops, gammas):
     return a
 
 
-def build_superop(coherent, lindblads, gammas):
-    """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .}),
-    with G = 0 when `coherent` is None.
+@dataclass(frozen=True)
+class _GeneratorFactors:
+    """The factors of -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .})
+    that every row of its superoperator is built from."""
 
-    S = sum_a gamma_a conj(L_a) kron L_a + I kron A + M^T kron I, where
-    rho -> rho M is the right-hand part, M = iG - (1/2) sum_a gamma_a
-    L_a^dag L_a.  As a 4-D array s4[p, q, r, s] = S[q + D p, s + D r], the
-    jump sum is one product over the jump index, written one row block p
-    at a time, and the two krons with I are D-by-D additions on diagonal
-    views.
-    """
+    l_bar: np.ndarray  # (p, r, a) = conj(L_a[p, r])
+    l_weighted: np.ndarray  # (q, a, s) = gamma_a L_a[q, s]
+    drift: np.ndarray  # A, the left-hand part rho -> A rho
+    right: np.ndarray  # M^T, the transposed right-hand part rho -> rho M
+
+    @property
+    def dim(self):
+        return self.drift.shape[0]
+
+    def rows(self, p, q):
+        """Rows q + D p of S, for p and q each an int or a slice, over their
+        broadcast; entry [b, r, s] of the (rows, D, D) result is
+        S[q_b + D p_b, s + D r]:
+
+            sum_a gamma_a conj(L_a[p, r]) L_a[q, s] + [r = p] A[q, s]
+                + [s = q] M^T[p, r].
+
+        The jump sum of the block is one product over the jump index, and
+        a slice reads its operands in place.
+        """
+        d = self.dim
+        out = np.matmul(self.l_bar[p], self.l_weighted[q]).reshape(-1, d, d)
+        ps, qs = (np.ravel(x) for x in np.broadcast_arrays(np.arange(d)[p], np.arange(d)[q]))
+        b = np.arange(len(out))
+        out[b, ps] += self.drift[qs]
+        out[b, :, qs] += self.right[ps]
+        return out
+
+
+def _generator_factors(coherent, lindblads, gammas):
+    """Check (G, L_a, gamma_a) and gather the factors of the generator's rows;
+    G = 0 when `coherent` is None."""
     mats = [np.asarray(l) for l in lindblads]
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas < 0):
@@ -118,15 +150,29 @@ def build_superop(coherent, lindblads, gammas):
     if coherent is not None:
         g = np.asarray(coherent, dtype=complex)
         right += 1j * (g.T - g.conj())
+    return _GeneratorFactors(
+        l_bar=np.ascontiguousarray(l_ops.conj().transpose(1, 2, 0)),
+        l_weighted=np.ascontiguousarray((gammas[:, None, None] * l_ops).transpose(1, 0, 2)),
+        drift=a,
+        right=right,
+    )
 
+
+def build_superop(coherent, lindblads, gammas):
+    """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .}),
+    with G = 0 when `coherent` is None.
+
+    S = sum_a gamma_a conj(L_a) kron L_a + I kron A + M^T kron I, where
+    rho -> rho M is the right-hand part, M = iG - (1/2) sum_a gamma_a
+    L_a^dag L_a.  As a 4-D array s4[p, q, r, s] = S[q + D p, s + D r], row
+    block p is written by the same row kernel that `steady_state_and_gap`
+    gathers its real form from.
+    """
+    factors = _generator_factors(coherent, lindblads, gammas)
+    d = factors.dim
     s4 = np.empty((d, d, d, d), dtype=complex)
-    l_bar = l_ops.conj().transpose(1, 2, 0)  # (p, r, a)
-    l_weighted = (gammas[:, None, None] * l_ops).transpose(1, 0, 2)  # (q, a, s)
     for p in range(d):
-        np.matmul(l_bar[p], l_weighted, out=s4[p])
-    for p in range(d):
-        s4[p, :, p, :] += a
-        s4[:, p, :, p] += right
+        s4[p] = factors.rows(p, slice(None))
     return Superoperator(matrix=s4.reshape(d * d, d * d))
 
 
@@ -156,28 +202,50 @@ def _hermitian_basis(d):
     return m1, w1, m2, w2
 
 
-def _real_form(matrix, basis):
-    """R = U^dag S U in the Hermitian basis U, filled in row blocks by
-    gathering the two nonzeros of each basis vector; never forms U or a
-    complex D^2 x D^2 temporary.  Returns R and max |Im(U^dag S U)|."""
+def _real_form(factors, basis):
+    """R = U^dag S U in the Hermitian basis U, one group of rows per index i:
+    E_ii and the pairs (i, j > i), whose basis vectors have their nonzeros
+    on S rows i + D j and j + D i.  The row kernel builds those as two
+    contiguous blocks; the two nonzeros of every basis vector are then
+    gathered across them.  Never forms U, S or a complex D^2 x D^2
+    temporary.  Returns R and max |Im(U^dag S U)|."""
     m1, w1, m2, w2 = basis
-    n = matrix.shape[0]
+    d = factors.dim
+    n = d * d
+    n_pair = (n - d) // 2
     r = np.empty((n, n))
     imag = 0.0
-    for lo in range(0, n, _REAL_FORM_ROWS):
-        rows = slice(lo, lo + _REAL_FORM_ROWS)
-        left = w1[rows].conj()[:, None] * matrix[m1[rows]]
-        left += w2[rows].conj()[:, None] * matrix[m2[rows]]
-        block = left[:, m1] * w1
-        block += left[:, m2] * w2
-        r[rows] = block.real
+    for i in range(d):
+        # Basis order of `_hermitian_basis`: E_ii, then the pairs (i, j) in
+        # row-major upper-triangle order, symmetric and antisymmetric.
+        n_pair_before = i * d - i * (i + 1) // 2
+        pairs = d + n_pair_before + np.arange(d - 1 - i)
+        ks = np.concatenate(([i], pairs, pairs + n_pair))
+        col = factors.rows(i, slice(i, None))  # rows j + D i, j >= i
+        row = factors.rows(slice(i + 1, None), i)  # rows i + D j, j > i
+        left = np.concatenate((col[:1], row, row)).reshape(-1, n)  # rows m1[ks]
+        left *= w1[ks].conj()[:, None]
+        other = np.concatenate((col, col[1:])).reshape(-1, n)  # rows m2[ks]
+        other *= w2[ks].conj()[:, None]
+        left += other
+        block = np.take(left, m1, axis=1)
+        block *= w1
+        np.take(left, m2, axis=1, out=other)
+        other *= w2
+        block += other
+        r[ks] = block.real
         imag = max(imag, float(np.max(np.abs(block.imag))))
     return r, imag
 
 
-def steady_state_and_gap(s):
-    """Spectral gap and steady state of a vectorized Lindbladian.
+def steady_state_and_gap(coherent, lindblads, gammas):
+    """Spectral gap and steady state of the Lindbladian
+    -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .}), with
+    G = 0 when `coherent` is None.
 
+    Works on the real Hermitian-basis form R only, built straight from the
+    operators (module docstring), so it holds R and the copy LAPACK
+    factors, 16 D^4 bytes, and never the complex superoperator.
     The zero cluster collects eigenvalues of modulus below
     1e-9 * max|Re lambda| (with a floor of 1e-12 * max|lambda| so that a
     purely coherent generator still exposes its exact fixed points).
@@ -186,9 +254,10 @@ def steady_state_and_gap(s):
     (its Hermitian-basis form has an imaginary part above
     REAL_FORM_RTOL * max|R|).
     """
-    d = s.system_dim
+    factors = _generator_factors(coherent, lindblads, gammas)
+    d = factors.dim
     basis = _hermitian_basis(d)
-    r, imag = _real_form(s.matrix, basis)
+    r, imag = _real_form(factors, basis)
     r_max = float(max(r.max(), -r.min()))
     if imag > REAL_FORM_RTOL * r_max:
         raise NotHermitian(

@@ -132,6 +132,28 @@ def gibbs_state(spec, beta):
     return spec.vectors @ (p[:, None] * spec.vectors.conj().T)
 
 
+def _cluster_starts(pos, tol):
+    """Starts of the greedy clusters of sorted values: a cluster runs from its
+    start while values stay within tol of the start value.
+
+    A gap above tol between neighbours always starts a cluster; only inside
+    a run of closer neighbours whose span passes tol is the greedy rule
+    walked value by value.
+    """
+    breaks = np.flatnonzero(np.diff(pos) > tol) + 1
+    run_starts = np.concatenate(([0], breaks))
+    run_ends = np.append(breaks, len(pos))
+    wide = pos[run_ends - 1] - pos[run_starts] > tol
+    starts = [run_starts]
+    for lo, hi in zip(run_starts[wide], run_ends[wide]):
+        start = lo
+        for k in range(lo + 1, hi):
+            if pos[k] - pos[start] > tol:
+                starts.append([k])
+                start = k
+    return np.sort(np.concatenate(starts))
+
+
 def bohr_frequencies(spec, tol=None):
     """Group all pairwise differences E_i - E_j into clusters of diameter <= tol.
 
@@ -147,14 +169,12 @@ def bohr_frequencies(spec, tol=None):
 
     # Cluster the nonnegative differences and mirror, so the frequency set
     # is exactly symmetric under negation.
-    pos = np.sort(np.unique(np.abs(diffs).ravel()))
-    reps = []
-    start = 0
-    for k in range(1, len(pos) + 1):
-        if k == len(pos) or pos[k] - pos[start] > tol:
-            reps.append(pos[start:k].mean())
-            start = k
-    reps = np.array(reps)
+    pos = np.unique(np.abs(diffs))
+    starts = _cluster_starts(pos, tol)
+    sizes = np.diff(starts, append=len(pos))
+    reps = pos[starts]  # a singleton cluster's value is its mean
+    for c in np.flatnonzero(sizes > 1):
+        reps[c] = pos[starts[c] : starts[c] + sizes[c]].mean()
     if reps[0] <= tol:
         reps[0] = 0.0
     elif reps[0] > 0:

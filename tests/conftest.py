@@ -45,7 +45,7 @@ def lindblad_setup(key, n, count, k=2, seed=0):
 def gap_setup(key, n, count, k=2, seed=0):
     ls = lindblad_setup(key, n, count, k, seed)
     superop = gs.build_superop(ls["ham"], list(ls["lindblads"]), ls["gammas"])
-    result = gs.steady_state_and_gap(superop)
+    result = gs.steady_state_and_gap(ls["ham"], list(ls["lindblads"]), ls["gammas"])
     return {**ls, "superop": superop, "gap_result": result}
 
 

@@ -255,6 +255,11 @@ NOISE_BOUNDS_N3 = (
     "solver.t_max = 400\nsolver.n_traj = 5\nseed = 5\n"
 )
 CHAOS_N3 = "experiment = chaos-scan\nn = 3\ngrid.h = 0.5\ngrid.m = 0.4\n"
+CIRCUIT_N1 = CIRCUIT_N3.replace("n = 3", "n = 1") + "jumps.k = 1\n"
+CIRCUIT_NOISE_N1 = (
+    "experiment = circuit-noise\npoint = CH\nn = 1\njumps.k = 1\njumps.count = 4\n"
+    "circuit.dt_oft = 0.2\ncircuit.t_max = 5\ncircuit.n_rep = 2\ngrid.dt_ev = 1.0\n"
+)
 # Out-of-range values that each experiment must reject as a config error;
 # NaN fails every comparison, so each range check reads `not lo < x < hi`.
 REJECTED_VALUES = {
@@ -282,6 +287,9 @@ REJECTED_VALUES = {
     "spectrum.beta": "experiment = spectrum\npoint = CH\nn = 3\nbeta = nan\n",
     "evolve.beta": EVOLVE_N3 + "beta = nan\n",
     "spectrum.J": "experiment = spectrum\npoint = CH\nn = 3\nJ = nan\n",
+    "gap-scan.grid.n": "experiment = gap-scan\npoint = CH\ngrid.n = 3 0\n",
+    "circuit.noise.n1": CIRCUIT_N1 + "noise.kind = depolarizing_budget\nnoise.lambda_g = 0.001\n",
+    "circuit-noise.n1": CIRCUIT_NOISE_N1,
 }
 
 
@@ -347,6 +355,41 @@ def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
     assert main(["run", cfg, "--out-dir", str(out)]) == code
     assert not (out / "manifest.txt").exists()
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["gap-scan.grid.n", "circuit.noise.n1", "circuit-noise.n1"],
+)
+def test_rejected_value_is_named(tmp_path, capsys, key):
+    # the message names the key at fault, and an earlier run is left as it was
+    out = tmp_path / "out"
+    spectrum = write_cfg(tmp_path, "spec.cfg", "experiment = spectrum\npoint = CH\nn = 3\n")
+    assert main(["run", spectrum, "--out-dir", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, "run.cfg", REJECTED_VALUES[key])
+    assert main(["run", cfg, "--out-dir", str(out)]) == 2
+    named = {
+        "gap-scan.grid.n": "grid.n = 3 0",
+        "circuit.noise.n1": "noise.kind = depolarizing_budget",
+        "circuit-noise.n1": "grid.lambda_g",
+    }[key]
+    assert named in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_error_fit_reads_no_noise_keys(tmp_path):
+    # error-fit always runs noiseless, so a pair-noise kind does not bar n = 1
+    cfg = write_cfg(
+        tmp_path, "ef.cfg",
+        CIRCUIT_N1.replace("experiment = circuit", "experiment = error-fit")
+        + "noise.kind = depolarizing_budget\nnoise.lambda_g = 0.001\n"
+        "grid.dt_ev = 0.05 0.1\ngrid.dt_oft = 0.1 0.2\n",
+    )
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    assert len((out / "error_grid.csv").read_text().splitlines()) == 2 + 4
 
 
 def test_rejected_config_leaves_earlier_run_unchanged(tmp_path):

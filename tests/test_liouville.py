@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -6,6 +8,9 @@ import gibbsim as gs
 from gibbsim.errors import DegenerateChain, NonUniqueSteadyState, NotHermitian
 from gibbsim.liouville import (
     MarkovRestriction,
+    _generator_factors,
+    _hermitian_basis,
+    _real_form,
     apply_lindbladian,
     conductance_cheeger,
     markov_restriction,
@@ -73,9 +78,8 @@ def test_steady_state_is_valid_and_near_gibbs():
 
 def test_dissipation_free_generator_raises():
     setup = point_setup("CH", 3)
-    sup = gs.build_superop(setup["ham"], [np.zeros((8, 8))], [0.0])
     with pytest.raises(NonUniqueSteadyState) as err:
-        gs.steady_state_and_gap(sup)
+        gs.steady_state_and_gap(setup["ham"], [np.zeros((8, 8))], [0.0])
     assert err.value.zero_count == 8
 
 
@@ -155,7 +159,7 @@ def test_superop_and_gap_match_kron_eig_oracle(case):
     assert sup.matrix.dtype == complex and sup.matrix.shape == old.shape
     assert np.max(np.abs(sup.matrix - old)) <= 1e-12
     gap, zero_count, rho, evals = eig_steady_state_and_gap(old)
-    result = gs.steady_state_and_gap(sup)
+    result = gs.steady_state_and_gap(coherent, ls, gammas)
     assert result.zero_count == zero_count == 1
     cost = np.abs(evals[:, None] - result.eigenvalues[None, :])
     rows, cols = linear_sum_assignment(cost)
@@ -185,7 +189,7 @@ def test_non_unique_cases_match_eig_oracle(case):
     with pytest.raises(NonUniqueSteadyState) as expected:
         eig_steady_state_and_gap(old)
     with pytest.raises(NonUniqueSteadyState) as err:
-        gs.steady_state_and_gap(sup)
+        gs.steady_state_and_gap(coherent, ls, gammas)
     assert err.value.zero_count == expected.value.zero_count > 1
 
 
@@ -198,7 +202,68 @@ def test_non_hermitian_coherent_term_raises(rng):
     sup = gs.build_superop(g, ls, gammas)
     assert np.max(np.abs(sup.matrix - kron_superop(g, ls, gammas))) <= 1e-12
     with pytest.raises(NotHermitian):
-        gs.steady_state_and_gap(sup)
+        gs.steady_state_and_gap(g, ls, gammas)
+
+
+def hermitian_basis_unitary(d):
+    """Dense U with columns vec(E_ii), then vec((E_ij + E_ji)/sqrt2) and
+    vec(i(E_ij - E_ji)/sqrt2) over the pairs i < j in row-major order."""
+
+    def unit(i, j):
+        m = np.zeros((d, d), dtype=complex)
+        m[i, j] = 1.0
+        return m
+
+    pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    cols = [vec(unit(i, i)) for i in range(d)]
+    cols += [vec(unit(i, j) + unit(j, i)) / np.sqrt(2) for i, j in pairs]
+    cols += [vec(1j * (unit(i, j) - unit(j, i))) / np.sqrt(2) for i, j in pairs]
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("kind", ["none", "hermitian", "non-hermitian"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_real_form_matches_dense_basis_change(n, kind):
+    # R, built from the operators without S, against U^dag S U with S from
+    # build_superop and U written out densely.
+    s = lindblad_setup("CH", n, 12, seed=3)
+    d = 2**n
+    gammas = np.linspace(0.2, 1.0, 12)
+    ls = list(s["lindblads"])
+    rng = np.random.default_rng(n)
+    coherent = {
+        "none": None,
+        "hermitian": s["ham"],
+        "non-hermitian": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
+    }[kind]
+    u = hermitian_basis_unitary(d)
+    dense = u.conj().T @ gs.build_superop(coherent, ls, gammas).matrix @ u
+    r, imag = _real_form(_generator_factors(coherent, ls, gammas), _hermitian_basis(d))
+    # 1e-15 per unit of max|U^dag S U|: the dense product sums each entry's
+    # four terms in another order, which moves entries near 8 by one ulp.
+    tol = 1e-15 * max(1.0, float(np.max(np.abs(dense))))
+    assert np.max(np.abs(r - dense.real)) <= tol
+    assert abs(imag - np.max(np.abs(dense.imag))) <= tol
+    if kind == "non-hermitian":
+        assert imag > 0.1
+        with pytest.raises(NotHermitian):
+            gs.steady_state_and_gap(coherent, ls, gammas)
+    else:
+        assert imag <= 1e-15
+
+
+def test_gap_holds_less_than_one_complex_superoperator():
+    # At n = 5 the complex superoperator alone is 16 D^4 bytes (16 MiB); the
+    # gap path holds the real form R (8 D^4) and row-block temporaries.
+    setup = lindblad_setup("CH", 5, 20)
+    ls = list(setup["lindblads"])
+    tracemalloc.start()
+    try:
+        gs.steady_state_and_gap(setup["ham"], ls, setup["gammas"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 32**4
 
 
 # ------------------------------------------------------------ coherent term
@@ -236,8 +301,8 @@ def test_steady_state_unchanged_by_commuting_coherent_addition():
     setup = lindblad_setup("CH", 3, 10)
     g_ckg = gs.ckg_coherent_term(setup["jump_set"], setup["spec"], F, setup["bohr"])
     ls, gm = list(setup["lindblads"]), setup["gammas"]
-    r1 = gs.steady_state_and_gap(gs.build_superop(g_ckg, ls, gm))
-    r2 = gs.steady_state_and_gap(gs.build_superop(g_ckg + setup["ham"], ls, gm))
+    r1 = gs.steady_state_and_gap(g_ckg, ls, gm)
+    r2 = gs.steady_state_and_gap(g_ckg + setup["ham"], ls, gm)
     assert gs.trace_distance(r1.steady_state, r2.steady_state) < 1e-8
     assert gs.trace_distance(r1.steady_state, setup["sigma"]) < 1e-10
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,39 @@ def test_bohr_negation_symmetry_and_zero(key, n):
     nu = setup["bohr"].pair_frequencies()
     raw = setup["spec"].values[:, None] - setup["spec"].values[None, :]
     assert np.max(np.abs(nu - raw)) < 1e-6
+
+
+def greedy_cluster_reps(w, tol):
+    """Nonnegative Bohr frequencies by the value-by-value greedy rule: a
+    cluster of the sorted |E_i - E_j| runs from its start while values stay
+    within tol of it, and is represented by its mean; the first is pinned to 0."""
+    pos = np.sort(np.unique(np.abs(w[:, None] - w[None, :]).ravel()))
+    reps = []
+    start = 0
+    for k in range(1, len(pos) + 1):
+        if k == len(pos) or pos[k] - pos[start] > tol:
+            reps.append(pos[start:k].mean())
+            start = k
+    reps[0] = 0.0
+    return np.array(reps), pos
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bohr_clusters_match_greedy_loop(seed):
+    # Random levels plus planted chains whose neighbours sit 0.3-0.9 tol
+    # apart, so runs of close differences span more than tol and the greedy
+    # rule has to split them.
+    rng = np.random.default_rng(seed)
+    tol = 1e-3
+    levels = [rng.uniform(-5.0, 5.0, 12)]
+    for _ in range(3):
+        levels.append(rng.uniform(-5.0, 5.0) + tol * np.cumsum(rng.uniform(0.3, 0.9, 6)))
+    w = np.sort(np.concatenate(levels))
+    reps, pos = greedy_cluster_reps(w, tol)
+    assert len(reps) > np.sum(np.diff(pos) > tol) + 1  # some run was split
+    bohr = gs.bohr_frequencies(SimpleNamespace(values=w), tol=tol)
+    assert np.array_equal(bohr.frequencies[bohr.count // 2 :], reps)
+    assert np.array_equal(bohr.frequencies, -bohr.frequencies[::-1])
 
 
 @pytest.mark.parametrize("n", [4, 5])

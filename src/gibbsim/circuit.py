@@ -160,7 +160,7 @@ class _CoherentFactory:
         return np.linalg.matrix_power(step, substeps)
 
 
-def step_V(a, cfg, ham, ham_split=None):
+def step_V(a, cfg, spec, ham_split=None):
     """Second-order product formula for the dilated dissipative step.
 
     Interleaves the closed-form ancilla rotations B_s with coherent steps
@@ -168,18 +168,17 @@ def step_V(a, cfg, ham, ham_split=None):
     s = -S..S, the backward pass e^{-iH Dt} B_s for s = S..-S.  The OFT
     boundary factors e^{-+iHS Dt} cancel between consecutive protocol steps
     and are dropped, so V approximates the exponential of the dilation
-    conjugated by e^{iHS Dt}; `step_v_reference` builds that target.
+    conjugated by e^{iHS Dt}; `step_v_reference` builds that target.  `spec`
+    is the Hamiltonian's `Spectrum`.
     """
-    spec = ham if hasattr(ham, "values") else eig_hermitian(ham)
     return _build_step_v(a, cfg, _CoherentFactory(spec, cfg.coherent_mode, ham_split))
 
 
-def step_v_reference(a, cfg, ham):
+def step_v_reference(a, cfg, spec):
     """Dense-exponential target of step_V: the boundary-conjugated
     e^{-i sqrt(dt_ev gamma) K_bar}, exact up to the product-formula error."""
     from .jumps import lindblad_op_discretized
 
-    spec = ham if hasattr(ham, "values") else eig_hermitian(ham)
     f = FilterSpec(cfg.beta)
     lbar = lindblad_op_discretized(a, spec, f, cfg.T, cfg.oft_steps)
     kbar = dilation_discrete(lbar)

@@ -9,6 +9,7 @@ when there was none.
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import os
 import sys
@@ -40,6 +41,7 @@ from .noisefit import (
     bound_unitary_comparison,
     fit_convergence,
     fit_error_model,
+    in_fit_domain,
 )
 from .numkernel import eig_hermitian, trace_distance
 
@@ -192,16 +194,22 @@ def _counts(cfg, key, default):
     return counts
 
 
-def _jump_setup(cfg, params, beta):
-    k, count = _jump_keys(cfg, params.n, 20)
-    seed = _get(cfg, "seed", int, 0)
-    jump_set = sample_jump_set(params.n, k, count, seed)
+def _chain(params, beta):
+    """H, its spectrum and its Gibbs state at beta."""
     ham = build_hamiltonian(params)
     spec = eig_hermitian(ham)
+    return ham, spec, gibbs_state(spec, beta)
+
+
+def _jump_family(params, beta, k, count, seed):
+    """H and its Gibbs state, with a sampled k-local jump set and its exact
+    OFT Lindblad operators."""
+    ham, spec, sigma = _chain(params, beta)
+    jump_set = sample_jump_set(params.n, k, count, seed)
     bohr = bohr_frequencies(spec)
     f = FilterSpec(beta)
     lindblads = [lindblad_op_exact(a, spec, f, bohr) for a in jump_set]
-    return ham, spec, bohr, f, jump_set, lindblads
+    return ham, sigma, jump_set, lindblads
 
 
 @experiment("spectrum")
@@ -255,18 +263,25 @@ def run_chaos_scan(cfg, out_dir, threads):
     )
 
 
+def _evolve(cfg, params, beta):
+    """The randomized evolution from the maximally mixed state that `evolve`
+    and `noise-bounds` run; returns its record and jump set."""
+    k, count = _jump_keys(cfg, params.n, 20)
+    solver = _solver_config(cfg, params)
+    ham, sigma, jump_set, lindblads = _jump_family(
+        params, beta, k, count, _get(cfg, "seed", int, 0)
+    )
+    record = evolve_randomized(ham, lindblads, maximally_mixed(params.n), solver, sigma)
+    return record, jump_set
+
+
 @experiment("evolve")
 def run_evolve(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
     eps = _get(cfg, "eps", float, 1e-2)
     if not eps > 0:
         raise ConfigError(f"eps = {eps} must be positive")
-    ham, spec, bohr, f, jump_set, lindblads = _jump_setup(cfg, params, beta)
-    target = gibbs_state(spec, beta)
-    solver = _solver_config(cfg, params)
-    record = evolve_randomized(
-        ham, jump_set, f, maximally_mixed(params.n), solver, target, lindblads=lindblads
-    )
+    record, jump_set = _evolve(cfg, params, beta)
     record.to_csv(os.path.join(out_dir, "distances.csv"))
     _atomic_write(
         os.path.join(out_dir, "jumps.txt"), jump_set_to_text(jump_set, _get(cfg, "seed", int, 0))
@@ -284,17 +299,9 @@ def run_evolve(cfg, out_dir, threads):
 
 
 def _gap_point(args):
-    (params_args, beta, count, k, seed) = args
-    params = IsingParams(**params_args)
-    ham = build_hamiltonian(params)
-    spec = eig_hermitian(ham)
-    bohr = bohr_frequencies(spec)
-    f = FilterSpec(beta)
-    jump_set = sample_jump_set(params.n, k, count, seed)
-    lindblads = [lindblad_op_exact(a, spec, f, bohr) for a in jump_set]
-    gammas = np.full(count, 1.0 / count)
-    result = steady_state_and_gap(ham, lindblads, gammas)
-    sigma = gibbs_state(spec, beta)
+    params, beta, k, count, seed = args
+    ham, sigma, _, lindblads = _jump_family(params, beta, k, count, seed)
+    result = steady_state_and_gap(ham, lindblads, np.full(count, 1.0 / count))
     return (
         params.n,
         count,
@@ -304,23 +311,30 @@ def _gap_point(args):
     )
 
 
+def _gap_rows(cfg, params, beta, n_values, default_counts, threads):
+    """One `_gap_point` row per (n, grid.jumps entry).  Every config key is
+    checked before the GAP_QUBIT_CEILING check, so a config error exits 2
+    whatever the size."""
+    counts = _counts(cfg, "grid.jumps", default_counts)
+    k, _ = _jump_keys(cfg, min(n_values), 20)
+    if max(n_values) > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
+        raise ResourceCeiling(
+            f"Liouvillian eigensolve beyond n={GAP_QUBIT_CEILING} requires allow_large = true"
+        )
+    seed = _get(cfg, "seed", int, 0)
+    tasks = [
+        (dataclasses.replace(params, n=n), beta, k, count, seed)
+        for n in n_values
+        for count in counts
+    ]
+    return _map_maybe_parallel(_gap_point, tasks, threads)
+
+
 @experiment("gap-scan")
 def run_gap_scan(cfg, out_dir, threads):
     params, beta = resolve_model({**cfg, "n": cfg.get("n", "3")})
     n_values = _counts(cfg, "grid.n", [3, 4, 5])
-    counts = _counts(cfg, "grid.jumps", [20])
-    if max(n_values) > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
-        raise ResourceCeiling(
-            f"gap computation beyond n={GAP_QUBIT_CEILING} requires allow_large = true"
-        )
-    k, _ = _jump_keys(cfg, min(n_values), 20)
-    seed = _get(cfg, "seed", int, 0)
-    tasks = []
-    for n in n_values:
-        for count in counts:
-            pa = {"n": n, "J": params.J, "h": params.h, "m": params.m}
-            tasks.append((pa, beta, count, k, seed))
-    rows = _map_maybe_parallel(_gap_point, tasks, threads)
+    rows = _gap_rows(cfg, params, beta, n_values, [20], threads)
     write_csv(
         os.path.join(out_dir, "gaps.csv"),
         "gap in J, distance dimensionless",
@@ -332,16 +346,7 @@ def run_gap_scan(cfg, out_dir, threads):
 @experiment("accuracy-scan")
 def run_accuracy_scan(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
-    counts = _counts(cfg, "grid.jumps", [5, 10, 20, 50, 100])
-    k, _ = _jump_keys(cfg, params.n, 20)
-    seed = _get(cfg, "seed", int, 0)
-    if params.n > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
-        raise ResourceCeiling(
-            f"steady-state eigensolve beyond n={GAP_QUBIT_CEILING} requires allow_large = true"
-        )
-    pa = {"n": params.n, "J": params.J, "h": params.h, "m": params.m}
-    tasks = [(pa, beta, count, k, seed) for count in counts]
-    rows = _map_maybe_parallel(_gap_point, tasks, threads)
+    rows = _gap_rows(cfg, params, beta, [params.n], [5, 10, 20, 50, 100], threads)
     write_csv(
         os.path.join(out_dir, "accuracy.csv"),
         "distance dimensionless",
@@ -396,14 +401,24 @@ def _simulate(params, ham, circuit_cfg, noise, target):
     return simulate_protocol(ham, circuit_cfg, noise, target, ham_split=split)
 
 
+def _plateau_grid(params, chain, runs, threads):
+    """Plateau distance of the protocol at each (CircuitConfig, NoiseSpec)
+    run.  Callers build every run first, so that a rejected grid value
+    exits 2 before the first simulation."""
+    ham, _, target = chain
+
+    def one(run):
+        return plateau_level(_simulate(params, ham, *run, target))
+
+    return _map_maybe_parallel(one, runs, threads)
+
+
 @experiment("circuit")
 def run_circuit(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
     circuit_cfg = _circuit_config(cfg, params.n, beta)
     noise = _noise_spec(cfg, params.n)
-    ham = build_hamiltonian(params)
-    spec = eig_hermitian(ham)
-    target = gibbs_state(spec, beta)
+    ham, _, target = _chain(params, beta)
     record = _simulate(params, ham, circuit_cfg, noise, target)
     record.to_csv(os.path.join(out_dir, "circuit_distances.csv"))
     write_json(
@@ -424,20 +439,16 @@ def run_circuit_noise(cfg, out_dir, threads):
     dt_evs = _list(cfg, "grid.dt_ev", float, [1.0, 3.0, 5.0])
     if any(lam_g != 0 for lam_g in lambdas):
         _check_pair_noise(params.n, "grid.lambda_g > 0")
-    ham = build_hamiltonian(params)
-    spec = eig_hermitian(ham)
-    target = gibbs_state(spec, beta)
-
-    def one(point):
-        lam_g, dt_ev = point
-        circuit_cfg = _circuit_config({**cfg, "circuit.dt_ev": repr(dt_ev)}, params.n, beta)
-        kind = "none" if lam_g == 0 else "depolarizing_budget"
-        noise = _validated(NoiseSpec, kind=kind, lambda_g=lam_g)
-        record = _simulate(params, ham, circuit_cfg, noise, target)
-        return (lam_g, dt_ev, circuit_cfg.dt_oft, plateau_level(record))
-
-    points = [(lam_g, dt_ev) for lam_g in lambdas for dt_ev in dt_evs]
-    rows = _map_maybe_parallel(one, points, threads)
+    runs = [
+        (
+            _circuit_config({**cfg, "circuit.dt_ev": repr(dt_ev)}, params.n, beta),
+            _validated(NoiseSpec, kind="depolarizing_budget" if lam_g else "none", lambda_g=lam_g),
+        )
+        for lam_g in lambdas
+        for dt_ev in dt_evs
+    ]
+    plateaus = _plateau_grid(params, _chain(params, beta), runs, threads)
+    rows = [(noise.lambda_g, c.dt_ev, c.dt_oft, p) for (c, noise), p in zip(runs, plateaus)]
     write_csv(
         os.path.join(out_dir, "noise_grid.csv"),
         "times in 1/J, probabilities dimensionless",
@@ -455,12 +466,7 @@ def run_noise_bounds(cfg, out_dir, threads):
     n_g = _get(cfg, "noise.n_g", int, 50 * params.n)
     if not n_g >= 1:
         raise ConfigError(f"noise.n_g = {n_g} must be at least 1")
-    ham, spec, bohr, f, jump_set, lindblads = _jump_setup(cfg, params, beta)
-    target = gibbs_state(spec, beta)
-    solver = _solver_config(cfg, params)
-    record = evolve_randomized(
-        ham, jump_set, f, maximally_mixed(params.n), solver, target, lindblads=lindblads
-    )
+    record, _ = _evolve(cfg, params, beta)
     steps = record.times / record.final_dt_rk
     fit = fit_convergence(steps, record.avg_distance)
     rows = []
@@ -490,27 +496,29 @@ def run_error_fit(cfg, out_dir, threads):
     params, beta = resolve_model(cfg)
     dt_evs = _list(cfg, "grid.dt_ev", float, [0.05, 0.1, 0.2, 0.3])
     dt_ofts = _list(cfg, "grid.dt_oft", float, [0.08, 0.12, 0.2, 0.3])
-    ham = build_hamiltonian(params)
-    spec = eig_hermitian(ham)
-    target = gibbs_state(spec, beta)
-
-    def one(point):
-        dt_ev, dt_oft = point
-        circuit_cfg = _circuit_config(
-            {**cfg, "circuit.dt_ev": repr(dt_ev), "circuit.dt_oft": repr(dt_oft)}, params.n, beta
+    overrides = [
+        {"circuit.dt_ev": repr(dt_ev), "circuit.dt_oft": repr(dt_oft)}
+        for dt_ev in dt_evs
+        for dt_oft in dt_ofts
+    ]
+    runs = [(_circuit_config({**cfg, **keys}, params.n, beta), NoiseSpec()) for keys in overrides]
+    chain = _chain(params, beta)
+    spec = chain[1]
+    h_norm = float(np.max(np.abs(spec.values)))
+    usable = sum(in_fit_domain(c.dt_ev, c.dt_oft, beta, h_norm) for c, _ in runs)
+    if usable < 4:
+        raise ConfigError(
+            f"grid.dt_ev and grid.dt_oft give {usable} usable points; the error fit needs "
+            "four with dt_ev <= 0.3, dt_oft <= 0.37 and a positive aliasing argument"
         )
-        record = _simulate(params, ham, circuit_cfg, NoiseSpec(kind="none"), target)
-        return (dt_ev, dt_oft, plateau_level(record))
-
-    points = [(dt_ev, dt_oft) for dt_ev in dt_evs for dt_oft in dt_ofts]
-    rows = _map_maybe_parallel(one, points, threads)
+    plateaus = _plateau_grid(params, chain, runs, threads)
+    rows = [(c.dt_ev, c.dt_oft, p) for (c, _), p in zip(runs, plateaus)]
     write_csv(
         os.path.join(out_dir, "error_grid.csv"),
         "times in 1/J",
         ["dt_ev", "dt_oft", "plateau_distance"],
         rows,
     )
-    h_norm = float(np.max(np.abs(spec.values)))
     bohr = bohr_frequencies(spec)
     fit = fit_error_model(
         rows, T=_get(cfg, "circuit.T", float, 1.6), beta=beta, h_norm=h_norm, bohr_count=bohr.count

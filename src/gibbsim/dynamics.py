@@ -3,7 +3,9 @@
 Three solvers share one record format: the randomized density-matrix RK4
 scheme (one jump operator sampled per step, Hermiticity-gated adaptive step),
 the exact full-Lindbladian RK4, and a Monte-Carlo wave-function unraveling
-used as a cross-check.  Times are in units of 1/J.
+used as a cross-check.  Times are in units of 1/J.  Each solver takes the
+prebuilt Lindblad operators as `(ham, lindblads, ...)`; the randomized
+scheme runs the sampled jump at unit rate, so it takes no weights.
 
 Both RK4 solvers, and the circuit protocol in `circuit.simulate_protocol`,
 run one trajectory loop, `_run_batched`: a batch of states advanced by a
@@ -16,8 +18,9 @@ Both RK4 solvers write the Lindblad generator in three products,
     L(rho) = sum_a gamma_a L_a rho L_a^dag + X + X^dag,   X = A rho,
     A = -iH - (1/2) sum_a gamma_a L_a^dag L_a,
 
-with A precomputed (per jump for the randomized scheme; summed for the
-exact one by `liouville.drift_operator`, which `build_superop` shares).
+with A precomputed (per jump, at gamma_a = 1, for the randomized scheme;
+summed for the exact one by `liouville.drift_operator`, which
+`build_superop` shares).
 This equals -i[H, rho] + sum_a gamma_a D^a(rho) exactly whenever rho is
 Hermitian, since then rho A^dag = (A rho)^dag.  Every RK4
 stage input is Hermitian in exact arithmetic: the state is symmetrized
@@ -32,10 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepUnderflow
-from .jumps import lindblad_op_exact
 from .liouville import drift_operator
-from .model import bohr_frequencies
-from .numkernel import eig_hermitian, trace_distance
+from .numkernel import trace_distance
 
 DT_FLOOR = 1e-6
 # mcwf_evolve splits each step into substeps of jump probability below this.
@@ -159,36 +160,19 @@ def _n_steps(cfg, dt):
     return n
 
 
-def _prepare_lindblads(ham, jump_set, f, lindblads):
-    if lindblads is None:
-        spec = eig_hermitian(ham)
-        bohr = bohr_frequencies(spec)
-        lindblads = [lindblad_op_exact(a, spec, f, bohr) for a in jump_set]
-    return np.stack(lindblads).astype(complex, copy=False)
-
-
-def evolve_randomized(
-    ham,
-    jump_set,
-    f,
-    rho0,
-    cfg,
-    target,
-    gamma=1.0,
-    lindblads=None,
-):
+def evolve_randomized(ham, lindblads, rho0, cfg, target):
     """Randomized dmRK4: one uniformly sampled jump operator per step.
 
-    Each trajectory evolves under L^a = -i[H, .] + gamma * D^a (a zero
-    `ham` leaves only the dissipator).  After every
-    step the state is checked element-wise for Hermiticity; a violation
-    halves the step and restarts every trajectory from rho0.  Surviving
-    states are symmetrized and trace-renormalized.
+    `lindblads` is the prebuilt operator stack, one operator per jump.  Each
+    trajectory evolves under L^a = -i[H, .] + D^a (a zero `ham` leaves only
+    the dissipator).  After every step the state is checked element-wise for
+    Hermiticity; a violation halves the step and restarts every trajectory
+    from rho0.  Surviving states are symmetrized and trace-renormalized.
     """
-    l_ops = _prepare_lindblads(ham, jump_set, f, lindblads)
+    l_ops = np.stack(lindblads).astype(complex, copy=False)
     l_dag = l_ops.conj().transpose(0, 2, 1)
     a_ops = np.matmul(l_dag, l_ops)
-    a_ops *= -0.5 * gamma
+    a_ops *= -0.5
     a_ops -= 1j * np.asarray(ham, dtype=complex)
     n_jump = l_ops.shape[0]
 
@@ -197,8 +181,6 @@ def evolve_randomized(
 
         def generator(rho):
             out = np.matmul(l_sel, np.matmul(rho, l_dag_sel))
-            if gamma != 1.0:
-                out *= gamma
             return _add_hermitian_part(out, a_sel, rho)
 
         return generator

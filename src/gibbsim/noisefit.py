@@ -176,12 +176,23 @@ def fit_effective_gates(noisy_plateaus, fit, d0):
     return float(math.exp(res.x))
 
 
+def _alias_argument(dt_oft, beta, h_norm):
+    """2 pi beta/Dt - 2 beta ||H|| - 1, the aliasing exponent's argument."""
+    return 2.0 * math.pi * beta / dt_oft - 2.0 * beta * h_norm - 1.0
+
+
+def in_fit_domain(dt_ev, dt_oft, beta, h_norm):
+    """Whether a grid point lies in the validity domain of the error model:
+    dt_ev <= 0.3, dt_oft <= 0.37 and a positive aliasing argument."""
+    return dt_ev <= 0.3 and dt_oft <= 0.37 and _alias_argument(dt_oft, beta, h_norm) > 0
+
+
 def error_model(params, dt_ev, dt_oft, T, beta, h_norm, bohr_count):
     """Algorithmic-error ansatz
     a1 + a2 dt + a3 T Dt^2/dt + a4 sqrt(beta)|B_H| e^{-(2 pi beta/Dt - 2 beta ||H|| - 1)^2 / 8}."""
     dt_ev = np.asarray(dt_ev, dtype=float)
     dt_oft = np.asarray(dt_oft, dtype=float)
-    arg = 2.0 * math.pi * beta / dt_oft - 2.0 * beta * h_norm - 1.0
+    arg = _alias_argument(dt_oft, beta, h_norm)
     alias = math.sqrt(beta) * bohr_count * np.exp(-np.minimum(arg, 700.0) ** 2 / 8.0)
     return params.a1 + params.a2 * dt_ev + params.a3 * T * dt_oft**2 / dt_ev + params.a4 * alias
 
@@ -190,18 +201,15 @@ def fit_error_model(grid, T, beta, h_norm, bohr_count):
     """Fit the four error coefficients in log10 space.
 
     `grid` is a list of (dt_ev, dt_oft, plateau_distance) triples.  Points
-    outside the validity domain (dt_ev > 0.3, dt_oft > 0.37, or
-    where the aliasing exponent argument is not positive) are excluded.
+    outside the validity domain of `in_fit_domain` are excluded.
     """
     from scipy import optimize
 
-    pts = []
-    for dt_ev, dt_oft, dist in grid:
-        if dt_ev > 0.3 or dt_oft > 0.37:
-            continue
-        if 2.0 * math.pi * beta / dt_oft - 2.0 * beta * h_norm - 1.0 <= 0:
-            continue
-        pts.append((float(dt_ev), float(dt_oft), float(dist)))
+    pts = [
+        (float(dt_ev), float(dt_oft), float(dist))
+        for dt_ev, dt_oft, dist in grid
+        if in_fit_domain(dt_ev, dt_oft, beta, h_norm)
+    ]
     if len(pts) < 4:
         raise ValueError("fewer than four usable grid points")
     dt_ev = np.array([p[0] for p in pts])
@@ -215,7 +223,7 @@ def fit_error_model(grid, T, beta, h_norm, bohr_count):
             T * dt_oft**2 / dt_ev,
             math.sqrt(beta)
             * bohr_count
-            * np.exp(-((2.0 * math.pi * beta / dt_oft - 2.0 * beta * h_norm - 1.0) ** 2) / 8.0),
+            * np.exp(-(_alias_argument(dt_oft, beta, h_norm) ** 2) / 8.0),
         ]
     )
     target = np.log10(dist)

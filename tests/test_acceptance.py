@@ -38,8 +38,7 @@ def mixing_record(key, n, t_max, stop_below, seed=5):
         grid_points=2000,
     )
     return gs.evolve_randomized(
-        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(n), cfg,
-        setup["sigma"], lindblads=list(setup["lindblads"]),
+        setup["ham"], list(setup["lindblads"]), gs.maximally_mixed(n), cfg, setup["sigma"],
     )
 
 
@@ -198,24 +197,20 @@ def test_criterion_05_mixing_time_scaling():
 # =====================================================================
 def test_criterion_06_solver_stability_gate():
     setup = lindblad_setup("CH", 5, 20)
-    args = (setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(5))
+    args = (setup["ham"], list(setup["lindblads"]), gs.maximally_mixed(5))
 
     cfg = gs.SolverConfig(dt_rk0=0.25, n_traj=10, t_max=30.0, seed=3)
-    rec = gs.evolve_randomized(*args, cfg, setup["sigma"], lindblads=list(setup["lindblads"]))
+    rec = gs.evolve_randomized(*args, cfg, setup["sigma"])
     assert rec.final_dt_rk == pytest.approx(0.125)
     assert rec.halvings == 1
 
     cfg_low = gs.SolverConfig(dt_rk0=0.2, n_traj=4, t_max=40.0, seed=3)
-    rec_low = gs.evolve_randomized(
-        *args, cfg_low, setup["sigma"], lindblads=list(setup["lindblads"])
-    )
+    rec_low = gs.evolve_randomized(*args, cfg_low, setup["sigma"])
     assert rec_low.halvings == 0
     assert rec_low.avg_distance[-1] < rec_low.avg_distance[0]
 
     cfg_high = gs.SolverConfig(dt_rk0=0.3, n_traj=4, t_max=40.0, seed=3)
-    rec_high = gs.evolve_randomized(
-        *args, cfg_high, setup["sigma"], lindblads=list(setup["lindblads"])
-    )
+    rec_high = gs.evolve_randomized(*args, cfg_high, setup["sigma"])
     assert rec_high.halvings >= 1
     report(
         6,
@@ -481,8 +476,7 @@ def test_criterion_15_cross_solver_consistency():
         grid_points=50, store_traj_states=True,
     )
     rec_dm = gs.evolve_randomized(
-        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(4), cfg_dm,
-        setup["sigma"], lindblads=list(setup["lindblads"]),
+        setup["ham"], list(setup["lindblads"]), gs.maximally_mixed(4), cfg_dm, setup["sigma"],
     )
     cfg_mc = gs.SolverConfig(dt_rk0=0.2, n_traj=500, t_max=t_max, seed=5, grid_points=50)
     rec_mc = gs.mcwf_evolve(

@@ -148,11 +148,12 @@ def test_step_v_trotter2_matches_exact_at_high_order():
     ham = gs.build_hamiltonian(params)
     a = gs.sample_jump_set(2, 2, 1, seed=1)[0]
     kwargs = dict(dt_ev=0.1, dt_oft=0.2, T=1.6, jump_count=1, seed=1, beta=BETA)
-    v_exact = gs.step_V(a, CircuitConfig(coherent_mode="exact", **kwargs), ham)
+    spec = gs.eig_hermitian(ham)
+    v_exact = gs.step_V(a, CircuitConfig(coherent_mode="exact", **kwargs), spec)
     v_trott = gs.step_V(
         a,
         CircuitConfig(coherent_mode="trotter2", r_delta=400, r_big=400, **kwargs),
-        ham,
+        spec,
         ham_split=gs.ising_split(params),
     )
     assert np.max(np.abs(v_exact - v_trott)) < 1e-6
@@ -351,8 +352,7 @@ def test_grid_points_zero_records_every_step():
     assert rec.per_traj_distance.shape == (2, cfg.n_steps + 1)
     solver = gs.SolverConfig(dt_rk0=0.25, n_traj=2, t_max=2.0, grid_points=0)
     rec_rk = gs.evolve_randomized(
-        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(3), solver,
-        setup["sigma"], lindblads=list(setup["lindblads"]),
+        setup["ham"], list(setup["lindblads"]), gs.maximally_mixed(3), solver, setup["sigma"],
     )
     assert len(rec_rk.times) == rec_rk.meta["n_steps"] + 1 == 9
 

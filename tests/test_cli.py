@@ -256,6 +256,7 @@ NOISE_BOUNDS_N3 = (
 )
 CHAOS_N3 = "experiment = chaos-scan\nn = 3\ngrid.h = 0.5\ngrid.m = 0.4\n"
 CIRCUIT_N1 = CIRCUIT_N3.replace("n = 3", "n = 1") + "jumps.k = 1\n"
+ERROR_FIT_N1 = CIRCUIT_N1.replace("experiment = circuit", "experiment = error-fit")
 CIRCUIT_NOISE_N1 = (
     "experiment = circuit-noise\npoint = CH\nn = 1\njumps.k = 1\njumps.count = 4\n"
     "circuit.dt_oft = 0.2\ncircuit.t_max = 5\ncircuit.n_rep = 2\ngrid.dt_ev = 1.0\n"
@@ -290,6 +291,8 @@ REJECTED_VALUES = {
     "gap-scan.grid.n": "experiment = gap-scan\npoint = CH\ngrid.n = 3 0\n",
     "circuit.noise.n1": CIRCUIT_N1 + "noise.kind = depolarizing_budget\nnoise.lambda_g = 0.001\n",
     "circuit-noise.n1": CIRCUIT_NOISE_N1,
+    # dt_ev = 0.5 is outside the error model's domain, so no grid point is usable
+    "error-fit.usable": ERROR_FIT_N1 + "grid.dt_ev = 0.5\ngrid.dt_oft = 0.2\n",
 }
 
 
@@ -316,6 +319,7 @@ REJECTED_VALUES = {
         ("experiment = evolve\npoint = CH\nn = 3\njumps.count = 0\n", 2, ()),
         ("experiment = gap-scan\npoint = CH\ngrid.n = 3 4\njumps.k = 4\n", 2, ()),
         ("experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 0\n", 2, ()),
+        ("experiment = gap-scan\npoint = CH\ngrid.n = 7\njumps.k = 9\n", 2, ()),
         ("experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 0\n", 2, ()),
         (CIRCUIT_N3 + "seed = -1\n", 2, ()),
         (CIRCUIT_N3, 2, ("--seed", "-1")),
@@ -327,7 +331,8 @@ REJECTED_VALUES = {
         "ok", "dt_ev", "coherent_mode", "lambda_g", "n", "n_traj", "grid.lambda_g", "ceiling",
         "circuit.grid_points", "circuit.jumps.k", "circuit.jumps.count", "evolve.jumps.k",
         "evolve.jumps.count", "gap-scan.jumps.k", "gap-scan.grid.jumps",
-        "accuracy-scan.grid.jumps", "seed", "cli.seed", "circuit.t_max", "solver.t_max",
+        "gap-scan.jumps.k.beyond-ceiling", "accuracy-scan.grid.jumps", "seed", "cli.seed",
+        "circuit.t_max", "solver.t_max",
         *REJECTED_VALUES,
     ],
 )
@@ -359,7 +364,7 @@ def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
 
 @pytest.mark.parametrize(
     "key",
-    ["gap-scan.grid.n", "circuit.noise.n1", "circuit-noise.n1"],
+    ["gap-scan.grid.n", "circuit.noise.n1", "circuit-noise.n1", "error-fit.usable"],
 )
 def test_rejected_value_is_named(tmp_path, capsys, key):
     # the message names the key at fault, and an earlier run is left as it was
@@ -374,6 +379,7 @@ def test_rejected_value_is_named(tmp_path, capsys, key):
         "gap-scan.grid.n": "grid.n = 3 0",
         "circuit.noise.n1": "noise.kind = depolarizing_budget",
         "circuit-noise.n1": "grid.lambda_g",
+        "error-fit.usable": "grid.dt_ev and grid.dt_oft",
     }[key]
     assert named in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
@@ -383,13 +389,29 @@ def test_error_fit_reads_no_noise_keys(tmp_path):
     # error-fit always runs noiseless, so a pair-noise kind does not bar n = 1
     cfg = write_cfg(
         tmp_path, "ef.cfg",
-        CIRCUIT_N1.replace("experiment = circuit", "experiment = error-fit")
-        + "noise.kind = depolarizing_budget\nnoise.lambda_g = 0.001\n"
+        ERROR_FIT_N1 + "noise.kind = depolarizing_budget\nnoise.lambda_g = 0.001\n"
         "grid.dt_ev = 0.05 0.1\ngrid.dt_oft = 0.1 0.2\n",
     )
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == 0
     assert len((out / "error_grid.csv").read_text().splitlines()) == 2 + 4
+
+
+@pytest.mark.parametrize("experiment", ["circuit-noise", "error-fit"])
+def test_grid_values_checked_before_first_simulation(tmp_path, monkeypatch, experiment):
+    # a bad value at a later grid point exits 2 before any point runs
+    calls = []
+    simulate = gibbsim.cli.simulate_protocol
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(gibbsim.cli, "simulate_protocol", counted)
+    text = CIRCUIT_N3.replace("experiment = circuit", f"experiment = {experiment}")
+    cfg = write_cfg(tmp_path, "run.cfg", text + "grid.lambda_g = 0\ngrid.dt_ev = 1.0 -1\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert calls == []
 
 
 def test_rejected_config_leaves_earlier_run_unchanged(tmp_path):

@@ -88,8 +88,7 @@ def test_gap_vs_mixing_time_bound():
     setup = gap_setup("CH", 3, 20)
     cfg = gs.SolverConfig(dt_rk0=0.25, n_traj=10, t_max=400.0, seed=5, stop_below=0.005)
     rec = gs.evolve_randomized(
-        setup["ham"], list(setup["jump_set"]), F, gs.maximally_mixed(3), cfg,
-        setup["sigma"], lindblads=list(setup["lindblads"]),
+        setup["ham"], list(setup["lindblads"]), gs.maximally_mixed(3), cfg, setup["sigma"],
     )
     est = gs.mixing_time_estimate(rec, eps=1e-2)
     assert est is not gs.NOT_CONVERGED

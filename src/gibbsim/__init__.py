@@ -61,7 +61,6 @@ from .circuit import (
     CircuitConfig,
     NoiseSpec,
     apply_noise,
-    b_gate,
     dilation_discrete,
     gate_count,
     plateau_level,

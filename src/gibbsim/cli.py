@@ -174,12 +174,18 @@ def _solver_config(cfg, params, default_dt=None):
     )
 
 
-def _jump_keys(cfg, n, count_default):
-    """jumps.k and jumps.count, checked for an n-qubit chain."""
+def _jump_k(cfg, n):
+    """jumps.k, checked for an n-qubit chain."""
     k = _get(cfg, "jumps.k", int, 2)
-    count = _get(cfg, "jumps.count", int, count_default)
     if not 1 <= k <= n:
         raise ConfigError(f"jumps.k = {k} outside [1, {n}]")
+    return k
+
+
+def _jump_keys(cfg, n, count_default):
+    """jumps.k and jumps.count, checked for an n-qubit chain."""
+    k = _jump_k(cfg, n)
+    count = _get(cfg, "jumps.count", int, count_default)
     if count < 1:
         raise ConfigError(f"jumps.count = {count} must be at least 1")
     return k, count
@@ -312,11 +318,12 @@ def _gap_point(args):
 
 
 def _gap_rows(cfg, params, beta, n_values, default_counts, threads):
-    """One `_gap_point` row per (n, grid.jumps entry).  Every config key is
-    checked before the GAP_QUBIT_CEILING check, so a config error exits 2
-    whatever the size."""
+    """One `_gap_point` row per (n, grid.jumps entry); `grid.jumps` sets the
+    jump counts, so `jumps.count` is not read.  Every config key is checked
+    before the GAP_QUBIT_CEILING check, so a config error exits 2 whatever
+    the size."""
     counts = _counts(cfg, "grid.jumps", default_counts)
-    k, _ = _jump_keys(cfg, min(n_values), 20)
+    k = _jump_k(cfg, min(n_values))
     if max(n_values) > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
         raise ResourceCeiling(
             f"Liouvillian eigensolve beyond n={GAP_QUBIT_CEILING} requires allow_large = true"

@@ -46,6 +46,24 @@ class PauliString:
             factors[s] = PAULIS[l]
         return kron_all(factors)
 
+    def signed_permutation(self):
+        """The one nonzero of each row of `matrix()`: (cols, phases) with
+        A[r, cols[r]] = phases[r], a power of i.  X and Y flip their site's
+        bit; Y contributes -i or +i and Z +1 or -1 by the row's bit."""
+        rows = np.arange(1 << self.n)
+        cols = rows.copy()
+        phases = np.ones(rows.shape, dtype=complex)
+        for site, letter in zip(self.sites, self.letters):
+            mask = 1 << (self.n - 1 - site)
+            bit = (rows & mask) != 0
+            if letter != "Z":
+                cols ^= mask
+            if letter == "Y":
+                phases *= np.where(bit, 1j, -1j)
+            elif letter == "Z":
+                phases *= np.where(bit, -1.0, 1.0)
+        return cols, phases
+
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.matrix(), dtype=dtype)
 

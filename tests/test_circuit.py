@@ -13,11 +13,52 @@ from gibbsim.circuit import (
     step_v_reference,
 )
 from gibbsim.liouville import apply_lindbladian, unvec, vec
-from gibbsim.numkernel import PAULI_X
+from gibbsim.numkernel import PAULI_I, PAULI_X
 
 from conftest import BETA, lindblad_setup, point_setup, random_density_matrix
 
 F = gs.FilterSpec(BETA)
+
+
+def b_gate(a, g_s, weight, dt_ev, gamma):
+    """Dense B_s = exp[-i (sqrt(dt gamma)/2) weight (Re g X_anc + Im g Y_anc) (x) A].
+
+    The generator squares to a multiple of the identity, so the exponential
+    is evaluated in closed form.
+    """
+    amat = np.asarray(a)
+    dim = 2 * amat.shape[0]
+    mag = abs(g_s)
+    theta = 0.5 * math.sqrt(dt_ev * gamma) * weight * mag
+    if theta == 0.0:
+        return np.eye(dim, dtype=complex)
+    direction = np.array(
+        [[0.0, g_s.conjugate()], [g_s, 0.0]], dtype=complex
+    ) / mag  # (Re g) X + (Im g) Y on the ancilla
+    gen = gs.kron(direction, amat)
+    return math.cos(theta) * np.eye(dim, dtype=complex) - 1j * math.sin(theta) * gen
+
+
+def dense_step_v(a, cfg, coherent):
+    """V^a as the left-to-right product of dense 2D x 2D factors: the forward
+    pass B_s e^{+iH Dt} for s = -S..S times the backward pass e^{-iH Dt} B_s
+    for s = S..-S."""
+    s_max, dt = cfg.oft_steps, cfg.dt_oft_effective
+    amat = np.asarray(a)
+    dim = 2 * amat.shape[0]
+    u_plus = gs.kron(PAULI_I, coherent.unitary(-dt, cfg.r_big))
+    u_minus = gs.kron(PAULI_I, coherent.unitary(dt, cfg.r_big))
+    gates = {}
+    for s in range(-s_max, s_max + 1):
+        weight = dt if abs(s) < s_max else dt / 2.0
+        gates[s] = b_gate(amat, complex(gs.filter_time(F, s * dt)), weight, cfg.dt_ev, cfg.gamma)
+    forward = np.eye(dim, dtype=complex)
+    for s in range(-s_max, s_max + 1):
+        forward = forward @ gates[s] @ u_plus
+    backward = np.eye(dim, dtype=complex)
+    for s in range(s_max, -s_max - 1, -1):
+        backward = backward @ u_minus @ gates[s]
+    return forward @ backward
 
 
 # ----------------------------------------------------------------- dilation
@@ -55,7 +96,7 @@ def test_dilation_identity_second_order(rng):
 # ------------------------------------------------------------------- b gate
 def test_b_gate_zero_coefficient_is_identity():
     a = gs.sample_jump_set(2, 1, 1, seed=0)[0]
-    assert np.allclose(gs.b_gate(a, 0.0, 0.1, 0.1, 1.0), np.eye(8))
+    assert np.allclose(b_gate(a, 0.0, 0.1, 0.1, 1.0), np.eye(8))
 
 
 def test_b_gate_half_pi_rotation():
@@ -63,7 +104,7 @@ def test_b_gate_half_pi_rotation():
     # choose parameters so theta = (1/2) sqrt(dt gamma) w |g| = pi/2
     g_s = 1.0
     weight = np.pi
-    gate = gs.b_gate(a, g_s, weight, dt_ev=1.0, gamma=1.0)
+    gate = b_gate(a, g_s, weight, dt_ev=1.0, gamma=1.0)
     expected = -1j * gs.kron(PAULI_X, a.matrix())
     assert np.max(np.abs(gate - expected)) < 1e-12
 
@@ -81,7 +122,7 @@ def test_b_gate_matches_dense_exponential(rng):
             )
         )
         expected = scipy.linalg.expm(-1j * gen)
-        assert np.max(np.abs(gs.b_gate(a, g_s, weight, dt_ev, gamma) - expected)) < 1e-12
+        assert np.max(np.abs(b_gate(a, g_s, weight, dt_ev, gamma) - expected)) < 1e-12
 
 
 def test_b_gate_product_reproduces_static_dilation():
@@ -99,7 +140,7 @@ def test_b_gate_product_reproduces_static_dilation():
         for s in range(-s_max, s_max + 1):
             w = dt if abs(s) < s_max else dt / 2
             g_s = complex(gs.filter_time(F, s * dt))
-            gates[s] = gs.b_gate(a, g_s, w, dt_ev, cfg.gamma)
+            gates[s] = b_gate(a, g_s, w, dt_ev, cfg.gamma)
             direction = np.array([[0, np.conj(g_s)], [g_s, 0]])
             gen_total += 0.5 * theta * w * gs.kron(direction, a.matrix())
         bwd = np.eye(8, dtype=complex)
@@ -157,6 +198,35 @@ def test_step_v_trotter2_matches_exact_at_high_order():
         ham_split=gs.ising_split(params),
     )
     assert np.max(np.abs(v_exact - v_trott)) < 1e-6
+
+
+@pytest.mark.parametrize("mode", ["exact", "trotter2"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_kraus_sweep_matches_dense_product(n, mode):
+    # the batched right-to-left sweep against the dense product, every jump
+    params = gs.named_point("CH", n)
+    cfg = CircuitConfig(
+        dt_ev=0.25, dt_oft=0.2, T=1.6, jump_count=6, k=2, seed=n, beta=BETA,
+        coherent_mode=mode, r_big=2,
+    )
+    split = gs.ising_split(params) if mode == "trotter2" else None
+    engine = ProtocolEngine(gs.build_hamiltonian(params), cfg, split)
+    dim = engine.dim
+    for a, kraus in zip(engine.jump_set, engine.kraus):
+        v = dense_step_v(a, cfg, engine.coherent)
+        expected = (v[:, :dim] @ engine.u_ev).reshape(2, dim, dim)
+        assert np.max(np.abs(kraus - expected)) <= 1e-13 * np.max(np.abs(expected))
+        v_sweep = gs.step_V(a, cfg, engine.spec, split)
+        assert np.max(np.abs(v_sweep - v)) <= 1e-13 * np.max(np.abs(v))
+        assert np.max(np.abs(v_sweep @ v_sweep.conj().T - np.eye(2 * dim))) < 1e-12
+
+
+def test_kraus_sweep_gamma_zero_leaves_ancilla_untouched():
+    setup = point_setup("CH", 3)
+    cfg = CircuitConfig(dt_ev=0.2, dt_oft=0.1, T=1.6, gamma=0.0, jump_count=4, seed=0, beta=BETA)
+    engine = ProtocolEngine(setup["ham"], cfg)
+    assert np.all(engine.kraus[:, 1] == 0)
+    assert np.max(np.abs(engine.kraus[:, 0] - engine.u_ev)) < 1e-13
 
 
 # -------------------------------------------------------------- step Wtilde

@@ -139,6 +139,25 @@ def test_accuracy_scan_small(tmp_path):
     assert len(dists) == 2 and all(d > 0 for d in dists)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 5\n",
+        "experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 10\n",
+    ],
+    ids=["gap-scan", "accuracy-scan"],
+)
+def test_scans_ignore_jumps_count(tmp_path, text):
+    # grid.jumps sets the scans' jump counts, so jumps.count is not read
+    outs = []
+    for name, extra in (("plain", ""), ("count0", "jumps.count = 0\n")):
+        out = tmp_path / name
+        cfg = write_cfg(tmp_path, name + ".cfg", text + extra)
+        assert main(["run", cfg, "--out-dir", str(out)]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"})
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_chaos_scan_small(tmp_path):
     cfg = write_cfg(
         tmp_path, "chaos.cfg",
@@ -496,7 +515,6 @@ PUBLIC_KEEP = {
     "eth_statistics": "computes the paper's ETH matrix-element diagnostic",
     "fit_effective_gates": "computes the paper's effective gate count",
     "apply_noise": "the per-step noise channel that simulate_protocol applies",
-    "b_gate": "the ancilla rotation that every step_V product is built from",
     "fractal_dimension": "the per-state D_1 that fractal_stats averages",
 }
 

@@ -218,6 +218,18 @@ def test_pauli_string_invariants_enforced():
         gs.PauliString(n=3, sites=(0,), letters=("I",))
 
 
+@pytest.mark.parametrize("n", [1, 3, 4])
+def test_signed_permutation_is_the_dense_matrix(n):
+    # every k and letter, checked entry for entry against the kron product
+    strings = [a for k in range(1, n + 1) for a in gs.sample_jump_set(n, k, 12, seed=k)]
+    assert {letter for a in strings for letter in a.letters} == {"X", "Y", "Z"}
+    for a in strings:
+        cols, phases = a.signed_permutation()
+        sparse = np.zeros((2**n, 2**n), dtype=complex)
+        sparse[np.arange(2**n), cols] = phases
+        assert np.array_equal(sparse, a.matrix())
+
+
 def test_operators_convert_with_asarray():
     # every solver reads a jump or Lindblad operator, or a plain matrix, by np.asarray
     setup = lindblad_setup("CH", 3, 4)

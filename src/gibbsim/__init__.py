@@ -28,7 +28,6 @@ from .model import (
 )
 from .jumps import (
     FilterSpec,
-    LindbladOperator,
     PauliString,
     filter_freq,
     filter_time,

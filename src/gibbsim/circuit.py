@@ -122,9 +122,8 @@ def gate_count(noise, n, dt_ev):
 
 def dilation_discrete(lbar):
     """Hermitian dilation |1><0| (x) L + |0><1| (x) L^dag on dim 2D."""
-    L = np.asarray(lbar)
     lower = np.array([[0, 0], [1, 0]], dtype=complex)
-    return kron(lower, L) + kron(lower.T, L.conj().T)
+    return kron(lower, lbar) + kron(lower.T, lbar.conj().T)
 
 
 class _CoherentFactory:

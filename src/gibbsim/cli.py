@@ -1,10 +1,10 @@
 """Experiment runner: flat dotted-key configs in, CSV/JSON artifacts out.
 
-Every run writes a manifest echoing the fully resolved configuration before
-any computation starts, so a manifest can be re-run to reproduce its outputs
-byte for byte.  A run whose config is rejected (exit 2 or 3) writes no
-outputs and puts back the out dir's earlier manifest, or removes its own
-when there was none.
+Before any computation, every run writes a manifest of the keys its config
+gives plus `experiment`, `seed`, `out_dir` and `artifact_version`, not the
+defaults it fills in; re-running it reproduces the outputs byte for byte.
+A run whose config is rejected (exit 2 or 3) writes no outputs and puts
+back the out dir's earlier manifest, or removes its own when there was none.
 """
 
 import argparse
@@ -208,13 +208,13 @@ def _chain(params, beta):
 
 
 def _jump_family(params, beta, k, count, seed):
-    """H and its Gibbs state, with a sampled k-local jump set and its exact
-    OFT Lindblad operators."""
+    """H and its Gibbs state, with a sampled k-local jump set and the
+    (count, D, D) stack of its exact OFT Lindblad operators."""
     ham, spec, sigma = _chain(params, beta)
     jump_set = sample_jump_set(params.n, k, count, seed)
     bohr = bohr_frequencies(spec)
     f = FilterSpec(beta)
-    lindblads = [lindblad_op_exact(a, spec, f, bohr) for a in jump_set]
+    lindblads = np.stack([lindblad_op_exact(a, spec, f, bohr) for a in jump_set])
     return ham, sigma, jump_set, lindblads
 
 

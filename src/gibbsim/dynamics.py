@@ -4,8 +4,8 @@ Three solvers share one record format: the randomized density-matrix RK4
 scheme (one jump operator sampled per step, Hermiticity-gated adaptive step),
 the exact full-Lindbladian RK4, and a Monte-Carlo wave-function unraveling
 used as a cross-check.  Times are in units of 1/J.  Each solver takes the
-prebuilt Lindblad operators as `(ham, lindblads, ...)`; the randomized
-scheme runs the sampled jump at unit rate, so it takes no weights.
+prebuilt Lindblad operators as `(ham, lindblads, ...)`, one (n_jump, D, D)
+array; the randomized scheme runs each sampled jump at unit rate.
 
 Both RK4 solvers, and the circuit protocol in `circuit.simulate_protocol`,
 run one trajectory loop, `_run_batched`: a batch of states advanced by a
@@ -163,31 +163,33 @@ def _n_steps(cfg, dt):
 def evolve_randomized(ham, lindblads, rho0, cfg, target):
     """Randomized dmRK4: one uniformly sampled jump operator per step.
 
-    `lindblads` is the prebuilt operator stack, one operator per jump.  Each
-    trajectory evolves under L^a = -i[H, .] + D^a (a zero `ham` leaves only
-    the dissipator).  After every step the state is checked element-wise for
-    Hermiticity; a violation halves the step and restarts every trajectory
-    from rho0.  Surviving states are symmetrized and trace-renormalized.
+    `lindblads` is the operator stack; the run also holds the stack of
+    A_a = -iH - (1/2) L_a^dag L_a, and gathers each step's L_a into reused
+    arrays.  Each trajectory evolves under L^a = -i[H, .] + D^a (a zero `ham`
+    leaves only the dissipator).  After every step the state is checked
+    element-wise for Hermiticity; a violation halves the step and restarts
+    every trajectory from rho0; survivors are symmetrized and renormalized.
     """
-    l_ops = np.stack(lindblads).astype(complex, copy=False)
-    l_dag = l_ops.conj().transpose(0, 2, 1)
-    a_ops = np.matmul(l_dag, l_ops)
+    l_ops = np.asarray(lindblads, dtype=complex)
+    a_ops = np.matmul(l_ops.conj().transpose(0, 2, 1), l_ops)
     a_ops *= -0.5
     a_ops -= 1j * np.asarray(ham, dtype=complex)
-    n_jump = l_ops.shape[0]
+    l_sel, l_conj, a_sel, tmp = np.empty((4, cfg.n_traj) + l_ops.shape[1:], dtype=complex)
 
     def generator_for(sel):
-        l_sel, l_dag_sel, a_sel = l_ops[sel], l_dag[sel], a_ops[sel]
+        np.take(l_ops, sel, axis=0, out=l_sel, mode="clip")  # "raise" would buffer out
+        np.conjugate(l_sel, out=l_conj)
+        np.take(a_ops, sel, axis=0, out=a_sel, mode="clip")
 
-        def generator(rho):
-            out = np.matmul(l_sel, np.matmul(rho, l_dag_sel))
-            return _add_hermitian_part(out, a_sel, rho)
+        def generator(rho, out):
+            np.matmul(l_sel, np.matmul(rho, l_conj.transpose(0, 2, 1), out=tmp), out=out)
+            return _add_hermitian_part(out, a_sel, rho, tmp)
 
         return generator
 
     def draw(n_steps):
         rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
-        return np.stack([rng.integers(0, n_jump, size=n_steps) for rng in rngs])
+        return np.stack([rng.integers(0, len(l_ops), size=n_steps) for rng in rngs])
 
     return _rk4_with_halving(generator_for, draw, rho0, cfg, target)
 
@@ -196,14 +198,14 @@ def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
     """Deterministic RK4 with the full Lindbladian (all jump channels at once);
     `ham` = None leaves only the dissipator.  No CLI experiment runs it; it is
     the exact reference that the solver tests compare the randomized scheme with."""
-    l_ops = np.stack(lindblads)
+    l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)
     l_weighted = gammas[:, None, None] * l_ops
     l_dag = l_ops.conj().transpose(0, 2, 1)
     a_op = drift_operator(ham, l_ops, gammas)
 
-    def generator(rho):
-        out = np.matmul(l_weighted, np.matmul(rho, l_dag)).sum(axis=0, keepdims=True)
+    def generator(rho, out):
+        np.matmul(l_weighted, np.matmul(rho, l_dag)).sum(axis=0, keepdims=True, out=out)
         return _add_hermitian_part(out, a_op, rho)
 
     def draw(n_steps):
@@ -212,13 +214,13 @@ def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
     return _rk4_with_halving(lambda sel: generator, draw, rho0, cfg, target)
 
 
-def _add_hermitian_part(out, a, rho):
-    """out + X + X^dag with X = a rho.  For a = -iH - (1/2) sum gamma L^dag L
-    this adds -i[H, rho] - (1/2) sum gamma {L^dag L, rho}, exactly so for
-    Hermitian rho."""
-    x = np.matmul(a, rho)
+def _add_hermitian_part(out, a, rho, x=None):
+    """out + X + X^dag with X = a rho, formed in `x` when given.  For
+    a = -iH - (1/2) sum gamma L^dag L this adds -i[H, rho] - (1/2) sum gamma
+    {L^dag L, rho}, exactly so for Hermitian rho."""
+    x = np.matmul(a, rho, out=x)
     out += x
-    out += x.conj().transpose(0, 2, 1)
+    out += np.conjugate(x, out=x).transpose(0, 2, 1)
     return out
 
 
@@ -227,33 +229,44 @@ def _rk4_with_halving(generator_for, draw, rho0, cfg, target):
     whenever a step fails the Hermiticity gate.
 
     generator_for(sel) returns the generator on the (R, D, D) batch with
-    trajectory r under jump sel[r]; it is called once per step and its
-    result serves all four stages.  draw(n_steps) returns the (R, n_steps)
-    jump indices for one attempt.
+    trajectory r under jump sel[r], called as generator(rho, out); it is
+    called once per step and its result serves all four stages.
+    draw(n_steps) returns the (R, n_steps) jump indices for one attempt.
     """
     dt = cfg.dt_rk0
     halvings = 0
     while True:
+        draws = draw(_n_steps(cfg, dt))
+        work = np.empty((3, len(draws)) + np.shape(rho0), dtype=complex)
 
         def step(rho, sel):
+            # `rk4_step`'s operations in order, in place; `acc` sums k1 + 2 k2 + 2 k3 + k4.
+            # The arrays outlive the step: fresh ones cost heap trims and page faults.
+            acc, stage, k_out = work
             generator = generator_for(sel)
-            k1 = generator(rho)
-            k2 = generator(rho + 0.5 * dt * k1)
-            k3 = generator(rho + 0.5 * dt * k2)
-            k4 = generator(rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho_dag = rho.conj().transpose(0, 2, 1)
-            dev = np.abs(rho - rho_dag).max()
+            generator(rho, acc)
+            np.add(rho, np.multiply(acc, 0.5 * dt, out=stage), out=stage)
+            for scale in (0.5 * dt, dt):
+                k = generator(stage, k_out)
+                np.add(rho, np.multiply(k, scale, out=stage), out=stage)
+                k *= 2.0
+                acc += k
+            acc += generator(stage, k_out)
+            acc *= dt / 6.0
+            rho += acc
+            rho_dag = np.conjugate(rho, out=k_out).transpose(0, 2, 1)
+            dev = np.abs(np.subtract(rho, rho_dag, out=stage)).max()
             if not np.isfinite(dev) or dev > cfg.herm_tol:
                 raise _HermiticityViolation
-            rho = 0.5 * (rho + rho_dag)
+            rho += rho_dag
+            rho *= 0.5
             tr = np.einsum("tii->t", rho).real
             rho /= tr[:, None, None]
             return rho
 
         try:
             record = _run_batched(
-                step, rho0, draw(_n_steps(cfg, dt)), dt, cfg.grid_points, target,
+                step, rho0, draws, dt, cfg.grid_points, target,
                 cfg.stop_below, cfg.store_traj_states,
             )
         except _HermiticityViolation:
@@ -337,7 +350,7 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, n_batches=0):
     """
     import scipy.linalg  # imported here so that importing gibbsim loads numpy only
 
-    l_ops = np.stack(lindblads)
+    l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)
     decay = np.einsum("a,aij,ajk->ik", gammas, l_ops.conj().transpose(0, 2, 1), l_ops)
     h_eff = np.asarray(ham, dtype=complex) - 0.5j * decay

@@ -3,7 +3,7 @@
 The Lindblad operator attached to a jump A is the operator Fourier transform
 L = int g(t) e^{iHt} A e^{-iHt} dt = sum_nu eta_nu A_nu, evaluated either
 exactly in the eigenbasis of H or through the trapezoid discretization of
-the time integral over [-T, T].
+the time integral over [-T, T].  Both builders return a finite complex array.
 """
 
 import math
@@ -151,26 +151,18 @@ def filter_freq_discretized(f, nu, T, S):
     return phases @ g
 
 
-@dataclass(frozen=True)
-class LindbladOperator:
-    """Filtered jump operator in the computational basis."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.matrix)):
-            raise ValueError("non-finite entries in Lindblad operator")
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.matrix, dtype=dtype, copy=copy)
+def _oft(a, spec, eta):
+    """V (eta o V^dag A V) V^dag, checked to be finite."""
+    matrix = spec.from_eigenbasis(eta * spec.to_eigenbasis(np.asarray(a)))
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("non-finite entries in Lindblad operator")
+    return matrix
 
 
 def lindblad_op_exact(a, spec, f, bohr):
     """Exact OFT Lindblad operator: entry (i,j) in the eigenbasis is
     eta(nu_ij) <E_i|A|E_j> with nu_ij the grouped Bohr frequency."""
-    a_eig = spec.to_eigenbasis(np.asarray(a))
-    eta = filter_freq(f, bohr.pair_frequencies())
-    return LindbladOperator(matrix=spec.from_eigenbasis(eta * a_eig))
+    return _oft(a, spec, filter_freq(f, bohr.pair_frequencies()))
 
 
 def lindblad_op_discretized(a, spec, f, T, S):
@@ -179,7 +171,5 @@ def lindblad_op_discretized(a, spec, f, T, S):
     Uses exact eigenbasis exponentials: in the eigenbasis the sum collapses
     to eta_bar(E_i - E_j) times the jump matrix element.
     """
-    a_eig = spec.to_eigenbasis(np.asarray(a))
     nu = spec.values[:, None] - spec.values[None, :]
-    eta_bar = filter_freq_discretized(f, nu.ravel(), T, S).reshape(nu.shape)
-    return LindbladOperator(matrix=spec.from_eigenbasis(eta_bar * a_eig))
+    return _oft(a, spec, filter_freq_discretized(f, nu.ravel(), T, S).reshape(nu.shape))

@@ -39,6 +39,7 @@ import numpy as np
 
 from .errors import DegenerateChain, DimensionMismatch, NonUniqueSteadyState, NotHermitian
 from .jumps import filter_freq
+from .numkernel import trace_distance
 
 # Roundoff bound on the imaginary part dropped from the Hermitian-basis form,
 # relative to its largest entry; measured parts are about 1e-17.
@@ -61,10 +62,9 @@ def apply_lindbladian(rho, coherent, lindblads, gammas):
     out = np.zeros_like(rho)
     if coherent is not None:
         out += -1j * (coherent @ rho - rho @ coherent)
-    for g, L in zip(gammas, map(np.asarray, lindblads)):
-        Ld = L.conj().T
-        LdL = Ld @ L
-        out += g * (L @ rho @ Ld - 0.5 * (LdL @ rho + rho @ LdL))
+    for g, L in zip(gammas, np.asarray(lindblads, dtype=complex)):
+        LdL = L.conj().T @ L
+        out += g * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
     return out
 
 
@@ -131,18 +131,18 @@ class _GeneratorFactors:
 def _generator_factors(coherent, lindblads, gammas):
     """Check (G, L_a, gamma_a) and gather the factors of the generator's rows;
     G = 0 when `coherent` is None."""
-    mats = [np.asarray(l) for l in lindblads]
+    l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gammas must be nonnegative")
-    if len(mats) != len(gammas):
+    if len(l_ops) != len(gammas):
         raise DimensionMismatch("one weight per Lindblad operator")
-    d = mats[0].shape[0] if mats else np.asarray(coherent).shape[0]
-    if any(L.shape[0] != d for L in mats):
+    d = l_ops.shape[1] if len(l_ops) else np.asarray(coherent).shape[0]
+    if len(l_ops) and l_ops.shape[1:] != (d, d):
         raise DimensionMismatch("Lindblad operator dimension mismatch")
     if coherent is not None and np.asarray(coherent).shape[0] != d:
         raise DimensionMismatch("coherent term dimension mismatch")
-    l_ops = np.array(mats, dtype=complex).reshape(len(mats), d, d)
+    l_ops = l_ops.reshape(len(l_ops), d, d)
     a = drift_operator(coherent, l_ops, gammas)
     # M^T = conj(A) when G is Hermitian; the correction keeps -i[G, .]
     # exact for any G.
@@ -328,10 +328,8 @@ def ckg_coherent_term(jump_set, spec, f, bohr, gammas=None):
 
 
 def trace_norm(x):
-    """||X||_1 of a (numerically) Hermitian matrix."""
-    x = np.asarray(x)
-    x = 0.5 * (x + x.conj().T)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
+    """||X||_1 of a (numerically) Hermitian matrix: twice its distance to 0."""
+    return 2 * trace_distance(x, np.zeros_like(x))
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,9 @@ def trace_distance(a, b):
     b = np.asarray(b)
     if a.ndim < 2 or b.shape not in (a.shape, a.shape[-2:]):
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    diff = a - b
-    diff = 0.5 * (diff + diff.conj().swapaxes(-1, -2))
+    diff = np.subtract(a, b, dtype=np.result_type(a, b, 0.5))
+    diff += diff.conj().swapaxes(-1, -2)
+    diff *= 0.5
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
     return float(dist) if a.ndim == 2 else dist
 

@@ -31,12 +31,14 @@ def point_setup(key, n):
 
 @lru_cache(maxsize=None)
 def lindblad_setup(key, n, count, k=2, seed=0):
-    """Jump set, exact OFT Lindblad operators and uniform weights."""
+    """Jump set, the (count, D, D) stack of its exact OFT Lindblad operators
+    (read-only, since the setup is shared) and uniform weights."""
     base = point_setup(key, n)
     jump_set = tuple(gs.sample_jump_set(n, k, count, seed))
-    lindblads = tuple(
-        gs.lindblad_op_exact(a, base["spec"], base["filter"], base["bohr"]) for a in jump_set
+    lindblads = np.stack(
+        [gs.lindblad_op_exact(a, base["spec"], base["filter"], base["bohr"]) for a in jump_set]
     )
+    lindblads.flags.writeable = False
     gammas = np.full(count, 1.0 / count)
     return {**base, "jump_set": jump_set, "lindblads": lindblads, "gammas": gammas}
 

@@ -244,7 +244,7 @@ def test_criterion_07_order_checks(rng):
 
     # dilation identity order
     lset = lindblad_setup("CH", 3, 5)
-    L = lset["lindblads"][0].matrix
+    L = lset["lindblads"][0]
     kspec = gs.eig_hermitian(gs.dilation_discrete(L))
     sup = gs.build_superop(None, [L], [1.0])
     rho = random_density_matrix(8, rng)
@@ -318,11 +318,11 @@ def test_criterion_08_circuit_vs_exact():
 def test_criterion_09_oft_discretization_taxonomy():
     setup = lindblad_setup("CH", 3, 5, seed=2)
     a = setup["jump_set"][0]
-    exact = setup["lindblads"][0].matrix
+    exact = setup["lindblads"][0]
     T = 1.6
 
     def err(dt):
-        bar = gs.lindblad_op_discretized(a, setup["spec"], F, T=T, S=round(T / dt)).matrix
+        bar = gs.lindblad_op_discretized(a, setup["spec"], F, T=T, S=round(T / dt))
         return np.linalg.norm(bar - exact, 2)
 
     e_01 = err(0.1)

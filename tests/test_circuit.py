@@ -68,14 +68,14 @@ def test_dilation_hermitian_and_structure():
     kbar = gs.dilation_discrete(lbar)
     assert np.max(np.abs(kbar - kbar.conj().T)) < 1e-14
     # Hermitian argument collapses the dilation to X_anc (x) L
-    herm = 0.5 * (lbar.matrix + lbar.matrix.conj().T)
+    herm = 0.5 * (lbar + lbar.conj().T)
     assert np.allclose(gs.dilation_discrete(herm), gs.kron(PAULI_X, herm))
     assert np.max(np.abs(gs.dilation_discrete(np.zeros((8, 8))))) == 0
 
 
 def test_dilation_identity_second_order(rng):
     setup = lindblad_setup("CH", 3, 5)
-    L = setup["lindblads"][0].matrix
+    L = setup["lindblads"][0]
     kbar = gs.dilation_discrete(L)
     kspec = gs.eig_hermitian(kbar)
     sup = gs.build_superop(None, [L], [1.0])

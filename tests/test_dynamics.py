@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ def test_rk4_amplitude_damping_closed_form():
 
 def test_rk4_trace_preserved_per_step(rng):
     setup = lindblad_setup("CH", 3, 5)
-    L = setup["lindblads"][0].matrix
+    L = setup["lindblads"][0]
     ldl = L.conj().T @ L
     ham = setup["ham"]
 
@@ -74,7 +76,7 @@ def test_identity_jump_set_keeps_state_constant():
     sigma = setup["sigma"]
     cfg = gs.SolverConfig(dt_rk0=0.1, n_traj=3, t_max=5.0, seed=0, grid_points=10)
     eta0 = float(gs.filter_freq(F, 0.0))
-    ident = [gs.LindbladOperator(matrix=eta0 * np.eye(8))]
+    ident = eta0 * np.eye(8)[None]
     rec = gs.evolve_randomized(np.zeros((8, 8)), ident, sigma, cfg, sigma)
     assert rec.halvings == 0
     assert np.max(rec.avg_distance) < 1e-10
@@ -236,6 +238,28 @@ def test_hermiticity_gate_halves_an_unstable_step():
     assert rec.final_dt_rk == pytest.approx(0.25)
 
 
+def test_randomized_footprint_is_bounded_by_its_arrays():
+    # Traced peak of one call at CH n = 6, grid every step: the A stack it
+    # builds beside the caller's L stack, the eight batch arrays the steps
+    # reuse (rho, the k-sum, the stage input, one k, L[sel], conj(L[sel]),
+    # A[sel] and the generator's temporary), the grid record's three
+    # (R + 1)-matrix temporaries, and one batch of headroom.
+    setup = lindblad_setup("CH", 6, 20)
+    cfg = gs.SolverConfig(dt_rk0=0.05, n_traj=10, t_max=0.2, grid_points=0)
+    matrix = 64 * 64 * 16
+    tracemalloc.start()
+    try:
+        rec = gs.evolve_randomized(
+            setup["ham"], setup["lindblads"], gs.maximally_mixed(6), cfg, setup["sigma"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.meta["n_steps"] == 4 and rec.halvings == 0
+    n_traj = cfg.n_traj
+    assert peak <= (20 + (8 + 1) * n_traj + 3 * (n_traj + 1)) * matrix
+
+
 # -------------------------------------------------------------------- exact
 def test_exact_converges_to_superop_steady_state():
     setup = gap_setup("CH", 3, 20)
@@ -267,7 +291,7 @@ def test_infinite_temperature_state_stationary_for_beta_zero_filter():
     eta0 = float(gs.filter_freq(f0, 0.0))
     # rescale to O(1) rates so the residual comparison is meaningful
     ls = [
-        gs.lindblad_op_exact(a, setup["spec"], f0, bohr).matrix / eta0 for a in jumps
+        gs.lindblad_op_exact(a, setup["spec"], f0, bohr) / eta0 for a in jumps
     ]
     from gibbsim.liouville import apply_lindbladian
 

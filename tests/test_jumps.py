@@ -26,6 +26,9 @@ def test_twenty_two_local_strings():
         mat = a.matrix()
         assert np.max(np.abs(mat - mat.conj().T)) == 0
         assert np.allclose(mat @ mat, np.eye(2**5))
+        # every consumer reads a jump by np.asarray
+        assert np.array_equal(np.asarray(a), mat)
+        assert np.asarray(a, dtype=np.complex64).dtype == np.complex64
 
 
 def test_sampling_deterministic():
@@ -122,7 +125,7 @@ def test_identity_jump_gives_eta0_identity():
     setup = point_setup("CH", 3)
     L = gs.lindblad_op_exact(np.eye(8), setup["spec"], F, setup["bohr"])
     eta0 = float(gs.filter_freq(F, 0.0))
-    assert np.max(np.abs(L.matrix - eta0 * np.eye(8))) < 1e-12
+    assert np.max(np.abs(L - eta0 * np.eye(8))) < 1e-12
 
 
 def test_exact_op_entrywise_in_eigenbasis():
@@ -131,7 +134,7 @@ def test_exact_op_entrywise_in_eigenbasis():
     a = setup["jump_set"][0]
     L = setup["lindblads"][0]
     a_eig = spec.to_eigenbasis(a.matrix())
-    l_eig = spec.to_eigenbasis(L.matrix)
+    l_eig = spec.to_eigenbasis(L)
     nu = spec.values[:, None] - spec.values[None, :]
     assert np.max(np.abs(np.abs(l_eig) - gs.filter_freq(F, nu) * np.abs(a_eig))) < 1e-10
 
@@ -140,7 +143,7 @@ def test_exact_op_matches_time_quadrature_oracle():
     setup = lindblad_setup("CH", 3, 5, seed=2)
     spec = setup["spec"]
     a = setup["jump_set"][0]
-    L = setup["lindblads"][0].matrix
+    L = setup["lindblads"][0]
     t = np.linspace(-8 * BETA, 8 * BETA, 4001)
     weights = np.gradient(t)
     g = gs.filter_time(F, t)
@@ -155,7 +158,7 @@ def test_exact_op_matches_time_quadrature_oracle():
 def test_lindblad_entries_finite_and_adjoint_closure():
     setup = lindblad_setup("CH", 4, 10, seed=1)
     for L in setup["lindblads"]:
-        assert np.all(np.isfinite(L.matrix))
+        assert np.all(np.isfinite(L))
     # Hermitian jumps: the adjoint of L(A) is the OFT of A with eta(-nu),
     # which stays inside the span generated by the same jump set.
     spec, bohr = setup["spec"], setup["bohr"]
@@ -163,22 +166,22 @@ def test_lindblad_entries_finite_and_adjoint_closure():
     for a, L in zip(setup["jump_set"], setup["lindblads"]):
         a_eig = spec.to_eigenbasis(a.matrix())
         expected_dag = spec.from_eigenbasis(gs.filter_freq(F, -nu) * a_eig)
-        assert np.max(np.abs(L.matrix.conj().T - expected_dag)) < 1e-12
+        assert np.max(np.abs(L.conj().T - expected_dag)) < 1e-12
 
 
 # ------------------------------------------------- discretized Lindblad op
 def test_discretized_close_to_exact_at_fine_step():
     setup = lindblad_setup("CH", 3, 5, seed=2)
     a = setup["jump_set"][0]
-    exact = setup["lindblads"][0].matrix
-    bar = gs.lindblad_op_discretized(a, setup["spec"], F, T=1.6, S=16).matrix
+    exact = setup["lindblads"][0]
+    bar = gs.lindblad_op_discretized(a, setup["spec"], F, T=1.6, S=16)
     assert np.linalg.norm(bar - exact, 2) < 1e-3
 
 
 def test_discretized_identity_jump_scalar_trapezoid():
     setup = point_setup("CH", 3)
     T, S = 1.6, 8
-    bar = gs.lindblad_op_discretized(np.eye(8), setup["spec"], F, T=T, S=S).matrix
+    bar = gs.lindblad_op_discretized(np.eye(8), setup["spec"], F, T=T, S=S)
     scalar = complex(filter_freq_discretized(F, 0.0, T, S))
     assert np.max(np.abs(bar - scalar * np.eye(8))) < 1e-12
 
@@ -188,11 +191,11 @@ def test_discretized_error_taxonomy_in_step():
     # aliasing term makes it blow up once the step is too coarse.
     setup = lindblad_setup("CH", 3, 5, seed=2)
     a = setup["jump_set"][0]
-    exact = setup["lindblads"][0].matrix
+    exact = setup["lindblads"][0]
     T = 1.6
 
     def err(dt):
-        bar = gs.lindblad_op_discretized(a, setup["spec"], F, T=T, S=round(T / dt)).matrix
+        bar = gs.lindblad_op_discretized(a, setup["spec"], F, T=T, S=round(T / dt))
         return np.linalg.norm(bar - exact, 2)
 
     e_04, e_032, e_02, e_01 = err(0.4), err(0.32), err(0.2), err(0.1)
@@ -206,7 +209,7 @@ def test_lindblad_norm_sanity_cap():
     eta_max = float(gs.filter_freq(F, -1 / BETA))
     for a, L in zip(setup["jump_set"], setup["lindblads"]):
         cap = np.linalg.norm(a.matrix(), 2) * eta_max * setup["bohr"].count
-        assert np.linalg.norm(L.matrix, 2) <= cap
+        assert np.linalg.norm(L, 2) <= cap
 
 
 def test_pauli_string_invariants_enforced():
@@ -230,13 +233,26 @@ def test_signed_permutation_is_the_dense_matrix(n):
         assert np.array_equal(sparse, a.matrix())
 
 
-def test_operators_convert_with_asarray():
-    # every solver reads a jump or Lindblad operator, or a plain matrix, by np.asarray
+@pytest.mark.parametrize("builder", ["exact", "discretized"])
+def test_builders_return_the_eigenbasis_product(builder):
+    # a plain complex array V (eta o V^dag A V) V^dag, and finite or nothing
     setup = lindblad_setup("CH", 3, 4)
-    a, L = setup["jump_set"][0], setup["lindblads"][0]
-    assert np.array_equal(np.asarray(a), a.matrix())
-    assert np.asarray(L) is L.matrix
-    assert np.asarray(L, dtype=complex) is L.matrix
-    assert np.array(L) is not L.matrix and np.array_equal(np.array(L), L.matrix)
-    assert np.array_equal(np.stack(setup["lindblads"])[0], L.matrix)
-    assert np.asarray(a, dtype=np.complex64).dtype == np.complex64
+    spec, bohr = setup["spec"], setup["bohr"]
+    T, S = 1.6, 8
+    nu = spec.values[:, None] - spec.values[None, :]
+    if builder == "exact":
+        eta = gs.filter_freq(F, bohr.pair_frequencies())
+        build = lambda a: gs.lindblad_op_exact(a, spec, F, bohr)
+    else:
+        eta = filter_freq_discretized(F, nu.ravel(), T, S).reshape(nu.shape)
+        build = lambda a: gs.lindblad_op_discretized(a, spec, F, T, S)
+    v = spec.vectors
+    for a in setup["jump_set"]:
+        L = build(a)
+        assert type(L) is np.ndarray and L.dtype == complex and L.shape == (8, 8)
+        expected = v @ (eta * (v.conj().T @ a.matrix() @ v)) @ v.conj().T
+        assert np.max(np.abs(L - expected)) <= 1e-12
+    bad = setup["jump_set"][0].matrix()
+    bad[2, 5] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        build(bad)

@@ -265,6 +265,14 @@ def test_gap_holds_less_than_one_complex_superoperator():
     assert peak < 16 * 32**4
 
 
+def test_trace_norm_equals_the_direct_form_bitwise(rng):
+    # through the trace-distance kernel: X - 0 is X, and 2 (s/2) is s
+    general = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    for x in (random_hermitian(8, rng), general, np.diag([1, -2, 0, 3])):
+        direct = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (x + x.conj().T)))))
+        assert gs.trace_norm(x) == direct
+
+
 # ------------------------------------------------------------ coherent term
 def test_ckg_hermitian_and_exact_db():
     setup = lindblad_setup("CH", 3, 10)

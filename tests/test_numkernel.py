@@ -85,6 +85,7 @@ def test_trace_distance_orthogonal_pure():
     zero = np.diag([1.0, 0.0]).astype(complex)
     one = np.diag([0.0, 1.0]).astype(complex)
     assert gs.trace_distance(zero, one) == pytest.approx(1.0, abs=1e-12)
+    assert gs.trace_distance(np.diag([1, 0]), np.diag([0, 1])) == 1.0
 
 
 def test_trace_distance_dim_mismatch():

@@ -339,7 +339,7 @@ def simulate_protocol(ham, cfg, noise, target, ham_split=None):
     )
     noise_context = {"rng": noise_rngs, "n_g": n_g}
 
-    def step(rho, sel):
+    def step(rho, sel, _scratch):
         return apply_noise(engine.step_wtilde_batch(rho, sel), noise, noise_context)
 
     rho0 = maximally_mixed(engine.n)

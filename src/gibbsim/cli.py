@@ -8,7 +8,6 @@ back the out dir's earlier manifest, or removes its own when there was none.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import json
 import os
@@ -542,6 +541,8 @@ def _map_maybe_parallel(fn, items, threads):
     # any output.
     if threads <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    import concurrent.futures  # imported here: it loads logging, and only a pool needs it
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -11,7 +11,13 @@ Both RK4 solvers, and the circuit protocol in `circuit.simulate_protocol`,
 run one trajectory loop, `_run_batched`: a batch of states advanced by a
 per-step map chosen by pre-drawn indices, recorded on the grid of
 `_grid_indices` (which `mcwf_evolve` also uses).  The exact solver is a
-batch of one state with a single index.
+batch of one state with a single index.  The grid record forms its
+trace distances in two (R + 1)-matrix buffers allocated once per run, and
+lends their first R matrices to the step between grid points; the RK4
+step keeps its k-sum and stage input there.  A randomized run thus holds
+16 D^2 (J + 5R + 2(R + 1)) bytes beside the caller's J operators: the A
+stack, the state, one k, L[sel], A[sel], one generator temporary and the
+two record buffers.
 
 Both RK4 solvers write the Lindblad generator in three products,
 
@@ -171,18 +177,26 @@ def evolve_randomized(ham, lindblads, rho0, cfg, target):
     every trajectory from rho0; survivors are symmetrized and renormalized.
     """
     l_ops = np.asarray(lindblads, dtype=complex)
-    a_ops = np.matmul(l_ops.conj().transpose(0, 2, 1), l_ops)
+    l_sel, a_sel, tmp = np.empty((3, cfg.n_traj) + l_ops.shape[1:], dtype=complex)
+    # L^dag L one batch of operators at a time, conjugated in `tmp`: a
+    # conjugated copy of the whole stack left a heap hole that the run's
+    # later arrays did not fit.
+    a_ops = np.empty_like(l_ops)
+    for lo in range(0, len(l_ops), cfg.n_traj):
+        chunk = l_ops[lo : lo + cfg.n_traj]
+        l_dag = np.conjugate(chunk, out=tmp[: len(chunk)]).transpose(0, 2, 1)
+        np.matmul(l_dag, chunk, out=a_ops[lo : lo + cfg.n_traj])
     a_ops *= -0.5
     a_ops -= 1j * np.asarray(ham, dtype=complex)
-    l_sel, l_conj, a_sel, tmp = np.empty((4, cfg.n_traj) + l_ops.shape[1:], dtype=complex)
 
     def generator_for(sel):
         np.take(l_ops, sel, axis=0, out=l_sel, mode="clip")  # "raise" would buffer out
-        np.conjugate(l_sel, out=l_conj)
         np.take(a_ops, sel, axis=0, out=a_sel, mode="clip")
 
         def generator(rho, out):
-            np.matmul(l_sel, np.matmul(rho, l_conj.transpose(0, 2, 1), out=tmp), out=out)
+            # `out` holds conj(L[sel]) until L rho L^dag lands in it.
+            l_dag = np.conjugate(l_sel, out=out).transpose(0, 2, 1)
+            np.matmul(l_sel, np.matmul(rho, l_dag, out=tmp), out=out)
             return _add_hermitian_part(out, a_sel, rho, tmp)
 
         return generator
@@ -237,12 +251,13 @@ def _rk4_with_halving(generator_for, draw, rho0, cfg, target):
     halvings = 0
     while True:
         draws = draw(_n_steps(cfg, dt))
-        work = np.empty((3, len(draws)) + np.shape(rho0), dtype=complex)
+        k_out = np.empty((len(draws),) + np.shape(rho0), dtype=complex)
 
-        def step(rho, sel):
+        def step(rho, sel, scratch):
             # `rk4_step`'s operations in order, in place; `acc` sums k1 + 2 k2 + 2 k3 + k4.
+            # `acc` and `stage` are the record's buffers, lent between grid points.
             # The arrays outlive the step: fresh ones cost heap trims and page faults.
-            acc, stage, k_out = work
+            acc, stage = scratch
             generator = generator_for(sel)
             generator(rho, acc)
             np.add(rho, np.multiply(acc, 0.5 * dt, out=stage), out=stage)
@@ -285,23 +300,34 @@ def _run_batched(
     """The trajectory loop shared by every batched solver.
 
     All R = draws.shape[0] trajectories start from rho0 and advance in lock
-    step: step j maps the (R, D, D) batch to step(rho, draws[:, j-1]).  On
-    the grid of `_grid_indices` the record takes the trace distance to
-    `target` of every trajectory and of the symmetrized trajectory average,
-    stacked into one batched call.  The run stops early at the first grid
-    point whose averaged distance is below `stop_below`.
+    step: step j maps the (R, D, D) batch to step(rho, draws[:, j-1],
+    scratch).  On the grid of `_grid_indices` the record takes the trace
+    distance to `target` of every trajectory and of the symmetrized
+    trajectory average, stacked into one batched call.  The run stops early
+    at the first grid point whose averaged distance is below `stop_below`.
+
+    The record forms the (R + 1)-matrix difference and its conjugate in two
+    buffers allocated once per run.  Between grid points their first R
+    matrices are lent to the step as `scratch`, one (2, R, D, D) array: the
+    step may overwrite them freely, but what it leaves there does not
+    survive the next record, and the state it returns must not live in them.
     """
     n_traj, n_steps = draws.shape
     grid = _grid_indices(n_steps, grid_points)
     rho0 = np.asarray(rho0, dtype=complex)
     rho = np.broadcast_to(rho0, (n_traj,) + rho0.shape).copy()
+    work = np.empty((2, n_traj + 1) + rho0.shape, dtype=complex)
+    scratch = work[:, :n_traj]
 
     times, avg_dist, per_dist, traj_states = [], [], [], []
 
     def record_point(j, rho):
         avg = rho.mean(axis=0)
         avg = 0.5 * (avg + avg.conj().transpose())
-        dist = trace_distance(np.concatenate([rho, avg[None]]), target)
+        stack = work[0]
+        stack[:-1] = rho
+        stack[-1] = avg
+        dist = trace_distance(stack, target, work)
         times.append(j * dt)
         avg_dist.append(float(dist[-1]))
         per_dist.append(dist[:-1])
@@ -313,7 +339,7 @@ def _run_batched(
     grid_pos = 1
     stopped = False
     for j in range(1, n_steps + 1):
-        rho = step(rho, draws[:, j - 1])
+        rho = step(rho, draws[:, j - 1], scratch)
         if grid_pos < len(grid) and j == grid[grid_pos]:
             avg = record_point(j, rho)
             grid_pos += 1

@@ -132,6 +132,13 @@ def gibbs_state(spec, beta):
     return spec.vectors @ (p[:, None] * spec.vectors.conj().T)
 
 
+def _sorted_distinct(x):
+    """The distinct values of x in ascending order, as np.unique gives them
+    for NaN-free input; np.unique would import numpy.ma."""
+    pos = np.sort(x, axis=None)
+    return pos[np.concatenate(([True], pos[1:] != pos[:-1]))]
+
+
 def _cluster_starts(pos, tol):
     """Starts of the greedy clusters of sorted values: a cluster runs from its
     start while values stay within tol of the start value.
@@ -169,7 +176,7 @@ def bohr_frequencies(spec, tol=None):
 
     # Cluster the nonnegative differences and mirror, so the frequency set
     # is exactly symmetric under negation.
-    pos = np.unique(np.abs(diffs))
+    pos = _sorted_distinct(np.abs(diffs))
     starts = _cluster_starts(pos, tol)
     sizes = np.diff(starts, append=len(pos))
     reps = pos[starts]  # a singleton cluster's value is its mean

@@ -70,7 +70,7 @@ def expm_phase(spec, theta):
     return spec.vectors @ (phases[:, None] * spec.vectors.conj().T)
 
 
-def trace_distance(a, b):
+def trace_distance(a, b, work=None):
     """(1/2) ||a - b||_1 for Hermitian a, b of equal dimension.
 
     `a` may be a stack (..., D, D) compared against one (D, D) matrix `b`
@@ -79,13 +79,19 @@ def trace_distance(a, b):
     matrices give a float.  The difference is symmetrized before
     diagonalization so that accumulated anti-Hermitian roundoff does not
     bias the result.
+
+    `work`, when given, is a pair of arrays of a's shape and of dtype
+    result_type(a, b, 0.5) (one (2,) + a.shape array will do): the
+    difference is formed in work[0] and its conjugate in work[1] instead of
+    in fresh arrays, with the same bits.  `a` may be work[0] itself.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim < 2 or b.shape not in (a.shape, a.shape[-2:]):
         raise DimensionMismatch(f"{a.shape} vs {b.shape}")
-    diff = np.subtract(a, b, dtype=np.result_type(a, b, 0.5))
-    diff += diff.conj().swapaxes(-1, -2)
+    diff, conj = (None, None) if work is None else work
+    diff = np.subtract(a, b, out=diff, dtype=np.result_type(a, b, 0.5))
+    diff += np.conjugate(diff, out=conj).swapaxes(-1, -2)
     diff *= 0.5
     dist = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
     return float(dist) if a.ndim == 2 else dist

@@ -446,8 +446,22 @@ def test_rejected_config_leaves_earlier_run_unchanged(tmp_path):
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+def _fresh_python_report(script, *args):
+    """Run `script` in a new interpreter with gibbsim on the path; its last
+    stdout line, parsed as JSON."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 def test_import_and_runs_load_no_scipy(tmp_path):
-    # scipy is imported only by mcwf_evolve and the noisefit fits that call it
+    # scipy is imported only by mcwf_evolve and the noisefit fits that call
+    # it; numpy.ma (which np.unique imports) by none of these runs
     configs = {
         "evolve": "experiment = evolve\npoint = CH\nn = 3\njumps.count = 4\n"
         "solver.t_max = 5\nsolver.n_traj = 2\n",
@@ -461,19 +475,25 @@ def test_import_and_runs_load_no_scipy(tmp_path):
     script = (
         "import json, sys\n"
         "from gibbsim.cli import main\n"
-        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "codes, ma = [], []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    codes.append(main(argv))\n"
+        "    ma.append('numpy.ma' in sys.modules)\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
-        "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
+        "print(json.dumps({'codes': codes, 'scipy': loaded, 'numpy.ma': ma}))\n"
     )
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(argvs)],
-        env=env, capture_output=True, text=True, timeout=300, check=True,
+    report = _fresh_python_report(script, json.dumps(argvs))
+    assert report == {"codes": [0, 0, 0], "scipy": [], "numpy.ma": [False, False, False]}
+
+
+def test_import_cli_loads_no_thread_pool():
+    # concurrent.futures (and the logging it imports) serve --threads > 1 only
+    script = (
+        "import json, sys\n"
+        "import gibbsim.cli\n"
+        "print(json.dumps(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules)))\n"
     )
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report == {"codes": [0, 0, 0], "scipy": []}
+    assert _fresh_python_report(script) == []
 
 
 def test_circuit_trotter2_mode_runs(tmp_path):

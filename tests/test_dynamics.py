@@ -240,10 +240,11 @@ def test_hermiticity_gate_halves_an_unstable_step():
 
 def test_randomized_footprint_is_bounded_by_its_arrays():
     # Traced peak of one call at CH n = 6, grid every step: the A stack it
-    # builds beside the caller's L stack, the eight batch arrays the steps
-    # reuse (rho, the k-sum, the stage input, one k, L[sel], conj(L[sel]),
-    # A[sel] and the generator's temporary), the grid record's three
-    # (R + 1)-matrix temporaries, and one batch of headroom.
+    # builds beside the caller's L stack, the five batch arrays the steps
+    # reuse (rho, one k, L[sel], A[sel] and the generator's temporary), the
+    # grid record's two (R + 1)-matrix buffers (the difference and its
+    # conjugate, whose first R matrices the step borrows as the k-sum and
+    # the stage input), and one batch of headroom.
     setup = lindblad_setup("CH", 6, 20)
     cfg = gs.SolverConfig(dt_rk0=0.05, n_traj=10, t_max=0.2, grid_points=0)
     matrix = 64 * 64 * 16
@@ -257,7 +258,7 @@ def test_randomized_footprint_is_bounded_by_its_arrays():
         tracemalloc.stop()
     assert rec.meta["n_steps"] == 4 and rec.halvings == 0
     n_traj = cfg.n_traj
-    assert peak <= (20 + (8 + 1) * n_traj + 3 * (n_traj + 1)) * matrix
+    assert peak <= (20 + (5 + 1) * n_traj + 2 * (n_traj + 1)) * matrix
 
 
 # -------------------------------------------------------------------- exact

@@ -5,7 +5,7 @@ import pytest
 
 import gibbsim as gs
 from gibbsim.chaos import even_sector_basis
-from gibbsim.model import RK_STEP_TABLE
+from gibbsim.model import RK_STEP_TABLE, _sorted_distinct
 
 from conftest import BETA, point_setup
 
@@ -158,9 +158,19 @@ def test_bohr_clusters_match_greedy_loop(seed):
     w = np.sort(np.concatenate(levels))
     reps, pos = greedy_cluster_reps(w, tol)
     assert len(reps) > np.sum(np.diff(pos) > tol) + 1  # some run was split
+    assert _sorted_distinct(np.abs(w[:, None] - w[None, :])).tobytes() == pos.tobytes()
     bohr = gs.bohr_frequencies(SimpleNamespace(values=w), tol=tol)
     assert np.array_equal(bohr.frequencies[bohr.count // 2 :], reps)
     assert np.array_equal(bohr.frequencies, -bohr.frequencies[::-1])
+
+
+@pytest.mark.parametrize("key,n", [("CH", 4), ("REG", 4), ("TFIM", 5), ("KIH", 5), ("CH", 6)])
+def test_bohr_distinct_differences_match_np_unique(key, n):
+    # bohr_frequencies sorts and masks instead of calling np.unique (which
+    # imports numpy.ma); the distinct |E_i - E_j| must be the same bits.
+    w = point_setup(key, n)["spec"].values
+    diffs = np.abs(w[:, None] - w[None, :])
+    assert _sorted_distinct(diffs).tobytes() == np.unique(diffs).tobytes()
 
 
 @pytest.mark.parametrize("n", [4, 5])

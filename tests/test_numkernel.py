@@ -119,6 +119,29 @@ def test_trace_distance_stack_bitwise_equals_single_calls(rng, dim):
         assert np.array_equal(gs.trace_distance(stack, target), singles)
 
 
+def test_trace_distance_work_path_equals_allocating_path_bitwise(rng):
+    # The grid record passes its own buffer pair as `work`, with the stack
+    # already written into work[0]; the distances must be the same bits.
+    dim = 16
+    target = random_density_matrix(dim, rng)
+    stack = np.stack([random_density_matrix(dim, rng) for _ in range(6)])
+    skew = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
+    stack += 1e-13 * (skew - skew.conj().swapaxes(-1, -2))  # anti-Hermitian roundoff
+    work = np.empty((2,) + stack.shape, dtype=complex)
+    work[0] = stack
+    in_place = gs.trace_distance(work[0], target, work)
+    assert in_place.tobytes() == gs.trace_distance(stack, target).tobytes()
+
+    a, b = stack[0], stack[1]
+    single = gs.trace_distance(a, b, np.empty((2, dim, dim), dtype=complex))
+    assert isinstance(single, float) and single == gs.trace_distance(a, b)
+
+    ints = rng.integers(-3, 4, size=(3, 5, 5))
+    ref = np.diag([2, 0, -1, 1, 0])
+    pair = np.empty((2, 3, 5, 5))
+    assert gs.trace_distance(ints, ref, pair).tobytes() == gs.trace_distance(ints, ref).tobytes()
+
+
 def test_trace_distance_triangle_inequality(rng):
     for _ in range(20):
         a = random_density_matrix(8, rng)

@@ -339,11 +339,11 @@ def simulate_protocol(ham, cfg, noise, target, ham_split=None):
     )
     noise_context = {"rng": noise_rngs, "n_g": n_g}
 
-    def step(rho, sel, _scratch):
-        return apply_noise(engine.step_wtilde_batch(rho, sel), noise, noise_context)
+    def step(rho, j, _scratch):
+        return apply_noise(engine.step_wtilde_batch(rho, draws[:, j]), noise, noise_context)
 
-    rho0 = maximally_mixed(engine.n)
-    record = _run_batched(step, rho0, draws, cfg.dt_ev, cfg.grid_points, target)
+    rho0 = np.broadcast_to(maximally_mixed(engine.n), (cfg.n_rep, engine.dim, engine.dim))
+    record = _run_batched(step, rho0, cfg.n_steps, cfg.dt_ev, cfg.grid_points, target)
     record.meta.update(gate_count=n_g, engine_jumps=len(engine.jump_set))
     return record
 

@@ -7,14 +7,15 @@ used as a cross-check.  Times are in units of 1/J.  Each solver takes the
 prebuilt Lindblad operators as `(ham, lindblads, ...)`, one (n_jump, D, D)
 array; the randomized scheme runs each sampled jump at unit rate.
 
-Both RK4 solvers, and the circuit protocol in `circuit.simulate_protocol`,
-run one trajectory loop, `_run_batched`: a batch of states advanced by a
-per-step map chosen by pre-drawn indices, recorded on the grid of
-`_grid_indices` (which `mcwf_evolve` also uses).  The exact solver is a
-batch of one state with a single index.  The grid record forms its
-trace distances in two (R + 1)-matrix buffers allocated once per run, and
-lends their first R matrices to the step between grid points; the RK4
-step keeps its k-sum and stage input there.  A randomized run thus holds
+All three, and the circuit protocol in `circuit.simulate_protocol`, run one
+trajectory loop, `_run_batched`: a batch of states advanced in lock step by
+a per-step map and recorded, on the grid of `_grid_indices`, through a
+state-to-density map (psi -> psi psi^dag / |psi|^2 for MCWF, else the
+identity), keeping block-mean states per `SolverConfig.state_blocks`.
+The exact solver is a batch of one state.  The grid record forms its trace
+distances in two (R + 1)-matrix buffers allocated once per run, and lends
+their first R matrices to the step between grid points; the RK4 step keeps
+its k-sum and stage input there.  A randomized run thus holds
 16 D^2 (J + 5R + 2(R + 1)) bytes beside the caller's J operators: the A
 stack, the state, one k, L[sel], A[sel], one generator temporary and the
 two record buffers.
@@ -68,12 +69,16 @@ class SolverConfig:
 
     dt_rk0 : initial Runge-Kutta step (units 1/J)
     max_steps : hard cap on the number of steps per run
-    n_traj : trajectory count for the randomized scheme
+    n_traj : trajectory count of the randomized scheme and of MCWF
     herm_tol : element-wise Hermiticity gate; violation halves the step
     seed : base seed; trajectory i uses the stream (seed, i)
     t_max : optional positive time horizon; the run covers min(max_steps, t_max/dt)
     stop_below : optional early stop once the averaged distance crosses it
     grid_points : distance series is downsampled to about this many points
+    state_blocks : B in [0, n_traj]; B > 0 keeps the mean state of B contiguous
+        trajectory blocks (trajectory i in block i B // n_traj) at each of the
+        G grid points as `traj_states`, B G 16 D^2 bytes; B = n_traj keeps
+        every trajectory's state, and the exact solver keeps its one state
     """
 
     dt_rk0: float
@@ -84,7 +89,7 @@ class SolverConfig:
     t_max: float | None = None
     stop_below: float | None = None
     grid_points: int = 2000
-    store_traj_states: bool = False
+    state_blocks: int = 0
 
     def __post_init__(self):
         if not 0 < self.dt_rk0 < math.inf:
@@ -93,6 +98,8 @@ class SolverConfig:
             raise ValueError("herm_tol must be positive")
         if not (self.n_traj >= 1 and self.max_steps >= 1):
             raise ValueError("n_traj and max_steps must be at least 1")
+        if not 0 <= self.state_blocks <= self.n_traj:
+            raise ValueError(f"state_blocks must lie between 0 and n_traj = {self.n_traj}")
         if self.t_max is not None and not 0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
         if self.stop_below is not None and not self.stop_below > 0:
@@ -253,12 +260,12 @@ def _rk4_with_halving(generator_for, draw, rho0, cfg, target):
         draws = draw(_n_steps(cfg, dt))
         k_out = np.empty((len(draws),) + np.shape(rho0), dtype=complex)
 
-        def step(rho, sel, scratch):
+        def step(rho, j, scratch):
             # `rk4_step`'s operations in order, in place; `acc` sums k1 + 2 k2 + 2 k3 + k4.
             # `acc` and `stage` are the record's buffers, lent between grid points.
             # The arrays outlive the step: fresh ones cost heap trims and page faults.
             acc, stage = scratch
-            generator = generator_for(sel)
+            generator = generator_for(draws[:, j])
             generator(rho, acc)
             np.add(rho, np.multiply(acc, 0.5 * dt, out=stage), out=stage)
             for scale in (0.5 * dt, dt):
@@ -281,8 +288,8 @@ def _rk4_with_halving(generator_for, draw, rho0, cfg, target):
 
         try:
             record = _run_batched(
-                step, rho0, draws, dt, cfg.grid_points, target,
-                cfg.stop_below, cfg.store_traj_states,
+                step, np.broadcast_to(rho0, k_out.shape), draws.shape[1], dt,
+                cfg.grid_points, target, cfg.stop_below, min(cfg.state_blocks, len(draws)),
             )
         except _HermiticityViolation:
             halvings += 1
@@ -295,16 +302,21 @@ def _rk4_with_halving(generator_for, draw, rho0, cfg, target):
 
 
 def _run_batched(
-    step, rho0, draws, dt, grid_points, target, stop_below=None, store_traj_states=False,
+    step, states, n_steps, dt, grid_points, target, stop_below=None, state_blocks=0,
+    to_density=np.copyto,
 ):
-    """The trajectory loop shared by every batched solver.
+    """The trajectory loop of every solver.
 
-    All R = draws.shape[0] trajectories start from rho0 and advance in lock
-    step: step j maps the (R, D, D) batch to step(rho, draws[:, j-1],
-    scratch).  On the grid of `_grid_indices` the record takes the trace
-    distance to `target` of every trajectory and of the symmetrized
-    trajectory average, stacked into one batched call.  The run stops early
-    at the first grid point whose averaged distance is below `stop_below`.
+    All R = len(states) trajectories advance in lock step: step j maps the
+    batch to step(states, j, scratch), j = 0 .. n_steps - 1.  On the grid of
+    `_grid_indices` the record writes each trajectory's density matrix with
+    to_density(out, states), by default a copy, and takes the trace distance
+    to `target` of every trajectory and of the symmetrized trajectory
+    average, stacked into one batched call.  The run stops early at the
+    first grid point whose averaged distance is below `stop_below`.  With
+    state_blocks = B > 0 the record also keeps the mean density of each of
+    B contiguous blocks of trajectories (trajectory i in block i B // R) as
+    `traj_states`.
 
     The record forms the (R + 1)-matrix difference and its conjugate in two
     buffers allocated once per run.  Between grid points their first R
@@ -312,36 +324,40 @@ def _run_batched(
     step may overwrite them freely, but what it leaves there does not
     survive the next record, and the state it returns must not live in them.
     """
-    n_traj, n_steps = draws.shape
     grid = _grid_indices(n_steps, grid_points)
-    rho0 = np.asarray(rho0, dtype=complex)
-    rho = np.broadcast_to(rho0, (n_traj,) + rho0.shape).copy()
-    work = np.empty((2, n_traj + 1) + rho0.shape, dtype=complex)
+    states = np.array(states, dtype=complex, order="C")
+    n_traj = len(states)
+    work = np.empty((2, n_traj + 1) + np.shape(target), dtype=complex)
     scratch = work[:, :n_traj]
+    block = np.arange(n_traj) * state_blocks // n_traj
+    starts = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first trajectory
+    sizes = np.bincount(block)[:, None, None]
 
-    times, avg_dist, per_dist, traj_states = [], [], [], []
+    times, avg_dist, per_dist, kept = [], [], [], []
 
-    def record_point(j, rho):
-        avg = rho.mean(axis=0)
-        avg = 0.5 * (avg + avg.conj().transpose())
+    def record_point(j, states):
         stack = work[0]
-        stack[:-1] = rho
+        to_density(stack[:-1], states)
+        if state_blocks:
+            blocks = np.add.reduceat(stack[:-1], starts, axis=0)
+            blocks /= sizes
+            kept.append(blocks)
+        avg = stack[:-1].mean(axis=0)
+        avg = 0.5 * (avg + avg.conj().transpose())
         stack[-1] = avg
         dist = trace_distance(stack, target, work)
         times.append(j * dt)
         avg_dist.append(float(dist[-1]))
         per_dist.append(dist[:-1])
-        if store_traj_states:
-            traj_states.append(rho.copy())
         return avg
 
-    avg = record_point(0, rho)
+    avg = record_point(0, states)
     grid_pos = 1
     stopped = False
-    for j in range(1, n_steps + 1):
-        rho = step(rho, draws[:, j - 1], scratch)
-        if grid_pos < len(grid) and j == grid[grid_pos]:
-            avg = record_point(j, rho)
+    for j in range(n_steps):
+        states = step(states, j, scratch)
+        if grid_pos < len(grid) and j + 1 == grid[grid_pos]:
+            avg = record_point(j + 1, states)
             grid_pos += 1
             if stop_below is not None and avg_dist[-1] < stop_below:
                 stopped = True
@@ -354,25 +370,33 @@ def _run_batched(
         final_dt_rk=dt,
         halvings=0,
         final_avg_state=avg,
-        traj_states=np.array(traj_states).transpose(1, 0, 2, 3) if store_traj_states else None,
+        traj_states=np.array(kept).transpose(1, 0, 2, 3) if state_blocks else None,
         meta={"n_steps": n_steps, "stopped_early": stopped},
     ).validate()
 
 
-def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, n_batches=0):
-    """Monte-Carlo wave-function unraveling (quantum-jump method).
+def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target):
+    """Monte-Carlo wave-function unraveling: the waiting-time quantum-jump
+    method of Dalibard, Castin and Molmer (PRL 68, 580, 1992).
 
-    Pure trajectories evolve under the effective generator
-    H - (i/2) sum_a gamma_a L_a^dag L_a between norm-threshold jumps; the
-    substep count per grid step keeps the jump probability below
-    JUMP_PROB_CAP.  The density estimate is the
-    trajectory average of |psi><psi|.
+    Pure trajectories evolve under H - (i/2) sum_a gamma_a L_a^dag L_a until
+    their squared norm falls to a uniform threshold, then jump to L_a psi
+    with probability proportional to gamma_a |L_a psi|^2 and draw a new
+    threshold; each step is split into k substeps that keep the jump
+    probability per substep below JUMP_PROB_CAP.  The trajectories advance
+    in lock step through `_run_batched` as an (R, D) batch of unnormalized
+    vectors: one product with the flattened operator stack gives every
+    rate, each group sharing a k gets one propagator, and only the
+    trajectories that jump are handled one by one.  Trajectory i draws from
+    the stream (seed, i): its basis state when psi0 is None, its first
+    threshold, then a channel and a new threshold per jump.  The density
+    estimate is the trajectory mean of psi psi^dag / |psi|^2; state_blocks
+    and stop_below act as for the other solvers.
 
-    psi0 is a normalized pure state; passing None unravels the maximally
-    mixed initial state by drawing a computational basis state per
-    trajectory.  With n_batches > 0, block-averaged states are kept in
-    meta['batch_states'] for jackknife error estimation.  No CLI experiment
-    runs it; acceptance criterion 15 checks the randomized scheme against it.
+    psi0 is a length-D vector of finite nonzero norm (normalized here), or
+    None to unravel the maximally mixed state by drawing a computational
+    basis state per trajectory.  No CLI experiment runs it; acceptance
+    criterion 15 checks the randomized scheme against it.
     """
     import scipy.linalg  # imported here so that importing gibbsim loads numpy only
 
@@ -380,100 +404,61 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target, n_batches=0):
     gammas = np.asarray(gammas, dtype=float)
     decay = np.einsum("a,aij,ajk->ik", gammas, l_ops.conj().transpose(0, 2, 1), l_ops)
     h_eff = np.asarray(ham, dtype=complex) - 0.5j * decay
-
+    dim = h_eff.shape[0]
+    rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
+    if psi0 is None:
+        psi_start = np.eye(dim, dtype=complex)[[rng.integers(dim) for rng in rngs]]
+    else:
+        psi0 = np.asarray(psi0, dtype=complex)
+        norm = np.linalg.norm(psi0)
+        if psi0.shape != (dim,) or not 0 < norm < math.inf:
+            raise ValueError(f"psi0 must be a length-{dim} vector of finite nonzero norm")
+        psi_start = psi0 / norm
+    thresholds = np.array([rng.random() for rng in rngs])
+    # psi @ l_flat stacks the amplitudes L_a psi of every channel a.
+    l_flat = l_ops.transpose(2, 0, 1).reshape(dim, -1)
     dt = cfg.dt_rk0
-    n_steps = _n_steps(cfg, dt)
-    grid = _grid_indices(n_steps, cfg.grid_points)
-    dim = h_eff.shape[0] if psi0 is None else psi0.shape[0]
-    n_traj = cfg.n_traj
-
     propagators = {}
 
-    def propagator(k):
-        if k not in propagators:
-            propagators[k] = scipy.linalg.expm(-1j * (dt / k) * h_eff)
-        return propagators[k]
-
     def rates(psi):
-        # Rates of the normalized state; psi itself may carry norm < 1
+        # Rates of the normalized states; psi itself may carry norm < 1
         # between jumps (the norm is the survival probability).
-        amps = l_ops @ psi
-        r = gammas * np.einsum("ai,ai->a", amps.conj(), amps).real
-        return r / max(np.linalg.norm(psi) ** 2, 1e-300), amps
+        amps = (psi @ l_flat).reshape(len(psi), -1, dim)
+        parts = amps.view(float)  # |L_a psi|^2 sums the squares of these
+        r = gammas * np.einsum("tai,tai->ta", parts, parts)
+        return r / np.maximum(np.linalg.norm(psi, axis=1) ** 2, 1e-300)[:, None], amps
 
-    sum_state = np.zeros((len(grid), dim, dim), dtype=complex)
-    per_dist = np.zeros((n_traj, len(grid)))
-    traj_states = (
-        np.zeros((n_traj, len(grid), dim, dim), dtype=complex)
-        if cfg.store_traj_states
-        else None
-    )
-    batch_sums = (
-        np.zeros((n_batches, len(grid), dim, dim), dtype=complex) if n_batches else None
-    )
-
-    pures = np.zeros((len(grid), dim, dim), dtype=complex)
-    for i in range(n_traj):
-        rng = np.random.default_rng([cfg.seed, i])
-        if psi0 is None:
-            psi = np.zeros(dim, dtype=complex)
-            psi[rng.integers(dim)] = 1.0
-        else:
-            psi = np.asarray(psi0, dtype=complex).copy()
-            psi /= np.linalg.norm(psi)
-        threshold = rng.random()
-        grid_pos = 0
-        for j in range(n_steps + 1):
-            if j == grid[grid_pos]:
-                unit = psi / np.linalg.norm(psi)
-                pures[grid_pos] = np.outer(unit, unit.conj())
-                grid_pos += 1
-                if grid_pos == len(grid):
-                    break
-            r, _ = rates(psi)
-            total = float(r.sum())
-            k = max(1, math.ceil(dt * total / JUMP_PROB_CAP))
-            u = propagator(k)
+    def step(psi, _j, _scratch):
+        k_all = np.maximum(1, np.ceil(dt * rates(psi)[0].sum(axis=1) / JUMP_PROB_CAP))
+        for k in np.unique(k_all).astype(int):
+            if k not in propagators:
+                propagators[k] = scipy.linalg.expm(-1j * (dt / k) * h_eff).T
+            group = np.flatnonzero(k_all == k)
+            sub = psi[group]
             for _ in range(k):
-                candidate = u @ psi
-                if np.linalg.norm(candidate) ** 2 <= threshold:
-                    r, amps = rates(psi)
-                    total = float(r.sum())
-                    if total <= 0:
-                        psi = candidate
-                        continue
-                    choice = np.searchsorted(np.cumsum(r / total), rng.random())
-                    choice = min(choice, len(r) - 1)
-                    psi = amps[choice] / np.linalg.norm(amps[choice])
-                    threshold = rng.random()
-                else:
-                    psi = candidate
-        sum_state += pures
-        per_dist[i] = trace_distance(pures, target)
-        if traj_states is not None:
-            traj_states[i] = pures
-        if batch_sums is not None:
-            batch_sums[i * n_batches // n_traj] += pures
+                candidate = sub @ propagators[k]
+                below = np.linalg.norm(candidate, axis=1) ** 2 <= thresholds[group]
+                for m in np.flatnonzero(below):
+                    # The channel is drawn from the rates before the substep.
+                    r, amps = rates(sub[m : m + 1])
+                    total, rng = float(r.sum()), rngs[group[m]]
+                    if total > 0:
+                        choice = np.searchsorted(np.cumsum(r[0] / total), rng.random())
+                        new = amps[0, min(choice, len(l_ops) - 1)]
+                        candidate[m] = new / np.linalg.norm(new)
+                        thresholds[group[m]] = rng.random()
+                sub = candidate
+            psi[group] = sub
+        return psi
 
-    times = np.array(grid, dtype=float) * dt
-    mean_states = sum_state / n_traj
-    avg_dist = trace_distance(mean_states, target)
-    meta = {"n_steps": n_steps}
-    if batch_sums is not None:
-        sizes = np.array([(i * n_batches // n_traj == b) for b in range(n_batches)
-                          for i in range(n_traj)]).reshape(n_batches, n_traj).sum(axis=1)
-        meta["batch_states"] = batch_sums / sizes[:, None, None, None]
-        meta["batch_sizes"] = sizes
-    return EvolutionRecord(
-        times=times,
-        per_traj_distance=per_dist,
-        avg_distance=avg_dist,
-        final_dt_rk=dt,
-        halvings=0,
-        final_avg_state=mean_states[-1],
-        traj_states=traj_states,
-        meta=meta,
-    ).validate()
+    def to_density(out, psi):
+        unit = psi / np.linalg.norm(psi, axis=1, keepdims=True)
+        np.multiply(unit[:, :, None], unit.conj()[:, None, :], out=out)
+
+    return _run_batched(
+        step, np.broadcast_to(psi_start, (cfg.n_traj, dim)), _n_steps(cfg, dt), dt,
+        cfg.grid_points, target, cfg.stop_below, cfg.state_blocks, to_density,
+    )
 
 
 def mixing_time_estimate(record, eps=1e-2):

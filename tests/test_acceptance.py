@@ -473,15 +473,16 @@ def test_criterion_15_cross_solver_consistency():
     t_max = 400.0
     cfg_dm = gs.SolverConfig(
         dt_rk0=RK_STEP_TABLE["CH"][4], n_traj=10, t_max=t_max, seed=5,
-        grid_points=50, store_traj_states=True,
+        grid_points=50, state_blocks=10,
     )
     rec_dm = gs.evolve_randomized(
         setup["ham"], list(setup["lindblads"]), gs.maximally_mixed(4), cfg_dm, setup["sigma"],
     )
-    cfg_mc = gs.SolverConfig(dt_rk0=0.2, n_traj=500, t_max=t_max, seed=5, grid_points=50)
+    cfg_mc = gs.SolverConfig(
+        dt_rk0=0.2, n_traj=500, t_max=t_max, seed=5, grid_points=50, state_blocks=10
+    )
     rec_mc = gs.mcwf_evolve(
-        setup["ham"], list(setup["lindblads"]), setup["gammas"], None, cfg_mc,
-        setup["sigma"], n_batches=10,
+        setup["ham"], list(setup["lindblads"]), setup["gammas"], None, cfg_mc, setup["sigma"],
     )
 
     def jackknife_sigma(states, target):
@@ -497,7 +498,7 @@ def test_criterion_15_cross_solver_consistency():
             out[t_idx] = np.sqrt((m - 1) / m * np.sum((loo - loo.mean()) ** 2))
         return out
 
-    sig_mc = jackknife_sigma(rec_mc.meta["batch_states"], setup["sigma"])
+    sig_mc = jackknife_sigma(rec_mc.traj_states, setup["sigma"])
     sig_dm_native = jackknife_sigma(rec_dm.traj_states, setup["sigma"])
     d_dm = np.interp(rec_mc.times, rec_dm.times, rec_dm.avg_distance)
     sig_dm = np.interp(rec_mc.times, rec_dm.times, sig_dm_native)

@@ -1,9 +1,13 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gibbsim as gs
+from gibbsim.circuit import CircuitConfig, NoiseSpec
+from gibbsim.dynamics import JUMP_PROB_CAP
 from gibbsim.errors import StepUnderflow
 
 from conftest import BETA, gap_setup, lindblad_setup, point_setup
@@ -162,7 +166,7 @@ def test_randomized_generator_matches_six_product_oracle(n, gamma, coherent):
     # randomized scheme runs each sampled jump at the oracle's unit rate
     setup = lindblad_setup("CH", n, 10)
     cfg = gs.SolverConfig(
-        dt_rk0=0.1, n_traj=3, t_max=1.5, seed=4, grid_points=0, store_traj_states=True
+        dt_rk0=0.1, n_traj=3, t_max=1.5, seed=4, grid_points=0, state_blocks=3
     )
     ham = setup["ham"] if coherent else np.zeros_like(setup["ham"])
     rec = gs.evolve_randomized(
@@ -184,7 +188,7 @@ def test_exact_generator_matches_einsum_oracle(rng, coherent):
     setup = lindblad_setup("CH", 3, 10)
     ls = list(setup["lindblads"])
     gammas = rng.uniform(0.02, 0.2, len(ls))
-    cfg = gs.SolverConfig(dt_rk0=0.2, n_traj=1, t_max=4.0, grid_points=0, store_traj_states=True)
+    cfg = gs.SolverConfig(dt_rk0=0.2, n_traj=1, t_max=4.0, grid_points=0, state_blocks=1)
     ham = setup["ham"]
     rec = gs.evolve_exact(
         ham if coherent else np.zeros_like(ham), ls, gammas, gs.maximally_mixed(3), cfg,
@@ -212,7 +216,7 @@ def test_exact_generator_matches_einsum_oracle(rng, coherent):
 def test_fused_recording_equals_separate_distance_calls():
     setup = lindblad_setup("CH", 4, 10)
     cfg = gs.SolverConfig(
-        dt_rk0=0.2, n_traj=5, t_max=3.0, seed=2, grid_points=0, store_traj_states=True
+        dt_rk0=0.2, n_traj=5, t_max=3.0, seed=2, grid_points=0, state_blocks=5
     )
     rec = gs.evolve_randomized(
         setup["ham"], list(setup["lindblads"]), gs.maximally_mixed(4), cfg, setup["sigma"],
@@ -347,7 +351,7 @@ def test_mcwf_jump_probability_control():
 def test_mcwf_distances_match_recorded_pure_states():
     setup = lindblad_setup("CH", 3, 10)
     cfg = gs.SolverConfig(
-        dt_rk0=0.2, n_traj=4, t_max=4.0, seed=3, grid_points=8, store_traj_states=True
+        dt_rk0=0.2, n_traj=4, t_max=4.0, seed=3, grid_points=8, state_blocks=4
     )
     rec = gs.mcwf_evolve(
         setup["ham"], list(setup["lindblads"]), 5 * setup["gammas"], None, cfg, setup["sigma"]
@@ -356,6 +360,162 @@ def test_mcwf_distances_match_recorded_pure_states():
         for j in range(len(rec.times)):
             single = gs.trace_distance(rec.traj_states[i, j], setup["sigma"])
             assert rec.per_traj_distance[i, j] == single
+
+
+def _mcwf_one_at_a_time(ham, l_ops, gammas, psi0, cfg, target, grid):
+    """The unraveling stepped one trajectory at a time, as the solver ran
+    before its trajectories moved in lock step; per-trajectory distances at
+    the recorded step indices `grid`."""
+    decay = np.einsum("a,aij,ajk->ik", gammas, l_ops.conj().transpose(0, 2, 1), l_ops)
+    h_eff = ham - 0.5j * decay
+    dt, dim = cfg.dt_rk0, len(ham)
+    propagators = {}
+
+    def rates(psi):
+        amps = l_ops @ psi
+        r = gammas * np.einsum("ai,ai->a", amps.conj(), amps).real
+        return r / max(np.linalg.norm(psi) ** 2, 1e-300), amps
+
+    out = np.zeros((cfg.n_traj, len(grid)))
+    for i in range(cfg.n_traj):
+        rng = np.random.default_rng([cfg.seed, i])
+        if psi0 is None:
+            psi = np.zeros(dim, dtype=complex)
+            psi[rng.integers(dim)] = 1.0
+        else:
+            psi = psi0 / np.linalg.norm(psi0)
+        threshold = rng.random()
+        for pos, j in enumerate(grid):
+            for _ in range(j - (grid[pos - 1] if pos else 0)):
+                k = max(1, math.ceil(dt * float(rates(psi)[0].sum()) / JUMP_PROB_CAP))
+                if k not in propagators:
+                    propagators[k] = scipy.linalg.expm(-1j * (dt / k) * h_eff)
+                for _ in range(k):
+                    candidate = propagators[k] @ psi
+                    if np.linalg.norm(candidate) ** 2 <= threshold:
+                        r, amps = rates(psi)
+                        total = float(r.sum())
+                        if total > 0:
+                            choice = np.searchsorted(np.cumsum(r / total), rng.random())
+                            choice = min(choice, len(r) - 1)
+                            candidate = amps[choice] / np.linalg.norm(amps[choice])
+                            threshold = rng.random()
+                    psi = candidate
+            unit = psi / np.linalg.norm(psi)
+            out[i, pos] = gs.trace_distance(np.outer(unit, unit.conj()), target)
+    return out
+
+
+@pytest.mark.parametrize("seed", [3, 8])
+@pytest.mark.parametrize("pure_start", [False, True])
+def test_mcwf_lock_step_matches_one_trajectory_at_a_time(seed, pure_start):
+    # 5x the uniform rates give 46-67 jumps over the 24 trajectories and
+    # mix substep counts k = 1 and 2 (and 3 at seed 8) within almost every
+    # step, so both the jump handling and the per-k propagator groups run
+    setup = lindblad_setup("CH", 3, 10)
+    gammas = 5 * setup["gammas"]
+    psi0 = np.arange(1, 9) + 0.5j if pure_start else None
+    cfg = gs.SolverConfig(dt_rk0=0.2, n_traj=24, t_max=8.0, seed=seed, grid_points=20)
+    rec = gs.mcwf_evolve(setup["ham"], setup["lindblads"], gammas, psi0, cfg, setup["sigma"])
+    grid = [int(round(t / cfg.dt_rk0)) for t in rec.times]
+    oracle = _mcwf_one_at_a_time(
+        setup["ham"], setup["lindblads"], gammas, psi0, cfg, setup["sigma"], grid
+    )
+    assert grid[-1] == rec.meta["n_steps"] == 40
+    assert np.max(np.abs(rec.per_traj_distance - oracle)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "psi0",
+    [[0, 0, 0, 0], [np.nan, 1, 0, 0], [np.inf, 0, 0, 0], [1, 0], np.eye(4)],
+    ids=["zero", "nan", "inf", "short", "matrix"],
+)
+def test_mcwf_rejects_a_bad_initial_state(psi0):
+    setup = point_setup("CH", 2)
+    cfg = gs.SolverConfig(dt_rk0=0.1, n_traj=2, t_max=1.0)
+    with pytest.raises(ValueError, match="psi0"):
+        gs.mcwf_evolve(
+            setup["ham"], [np.zeros((4, 4))], [0.0], np.asarray(psi0, dtype=complex), cfg,
+            gs.maximally_mixed(2),
+        )
+
+
+def test_mcwf_honours_stop_below():
+    setup = lindblad_setup("CH", 3, 10)
+    cfg = gs.SolverConfig(
+        dt_rk0=0.2, n_traj=40, t_max=100.0, seed=1, grid_points=100, stop_below=0.3
+    )
+    rec = gs.mcwf_evolve(
+        setup["ham"], setup["lindblads"], 5 * setup["gammas"], None, cfg, setup["sigma"]
+    )
+    assert rec.meta["stopped_early"]
+    assert rec.avg_distance[-1] < 0.3 <= np.min(rec.avg_distance[:-1])
+    assert rec.times[-1] < cfg.t_max
+
+
+# ------------------------------------------------------------ state blocks
+@pytest.mark.parametrize("blocks", [-1, 5])
+def test_state_blocks_outside_zero_to_n_traj_are_rejected(blocks):
+    with pytest.raises(ValueError, match="state_blocks must lie between 0 and n_traj = 2"):
+        gs.SolverConfig(dt_rk0=0.1, n_traj=2, state_blocks=blocks)
+
+
+def test_state_blocks_average_contiguous_trajectory_blocks():
+    # trajectory i belongs to block i B // R: for R = 7, B = 3 the blocks
+    # hold trajectories 0-2, 3-4 and 5-6
+    setup = lindblad_setup("CH", 3, 10)
+    runs = {
+        "randomized": lambda cfg: gs.evolve_randomized(
+            setup["ham"], setup["lindblads"], gs.maximally_mixed(3), cfg, setup["sigma"]
+        ),
+        "mcwf": lambda cfg: gs.mcwf_evolve(
+            setup["ham"], setup["lindblads"], 5 * setup["gammas"], None, cfg, setup["sigma"]
+        ),
+    }
+    for run in runs.values():
+        kept = {
+            b: run(gs.SolverConfig(
+                dt_rk0=0.2, n_traj=7, t_max=4.0, seed=3, grid_points=8, state_blocks=b
+            )).traj_states
+            for b in (3, 7)
+        }
+        assert kept[3].shape == (3,) + kept[7].shape[1:]
+        for b, members in enumerate([slice(0, 3), slice(3, 5), slice(5, 7)]):
+            expected = kept[7][members].mean(axis=0)
+            assert np.max(np.abs(kept[3][b] - expected)) <= 1e-15
+    cfg = gs.SolverConfig(dt_rk0=0.2, n_traj=7, t_max=4.0, grid_points=8, state_blocks=3)
+    rec = gs.evolve_exact(
+        setup["ham"], setup["lindblads"], setup["gammas"], gs.maximally_mixed(3), cfg,
+        setup["sigma"],
+    )
+    assert rec.traj_states.shape == (1, len(rec.times), 8, 8)
+    assert np.array_equal(rec.traj_states[0, -1], rec.final_avg_state)
+
+
+@pytest.mark.parametrize("solver", ["randomized", "exact", "mcwf", "circuit"])
+def test_every_solver_reports_one_meta_key_set(solver):
+    setup = lindblad_setup("CH", 3, 5)
+    ls, gammas, sigma = setup["lindblads"], setup["gammas"], setup["sigma"]
+    cfg = gs.SolverConfig(dt_rk0=0.25, n_traj=2, t_max=2.0, grid_points=4)
+    circuit_cfg = CircuitConfig(
+        dt_ev=0.25, dt_oft=0.2, T=1.6, t_max=2.0, jump_count=5, k=2,
+        beta=BETA, n_rep=2, grid_points=4,
+    )
+    run = {
+        "randomized": lambda: gs.evolve_randomized(
+            setup["ham"], ls, gs.maximally_mixed(3), cfg, sigma
+        ),
+        "exact": lambda: gs.evolve_exact(
+            setup["ham"], ls, gammas, gs.maximally_mixed(3), cfg, sigma
+        ),
+        "mcwf": lambda: gs.mcwf_evolve(setup["ham"], ls, gammas, None, cfg, sigma),
+        "circuit": lambda: gs.simulate_protocol(setup["ham"], circuit_cfg, NoiseSpec(), sigma),
+    }[solver]
+    rec = run()
+    extra = {"gate_count", "engine_jumps"} if solver == "circuit" else set()
+    assert set(rec.meta) == {"n_steps", "stopped_early"} | extra
+    assert rec.meta["n_steps"] == 8 and rec.meta["stopped_early"] is False
 
 
 # ------------------------------------------------------------- mixing time

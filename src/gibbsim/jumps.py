@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidLocality
-from .numkernel import PAULIS, kron_all
 
 _EXP_UNDERFLOW = -700.0
 
@@ -40,16 +39,17 @@ class PauliString:
         return len(self.sites)
 
     def matrix(self):
-        """Dense 2^n realization; site 0 is the leftmost tensor factor."""
-        factors = [PAULIS["I"]] * self.n
-        for s, l in zip(self.sites, self.letters):
-            factors[s] = PAULIS[l]
-        return kron_all(factors)
+        """Dense 2^n realization, `signed_permutation()` written into a
+        zeroed array; site 0 is the leftmost tensor factor."""
+        cols, phases = self.signed_permutation()
+        out = np.zeros((len(cols), len(cols)), dtype=complex)
+        out[np.arange(len(cols)), cols] = phases
+        return out
 
     def signed_permutation(self):
-        """The one nonzero of each row of `matrix()`: (cols, phases) with
+        """The one nonzero of each row of the string: (cols, phases) with
         A[r, cols[r]] = phases[r], a power of i.  X and Y flip their site's
-        bit; Y contributes -i or +i and Z +1 or -1 by the row's bit."""
+        bit (site s is bit n-1-s); Y gives -i or +i and Z +1 or -1 by it."""
         rows = np.arange(1 << self.n)
         cols = rows.copy()
         phases = np.ones(rows.shape, dtype=complex)

@@ -1,21 +1,17 @@
 """Mixed-field Ising chain, Gibbs states and Bohr frequencies.
 
 Energies are quoted in units of the coupling J and times in 1/J.  The
-default inverse temperature everywhere is beta = 1/(2J).
+default inverse temperature everywhere is beta = 1/(2J).  Operators are
+built from basis-state bits: site s is bit n-1-s, Z_s is +1 or -1 on the
+diagonal as that bit is 0 or 1, and X_s flips it.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numkernel import (
-    PAULI_I,
-    PAULI_X,
-    PAULI_Z,
-    Spectrum,
-    embed_single_site,
-    kron_all,
-)
+from .errors import ResourceCeiling
 
 DEFAULT_BETA_J = 0.5  # beta * J = 1/2
 
@@ -96,20 +92,32 @@ class BohrSpectrum:
 
 def ising_split(p):
     """Diagonal part -J sum Z_i Z_{i+1} - m sum Z_i and transverse part
-    -h sum X_i of the chain Hamiltonian, the split used by trotter2 steps."""
-    n = p.n
-    dim = 2**n
-    diag = np.zeros((dim, dim), dtype=complex)
+    -h sum X_i of the chain Hamiltonian, the split used by trotter2 steps.
+
+    Row r's z_i = 1 - 2 bit_{n-1-i}(r) is summed into the diagonal by the
+    float operations, in the order, of the Kronecker-product sum (same bits);
+    0 - h goes to (r, r XOR 2^{n-1-i}).  Building and diagonalizing H hold four
+    dense D x D complex arrays (diag, transverse, H; then H, its eigenvectors
+    and two reconstruction-check temporaries).  ResourceCeiling is raised
+    before any allocation when they would exceed the physical memory.
+    """
+    n, dim = p.n, 2**p.n
+    need = 4 * 16 * dim * dim
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        raise ResourceCeiling(f"dense H at n={n} needs {need:.3g} bytes, memory is {physical:.3g}")
+    rows = np.arange(dim)
+    z = [1.0 - 2.0 * ((rows >> (n - 1 - i)) & 1) for i in range(n)]
+    energy = np.zeros(dim)
     for i in range(n - 1):
-        factors = [PAULI_I] * n
-        factors[i] = PAULI_Z
-        factors[i + 1] = PAULI_Z
-        diag -= p.J * kron_all(factors)
+        energy -= p.J * (z[i] * z[i + 1])
     for i in range(n):
-        diag -= p.m * embed_single_site(PAULI_Z, i, n)
+        energy -= p.m * z[i]
+    diag = np.zeros((dim, dim), dtype=complex)
+    diag[rows, rows] = energy
     transverse = np.zeros((dim, dim), dtype=complex)
     for i in range(n):
-        transverse -= p.h * embed_single_site(PAULI_X, i, n)
+        transverse[rows, rows ^ (1 << (n - 1 - i))] = 0.0 - p.h  # +0, not -0, at h = 0
     return diag, transverse
 
 

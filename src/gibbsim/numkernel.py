@@ -16,9 +16,7 @@ RECONSTRUCTION_RTOL = 1e-8
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 
 @dataclass(frozen=True)
@@ -119,11 +117,4 @@ def kron_all(factors):
     for f in factors[1:]:
         out = np.kron(out, f)
     return out
-
-
-def embed_single_site(op1q, site, n):
-    """n-qubit operator acting with `op1q` on `site` (site 0 = leftmost)."""
-    factors = [PAULI_I] * n
-    factors[site] = op1q
-    return kron_all(factors)
 

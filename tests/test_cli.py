@@ -331,6 +331,9 @@ REJECTED_VALUES = {
             (),
         ),
         ("experiment = accuracy-scan\npoint = CH\nn = 7\ngrid.jumps = 5\n", 3, ()),
+        ("experiment = spectrum\npoint = CH\nn = 20\n", 3, ()),
+        ("experiment = spectrum\npoint = CH\nn = 40\n", 3, ()),
+        ("experiment = chaos-scan\nn = 40\n", 3, ()),
         (CIRCUIT_N3 + "circuit.grid_points = 0\n", 0, ()),
         (CIRCUIT_N3 + "jumps.k = 4\n", 2, ()),
         (CIRCUIT_N3 + "jumps.count = 0\n", 2, ()),
@@ -348,6 +351,7 @@ REJECTED_VALUES = {
     ],
     ids=[
         "ok", "dt_ev", "coherent_mode", "lambda_g", "n", "n_traj", "grid.lambda_g", "ceiling",
+        "spectrum.n20", "spectrum.n40", "chaos-scan.n40",
         "circuit.grid_points", "circuit.jumps.k", "circuit.jumps.count", "evolve.jumps.k",
         "evolve.jumps.count", "gap-scan.jumps.k", "gap-scan.grid.jumps",
         "gap-scan.jumps.k.beyond-ceiling", "accuracy-scan.grid.jumps", "seed", "cli.seed",
@@ -494,6 +498,28 @@ def test_import_cli_loads_no_thread_pool():
         "print(json.dumps(sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules)))\n"
     )
     assert _fresh_python_report(script) == []
+
+
+def test_run_paths_build_no_kronecker_product(tmp_path, monkeypatch):
+    # Chain Hamiltonians and Pauli strings are built from basis-state bits.
+    # chaos-scan is exempt: its Pauli-product eigenbasis is a dense kron of
+    # 2x2 unitaries, about 1 ms at n = 8.
+    def no_kron(*args, **kwargs):
+        raise AssertionError("np.kron called on a run path")
+
+    monkeypatch.setattr(np, "kron", no_kron)
+    configs = {
+        "evolve": EVOLVE_N3 + "jumps.count = 4\n",
+        "noise-bounds": NOISE_BOUNDS_N3,
+        "circuit": CIRCUIT_N3,
+        "circuit-noise": CIRCUIT_NOISE_N1.replace("n = 1\njumps.k = 1\n", "n = 3\n"),
+        "gap-scan": "experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 5\n",
+        "accuracy-scan": "experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5\n",
+        "spectrum": "experiment = spectrum\npoint = CH\nn = 3\n",
+    }
+    for name, text in configs.items():
+        cfg = write_cfg(tmp_path, f"{name}.cfg", text)
+        assert main(["run", cfg, "--out-dir", str(tmp_path / name)]) == 0, name
 
 
 def test_circuit_trotter2_mode_runs(tmp_path):

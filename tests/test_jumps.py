@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,19 @@ from gibbsim.jumps import FilterSpec, PauliString, filter_freq_discretized, jump
 from conftest import BETA, lindblad_setup, point_setup
 
 F = FilterSpec(BETA)
+PAULI = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def kron_matrix(a):
+    """A Pauli string as the Kronecker product of its n 2x2 factors, site 0
+    leftmost: an oracle independent of the string's bit rule."""
+    letters = dict(zip(a.sites, a.letters))
+    return reduce(np.kron, [PAULI[letters.get(s, "I")] for s in range(a.n)])
 
 
 # ---------------------------------------------------------------- sampling
@@ -221,7 +236,7 @@ def test_pauli_string_invariants_enforced():
         gs.PauliString(n=3, sites=(0,), letters=("I",))
 
 
-@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("n", range(1, 7))
 def test_signed_permutation_is_the_dense_matrix(n):
     # every k and letter, checked entry for entry against the kron product
     strings = [a for k in range(1, n + 1) for a in gs.sample_jump_set(n, k, 12, seed=k)]
@@ -230,7 +245,23 @@ def test_signed_permutation_is_the_dense_matrix(n):
         cols, phases = a.signed_permutation()
         sparse = np.zeros((2**n, 2**n), dtype=complex)
         sparse[np.arange(2**n), cols] = phases
-        assert np.array_equal(sparse, a.matrix())
+        assert np.array_equal(sparse, kron_matrix(a))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+@pytest.mark.parametrize("key", ["CH", "REG"])
+def test_exact_oft_of_a_string_is_that_of_its_kron_matrix(key, n):
+    # matrix() writes the signed permutation into zeros, so it may differ from
+    # the kron product in the signs of zeros only; every OFT operator built
+    # from it has the same bits
+    setup = point_setup(key, n)
+    spec, bohr = setup["spec"], setup["bohr"]
+    for k in (1, 2, 3):
+        for a in gs.sample_jump_set(n, k, 8, seed=k):
+            dense = kron_matrix(a)
+            assert np.array_equal(a.matrix(), dense)
+            built = gs.lindblad_op_exact(a, spec, F, bohr)
+            assert built.tobytes() == gs.lindblad_op_exact(dense, spec, F, bohr).tobytes()
 
 
 @pytest.mark.parametrize("builder", ["exact", "discretized"])

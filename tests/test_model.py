@@ -1,3 +1,4 @@
+from functools import reduce
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import gibbsim as gs
 from gibbsim.chaos import even_sector_basis
+from gibbsim.errors import ResourceCeiling
 from gibbsim.model import RK_STEP_TABLE, _sorted_distinct
 
 from conftest import BETA, point_setup
@@ -26,6 +28,66 @@ def pauli_sum_oracle(params):
             y = x ^ (1 << (n - 1 - s))
             ham[y, x] += -params.h
     return ham
+
+
+def kron_split(params):
+    """(diag, transverse) as ising_split built them before the bit
+    construction: sums of Kronecker-product chains, kept as the bit oracle."""
+    n, dim = params.n, 2**params.n
+    eye = np.eye(2, dtype=complex)
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+    def chain(ops):
+        return reduce(np.kron, [ops.get(s, eye) for s in range(n)])
+
+    diag = np.zeros((dim, dim), dtype=complex)
+    for i in range(n - 1):
+        diag -= params.J * chain({i: z, i + 1: z})
+    for i in range(n):
+        diag -= params.m * chain({i: z})
+    transverse = np.zeros((dim, dim), dtype=complex)
+    for i in range(n):
+        transverse -= params.h * chain({i: x})
+    return diag, transverse
+
+
+def assert_split_is_kron_sum(params):
+    diag, transverse = gs.ising_split(params)
+    old_diag, old_transverse = kron_split(params)
+    assert diag.tobytes() == old_diag.tobytes()
+    assert transverse.tobytes() == old_transverse.tobytes()
+    assert gs.build_hamiltonian(params).tobytes() == (old_diag + old_transverse).tobytes()
+
+
+@pytest.mark.parametrize("J", [1.0, 0.5, 2.0])
+@pytest.mark.parametrize("key", sorted(gs.NAMED_POINTS))
+def test_ising_split_is_the_kron_sum_bit_for_bit(key, J):
+    for n in range(1, 9):
+        assert_split_is_kron_sum(gs.named_point(key, n, J=J))
+
+
+@pytest.mark.parametrize("h, m", [(0.0, 0.0), (-0.0, -0.0), (-0.7, 0.3), (0.0, -1.2)])
+def test_ising_split_keeps_signed_zeros_and_signs_of_fields(h, m):
+    for n in range(1, 6):
+        assert_split_is_kron_sum(gs.IsingParams(n=n, J=1.3, h=h, m=m))
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_ising_split_too_big_for_memory_raises_ceiling(n):
+    with pytest.raises(ResourceCeiling, match=f"n={n}"):
+        gs.ising_split(gs.named_point("CH", n))
+
+
+def test_ising_split_ceiling_counts_four_dense_arrays(monkeypatch):
+    # four complex 8x8 arrays at n = 3 take 4096 bytes
+    params = gs.named_point("CH", 3)
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 * 16 * 8 * 8}
+    monkeypatch.setattr("gibbsim.model.os.sysconf", memory.__getitem__)
+    gs.ising_split(params)
+    memory["SC_PHYS_PAGES"] -= 1
+    with pytest.raises(ResourceCeiling):
+        gs.ising_split(params)
 
 
 def test_single_qubit_fields():

@@ -38,7 +38,6 @@ from .jumps import (
 from .liouville import (
     GapResult,
     MarkovRestriction,
-    Superoperator,
     build_superop,
     ckg_coherent_term,
     conductance_cheeger,

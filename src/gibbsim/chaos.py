@@ -81,12 +81,15 @@ def fractal_stats(ham, basis_letters, window_kind="energy"):
     """Mean and variance of D_1 over the retained bulk of the spectrum.
 
     The window keeps the inner 80% (BULK_WINDOW) of the spectrum by energy span;
-    window_kind='index' switches to an eigenvalue-count window.
+    window_kind='index' switches to an eigenvalue-count window.  Raises
+    ValueError when the window holds no eigenstate.
     """
     spec = eig_hermitian(ham)
+    mask = _window_mask(spec.values, window_kind)
+    if not mask.any():
+        raise ValueError(f"the {window_kind} window holds no eigenstate")
     basis = pauli_product_basis(basis_letters)
     amps = basis.conj().T @ spec.vectors
-    mask = _window_mask(spec.values, window_kind)
     dvals = np.array(
         [fractal_dimension(amps[:, i], 1) for i in np.nonzero(mask)[0]]
     )

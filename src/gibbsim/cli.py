@@ -256,7 +256,11 @@ def run_chaos_scan(cfg, out_dir, threads):
 
     def one(point):
         h, m, params = point
-        stats = fractal_stats(build_hamiltonian(params), letters, window_kind=window_kind)
+        ham = build_hamiltonian(params)
+        try:
+            stats = fractal_stats(ham, letters, window_kind=window_kind)
+        except ValueError as exc:
+            raise ConfigError(f"chaos-scan at h/J = {h}, m/J = {m}: {exc}") from exc
         return (h, m, stats.mean, stats.variance)
 
     rows = _map_maybe_parallel(one, points, threads)

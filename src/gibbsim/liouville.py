@@ -31,6 +31,12 @@ all; S alone would take 16 D^4 more.
   it by t and solving against e_1 therefore keeps R x = 0 and adds
   Tr rho = 1; with a simple zero eigenvalue the system is nonsingular and
   its one solution is the steady state.
+
+`markov_restriction` takes the jump operators, not S.  For j != i,
+Pi_j Pi_i = 0 and Tr[Pi_j [G, Pi_i]] = 0 leave only the jump term of
+q_{i->j} = Tr[Pi_j L[Pi_i / d_i]]: the Davies rates (Commun. Math. Phys. 39,
+91 (1974)) (1/d_i) sum_{k in B_j, l in B_i} sum_a gamma_a |<k|L_a|l>|^2 over
+eigenvectors k, l of the level blocks B.  Trace preservation fixes q_{i->i}.
 """
 
 from dataclasses import dataclass
@@ -53,30 +59,6 @@ def vec(rho):
 def unvec(v):
     d = int(round(np.sqrt(v.shape[0])))
     return v.reshape(d, d, order="F")
-
-
-def apply_lindbladian(rho, coherent, lindblads, gammas):
-    """Direct action L[rho] = -i[G, rho] + sum_a gamma_a D^a[rho]; G = 0 when
-    `coherent` is None."""
-    rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    if coherent is not None:
-        out += -1j * (coherent @ rho - rho @ coherent)
-    for g, L in zip(gammas, np.asarray(lindblads, dtype=complex)):
-        LdL = L.conj().T @ L
-        out += g * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
-    return out
-
-
-@dataclass(frozen=True)
-class Superoperator:
-    """Dense vectorized generator acting on column-stacked operators; a class,
-    not a bare array, since the benchmark reads `build_superop(...).matrix.nbytes`."""
-
-    matrix: np.ndarray
-
-    def apply(self, rho):
-        return unvec(self.matrix @ vec(rho))
 
 
 def drift_operator(coherent, l_ops, gammas):
@@ -128,21 +110,27 @@ class _GeneratorFactors:
         return out
 
 
-def _generator_factors(coherent, lindblads, gammas):
-    """Check (G, L_a, gamma_a) and gather the factors of the generator's rows;
-    G = 0 when `coherent` is None."""
+def _jump_stack(lindblads, gammas, d):
+    """Check D x D jump operators and their weights; a complex (n_jump, D, D) stack and floats."""
     l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)
     if np.any(gammas < 0):
         raise ValueError("gammas must be nonnegative")
     if len(l_ops) != len(gammas):
         raise DimensionMismatch("one weight per Lindblad operator")
-    d = l_ops.shape[1] if len(l_ops) else np.asarray(coherent).shape[0]
     if len(l_ops) and l_ops.shape[1:] != (d, d):
         raise DimensionMismatch("Lindblad operator dimension mismatch")
+    return l_ops.reshape(len(l_ops), d, d), gammas
+
+
+def _generator_factors(coherent, lindblads, gammas):
+    """Check (G, L_a, gamma_a) and gather the factors of the generator's rows;
+    G = 0 when `coherent` is None."""
+    l_ops = np.asarray(lindblads, dtype=complex)
+    d = l_ops.shape[1] if len(l_ops) else np.asarray(coherent).shape[0]
+    l_ops, gammas = _jump_stack(l_ops, gammas, d)
     if coherent is not None and np.asarray(coherent).shape[0] != d:
         raise DimensionMismatch("coherent term dimension mismatch")
-    l_ops = l_ops.reshape(len(l_ops), d, d)
     a = drift_operator(coherent, l_ops, gammas)
     # M^T = conj(A) when G is Hermitian; the correction keeps -i[G, .]
     # exact for any G.
@@ -173,7 +161,7 @@ def build_superop(coherent, lindblads, gammas):
     s4 = np.empty((d, d, d, d), dtype=complex)
     for p in range(d):
         s4[p] = factors.rows(p, slice(None))
-    return Superoperator(matrix=s4.reshape(d * d, d * d))
+    return s4.reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)
@@ -343,46 +331,39 @@ class MarkovRestriction:
     block_energies: np.ndarray
 
 
-def markov_restriction(s, spec, sigma_beta, level_tol=None):
-    """Classical rate matrix q_{i->j} = Tr[Pi_j L[Pi_i / d_i]] on eigenlevels.
+def markov_restriction(spec, lindblads, gammas, sigma_beta, level_tol=None):
+    """Classical rate matrix q_{i->j} = Tr[Pi_j L[Pi_i / d_i]] on eigenlevels,
+    from the (n_jump, D, D) jump stack and its weights (module docstring);
+    a coherent term would drop out, so none is taken.
 
     Near-degenerate levels (within 1e-9 * max|E| by default) are merged into
     projector blocks so that exactly degenerate spectra collapse gracefully.
     The stochastic matrix is P = q/r + I with r = max_i sum_{k != i} q_{i->k}.
     """
     w = spec.values
+    l_ops, gammas = _jump_stack(lindblads, gammas, spec.dim)
     if level_tol is None:
         level_tol = 1e-9 * max(float(np.max(np.abs(w))), 1e-300)
-    blocks = []
-    start = 0
-    for k in range(1, len(w) + 1):
-        if k == len(w) or w[k] - w[start] > level_tol:
-            blocks.append(list(range(start, k)))
-            start = k
-    nb = len(blocks)
-    d = spec.dim
+    starts = [0]
+    for k in range(1, len(w)):
+        if w[k] - w[starts[-1]] > level_tol:
+            starts.append(k)
+    sizes = np.diff(starts + [len(w)])
 
-    projs = []
-    energies = np.empty(nb)
-    for b, idx in enumerate(blocks):
-        cols = spec.vectors[:, idx]
-        projs.append(cols @ cols.conj().T)
-        energies[b] = w[idx].mean()
+    # rates[k, l] = sum_a gamma_a |<k|L_a|l>|^2; flow[j, i] sums it over k in B_j, l in B_i
+    rates = np.tensordot(gammas, np.abs(spec.to_eigenbasis(l_ops)) ** 2, axes=1)
+    flow = np.add.reduceat(np.add.reduceat(rates, starts, axis=0), starts, axis=1)
+    q = flow.T / sizes[:, None]
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
 
-    q = np.empty((nb, nb))
-    for i, idx in enumerate(blocks):
-        rho_i = projs[i] / len(idx)
-        image = s.apply(rho_i)
-        for j in range(nb):
-            q[i, j] = np.trace(projs[j] @ image).real
-
-    r = float(np.max(np.sum(q - np.diag(np.diag(q)), axis=1)))
+    r = float(np.max(-np.diag(q)))
     if r <= 1e-12 * max(np.max(np.abs(q)), 1e-300) or not np.isfinite(r) or r <= 0:
         raise DegenerateChain("no usable off-diagonal transition rates")
-    P = q / r + np.eye(nb)
-    pi = np.array([np.trace(pj @ sigma_beta).real for pj in projs])
-    pi = pi / pi.sum()
-    return MarkovRestriction(q=q, P=P, r=r, pi=pi, block_energies=energies)
+    P = q / r + np.eye(len(starts))
+    pi = np.add.reduceat(np.real(np.diag(spec.to_eigenbasis(sigma_beta))), starts)
+    energies = np.add.reduceat(w, starts) / sizes
+    return MarkovRestriction(q=q, P=P, r=r, pi=pi / pi.sum(), block_energies=energies)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,10 @@ def fit_convergence(steps, distances):
     d = np.asarray(distances, dtype=float)
     if steps.shape != d.shape or d.ndim != 1:
         raise ValueError("steps and distances must be equal-length vectors")
-    tail = max(1, int(round(0.1 * len(d))))
-    plateau = float(np.median(d[-tail:]))
+    # The median by sorting (np.median would load numpy.ma); at odd length
+    # both middle indices coincide and 0.5 (x + x) is x exactly.
+    tail = np.sort(d[-max(1, int(round(0.1 * len(d)))) :])
+    plateau = float(0.5 * (tail[(len(tail) - 1) // 2] + tail[len(tail) // 2]))
     if plateau <= 0 or np.max(d) < 10.0 * plateau:
         raise InsufficientDecay("series never decays a full decade above its plateau")
     below = np.nonzero(d <= 2.0 * plateau)[0]

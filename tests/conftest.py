@@ -45,10 +45,23 @@ def lindblad_setup(key, n, count, k=2, seed=0):
 
 @lru_cache(maxsize=None)
 def gap_setup(key, n, count, k=2, seed=0):
+    """Lindblad setup plus the gap and steady state of its generator with G = H."""
     ls = lindblad_setup(key, n, count, k, seed)
-    superop = gs.build_superop(ls["ham"], list(ls["lindblads"]), ls["gammas"])
-    result = gs.steady_state_and_gap(ls["ham"], list(ls["lindblads"]), ls["gammas"])
-    return {**ls, "superop": superop, "gap_result": result}
+    result = gs.steady_state_and_gap(ls["ham"], ls["lindblads"], ls["gammas"])
+    return {**ls, "gap_result": result}
+
+
+def apply_lindbladian(rho, coherent, lindblads, gammas):
+    """The generator applied directly, the reference for its vectorized forms:
+    L[rho] = -i[G, rho] + sum_a gamma_a D^a[rho]; G = 0 when `coherent` is None."""
+    rho = np.asarray(rho, dtype=complex)
+    out = np.zeros_like(rho)
+    if coherent is not None:
+        out += -1j * (coherent @ rho - rho @ coherent)
+    for g, L in zip(gammas, np.asarray(lindblads, dtype=complex)):
+        LdL = L.conj().T @ L
+        out += g * (L @ rho @ L.conj().T - 0.5 * (LdL @ rho + rho @ LdL))
+    return out
 
 
 def random_density_matrix(dim, rng):

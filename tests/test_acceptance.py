@@ -13,11 +13,18 @@ import scipy.linalg
 
 import gibbsim as gs
 from gibbsim.circuit import CircuitConfig, NoiseSpec, plateau_level, step_v_reference
-from gibbsim.liouville import apply_lindbladian, markov_restriction, conductance_cheeger, unvec, vec
+from gibbsim.liouville import markov_restriction, conductance_cheeger, unvec, vec
 from gibbsim.model import RK_STEP_TABLE
 from gibbsim.noisefit import fit_convergence
 
-from conftest import BETA, gap_setup, lindblad_setup, point_setup, random_density_matrix
+from conftest import (
+    BETA,
+    apply_lindbladian,
+    gap_setup,
+    lindblad_setup,
+    point_setup,
+    random_density_matrix,
+)
 
 F = gs.FilterSpec(BETA)
 
@@ -46,7 +53,8 @@ def mixing_record(key, n, t_max, stop_below, seed=5):
 def channel_iteration_fit(n=3, dt_step=1.0, n_steps=400):
     """Exact-channel iteration from the maximally mixed state plus its fit."""
     setup = gap_setup("CH", n, 20)
-    channel = scipy.linalg.expm(dt_step * setup["superop"].matrix)
+    superop = gs.build_superop(setup["ham"], setup["lindblads"], setup["gammas"])
+    channel = scipy.linalg.expm(dt_step * superop)
     x = vec(gs.maximally_mixed(n))
     dists = []
     for _ in range(n_steps):
@@ -254,7 +262,7 @@ def test_criterion_07_order_checks(rng):
         big = np.zeros((16, 16), dtype=complex)
         big[:8, :8] = rho
         lhs = gs.partial_trace_ancilla(u_k @ big @ u_k.conj().T)
-        rhs = unvec(scipy.linalg.expm(dt * sup.matrix) @ vec(rho))
+        rhs = unvec(scipy.linalg.expm(dt * sup) @ vec(rho))
         return np.max(np.abs(lhs - rhs))
 
     dil_ratio = dilation_err(0.1) / dilation_err(0.05)
@@ -452,8 +460,8 @@ def test_criterion_13_chaos_diagnostics():
 def test_criterion_14_markov_restriction_and_cheeger():
     rows = []
     for n in (3, 4):
-        setup = gap_setup("CH", n, 20)
-        mc = markov_restriction(setup["superop"], setup["spec"], setup["sigma"])
+        setup = lindblad_setup("CH", n, 20)
+        mc = markov_restriction(setup["spec"], setup["lindblads"], setup["gammas"], setup["sigma"])
         assert np.max(np.abs(mc.P.sum(axis=1) - 1.0)) < 1e-12
         res = conductance_cheeger(mc, exhaustive_limit=16)
         assert res.exhaustive

@@ -12,10 +12,10 @@ from gibbsim.circuit import (
     _depolarize_adjacent_pairs,
     step_v_reference,
 )
-from gibbsim.liouville import apply_lindbladian, unvec, vec
+from gibbsim.liouville import unvec, vec
 from gibbsim.numkernel import PAULI_I, PAULI_X
 
-from conftest import BETA, lindblad_setup, point_setup, random_density_matrix
+from conftest import BETA, apply_lindbladian, lindblad_setup, point_setup, random_density_matrix
 
 F = gs.FilterSpec(BETA)
 
@@ -86,7 +86,7 @@ def test_dilation_identity_second_order(rng):
         big = np.zeros((16, 16), dtype=complex)
         big[:8, :8] = rho
         lhs = gs.partial_trace_ancilla(u @ big @ u.conj().T)
-        rhs = unvec(scipy.linalg.expm(dt * sup.matrix) @ vec(rho))
+        rhs = unvec(scipy.linalg.expm(dt * sup) @ vec(rho))
         return np.max(np.abs(lhs - rhs))
 
     ratio = err(0.1) / err(0.05)
@@ -289,7 +289,7 @@ def test_step_w_average_matches_exact_channel_second_order(rng):
         engine = ProtocolEngine(setup["ham"], cfg)
         ls = [gs.lindblad_op_exact(a, spec, F, bohr) for a in engine.jump_set]
         sup = gs.build_superop(setup["ham"], ls, np.full(8, cfg.gamma / 8))
-        ref = unvec(scipy.linalg.expm(dt_ev * sup.matrix) @ vec(rho))
+        ref = unvec(scipy.linalg.expm(dt_ev * sup) @ vec(rho))
         avg = np.mean(step_w(engine, cfg, rho, np.arange(8)), axis=0)
         return np.max(np.abs(avg - ref))
 

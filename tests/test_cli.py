@@ -1,7 +1,6 @@
 import ast
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +303,9 @@ REJECTED_VALUES = {
     "chaos-scan.J": CHAOS_N3 + "J = 0\n",
     "chaos-scan.n": CHAOS_N3 + "n = 0\n",
     "chaos-scan.window_kind": CHAOS_N3 + "window_kind = foo\n",
+    # the energy window of a spectrum at +-J, or of two levels, holds no state
+    "chaos-scan.empty-window": "experiment = chaos-scan\nn = 2\ngrid.h = 0\ngrid.m = 0\n",
+    "chaos-scan.n1": CHAOS_N3.replace("n = 3", "n = 1"),
     "spectrum.beta": "experiment = spectrum\npoint = CH\nn = 3\nbeta = nan\n",
     "evolve.beta": EVOLVE_N3 + "beta = nan\n",
     "spectrum.J": "experiment = spectrum\npoint = CH\nn = 3\nJ = nan\n",
@@ -387,7 +389,10 @@ def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
 
 @pytest.mark.parametrize(
     "key",
-    ["gap-scan.grid.n", "circuit.noise.n1", "circuit-noise.n1", "error-fit.usable"],
+    [
+        "gap-scan.grid.n", "circuit.noise.n1", "circuit-noise.n1", "error-fit.usable",
+        "chaos-scan.empty-window",
+    ],
 )
 def test_rejected_value_is_named(tmp_path, capsys, key):
     # the message names the key at fault, and an earlier run is left as it was
@@ -403,9 +408,20 @@ def test_rejected_value_is_named(tmp_path, capsys, key):
         "circuit.noise.n1": "noise.kind = depolarizing_budget",
         "circuit-noise.n1": "grid.lambda_g",
         "error-fit.usable": "grid.dt_ev and grid.dt_oft",
+        "chaos-scan.empty-window": "h/J = 0.0, m/J = 0.0",
     }[key]
     assert named in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_chaos_scan_index_window_runs_at_one_qubit(tmp_path):
+    # the index window keeps both states of a two-level spectrum
+    text = CHAOS_N3.replace("n = 3", "n = 1") + "window_kind = index\n"
+    cfg = write_cfg(tmp_path, "chaos.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    row = (out / "heatmap.csv").read_text().splitlines()[-1]
+    assert np.all(np.isfinite([float(x) for x in row.split(",")]))
 
 
 def test_error_fit_reads_no_noise_keys(tmp_path):
@@ -465,12 +481,17 @@ def _fresh_python_report(script, *args):
 
 def test_import_and_runs_load_no_scipy(tmp_path):
     # scipy is imported only by mcwf_evolve and the noisefit fits that call
-    # it; numpy.ma (which np.unique imports) by none of these runs
+    # it; numpy.ma (which np.unique and np.median import) by none of these
+    # runs, one for every experiment that a benchmark workload runs
     configs = {
-        "evolve": "experiment = evolve\npoint = CH\nn = 3\njumps.count = 4\n"
-        "solver.t_max = 5\nsolver.n_traj = 2\n",
+        "evolve": EVOLVE_N3 + "jumps.count = 4\n",
+        "noise-bounds": NOISE_BOUNDS_N3,
         "circuit": CIRCUIT_N3,
+        "circuit-noise": CIRCUIT_NOISE_N1.replace("n = 1\njumps.k = 1\n", "n = 3\n"),
         "gap-scan": "experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 5\n",
+        "accuracy-scan": "experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5\n",
+        "spectrum": "experiment = spectrum\npoint = CH\nn = 3\n",
+        "chaos-scan": CHAOS_N3,
     }
     argvs = [
         ["run", write_cfg(tmp_path, f"{name}.cfg", text), "--out-dir", str(tmp_path / name)]
@@ -487,7 +508,8 @@ def test_import_and_runs_load_no_scipy(tmp_path):
         "print(json.dumps({'codes': codes, 'scipy': loaded, 'numpy.ma': ma}))\n"
     )
     report = _fresh_python_report(script, json.dumps(argvs))
-    assert report == {"codes": [0, 0, 0], "scipy": [], "numpy.ma": [False, False, False]}
+    runs = len(configs)
+    assert report == {"codes": [0] * runs, "scipy": [], "numpy.ma": [False] * runs}
 
 
 def test_import_cli_loads_no_thread_pool():
@@ -562,13 +584,15 @@ PUBLIC_KEEP = {
     "fit_effective_gates": "computes the paper's effective gate count",
     "apply_noise": "the per-step noise channel that simulate_protocol applies",
     "fractal_dimension": "the per-state D_1 that fractal_stats averages",
+    "evolve_exact": "the exact reference the solver tests compare with",
 }
 
 
 def test_every_public_name_is_used():
-    # A name exported by gibbsim must appear as a word in another module of
-    # the package or in the acceptance criteria, be a class that a used
-    # function of its module builds, or be kept above with a reason.
+    # A name exported by gibbsim must be read by the code of another module
+    # of the package or of the acceptance criteria (a name or an attribute,
+    # not a word in prose), be a class that a used function of its module
+    # builds, or be kept above with a reason.
     package = Path(gibbsim.__file__).parent
     exported = {
         alias.name: node.module
@@ -577,12 +601,20 @@ def test_every_public_name_is_used():
         for alias in node.names
     }
     sources = {path.stem: path.read_text() for path in package.glob("*.py")}
-    acceptance = (Path(__file__).parent / "test_acceptance.py").read_text()
+
+    def names_read(text):
+        return {
+            node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+
+    acceptance = names_read((Path(__file__).parent / "test_acceptance.py").read_text())
+    read_by = {stem: names_read(text) for stem, text in sources.items()}
 
     def used(name, module):
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        others = [text for stem, text in sources.items() if stem not in (module, "__init__")]
-        return any(word.search(text) for text in [acceptance, *others])
+        others = [names for stem, names in read_by.items() if stem not in (module, "__init__")]
+        return any(name in names for names in [acceptance, *others])
 
     def built_by_used_function(name, module):
         return any(

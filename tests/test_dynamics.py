@@ -10,7 +10,7 @@ from gibbsim.circuit import CircuitConfig, NoiseSpec
 from gibbsim.dynamics import JUMP_PROB_CAP
 from gibbsim.errors import StepUnderflow
 
-from conftest import BETA, gap_setup, lindblad_setup, point_setup
+from conftest import BETA, apply_lindbladian, gap_setup, lindblad_setup, point_setup
 
 F = gs.FilterSpec(BETA)
 
@@ -298,8 +298,6 @@ def test_infinite_temperature_state_stationary_for_beta_zero_filter():
     ls = [
         gs.lindblad_op_exact(a, setup["spec"], f0, bohr) / eta0 for a in jumps
     ]
-    from gibbsim.liouville import apply_lindbladian
-
     gammas = np.full(10, 0.1)
     resid = gs.trace_norm(
         apply_lindbladian(gs.maximally_mixed(3), setup["ham"], ls, gammas)

@@ -5,20 +5,26 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import gibbsim as gs
-from gibbsim.errors import DegenerateChain, NonUniqueSteadyState, NotHermitian
+from gibbsim.errors import DegenerateChain, DimensionMismatch, NonUniqueSteadyState, NotHermitian
 from gibbsim.liouville import (
     MarkovRestriction,
     _generator_factors,
     _hermitian_basis,
     _real_form,
-    apply_lindbladian,
     conductance_cheeger,
     markov_restriction,
     unvec,
     vec,
 )
 
-from conftest import BETA, gap_setup, lindblad_setup, point_setup, random_hermitian
+from conftest import (
+    BETA,
+    apply_lindbladian,
+    gap_setup,
+    lindblad_setup,
+    point_setup,
+    random_hermitian,
+)
 
 F = gs.FilterSpec(BETA)
 
@@ -30,26 +36,26 @@ def test_superop_action_matches_direct_evaluation(rng):
     for _ in range(10):
         x = random_hermitian(8, rng)
         direct = apply_lindbladian(x, setup["ham"], setup["lindblads"], setup["gammas"])
-        assert np.max(np.abs(sup.apply(x) - direct)) < 1e-10
+        assert np.max(np.abs(unvec(sup @ vec(x)) - direct)) < 1e-10
 
 
 def test_trace_preservation_functional():
     setup = lindblad_setup("CH", 3, 20)
     sup = gs.build_superop(setup["ham"], list(setup["lindblads"]), setup["gammas"])
     # the trace functional acting from the left vanishes
-    left = vec(np.eye(8)).conj() @ sup.matrix
+    left = vec(np.eye(8)).conj() @ sup
     assert np.max(np.abs(left)) < 1e-10
 
 
 def test_identity_lindblad_no_hamiltonian_gives_zero_superop():
     sup = gs.build_superop(np.zeros((4, 4)), [np.eye(4)], [1.0])
-    assert np.max(np.abs(sup.matrix)) < 1e-14
+    assert np.max(np.abs(sup)) < 1e-14
 
 
 def test_hamiltonian_only_eigenvalues_are_bohr_phases():
     setup = point_setup("CH", 3)
     sup = gs.build_superop(setup["ham"], [], [])
-    evals = np.linalg.eigvals(sup.matrix)
+    evals = np.linalg.eigvals(sup)
     assert np.max(np.abs(evals.real)) < 1e-10
     w = setup["spec"].values
     expected = sorted((-1j * (wi - wj) for wi in w for wj in w), key=lambda z: z.imag)
@@ -155,8 +161,8 @@ def test_superop_and_gap_match_kron_eig_oracle(case):
     _, coherent, ls, gammas = case
     old = kron_superop(coherent, ls, gammas)
     sup = gs.build_superop(coherent, ls, gammas)
-    assert sup.matrix.dtype == complex and sup.matrix.shape == old.shape
-    assert np.max(np.abs(sup.matrix - old)) <= 1e-12
+    assert sup.dtype == complex and sup.shape == old.shape
+    assert np.max(np.abs(sup - old)) <= 1e-12
     gap, zero_count, rho, evals = eig_steady_state_and_gap(old)
     result = gs.steady_state_and_gap(coherent, ls, gammas)
     assert result.zero_count == zero_count == 1
@@ -184,7 +190,7 @@ def test_non_unique_cases_match_eig_oracle(case):
     _, coherent, ls, gammas = case
     old = kron_superop(coherent, ls, gammas)
     sup = gs.build_superop(coherent, ls, gammas)
-    assert np.max(np.abs(sup.matrix - old)) <= 1e-12
+    assert np.max(np.abs(sup - old)) <= 1e-12
     with pytest.raises(NonUniqueSteadyState) as expected:
         eig_steady_state_and_gap(old)
     with pytest.raises(NonUniqueSteadyState) as err:
@@ -199,7 +205,7 @@ def test_non_hermitian_coherent_term_raises(rng):
     g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     ls, gammas = list(setup["lindblads"]), setup["gammas"]
     sup = gs.build_superop(g, ls, gammas)
-    assert np.max(np.abs(sup.matrix - kron_superop(g, ls, gammas))) <= 1e-12
+    assert np.max(np.abs(sup - kron_superop(g, ls, gammas))) <= 1e-12
     with pytest.raises(NotHermitian):
         gs.steady_state_and_gap(g, ls, gammas)
 
@@ -236,7 +242,7 @@ def test_real_form_matches_dense_basis_change(n, kind):
         "non-hermitian": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
     }[kind]
     u = hermitian_basis_unitary(d)
-    dense = u.conj().T @ gs.build_superop(coherent, ls, gammas).matrix @ u
+    dense = u.conj().T @ gs.build_superop(coherent, ls, gammas) @ u
     r, imag = _real_form(_generator_factors(coherent, ls, gammas), _hermitian_basis(d))
     # 1e-15 per unit of max|U^dag S U|: the dense product sums each entry's
     # four terms in another order, which moves entries near 8 by one ulp.
@@ -344,9 +350,61 @@ def test_transition_term_kms_self_adjoint(rng):
 
 
 # -------------------------------------------------------- Markov restriction
+def restriction(setup):
+    return markov_restriction(setup["spec"], setup["lindblads"], setup["gammas"], setup["sigma"])
+
+
+def superop_markov_rates(superop, spec, sigma, level_tol=None):
+    """The superoperator loop that markov_restriction replaced: level blocks,
+    then q_{i->j} = Tr[Pi_j S(Pi_i / d_i)], diagonal included, and the
+    block weights pi_i = Tr[Pi_i sigma] / Tr[sigma]."""
+    w = spec.values
+    if level_tol is None:
+        level_tol = 1e-9 * max(float(np.max(np.abs(w))), 1e-300)
+    blocks = []
+    start = 0
+    for k in range(1, len(w) + 1):
+        if k == len(w) or w[k] - w[start] > level_tol:
+            blocks.append(list(range(start, k)))
+            start = k
+    projs = [spec.vectors[:, idx] @ spec.vectors[:, idx].conj().T for idx in blocks]
+    q = np.empty((len(blocks), len(blocks)))
+    for i, idx in enumerate(blocks):
+        image = unvec(superop @ vec(projs[i] / len(idx)))
+        for j in range(len(blocks)):
+            q[i, j] = np.trace(projs[j] @ image).real
+    pi = np.array([np.trace(proj @ sigma).real for proj in projs])
+    return q, pi / pi.sum()
+
+
+@pytest.mark.parametrize("key, n", [("CH", 3), ("CH", 4), ("REG", 4), ("TFIM", 4)])
+def test_markov_restriction_matches_superop_oracle(key, n):
+    # The oracle applies the full generator with G = H; the restriction
+    # takes the jump operators only, since the coherent term drops out.
+    setup = lindblad_setup(key, n, 20)
+    superop = gs.build_superop(setup["ham"], setup["lindblads"], setup["gammas"])
+    expected, pi = superop_markov_rates(superop, setup["spec"], setup["sigma"])
+    mc = restriction(setup)
+    assert mc.q.shape == expected.shape
+    if key != "CH":
+        assert len(mc.q) < 2**n  # degenerate levels merged into blocks
+    assert np.max(np.abs(mc.q - expected)) <= 1e-12 * np.max(np.abs(expected))
+    assert np.max(np.abs(mc.pi - pi)) <= 1e-12
+
+
+def test_markov_restriction_checks_its_operands():
+    setup = lindblad_setup("CH", 3, 4)
+    spec, ls, sigma = setup["spec"], setup["lindblads"], setup["sigma"]
+    with pytest.raises(DimensionMismatch):
+        markov_restriction(spec, ls, np.full(3, 0.25), sigma)
+    with pytest.raises(DimensionMismatch):
+        markov_restriction(spec, ls[:, :4, :4], setup["gammas"], sigma)
+    with pytest.raises(ValueError):
+        markov_restriction(spec, ls, [0.25, 0.25, 0.25, -0.25], sigma)
+
+
 def test_markov_rows_and_positivity():
-    setup = gap_setup("CH", 3, 20)
-    mc = markov_restriction(setup["superop"], setup["spec"], setup["sigma"])
+    mc = restriction(lindblad_setup("CH", 3, 20))
     assert np.max(np.abs(mc.q.sum(axis=1))) < 1e-10
     assert np.max(np.abs(mc.P.sum(axis=1) - 1.0)) < 1e-12
     assert np.min(mc.P) > -1e-12
@@ -359,17 +417,15 @@ def test_markov_restriction_exactly_reversible():
     # diagonal restriction Gibbs-reversible for every realization, so the
     # detailed-balance residual sits at machine zero for any jump count.
     for count in (5, 20, 50):
-        setup = gap_setup("CH", 3, count)
-        mc = markov_restriction(setup["superop"], setup["spec"], setup["sigma"])
+        mc = restriction(lindblad_setup("CH", 3, count))
         resid = np.max(np.abs(mc.pi[:, None] * mc.P - (mc.pi[:, None] * mc.P).T))
         assert resid < 1e-12
 
 
 def test_markov_dissipation_free_degenerate():
     setup = point_setup("CH", 3)
-    sup = gs.build_superop(setup["ham"], [np.zeros((8, 8))], [0.0])
     with pytest.raises(DegenerateChain):
-        markov_restriction(sup, setup["spec"], setup["sigma"])
+        markov_restriction(setup["spec"], [np.zeros((8, 8))], [0.0], setup["sigma"])
 
 
 def test_markov_reg_degenerate_levels_grouped():
@@ -380,11 +436,13 @@ def test_markov_reg_degenerate_levels_grouped():
     bohr = gs.bohr_frequencies(spec)
     sigma = gs.gibbs_state(spec, BETA)
     jumps = gs.sample_jump_set(3, 2, 10, seed=0)
-    ls = [gs.lindblad_op_exact(a, spec, F, bohr) for a in jumps]
-    sup = gs.build_superop(ham, ls, np.full(10, 0.1))
-    mc = markov_restriction(sup, spec, sigma, level_tol=1e-8)
+    ls = np.stack([gs.lindblad_op_exact(a, spec, F, bohr) for a in jumps])
+    mc = markov_restriction(spec, ls, np.full(10, 0.1), sigma, level_tol=1e-8)
     assert len(mc.pi) < 8
     assert np.max(np.abs(mc.P.sum(axis=1) - 1.0)) < 1e-12
+    sup = gs.build_superop(ham, ls, np.full(10, 0.1))
+    expected, _ = superop_markov_rates(sup, spec, sigma, level_tol=1e-8)
+    assert np.max(np.abs(mc.q - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # ------------------------------------------------------------- conductance
@@ -412,16 +470,14 @@ def test_two_state_chain_closed_form(p, q):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_cheeger_sandwich_exhaustive(n):
-    setup = gap_setup("CH", n, 20)
-    mc = markov_restriction(setup["superop"], setup["spec"], setup["sigma"])
+    mc = restriction(lindblad_setup("CH", n, 20))
     res = conductance_cheeger(mc, exhaustive_limit=16)
     assert res.exhaustive
     assert res.phi**2 / 2 <= res.gap_P <= 2 * res.phi
 
 
 def test_contiguous_fallback_upper_bounds_exhaustive():
-    setup = gap_setup("CH", 4, 20)
-    mc = markov_restriction(setup["superop"], setup["spec"], setup["sigma"])
+    mc = restriction(lindblad_setup("CH", 4, 20))
     full = conductance_cheeger(mc, exhaustive_limit=16)
     contiguous = conductance_cheeger(mc, exhaustive_limit=2)
     assert not contiguous.exhaustive

@@ -3,8 +3,8 @@
 Before any computation, every run writes a manifest of the keys its config
 gives plus `experiment`, `seed`, `out_dir` and `artifact_version`, not the
 defaults it fills in; re-running it reproduces the outputs byte for byte.
-A run whose config is rejected (exit 2 or 3) writes no outputs and puts
-back the out dir's earlier manifest, or removes its own when there was none.
+A run that fails (exit 1, 2 or 3) writes no outputs and puts back the out
+dir's earlier manifest, or removes its own when there was none.
 """
 
 import argparse
@@ -73,14 +73,24 @@ def parse_config(text):
     return cfg
 
 
+_BOOL_SPELLINGS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
+
+
 def _get(cfg, key, cast, default=None, required=False):
     if key not in cfg or cfg[key] == "":
         if required:
             raise ConfigError(f"missing required key {key!r}")
         return default
+    if cast is bool:
+        if cfg[key].lower() not in _BOOL_SPELLINGS:
+            raise ConfigError(
+                f"bad value for {key!r}: {cfg[key]!r} is not one of 1/0, true/false, yes/no, on/off"
+            )
+        return _BOOL_SPELLINGS[cfg[key].lower()]
     try:
-        if cast is bool:
-            return cfg[key].lower() in ("1", "true", "yes", "on")
         return cast(cfg[key])
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
@@ -113,6 +123,11 @@ def resolve_model(cfg):
     if point is not None:
         if point not in NAMED_POINTS:
             raise ConfigError(f"unknown named point {point!r}")
+        given = [key for key in ("h", "m") if cfg.get(key, "") != ""]
+        if given:
+            raise ConfigError(
+                f"{' and '.join(given)} given beside point = {point}, which sets h and m"
+            )
         params = _validated(named_point, key=point, n=n, J=j)
     else:
         h = _get(cfg, "h", float, required=True)
@@ -327,7 +342,8 @@ def _gap_rows(cfg, params, beta, n_values, default_counts, threads):
     the size."""
     counts = _counts(cfg, "grid.jumps", default_counts)
     k = _jump_k(cfg, min(n_values))
-    if max(n_values) > GAP_QUBIT_CEILING and not _get(cfg, "allow_large", bool, False):
+    allow_large = _get(cfg, "allow_large", bool, False)
+    if max(n_values) > GAP_QUBIT_CEILING and not allow_large:
         raise ResourceCeiling(
             f"Liouvillian eigensolve beyond n={GAP_QUBIT_CEILING} requires allow_large = true"
         )
@@ -523,15 +539,15 @@ def run_error_fit(cfg, out_dir, threads):
         )
     plateaus = _plateau_grid(params, chain, runs, threads)
     rows = [(c.dt_ev, c.dt_oft, p) for (c, _), p in zip(runs, plateaus)]
+    bohr = bohr_frequencies(spec)
+    fit = fit_error_model(
+        rows, T=_get(cfg, "circuit.T", float, 1.6), beta=beta, h_norm=h_norm, bohr_count=bohr.count
+    )
     write_csv(
         os.path.join(out_dir, "error_grid.csv"),
         "times in 1/J",
         ["dt_ev", "dt_oft", "plateau_distance"],
         rows,
-    )
-    bohr = bohr_frequencies(spec)
-    fit = fit_error_model(
-        rows, T=_get(cfg, "circuit.T", float, 1.6), beta=beta, h_norm=h_norm, bohr_count=bohr.count
     )
     write_json(
         os.path.join(out_dir, "errorfit.json"),
@@ -570,8 +586,8 @@ def run(config_path, seed=None, out_dir=None, threads=1):
     write_manifest(out_dir, {**cfg, "experiment": kind, "out_dir": out_dir})
     try:
         EXPERIMENTS[kind](cfg, out_dir, threads)
-    except (ConfigError, ResourceCeiling):
-        # A rejected config wrote no outputs: leave the out dir as it was.
+    except GibbsimError:
+        # Every experiment fails before its first output: leave the out dir as it was.
         if earlier is None:
             manifest.unlink()
         else:

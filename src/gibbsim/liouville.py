@@ -156,12 +156,22 @@ def build_superop(coherent, lindblads, gammas):
     block p is written by the same row kernel that `steady_state_and_gap`
     gathers its real form from.
     """
+    s4 = _superop4(coherent, lindblads, gammas)
+    n = len(s4) ** 2
+    return s4.reshape(n, n)
+
+
+def _superop4(coherent, lindblads, gammas, out=None):
+    """The superoperator of `build_superop` as s4[p, q, r, s] = S[q + D p, s + D r],
+    written one row block p at a time into `out` when given.  `out` may be a
+    strided view, such as the transpose that gives the C-order vectorization
+    (`dynamics` builds its propagators in one)."""
     factors = _generator_factors(coherent, lindblads, gammas)
     d = factors.dim
-    s4 = np.empty((d, d, d, d), dtype=complex)
+    s4 = np.empty((d, d, d, d), dtype=complex) if out is None else out
     for p in range(d):
         s4[p] = factors.rows(p, slice(None))
-    return s4.reshape(d * d, d * d)
+    return s4
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gibbsim
-from gibbsim.cli import list_points, main, parse_config
+from gibbsim.cli import _get, list_points, main, parse_config
 from gibbsim.errors import ConfigError
 
 
@@ -272,6 +272,7 @@ NOISE_BOUNDS_N3 = (
     "experiment = noise-bounds\npoint = CH\nn = 3\njumps.count = 10\n"
     "solver.t_max = 400\nsolver.n_traj = 5\nseed = 5\n"
 )
+GAP_N3 = "experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 5\n"
 CHAOS_N3 = "experiment = chaos-scan\nn = 3\ngrid.h = 0.5\ngrid.m = 0.4\n"
 CIRCUIT_N1 = CIRCUIT_N3.replace("n = 3", "n = 1") + "jumps.k = 1\n"
 ERROR_FIT_N1 = CIRCUIT_N1.replace("experiment = circuit", "experiment = error-fit")
@@ -314,6 +315,10 @@ REJECTED_VALUES = {
     "circuit-noise.n1": CIRCUIT_NOISE_N1,
     # dt_ev = 0.5 is outside the error model's domain, so no grid point is usable
     "error-fit.usable": ERROR_FIT_N1 + "grid.dt_ev = 0.5\ngrid.dt_oft = 0.2\n",
+    "gap-scan.allow_large": GAP_N3 + "allow_large = maybe\n",
+    # a named point sets h and m
+    "evolve.point.h": EVOLVE_N3 + "h = 5\n",
+    "gap-scan.point.m": GAP_N3 + "m = 5\n",
 }
 
 
@@ -391,7 +396,7 @@ def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
     "key",
     [
         "gap-scan.grid.n", "circuit.noise.n1", "circuit-noise.n1", "error-fit.usable",
-        "chaos-scan.empty-window",
+        "chaos-scan.empty-window", "gap-scan.allow_large", "evolve.point.h", "gap-scan.point.m",
     ],
 )
 def test_rejected_value_is_named(tmp_path, capsys, key):
@@ -409,6 +414,9 @@ def test_rejected_value_is_named(tmp_path, capsys, key):
         "circuit-noise.n1": "grid.lambda_g",
         "error-fit.usable": "grid.dt_ev and grid.dt_oft",
         "chaos-scan.empty-window": "h/J = 0.0, m/J = 0.0",
+        "gap-scan.allow_large": "'allow_large': 'maybe'",
+        "evolve.point.h": "h given beside point = CH",
+        "gap-scan.point.m": "m given beside point = CH",
     }[key]
     assert named in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
@@ -463,6 +471,35 @@ def test_rejected_config_leaves_earlier_run_unchanged(tmp_path):
         tmp_path, "ev.cfg", "experiment = evolve\npoint = CH\nn = 3\njumps.count = 0\n"
     )
     assert main(["run", rejected, "--out-dir", str(out)]) == 2
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("text", ["1", "true", "Yes", "ON", "0", "FALSE", "no", "Off"])
+def test_bool_keys_accept_their_spellings(text):
+    expected = text.lower() in ("1", "true", "yes", "on")
+    assert _get({"allow_large": text}, "allow_large", bool, None) is expected
+
+
+@pytest.mark.parametrize(
+    "earlier, failing, message",
+    [
+        (NOISE_BOUNDS_N3, NOISE_BOUNDS_N3 + "solver.t_max = 1\n", "never decays"),
+        (EVOLVE_N3, EVOLVE_N3 + "solver.herm_tol = 1e-30\n", "halvings"),
+    ],
+    ids=["noise-bounds.insufficient-decay", "evolve.step-underflow"],
+)
+def test_numerical_failure_leaves_earlier_run_unchanged(
+    tmp_path, capsys, earlier, failing, message
+):
+    # exit 1 on a valid config, after the evolution ran, writes nothing; both
+    # runs take the propagator step at n = 3, whose gate still halves to the floor
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, "earlier.cfg", earlier), "--out-dir", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    capsys.readouterr()
+    assert main(["run", write_cfg(tmp_path, "failing.cfg", failing), "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 

@@ -7,7 +7,7 @@ import scipy.linalg
 
 import gibbsim as gs
 from gibbsim.circuit import CircuitConfig, NoiseSpec
-from gibbsim.dynamics import JUMP_PROB_CAP
+from gibbsim.dynamics import JUMP_PROB_CAP, PROPAGATOR_MAX_DIM, _taylor4_propagators
 from gibbsim.errors import StepUnderflow
 
 from conftest import BETA, apply_lindbladian, gap_setup, lindblad_setup, point_setup
@@ -242,27 +242,60 @@ def test_hermiticity_gate_halves_an_unstable_step():
     assert rec.final_dt_rk == pytest.approx(0.25)
 
 
-def test_randomized_footprint_is_bounded_by_its_arrays():
-    # Traced peak of one call at CH n = 6, grid every step: the A stack it
-    # builds beside the caller's L stack, the five batch arrays the steps
-    # reuse (rho, one k, L[sel], A[sel] and the generator's temporary), the
-    # grid record's two (R + 1)-matrix buffers (the difference and its
-    # conjugate, whose first R matrices the step borrows as the k-sum and
-    # the stage input), and one batch of headroom.
-    setup = lindblad_setup("CH", 6, 20)
-    cfg = gs.SolverConfig(dt_rk0=0.05, n_traj=10, t_max=0.2, grid_points=0)
-    matrix = 64 * 64 * 16
+@pytest.mark.parametrize(
+    "n, n_traj, propagators, headroom",
+    [(6, 10, False, 1), (4, 10, False, 2), (3, 40, True, 2)],
+    ids=["n6-rk4", "n4-rk4", "n3-propagators"],
+)
+def test_randomized_footprint_is_bounded_by_its_arrays(n, n_traj, propagators, headroom):
+    # Traced peak of one call at CH n with 20 jumps, grid every step: the
+    # step's arrays, the grid record's two (R + 1)-matrix buffers (the
+    # difference and its conjugate, whose first R matrices the step
+    # borrows) and `headroom` batches.
+    # - The staged RK4 step (D > PROPAGATOR_MAX_DIM) holds the A stack and
+    #   five batch arrays it reuses: rho, one k, L[sel], A[sel] and the
+    #   generator's temporary.  n = 4 pins the selection edge.
+    # - The propagator step holds the (J, D^2, D^2) stack and rho, so an
+    #   RK4 array on its path would break the bound.  The two D^2 x D^2
+    #   work arrays of its build are freed before the run; at R = 40 they
+    #   fit in the run's share.
+    # The record's eigvalsh temporaries measured R + 1 matrices at n = 3 and
+    # 4 (two at n = 6), so those cases get a second batch.
+    setup = lindblad_setup("CH", n, 20)
+    dim = 2**n
+    assert (dim <= PROPAGATOR_MAX_DIM) == propagators
+    cfg = gs.SolverConfig(dt_rk0=0.05, n_traj=n_traj, t_max=0.2, grid_points=0)
+    matrix = dim * dim * 16
     tracemalloc.start()
     try:
         rec = gs.evolve_randomized(
-            setup["ham"], setup["lindblads"], gs.maximally_mixed(6), cfg, setup["sigma"]
+            setup["ham"], setup["lindblads"], gs.maximally_mixed(n), cfg, setup["sigma"]
         )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rec.meta["n_steps"] == 4 and rec.halvings == 0
-    n_traj = cfg.n_traj
-    assert peak <= (20 + (5 + 1) * n_traj + 2 * (n_traj + 1)) * matrix
+    step_arrays = 20 * dim**2 + n_traj if propagators else 20 + 5 * n_traj
+    assert peak <= (step_arrays + headroom * n_traj + 2 * (n_traj + 1)) * matrix
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_propagator_applies_one_rk4_step(rng, n):
+    # P_a vec(X) is one RK4 step of X under jump a, for any X, Hermitian or
+    # not, in the C-order vectorization of the state batch
+    setup = lindblad_setup("CH", n, 3)
+    ham, l_ops = setup["ham"], np.stack(setup["lindblads"])
+    props = _taylor4_propagators(ham, l_ops, 0.3)
+    dim = 2**n
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    for a, L in enumerate(l_ops):
+        ldl = L.conj().T @ L
+
+        def gen(r):
+            return -1j * (ham @ r - r @ ham) + L @ r @ L.conj().T - 0.5 * (ldl @ r + r @ ldl)
+
+        step = gs.rk4_step(x, gen, 0.3)
+        assert np.max(np.abs(props[a] @ x.ravel() - step.ravel())) <= 1e-12 * np.max(np.abs(step))
 
 
 # -------------------------------------------------------------------- exact

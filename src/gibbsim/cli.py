@@ -1,18 +1,19 @@
 """Experiment runner: flat dotted-key configs in, CSV/JSON artifacts out.
 
-Before any computation, every run writes a manifest of the keys its config
-gives plus `experiment`, `seed`, `out_dir` and `artifact_version`, not the
-defaults it fills in; re-running it reproduces the outputs byte for byte.
-A run that fails (exit 1, 2 or 3) writes no outputs and puts back the out
-dir's earlier manifest, or removes its own when there was none.
+Each experiment computes its artifacts as text and writes no file; `run`
+writes them only once the experiment has returned, after a manifest of the
+keys the config gives plus `experiment`, `seed`, `out_dir` and
+`artifact_version`, not the defaults it fills in.  Re-running a manifest
+reproduces the outputs byte for byte.  A run that fails while it computes,
+by any exception, writes nothing, so the out dir keeps the earlier run.
 """
 
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +46,19 @@ from .noisefit import (
 from .numkernel import eig_hermitian, trace_distance
 
 GAP_QUBIT_CEILING = 6
+
+# Every key some experiment reads, plus the `artifact_version` a manifest
+# carries; `run` rejects any other key.
+CONFIG_KEYS = frozenset(
+    """
+    experiment seed out_dir artifact_version n J point h m beta eps allow_large basis window_kind
+    jumps.k jumps.count solver.dt_rk0 solver.max_steps solver.n_traj solver.herm_tol
+    solver.t_max solver.stop_below solver.grid_points circuit.dt_ev circuit.dt_oft circuit.T
+    circuit.gamma circuit.t_max circuit.coherent_mode circuit.r_delta circuit.r_big
+    circuit.n_rep circuit.grid_points noise.kind noise.lambda noise.lambda_g noise.n_g
+    grid.n grid.jumps grid.h grid.m grid.lambda_g grid.dt_ev grid.dt_oft grid.lambda
+    """.split()
+)
 
 EXPERIMENTS = {}
 
@@ -146,28 +160,33 @@ def _atomic_write(path, text):
     os.replace(tmp, path)
 
 
-def write_csv(path, header_units, columns, rows):
+def csv_text(header_units, columns, rows):
     lines = [f"# {header_units}", ",".join(columns)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def _fmt(v):
     if isinstance(v, (float, np.floating)):
+        if not math.isfinite(v):
+            raise GibbsimError(f"non-finite value {float(v)!r} in a CSV output")
         return repr(float(v))  # numpy 2 scalars repr as 'np.float64(x)'
     return str(v)
 
 
-def write_json(path, payload):
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def json_text(payload):
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise GibbsimError(f"non-finite value in a JSON output: {exc}") from exc
 
 
-def write_manifest(out_dir, cfg):
-    lines = [f"artifact_version = {__version__}"]
-    for key in sorted(cfg):
-        lines.append(f"{key} = {cfg[key]}")
-    _atomic_write(os.path.join(out_dir, "manifest.txt"), "\n".join(lines) + "\n")
+def _distances_csv(record):
+    """The record's time grid, per-trajectory distances and averaged distance."""
+    columns = ["t", *(f"traj{i}" for i in range(len(record.per_traj_distance))), "avg"]
+    rows = np.column_stack([record.times, record.per_traj_distance.T, record.avg_distance])
+    return csv_text("times in 1/J, trace distances dimensionless", columns, rows)
 
 
 def _solver_config(cfg, params, default_dt=None):
@@ -233,26 +252,25 @@ def _jump_family(params, beta, k, count, seed):
 
 
 @experiment("spectrum")
-def run_spectrum(cfg, out_dir, threads):
+def run_spectrum(cfg, threads):
     params, beta = resolve_model(cfg)
     spec = eig_hermitian(build_hamiltonian(params))
     rows = [(i, e / params.J) for i, e in enumerate(spec.values)]
-    write_csv(os.path.join(out_dir, "eigenvalues.csv"), "energies in J", ["index", "energy"], rows)
-    bohr = bohr_frequencies(spec)
-    write_json(
-        os.path.join(out_dir, "summary.json"),
-        {
-            "n": params.n,
-            "ground_energy": float(spec.values[0] / params.J),
-            "spectral_width": float((spec.values[-1] - spec.values[0]) / params.J),
-            "bohr_frequency_count": int(bohr.count),
-            "beta_J": beta * params.J,
-        },
-    )
+    summary = {
+        "n": params.n,
+        "ground_energy": float(spec.values[0] / params.J),
+        "spectral_width": float((spec.values[-1] - spec.values[0]) / params.J),
+        "bohr_frequency_count": int(bohr_frequencies(spec).count),
+        "beta_J": beta * params.J,
+    }
+    return {
+        "eigenvalues.csv": csv_text("energies in J", ["index", "energy"], rows),
+        "summary.json": json_text(summary),
+    }
 
 
 @experiment("chaos-scan")
-def run_chaos_scan(cfg, out_dir, threads):
+def run_chaos_scan(cfg, threads):
     n = _get(cfg, "n", int, 8)
     j = _get(cfg, "J", float, 1.0)
     h_vals = _list(cfg, "grid.h", float, list(np.geomspace(0.1, 10.0, 11)))
@@ -279,12 +297,8 @@ def run_chaos_scan(cfg, out_dir, threads):
         return (h, m, stats.mean, stats.variance)
 
     rows = _map_maybe_parallel(one, points, threads)
-    write_csv(
-        os.path.join(out_dir, "heatmap.csv"),
-        f"fields in J; basis={letters}; window_kind={window_kind}",
-        ["h_over_J", "m_over_J", "mean_d1", "var_d1"],
-        rows,
-    )
+    units = f"fields in J; basis={letters}; window_kind={window_kind}"
+    return {"heatmap.csv": csv_text(units, ["h_over_J", "m_over_J", "mean_d1", "var_d1"], rows)}
 
 
 def _evolve(cfg, params, beta):
@@ -300,26 +314,24 @@ def _evolve(cfg, params, beta):
 
 
 @experiment("evolve")
-def run_evolve(cfg, out_dir, threads):
+def run_evolve(cfg, threads):
     params, beta = resolve_model(cfg)
     eps = _get(cfg, "eps", float, 1e-2)
     if not eps > 0:
         raise ConfigError(f"eps = {eps} must be positive")
     record, jump_set = _evolve(cfg, params, beta)
-    record.to_csv(os.path.join(out_dir, "distances.csv"))
-    _atomic_write(
-        os.path.join(out_dir, "jumps.txt"), jump_set_to_text(jump_set, _get(cfg, "seed", int, 0))
-    )
     estimate = mixing_time_estimate(record, eps)
-    write_json(
-        os.path.join(out_dir, "mixing.json"),
-        {
-            "mixing_time": None if estimate is NOT_CONVERGED else estimate,
-            "converged": estimate is not NOT_CONVERGED,
-            "final_dt_rk": record.final_dt_rk,
-            "halvings": record.halvings,
-        },
-    )
+    mixing = {
+        "mixing_time": None if estimate is NOT_CONVERGED else estimate,
+        "converged": estimate is not NOT_CONVERGED,
+        "final_dt_rk": record.final_dt_rk,
+        "halvings": record.halvings,
+    }
+    return {
+        "distances.csv": _distances_csv(record),
+        "jumps.txt": jump_set_to_text(jump_set, _get(cfg, "seed", int, 0)),
+        "mixing.json": json_text(mixing),
+    }
 
 
 def _gap_point(args):
@@ -357,28 +369,20 @@ def _gap_rows(cfg, params, beta, n_values, default_counts, threads):
 
 
 @experiment("gap-scan")
-def run_gap_scan(cfg, out_dir, threads):
+def run_gap_scan(cfg, threads):
     params, beta = resolve_model({**cfg, "n": cfg.get("n", "3")})
     n_values = _counts(cfg, "grid.n", [3, 4, 5])
     rows = _gap_rows(cfg, params, beta, n_values, [20], threads)
-    write_csv(
-        os.path.join(out_dir, "gaps.csv"),
-        "gap in J, distance dimensionless",
-        ["n", "n_jumps", "gap", "zero_count", "distance_to_gibbs"],
-        rows,
-    )
+    columns = ["n", "n_jumps", "gap", "zero_count", "distance_to_gibbs"]
+    return {"gaps.csv": csv_text("gap in J, distance dimensionless", columns, rows)}
 
 
 @experiment("accuracy-scan")
-def run_accuracy_scan(cfg, out_dir, threads):
+def run_accuracy_scan(cfg, threads):
     params, beta = resolve_model(cfg)
     rows = _gap_rows(cfg, params, beta, [params.n], [5, 10, 20, 50, 100], threads)
-    write_csv(
-        os.path.join(out_dir, "accuracy.csv"),
-        "distance dimensionless",
-        ["n_jumps", "distance"],
-        [(r[1], r[4]) for r in rows],
-    )
+    rows = [(r[1], r[4]) for r in rows]
+    return {"accuracy.csv": csv_text("distance dimensionless", ["n_jumps", "distance"], rows)}
 
 
 def _circuit_config(cfg, n, beta):
@@ -440,26 +444,26 @@ def _plateau_grid(params, chain, runs, threads):
 
 
 @experiment("circuit")
-def run_circuit(cfg, out_dir, threads):
+def run_circuit(cfg, threads):
     params, beta = resolve_model(cfg)
     circuit_cfg = _circuit_config(cfg, params.n, beta)
     noise = _noise_spec(cfg, params.n)
     ham, _, target = _chain(params, beta)
     record = _simulate(params, ham, circuit_cfg, noise, target)
-    record.to_csv(os.path.join(out_dir, "circuit_distances.csv"))
-    write_json(
-        os.path.join(out_dir, "plateau.json"),
-        {
-            "plateau_distance": plateau_level(record),
-            "final_distance": float(record.avg_distance[-1]),
-            "n_steps": record.meta["n_steps"],
-            "gate_count_per_step": record.meta["gate_count"],
-        },
-    )
+    plateau = {
+        "plateau_distance": plateau_level(record),
+        "final_distance": float(record.avg_distance[-1]),
+        "n_steps": record.meta["n_steps"],
+        "gate_count_per_step": record.meta["gate_count"],
+    }
+    return {
+        "circuit_distances.csv": _distances_csv(record),
+        "plateau.json": json_text(plateau),
+    }
 
 
 @experiment("circuit-noise")
-def run_circuit_noise(cfg, out_dir, threads):
+def run_circuit_noise(cfg, threads):
     params, beta = resolve_model(cfg)
     lambdas = _list(cfg, "grid.lambda_g", float, [1e-6, 1e-5, 1e-4])
     dt_evs = _list(cfg, "grid.dt_ev", float, [1.0, 3.0, 5.0])
@@ -475,16 +479,13 @@ def run_circuit_noise(cfg, out_dir, threads):
     ]
     plateaus = _plateau_grid(params, _chain(params, beta), runs, threads)
     rows = [(noise.lambda_g, c.dt_ev, c.dt_oft, p) for (c, noise), p in zip(runs, plateaus)]
-    write_csv(
-        os.path.join(out_dir, "noise_grid.csv"),
-        "times in 1/J, probabilities dimensionless",
-        ["lambda_g", "dt_ev", "dt_oft", "plateau_distance"],
-        rows,
-    )
+    units = "times in 1/J, probabilities dimensionless"
+    columns = ["lambda_g", "dt_ev", "dt_oft", "plateau_distance"]
+    return {"noise_grid.csv": csv_text(units, columns, rows)}
 
 
 @experiment("noise-bounds")
-def run_noise_bounds(cfg, out_dir, threads):
+def run_noise_bounds(cfg, threads):
     params, beta = resolve_model(cfg)
     lambdas = _list(cfg, "grid.lambda", float, [1e-3, 1e-2, 1e-1])
     if not all(0 < lam <= 1 for lam in lambdas):
@@ -505,20 +506,18 @@ def run_noise_bounds(cfg, out_dir, threads):
                 bound_unitary_comparison(fit, min(lam / n_g, 0.5), n_g),
             )
         )
-    write_csv(
-        os.path.join(out_dir, "bounds.csv"),
-        "per-step error probability; bounds dimensionless",
-        ["lambda", "asymptotic", "generic", "unitary_comparison"],
-        rows,
-    )
-    write_json(
-        os.path.join(out_dir, "fit.json"),
-        {"B": fit.B, "alpha_per_step": fit.alpha, "residual": fit.residual},
-    )
+    return {
+        "bounds.csv": csv_text(
+            "per-step error probability; bounds dimensionless",
+            ["lambda", "asymptotic", "generic", "unitary_comparison"],
+            rows,
+        ),
+        "fit.json": json_text({"B": fit.B, "alpha_per_step": fit.alpha, "residual": fit.residual}),
+    }
 
 
 @experiment("error-fit")
-def run_error_fit(cfg, out_dir, threads):
+def run_error_fit(cfg, threads):
     params, beta = resolve_model(cfg)
     dt_evs = _list(cfg, "grid.dt_ev", float, [0.05, 0.1, 0.2, 0.3])
     dt_ofts = _list(cfg, "grid.dt_oft", float, [0.08, 0.12, 0.2, 0.3])
@@ -543,16 +542,10 @@ def run_error_fit(cfg, out_dir, threads):
     fit = fit_error_model(
         rows, T=_get(cfg, "circuit.T", float, 1.6), beta=beta, h_norm=h_norm, bohr_count=bohr.count
     )
-    write_csv(
-        os.path.join(out_dir, "error_grid.csv"),
-        "times in 1/J",
-        ["dt_ev", "dt_oft", "plateau_distance"],
-        rows,
-    )
-    write_json(
-        os.path.join(out_dir, "errorfit.json"),
-        {"a1": fit.a1, "a2": fit.a2, "a3": fit.a3, "a4": fit.a4},
-    )
+    return {
+        "error_grid.csv": csv_text("times in 1/J", ["dt_ev", "dt_oft", "plateau_distance"], rows),
+        "errorfit.json": json_text({"a1": fit.a1, "a2": fit.a2, "a3": fit.a3, "a4": fit.a4}),
+    }
 
 
 def _map_maybe_parallel(fn, items, threads):
@@ -571,6 +564,13 @@ def run(config_path, seed=None, out_dir=None, threads=1):
     """Execute one experiment config; returns the output directory."""
     with open(config_path) as fh:
         cfg = parse_config(fh.read())
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    if unknown:
+        import difflib  # imported here: only a misspelled key needs it
+
+        near = difflib.get_close_matches(unknown[0], sorted(CONFIG_KEYS), n=1)
+        hint = f"; did you mean {near[0]!r}?" if near else ""
+        raise ConfigError(f"unknown key {unknown[0]!r}{hint}")
     if seed is not None:
         cfg["seed"] = str(seed)
     cfg.setdefault("seed", "0")
@@ -581,18 +581,12 @@ def run(config_path, seed=None, out_dir=None, threads=1):
         raise ConfigError(f"unknown experiment {kind!r}; have {sorted(EXPERIMENTS)}")
     out_dir = out_dir or cfg.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
-    manifest = Path(out_dir, "manifest.txt")
-    earlier = manifest.read_bytes() if manifest.exists() else None
-    write_manifest(out_dir, {**cfg, "experiment": kind, "out_dir": out_dir})
-    try:
-        EXPERIMENTS[kind](cfg, out_dir, threads)
-    except GibbsimError:
-        # Every experiment fails before its first output: leave the out dir as it was.
-        if earlier is None:
-            manifest.unlink()
-        else:
-            manifest.write_bytes(earlier)
-        raise
+    artifacts = EXPERIMENTS[kind](cfg, threads)
+    given = {**cfg, "experiment": kind, "out_dir": out_dir}
+    manifest = [f"artifact_version = {__version__}"]
+    manifest += [f"{key} = {given[key]}" for key in sorted(given) if key != "artifact_version"]
+    for name, text in {"manifest.txt": "\n".join(manifest) + "\n", **artifacts}.items():
+        _atomic_write(os.path.join(out_dir, name), text)
     return out_dir
 
 

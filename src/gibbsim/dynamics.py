@@ -157,16 +157,6 @@ class EvolutionRecord:
                 raise AssertionError("trace-norm convexity violated")
         return self
 
-    def to_csv(self, path):
-        header = ["t"] + [f"traj{i}" for i in range(self.per_traj_distance.shape[0])]
-        header.append("avg")
-        rows = np.column_stack([self.times, self.per_traj_distance.T, self.avg_distance])
-        with open(path, "w") as fh:
-            fh.write("# times in 1/J, trace distances dimensionless\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
 
 class _HermiticityViolation(Exception):
     pass

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import gibbsim
-from gibbsim.cli import _get, list_points, main, parse_config
-from gibbsim.errors import ConfigError
+from gibbsim.cli import _get, csv_text, json_text, list_points, main, parse_config
+from gibbsim.errors import ConfigError, GibbsimError
 
 
 def write_cfg(tmp_path, name, text):
@@ -250,6 +250,12 @@ def test_manifest_reruns_reproduce_outputs(tmp_path):
     out2 = tmp_path / "from_manifest"
     assert main(["run", str(out1 / "manifest.txt"), "--out-dir", str(out2)]) == 0
     assert (out1 / "distances.csv").read_bytes() == (out2 / "distances.csv").read_bytes()
+    # the re-run's manifest differs only in its out_dir line: one artifact_version line too
+    first, rerun = (
+        [line for line in (out / "manifest.txt").read_text().splitlines() if "out_dir" not in line]
+        for out in (out1, out2)
+    )
+    assert first == rerun
 
 
 def test_threads_on_closure_experiments(tmp_path):
@@ -319,6 +325,9 @@ REJECTED_VALUES = {
     # a named point sets h and m
     "evolve.point.h": EVOLVE_N3 + "h = 5\n",
     "gap-scan.point.m": GAP_N3 + "m = 5\n",
+    # a key that no experiment reads
+    "solver.tmax": EVOLVE_N3 + "solver.tmax = 5\n",
+    "jumps.cout": EVOLVE_N3 + "jumps.cout = 0\n",
 }
 
 
@@ -389,7 +398,8 @@ def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == code
     assert not (out / "manifest.txt").exists()
-    assert list(out.iterdir()) == []
+    # an unknown key is refused before the out dir is made
+    assert not out.exists() or list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -397,6 +407,7 @@ def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
     [
         "gap-scan.grid.n", "circuit.noise.n1", "circuit-noise.n1", "error-fit.usable",
         "chaos-scan.empty-window", "gap-scan.allow_large", "evolve.point.h", "gap-scan.point.m",
+        "solver.tmax", "jumps.cout",
     ],
 )
 def test_rejected_value_is_named(tmp_path, capsys, key):
@@ -417,6 +428,8 @@ def test_rejected_value_is_named(tmp_path, capsys, key):
         "gap-scan.allow_large": "'allow_large': 'maybe'",
         "evolve.point.h": "h given beside point = CH",
         "gap-scan.point.m": "m given beside point = CH",
+        "solver.tmax": "unknown key 'solver.tmax'; did you mean 'solver.t_max'?",
+        "jumps.cout": "unknown key 'jumps.cout'; did you mean 'jumps.count'?",
     }[key]
     assert named in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
@@ -500,6 +513,92 @@ def test_numerical_failure_leaves_earlier_run_unchanged(
     assert main(["run", write_cfg(tmp_path, "failing.cfg", failing), "--out-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_misspelled_keys_exit_2_before_any_work(tmp_path, capsys):
+    # the config of a run that used to exit 0 with every misspelled key read as absent
+    text = EVOLVE_N3 + "solver.tmax = 1\njumps.cout = 0\nsolver.n_trj = 3\n"
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(out)]) == 2
+    assert "unknown key 'jumps.cout'; did you mean 'jumps.count'?" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_are_the_keys_cli_reads():
+    # every key literal cli.py reads is in CONFIG_KEYS, and every entry is read
+    tree = ast.parse(Path(gibbsim.cli.__file__).read_text())
+    readers = ("_get", "_list", "_counts")  # each takes (cfg, key, ...)
+
+    def literal(node):
+        return node.value if isinstance(node, ast.Constant) else None
+
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers:
+            read.add(literal(node.args[1]))
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("get", "setdefault")
+            and getattr(node.func.value, "id", None) == "cfg"
+        ):
+            read.add(literal(node.args[0]))
+        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg":
+            read.add(literal(node.slice))
+    read.discard(None)
+    # a manifest carries artifact_version, which no experiment reads
+    assert read == gibbsim.cli.CONFIG_KEYS - {"artifact_version"}
+
+
+@pytest.mark.parametrize(
+    "text, artifact",
+    [
+        (CIRCUIT_N3, "plateau.json"),
+        (CIRCUIT_NOISE_N1.replace("n = 1", "n = 3"), "noise_grid.csv"),
+    ],
+    ids=["circuit", "circuit-noise"],
+)
+def test_non_finite_output_leaves_earlier_run_unchanged(
+    tmp_path, capsys, monkeypatch, text, artifact
+):
+    # a NaN bound for a JSON or a CSV output exits 1 and writes nothing
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, "earlier.cfg", text), "--out-dir", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert artifact in before
+    capsys.readouterr()
+    monkeypatch.setattr(gibbsim.cli, "plateau_level", lambda record: float("nan"))
+    failing = write_cfg(tmp_path, "failing.cfg", text + "seed = 1\n")
+    assert main(["run", failing, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "non-finite" in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+def test_formatters_refuse_non_finite_values():
+    for value in (float("nan"), float("inf"), np.float64(-np.inf)):
+        with pytest.raises(GibbsimError):
+            csv_text("units", ["x"], [(value,)])
+        with pytest.raises(GibbsimError):
+            json_text({"x": value})
+    # an unconverged mixing time is a JSON null
+    assert json_text({"mixing_time": None}) == '{\n  "mixing_time": null\n}\n'
+
+
+def test_killed_run_leaves_earlier_run_unchanged(tmp_path, monkeypatch):
+    # an exception that is no GibbsimError, such as Ctrl-C mid-evolution, writes nothing
+    out = tmp_path / "out"
+    spectrum = write_cfg(tmp_path, "spec.cfg", "experiment = spectrum\npoint = CH\nn = 3\n")
+    assert main(["run", spectrum, "--out-dir", str(out)]) == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(gibbsim.cli, "evolve_randomized", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", write_cfg(tmp_path, "ev.cfg", EVOLVE_N3), "--out-dir", str(out)])
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 

@@ -1,11 +1,14 @@
 """Experiment runner: flat dotted-key configs in, CSV/JSON artifacts out.
 
-Each experiment computes its artifacts as text and writes no file; `run`
-writes them only once the experiment has returned, after a manifest of the
-keys the config gives plus `experiment`, `seed`, `out_dir` and
-`artifact_version`, not the defaults it fills in.  Re-running a manifest
-reproduces the outputs byte for byte.  A run that fails while it computes,
-by any exception, writes nothing, so the out dir keeps the earlier run.
+Each experiment's keys are one table of `Key`s, built from the groups below
+and its own keys; README's CLI section shows the same tables.  `run`
+resolves the table before any work, so a bad config exits 2 (3 at a
+resource ceiling) before the experiment starts.  The experiment computes
+its artifacts as text from the typed values; `run` writes them once it has
+returned, after a manifest of the keys the config gives plus `experiment`,
+`seed`, `out_dir` and `artifact_version`.  Re-running a manifest reproduces
+the outputs byte for byte.  A failed run writes nothing and makes no
+directory; a successful one writes only its own file names.
 """
 
 import argparse
@@ -46,26 +49,120 @@ from .noisefit import (
 from .numkernel import eig_hermitian, trace_distance
 
 GAP_QUBIT_CEILING = 6
+REQUIRED = object()  # the default of a key that the config must give
 
-# Every key some experiment reads, plus the `artifact_version` a manifest
-# carries; `run` rejects any other key.
-CONFIG_KEYS = frozenset(
-    """
-    experiment seed out_dir artifact_version n J point h m beta eps allow_large basis window_kind
-    jumps.k jumps.count solver.dt_rk0 solver.max_steps solver.n_traj solver.herm_tol
-    solver.t_max solver.stop_below solver.grid_points circuit.dt_ev circuit.dt_oft circuit.T
-    circuit.gamma circuit.t_max circuit.coherent_mode circuit.r_delta circuit.r_big
-    circuit.n_rep circuit.grid_points noise.kind noise.lambda noise.lambda_g noise.n_g
-    grid.n grid.jumps grid.h grid.m grid.lambda_g grid.dt_ev grid.dt_oft grid.lambda
-    """.split()
-)
-
-EXPERIMENTS = {}
+_BOOL_SPELLINGS = {
+    "1": True, "true": True, "yes": True, "on": True,
+    "0": False, "false": False, "no": False, "off": False,
+}
 
 
-def experiment(name):
+@dataclasses.dataclass(frozen=True)
+class Key:
+    """One config key.  `kind` is int, float, str or bool, or [int] / [float]
+    for a space- or comma-separated list.  `default` is the value of an
+    absent key, or of an empty one unless a str: a value, REQUIRED, or a
+    function of the resolved (model, values), whose docstring README shows.
+    Each value, or each list entry, must pass `ok`; `rule` ends the message."""
+
+    kind: object
+    default: object = None
+    ok: object = None
+    rule: str = ""
+
+    def read(self, key, cfg):
+        """The typed value that `cfg` gives `key`, or the default."""
+        raw = cfg.get(key)
+        listed = isinstance(self.kind, list)
+        tokens = raw.replace(",", " ").split() if listed and raw else None
+        if raw is None or (raw == "" and self.kind is not str) or tokens == []:
+            if self.default is REQUIRED:
+                raise ConfigError(f"missing required key {key!r}")
+            return self.default
+        try:
+            if self.kind is bool:
+                return _BOOL_SPELLINGS[raw.lower()]
+            return [self.kind[0](tok) for tok in tokens] if listed else self.kind(raw)
+        except (KeyError, ValueError) as exc:
+            what = f"{self.kind[0].__name__} list" if listed else "value"
+            hint = " is not one of 1/0, true/false, yes/no, on/off" if self.kind is bool else ""
+            raise ConfigError(f"bad {what} for {key!r}: {raw!r}{hint}") from exc
+
+
+def _count(default):
+    """An int, or a list of ints, each at least 1."""
+    if isinstance(default, list):
+        return Key([int], default, lambda c: c >= 1, "has an entry below 1")
+    return Key(int, default, lambda c: c >= 1, "must be at least 1")
+
+
+def _beta(model, v):
+    """1/(2J)"""
+    return model.beta_default
+
+
+def _table_step(model, v):
+    """`RK_STEP_TABLE` step of `point` at `n`, else 0.1, over J"""
+    return RK_STEP_TABLE.get(v["point"], {}).get(model.n, 0.1) / model.J
+
+
+def _gate_budget(model, v):
+    """50 n"""
+    return 50 * model.n
+
+
+RUN = {
+    "experiment": Key(str),
+    "seed": Key(int, 0, lambda s: s >= 0, "must be non-negative"),
+    "out_dir": Key(str),
+    "artifact_version": Key(str),  # a manifest's; no experiment reads it
+}
+MODEL = {
+    "n": Key(int, REQUIRED),
+    "J": Key(float, 1.0),
+    "point": Key(str),
+    "h": Key(float),
+    "m": Key(float),
+    "beta": Key(float, _beta, lambda b: 0 < b < math.inf, "must be positive and finite"),
+}
+JUMPS = {"jumps.k": Key(int, 2), "jumps.count": _count(20)}
+SOLVER = {
+    "solver.dt_rk0": Key(float, _table_step),
+    "solver.max_steps": Key(int, 300_000),
+    "solver.n_traj": Key(int, 10),
+    "solver.herm_tol": Key(float, 1e-6),
+    "solver.t_max": Key(float),
+    "solver.stop_below": Key(float),
+    "solver.grid_points": Key(int, 2000),
+}
+CIRCUIT = {
+    "circuit.T": Key(float, 1.6),
+    "circuit.gamma": Key(float, 1.0),
+    "circuit.t_max": Key(float, 500.0),
+    "circuit.coherent_mode": Key(str, "exact"),
+    "circuit.r_delta": Key(int, 1),
+    "circuit.r_big": Key(int, 1),
+    "circuit.n_rep": Key(int, 10),
+    "circuit.grid_points": Key(int, 500),
+    "jumps.count": _count(10),
+}
+NOISE = {
+    "noise.kind": Key(str, "none"),
+    "noise.lambda": Key(float, 0.0),
+    "noise.lambda_g": Key(float, 0.0),
+    "noise.n_g": Key(int),
+}
+SCAN = {"jumps.k": JUMPS["jumps.k"], "allow_large": Key(bool, False)}
+
+EXPERIMENTS = {}  # name -> (function, key table)
+
+
+def experiment(name, *groups):
+    """Register `fn(model, values, threads) -> {file name: text}` with the
+    key table RUN + `groups`, a later group's key replacing an earlier one's."""
+
     def register(fn):
-        EXPERIMENTS[name] = fn
+        EXPERIMENTS[name] = (fn, {k: spec for group in (RUN, *groups) for k, spec in group.items()})
         return fn
 
     return register
@@ -87,41 +184,6 @@ def parse_config(text):
     return cfg
 
 
-_BOOL_SPELLINGS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
-
-def _get(cfg, key, cast, default=None, required=False):
-    if key not in cfg or cfg[key] == "":
-        if required:
-            raise ConfigError(f"missing required key {key!r}")
-        return default
-    if cast is bool:
-        if cfg[key].lower() not in _BOOL_SPELLINGS:
-            raise ConfigError(
-                f"bad value for {key!r}: {cfg[key]!r} is not one of 1/0, true/false, yes/no, on/off"
-            )
-        return _BOOL_SPELLINGS[cfg[key].lower()]
-    try:
-        return cast(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {cfg[key]!r}") from exc
-
-
-def _list(cfg, key, cast, default):
-    """Whitespace- or comma-separated values; a value with no entries is
-    unset, as in `_get`."""
-    tokens = cfg.get(key, "").replace(",", " ").split()
-    if not tokens:
-        return default
-    try:
-        return [cast(tok) for tok in tokens]
-    except ValueError as exc:
-        raise ConfigError(f"bad {cast.__name__} list for {key!r}: {cfg[key]!r}") from exc
-
-
 def _validated(build, **kwargs):
     """Build a config object, reporting a rejected value as a config error."""
     try:
@@ -130,34 +192,61 @@ def _validated(build, **kwargs):
         raise ConfigError(f"{build.__name__}: {exc}") from exc
 
 
-def resolve_model(cfg):
-    n = _get(cfg, "n", int, required=True)
-    j = _get(cfg, "J", float, 1.0)
-    point = cfg.get("point")
-    if point is not None:
-        if point not in NAMED_POINTS:
-            raise ConfigError(f"unknown named point {point!r}")
-        given = [key for key in ("h", "m") if cfg.get(key, "") != ""]
-        if given:
-            raise ConfigError(
-                f"{' and '.join(given)} given beside point = {point}, which sets h and m"
-            )
-        params = _validated(named_point, key=point, n=n, J=j)
-    else:
-        h = _get(cfg, "h", float, required=True)
-        m = _get(cfg, "m", float, required=True)
-        params = _validated(IsingParams, n=n, J=j, h=h, m=m)
-    beta = _get(cfg, "beta", float, params.beta_default)
-    if not 0 < beta < np.inf:
-        raise ConfigError(f"beta = {beta} must be positive and finite")
-    return params, beta
+def resolve(table, cfg):
+    """The model (None without a `point` key) and the typed value of every
+    key of `table`, each default filled in and every check done."""
+    v = {key: spec.read(key, cfg) for key, spec in table.items()}
+    model = _model(v) if "point" in table else None
+    for key, spec in table.items():
+        if callable(v[key]):
+            v[key] = v[key](model, v)
+        listed = isinstance(spec.kind, list)
+        if spec.ok and v[key] is not None and not all(map(spec.ok, v[key] if listed else [v[key]])):
+            raise ConfigError(f"{key} = {cfg.get(key, v[key]) if listed else v[key]} {spec.rule}")
+    if model is not None:
+        _cross_checks(model, v)
+    return model, v
 
 
-def _atomic_write(path, text):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _model(v):
+    """The chain of the model keys; a named point sets h and m."""
+    point = v["point"]
+    if point is None:
+        for key in ("h", "m"):
+            if v[key] is None:
+                raise ConfigError(f"missing required key {key!r}")
+        return _validated(IsingParams, n=v["n"], J=v["J"], h=v["h"], m=v["m"])
+    if point not in NAMED_POINTS:
+        raise ConfigError(f"unknown named point {point!r}")
+    given = [key for key in ("h", "m") if v[key] is not None]
+    if given:
+        raise ConfigError(f"{' and '.join(given)} given beside point = {point}, which sets h and m")
+    return _validated(named_point, key=point, n=v["n"], J=v["J"])
+
+
+def _cross_checks(model, v):
+    """The checks that need the resolved model.  The resource ceiling comes
+    last, so that a config error exits 2 whatever the size."""
+    n_values = v.get("grid.n", [model.n])
+    if "jumps.k" in v and not 1 <= v["jumps.k"] <= min(n_values):
+        raise ConfigError(f"jumps.k = {v['jumps.k']} outside [1, {min(n_values)}]")
+    pair_noise = (
+        "noise.kind = depolarizing_budget" if v.get("noise.kind") == "depolarizing_budget"
+        else "grid.lambda_g > 0" if any(v.get("grid.lambda_g", [])) else None
+    )
+    if pair_noise and model.n < 2:
+        raise ConfigError(
+            f"{pair_noise} depolarizes qubit pairs and needs n >= 2, got n = {model.n}"
+        )
+    if max(n_values) > GAP_QUBIT_CEILING and not v.get("allow_large", True):
+        raise ResourceCeiling(
+            f"Liouvillian eigensolve beyond n={GAP_QUBIT_CEILING} requires allow_large = true"
+        )
+
+
+def _fields(v, prefix):
+    """The values of the `prefix` keys, by the rest of their names."""
+    return {key[len(prefix):]: value for key, value in v.items() if key.startswith(prefix)}
 
 
 def csv_text(header_units, columns, rows):
@@ -189,50 +278,6 @@ def _distances_csv(record):
     return csv_text("times in 1/J, trace distances dimensionless", columns, rows)
 
 
-def _solver_config(cfg, params, default_dt=None):
-    point = cfg.get("point")
-    if default_dt is None:
-        table = RK_STEP_TABLE.get(point, {})
-        default_dt = table.get(params.n, 0.1) / params.J
-    return _validated(
-        SolverConfig,
-        dt_rk0=_get(cfg, "solver.dt_rk0", float, default_dt),
-        max_steps=_get(cfg, "solver.max_steps", int, 300_000),
-        n_traj=_get(cfg, "solver.n_traj", int, 10),
-        herm_tol=_get(cfg, "solver.herm_tol", float, 1e-6),
-        seed=_get(cfg, "seed", int, 0),
-        t_max=_get(cfg, "solver.t_max", float, None),
-        stop_below=_get(cfg, "solver.stop_below", float, None),
-        grid_points=_get(cfg, "solver.grid_points", int, 2000),
-    )
-
-
-def _jump_k(cfg, n):
-    """jumps.k, checked for an n-qubit chain."""
-    k = _get(cfg, "jumps.k", int, 2)
-    if not 1 <= k <= n:
-        raise ConfigError(f"jumps.k = {k} outside [1, {n}]")
-    return k
-
-
-def _jump_keys(cfg, n, count_default):
-    """jumps.k and jumps.count, checked for an n-qubit chain."""
-    k = _jump_k(cfg, n)
-    count = _get(cfg, "jumps.count", int, count_default)
-    if count < 1:
-        raise ConfigError(f"jumps.count = {count} must be at least 1")
-    return k, count
-
-
-def _counts(cfg, key, default):
-    """An int list such as grid.jumps or grid.n, every entry checked to be at
-    least 1."""
-    counts = _list(cfg, key, int, default)
-    if min(counts) < 1:
-        raise ConfigError(f"{key} = {cfg[key]} has an entry below 1")
-    return counts
-
-
 def _chain(params, beta):
     """H, its spectrum and its Gibbs state at beta."""
     ham = build_hamiltonian(params)
@@ -240,28 +285,27 @@ def _chain(params, beta):
     return ham, spec, gibbs_state(spec, beta)
 
 
-def _jump_family(params, beta, k, count, seed):
-    """H and its Gibbs state, with a sampled k-local jump set and the
-    (count, D, D) stack of its exact OFT Lindblad operators."""
-    ham, spec, sigma = _chain(params, beta)
-    jump_set = sample_jump_set(params.n, k, count, seed)
+def _jump_family(params, v, count):
+    """H and its Gibbs state, with a sampled `jumps.k`-local set of `count`
+    jumps and the (count, D, D) stack of its exact OFT Lindblad operators."""
+    ham, spec, sigma = _chain(params, v["beta"])
+    jump_set = sample_jump_set(params.n, v["jumps.k"], count, v["seed"])
     bohr = bohr_frequencies(spec)
-    f = FilterSpec(beta)
+    f = FilterSpec(v["beta"])
     lindblads = np.stack([lindblad_op_exact(a, spec, f, bohr) for a in jump_set])
     return ham, sigma, jump_set, lindblads
 
 
-@experiment("spectrum")
-def run_spectrum(cfg, threads):
-    params, beta = resolve_model(cfg)
-    spec = eig_hermitian(build_hamiltonian(params))
-    rows = [(i, e / params.J) for i, e in enumerate(spec.values)]
+@experiment("spectrum", MODEL)
+def run_spectrum(model, v, threads):
+    spec = eig_hermitian(build_hamiltonian(model))
+    rows = [(i, e / model.J) for i, e in enumerate(spec.values)]
     summary = {
-        "n": params.n,
-        "ground_energy": float(spec.values[0] / params.J),
-        "spectral_width": float((spec.values[-1] - spec.values[0]) / params.J),
+        "n": model.n,
+        "ground_energy": float(spec.values[0] / model.J),
+        "spectral_width": float((spec.values[-1] - spec.values[0]) / model.J),
         "bohr_frequency_count": int(bohr_frequencies(spec).count),
-        "beta_J": beta * params.J,
+        "beta_J": v["beta"] * model.J,
     }
     return {
         "eigenvalues.csv": csv_text("energies in J", ["index", "energy"], rows),
@@ -269,21 +313,29 @@ def run_spectrum(cfg, threads):
     }
 
 
-@experiment("chaos-scan")
-def run_chaos_scan(cfg, threads):
-    n = _get(cfg, "n", int, 8)
-    j = _get(cfg, "J", float, 1.0)
-    h_vals = _list(cfg, "grid.h", float, list(np.geomspace(0.1, 10.0, 11)))
-    m_vals = _list(cfg, "grid.m", float, [0.0] + list(np.geomspace(0.1, 10.0, 11)))
+FIELD_GRID = list(np.geomspace(0.1, 10.0, 11))
+
+
+@experiment("chaos-scan", {
+    "n": Key(int, 8),
+    "J": Key(float, 1.0),
+    "grid.h": Key([float], FIELD_GRID),
+    "grid.m": Key([float], [0.0] + FIELD_GRID),
+    "basis": Key(str, "z"),
+    "window_kind": Key(str, "energy"),
+})
+def run_chaos_scan(model, v, threads):
+    n, j = v["n"], v["J"]
     points = [
-        (h, m, _validated(IsingParams, n=n, J=j, h=h * j, m=m * j)) for h in h_vals for m in m_vals
+        (h, m, _validated(IsingParams, n=n, J=j, h=h * j, m=m * j))
+        for h in v["grid.h"]
+        for m in v["grid.m"]
     ]
-    basis_key = cfg.get("basis", "z")
     bases = preset_bases(n)
-    if basis_key not in bases:
-        raise ConfigError(f"unknown basis {basis_key!r}; have {sorted(bases)}")
-    letters = bases[basis_key]
-    window_kind = cfg.get("window_kind", "energy")
+    if v["basis"] not in bases:
+        raise ConfigError(f"unknown basis {v['basis']!r}; have {sorted(bases)}")
+    letters = bases[v["basis"]]
+    window_kind = v["window_kind"]
     if window_kind not in ("energy", "index"):
         raise ConfigError(f"unknown window_kind {window_kind!r}; have energy, index")
 
@@ -301,26 +353,21 @@ def run_chaos_scan(cfg, threads):
     return {"heatmap.csv": csv_text(units, ["h_over_J", "m_over_J", "mean_d1", "var_d1"], rows)}
 
 
-def _evolve(cfg, params, beta):
+def _evolve(model, v):
     """The randomized evolution from the maximally mixed state that `evolve`
     and `noise-bounds` run; returns its record and jump set."""
-    k, count = _jump_keys(cfg, params.n, 20)
-    solver = _solver_config(cfg, params)
-    ham, sigma, jump_set, lindblads = _jump_family(
-        params, beta, k, count, _get(cfg, "seed", int, 0)
-    )
-    record = evolve_randomized(ham, lindblads, maximally_mixed(params.n), solver, sigma)
+    solver = _validated(SolverConfig, **_fields(v, "solver."), seed=v["seed"])
+    ham, sigma, jump_set, lindblads = _jump_family(model, v, v["jumps.count"])
+    record = evolve_randomized(ham, lindblads, maximally_mixed(model.n), solver, sigma)
     return record, jump_set
 
 
-@experiment("evolve")
-def run_evolve(cfg, threads):
-    params, beta = resolve_model(cfg)
-    eps = _get(cfg, "eps", float, 1e-2)
-    if not eps > 0:
-        raise ConfigError(f"eps = {eps} must be positive")
-    record, jump_set = _evolve(cfg, params, beta)
-    estimate = mixing_time_estimate(record, eps)
+@experiment("evolve", MODEL, JUMPS, SOLVER, {
+    "eps": Key(float, 1e-2, lambda e: e > 0, "must be positive"),
+})
+def run_evolve(model, v, threads):
+    record, jump_set = _evolve(model, v)
+    estimate = mixing_time_estimate(record, v["eps"])
     mixing = {
         "mixing_time": None if estimate is NOT_CONVERGED else estimate,
         "converged": estimate is not NOT_CONVERGED,
@@ -329,100 +376,50 @@ def run_evolve(cfg, threads):
     }
     return {
         "distances.csv": _distances_csv(record),
-        "jumps.txt": jump_set_to_text(jump_set, _get(cfg, "seed", int, 0)),
+        "jumps.txt": jump_set_to_text(jump_set, v["seed"]),
         "mixing.json": json_text(mixing),
     }
 
 
-def _gap_point(args):
-    params, beta, k, count, seed = args
-    ham, sigma, _, lindblads = _jump_family(params, beta, k, count, seed)
-    result = steady_state_and_gap(ham, lindblads, np.full(count, 1.0 / count))
-    return (
-        params.n,
-        count,
-        result.gap,
-        result.zero_count,
-        trace_distance(result.steady_state, sigma),
-    )
+def _gap_rows(model, v, n_values, threads):
+    """A row (n, jump count, gap, zero count, distance to Gibbs) per n and
+    `grid.jumps` entry; `grid.jumps` sets the jump counts, so the scans
+    have no `jumps.count` key."""
+
+    def one(task):
+        params, count = task
+        ham, sigma, _, lindblads = _jump_family(params, v, count)
+        result = steady_state_and_gap(ham, lindblads, np.full(count, 1.0 / count))
+        distance = trace_distance(result.steady_state, sigma)
+        return (params.n, count, result.gap, result.zero_count, distance)
+
+    tasks = [(dataclasses.replace(model, n=n), c) for n in n_values for c in v["grid.jumps"]]
+    return _map_maybe_parallel(one, tasks, threads)
 
 
-def _gap_rows(cfg, params, beta, n_values, default_counts, threads):
-    """One `_gap_point` row per (n, grid.jumps entry); `grid.jumps` sets the
-    jump counts, so `jumps.count` is not read.  Every config key is checked
-    before the GAP_QUBIT_CEILING check, so a config error exits 2 whatever
-    the size."""
-    counts = _counts(cfg, "grid.jumps", default_counts)
-    k = _jump_k(cfg, min(n_values))
-    allow_large = _get(cfg, "allow_large", bool, False)
-    if max(n_values) > GAP_QUBIT_CEILING and not allow_large:
-        raise ResourceCeiling(
-            f"Liouvillian eigensolve beyond n={GAP_QUBIT_CEILING} requires allow_large = true"
-        )
-    seed = _get(cfg, "seed", int, 0)
-    tasks = [
-        (dataclasses.replace(params, n=n), beta, k, count, seed)
-        for n in n_values
-        for count in counts
-    ]
-    return _map_maybe_parallel(_gap_point, tasks, threads)
-
-
-@experiment("gap-scan")
-def run_gap_scan(cfg, threads):
-    params, beta = resolve_model({**cfg, "n": cfg.get("n", "3")})
-    n_values = _counts(cfg, "grid.n", [3, 4, 5])
-    rows = _gap_rows(cfg, params, beta, n_values, [20], threads)
+@experiment("gap-scan", MODEL, SCAN, {
+    "n": Key(int, 3),
+    "grid.n": _count([3, 4, 5]),
+    "grid.jumps": _count([20]),
+})
+def run_gap_scan(model, v, threads):
+    rows = _gap_rows(model, v, v["grid.n"], threads)
     columns = ["n", "n_jumps", "gap", "zero_count", "distance_to_gibbs"]
     return {"gaps.csv": csv_text("gap in J, distance dimensionless", columns, rows)}
 
 
-@experiment("accuracy-scan")
-def run_accuracy_scan(cfg, threads):
-    params, beta = resolve_model(cfg)
-    rows = _gap_rows(cfg, params, beta, [params.n], [5, 10, 20, 50, 100], threads)
+@experiment("accuracy-scan", MODEL, SCAN, {"grid.jumps": _count([5, 10, 20, 50, 100])})
+def run_accuracy_scan(model, v, threads):
+    rows = _gap_rows(model, v, [model.n], threads)
     rows = [(r[1], r[4]) for r in rows]
     return {"accuracy.csv": csv_text("distance dimensionless", ["n_jumps", "distance"], rows)}
 
 
-def _circuit_config(cfg, n, beta):
-    k, jump_count = _jump_keys(cfg, n, 10)
-    return _validated(
-        CircuitConfig,
-        dt_ev=_get(cfg, "circuit.dt_ev", float, required=True),
-        dt_oft=_get(cfg, "circuit.dt_oft", float, required=True),
-        T=_get(cfg, "circuit.T", float, 1.6),
-        gamma=_get(cfg, "circuit.gamma", float, 1.0),
-        t_max=_get(cfg, "circuit.t_max", float, 500.0),
-        jump_count=jump_count,
-        k=k,
-        seed=_get(cfg, "seed", int, 0),
-        beta=beta,
-        coherent_mode=cfg.get("circuit.coherent_mode", "exact"),
-        r_delta=_get(cfg, "circuit.r_delta", int, 1),
-        r_big=_get(cfg, "circuit.r_big", int, 1),
-        n_rep=_get(cfg, "circuit.n_rep", int, 10),
-        grid_points=_get(cfg, "circuit.grid_points", int, 500),
-    )
-
-
-def _noise_spec(cfg, n):
-    noise = _validated(
-        NoiseSpec,
-        kind=cfg.get("noise.kind", "none"),
-        lam=_get(cfg, "noise.lambda", float, 0.0),
-        lambda_g=_get(cfg, "noise.lambda_g", float, 0.0),
-        n_g_override=_get(cfg, "noise.n_g", int, None),
-    )
-    if noise.kind == "depolarizing_budget":
-        _check_pair_noise(n, "noise.kind = depolarizing_budget")
-    return noise
-
-
-def _check_pair_noise(n, source):
-    """The depolarizing budget acts on adjacent qubit pairs."""
-    if n < 2:
-        raise ConfigError(f"{source} depolarizes qubit pairs and needs n >= 2, got n = {n}")
+def _circuit_config(v, **grid_point):
+    """The CircuitConfig of the circuit, jump, seed and beta keys; a grid
+    point's `dt_ev` or `dt_oft` stands for the circuit key."""
+    fields = {**_fields(v, "circuit."), **grid_point, "jump_count": v["jumps.count"]}
+    return _validated(CircuitConfig, **fields, k=v["jumps.k"], seed=v["seed"], beta=v["beta"])
 
 
 def _simulate(params, ham, circuit_cfg, noise, target):
@@ -443,13 +440,16 @@ def _plateau_grid(params, chain, runs, threads):
     return _map_maybe_parallel(one, runs, threads)
 
 
-@experiment("circuit")
-def run_circuit(cfg, threads):
-    params, beta = resolve_model(cfg)
-    circuit_cfg = _circuit_config(cfg, params.n, beta)
-    noise = _noise_spec(cfg, params.n)
-    ham, _, target = _chain(params, beta)
-    record = _simulate(params, ham, circuit_cfg, noise, target)
+@experiment("circuit", MODEL, JUMPS, CIRCUIT, NOISE, {
+    "circuit.dt_ev": Key(float, REQUIRED),
+    "circuit.dt_oft": Key(float, REQUIRED),
+})
+def run_circuit(model, v, threads):
+    circuit_cfg = _circuit_config(v)
+    noise = _validated(NoiseSpec, kind=v["noise.kind"], lam=v["noise.lambda"],
+                       lambda_g=v["noise.lambda_g"], n_g_override=v["noise.n_g"])
+    ham, _, target = _chain(model, v["beta"])
+    record = _simulate(model, ham, circuit_cfg, noise, target)
     plateau = {
         "plateau_distance": plateau_level(record),
         "final_distance": float(record.avg_distance[-1]),
@@ -462,50 +462,43 @@ def run_circuit(cfg, threads):
     }
 
 
-@experiment("circuit-noise")
-def run_circuit_noise(cfg, threads):
-    params, beta = resolve_model(cfg)
-    lambdas = _list(cfg, "grid.lambda_g", float, [1e-6, 1e-5, 1e-4])
-    dt_evs = _list(cfg, "grid.dt_ev", float, [1.0, 3.0, 5.0])
-    if any(lam_g != 0 for lam_g in lambdas):
-        _check_pair_noise(params.n, "grid.lambda_g > 0")
+@experiment("circuit-noise", MODEL, JUMPS, CIRCUIT, {
+    "circuit.dt_oft": Key(float, REQUIRED),
+    "grid.lambda_g": Key([float], [1e-6, 1e-5, 1e-4]),
+    "grid.dt_ev": Key([float], [1.0, 3.0, 5.0]),
+})
+def run_circuit_noise(model, v, threads):
     runs = [
         (
-            _circuit_config({**cfg, "circuit.dt_ev": repr(dt_ev)}, params.n, beta),
+            _circuit_config(v, dt_ev=dt_ev),
             _validated(NoiseSpec, kind="depolarizing_budget" if lam_g else "none", lambda_g=lam_g),
         )
-        for lam_g in lambdas
-        for dt_ev in dt_evs
+        for lam_g in v["grid.lambda_g"]
+        for dt_ev in v["grid.dt_ev"]
     ]
-    plateaus = _plateau_grid(params, _chain(params, beta), runs, threads)
+    plateaus = _plateau_grid(model, _chain(model, v["beta"]), runs, threads)
     rows = [(noise.lambda_g, c.dt_ev, c.dt_oft, p) for (c, noise), p in zip(runs, plateaus)]
     units = "times in 1/J, probabilities dimensionless"
     columns = ["lambda_g", "dt_ev", "dt_oft", "plateau_distance"]
     return {"noise_grid.csv": csv_text(units, columns, rows)}
 
 
-@experiment("noise-bounds")
-def run_noise_bounds(cfg, threads):
-    params, beta = resolve_model(cfg)
-    lambdas = _list(cfg, "grid.lambda", float, [1e-3, 1e-2, 1e-1])
-    if not all(0 < lam <= 1 for lam in lambdas):
-        raise ConfigError(f"grid.lambda = {cfg['grid.lambda']} has an entry outside (0, 1]")
-    n_g = _get(cfg, "noise.n_g", int, 50 * params.n)
-    if not n_g >= 1:
-        raise ConfigError(f"noise.n_g = {n_g} must be at least 1")
-    record, _ = _evolve(cfg, params, beta)
+@experiment("noise-bounds", MODEL, JUMPS, SOLVER, {
+    "grid.lambda": Key(
+        [float], [1e-3, 1e-2, 1e-1], lambda lam: 0 < lam <= 1, "has an entry outside (0, 1]"
+    ),
+    "noise.n_g": _count(_gate_budget),
+})
+def run_noise_bounds(model, v, threads):
+    record, _ = _evolve(model, v)
     steps = record.times / record.final_dt_rk
     fit = fit_convergence(steps, record.avg_distance)
-    rows = []
-    for lam in lambdas:
-        rows.append(
-            (
-                lam,
-                bound_asymptotic(fit, lam),
-                bound_generic(fit, lam),
-                bound_unitary_comparison(fit, min(lam / n_g, 0.5), n_g),
-            )
-        )
+    n_g = v["noise.n_g"]
+    rows = [
+        (lam, bound_asymptotic(fit, lam), bound_generic(fit, lam),
+         bound_unitary_comparison(fit, min(lam / n_g, 0.5), n_g))
+        for lam in v["grid.lambda"]
+    ]
     return {
         "bounds.csv": csv_text(
             "per-step error probability; bounds dimensionless",
@@ -516,18 +509,18 @@ def run_noise_bounds(cfg, threads):
     }
 
 
-@experiment("error-fit")
-def run_error_fit(cfg, threads):
-    params, beta = resolve_model(cfg)
-    dt_evs = _list(cfg, "grid.dt_ev", float, [0.05, 0.1, 0.2, 0.3])
-    dt_ofts = _list(cfg, "grid.dt_oft", float, [0.08, 0.12, 0.2, 0.3])
-    overrides = [
-        {"circuit.dt_ev": repr(dt_ev), "circuit.dt_oft": repr(dt_oft)}
-        for dt_ev in dt_evs
-        for dt_oft in dt_ofts
+@experiment("error-fit", MODEL, JUMPS, CIRCUIT, {
+    "grid.dt_ev": Key([float], [0.05, 0.1, 0.2, 0.3]),
+    "grid.dt_oft": Key([float], [0.08, 0.12, 0.2, 0.3]),
+})
+def run_error_fit(model, v, threads):
+    runs = [
+        (_circuit_config(v, dt_ev=dt_ev, dt_oft=dt_oft), NoiseSpec())
+        for dt_ev in v["grid.dt_ev"]
+        for dt_oft in v["grid.dt_oft"]
     ]
-    runs = [(_circuit_config({**cfg, **keys}, params.n, beta), NoiseSpec()) for keys in overrides]
-    chain = _chain(params, beta)
+    beta = v["beta"]
+    chain = _chain(model, beta)
     spec = chain[1]
     h_norm = float(np.max(np.abs(spec.values)))
     usable = sum(in_fit_domain(c.dt_ev, c.dt_oft, beta, h_norm) for c, _ in runs)
@@ -536,12 +529,10 @@ def run_error_fit(cfg, threads):
             f"grid.dt_ev and grid.dt_oft give {usable} usable points; the error fit needs "
             "four with dt_ev <= 0.3, dt_oft <= 0.37 and a positive aliasing argument"
         )
-    plateaus = _plateau_grid(params, chain, runs, threads)
+    plateaus = _plateau_grid(model, chain, runs, threads)
     rows = [(c.dt_ev, c.dt_oft, p) for (c, _), p in zip(runs, plateaus)]
     bohr = bohr_frequencies(spec)
-    fit = fit_error_model(
-        rows, T=_get(cfg, "circuit.T", float, 1.6), beta=beta, h_norm=h_norm, bohr_count=bohr.count
-    )
+    fit = fit_error_model(rows, T=v["circuit.T"], beta=beta, h_norm=h_norm, bohr_count=bohr.count)
     return {
         "error_grid.csv": csv_text("times in 1/J", ["dt_ev", "dt_oft", "plateau_distance"], rows),
         "errorfit.json": json_text({"a1": fit.a1, "a2": fit.a2, "a3": fit.a3, "a4": fit.a4}),
@@ -564,29 +555,33 @@ def run(config_path, seed=None, out_dir=None, threads=1):
     """Execute one experiment config; returns the output directory."""
     with open(config_path) as fh:
         cfg = parse_config(fh.read())
-    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    known = sorted({key for _, table in EXPERIMENTS.values() for key in table})
+    unknown = sorted(set(cfg) - set(known))
     if unknown:
         import difflib  # imported here: only a misspelled key needs it
 
-        near = difflib.get_close_matches(unknown[0], sorted(CONFIG_KEYS), n=1)
+        near = difflib.get_close_matches(unknown[0], known, n=1)
         hint = f"; did you mean {near[0]!r}?" if near else ""
         raise ConfigError(f"unknown key {unknown[0]!r}{hint}")
     if seed is not None:
         cfg["seed"] = str(seed)
     cfg.setdefault("seed", "0")
-    if _get(cfg, "seed", int, 0) < 0:
-        raise ConfigError(f"seed = {cfg['seed']} must be non-negative")
     kind = cfg.get("experiment")
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {kind!r}; have {sorted(EXPERIMENTS)}")
-    out_dir = out_dir or cfg.get("out_dir") or "."
+    fn, table = EXPERIMENTS[kind]
+    model, values = resolve(table, cfg)
+    artifacts = fn(model, values, threads)
+    out_dir = out_dir or values["out_dir"] or "."
     os.makedirs(out_dir, exist_ok=True)
-    artifacts = EXPERIMENTS[kind](cfg, threads)
     given = {**cfg, "experiment": kind, "out_dir": out_dir}
     manifest = [f"artifact_version = {__version__}"]
     manifest += [f"{key} = {given[key]}" for key in sorted(given) if key != "artifact_version"]
     for name, text in {"manifest.txt": "\n".join(manifest) + "\n", **artifacts}.items():
-        _atomic_write(os.path.join(out_dir, name), text)
+        path = os.path.join(out_dir, name)
+        with open(path + ".tmp", "w") as fh:
+            fh.write(text)
+        os.replace(path + ".tmp", path)
     return out_dir
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import gibbsim
-from gibbsim.cli import _get, csv_text, json_text, list_points, main, parse_config
+from gibbsim.cli import EXPERIMENTS, csv_text, json_text, list_points, main, parse_config
 from gibbsim.errors import ConfigError, GibbsimError
 
 
@@ -490,7 +490,8 @@ def test_rejected_config_leaves_earlier_run_unchanged(tmp_path):
 @pytest.mark.parametrize("text", ["1", "true", "Yes", "ON", "0", "FALSE", "no", "Off"])
 def test_bool_keys_accept_their_spellings(text):
     expected = text.lower() in ("1", "true", "yes", "on")
-    assert _get({"allow_large": text}, "allow_large", bool, None) is expected
+    key = EXPERIMENTS["gap-scan"][1]["allow_large"]
+    assert key.kind is bool and key.read("allow_large", {"allow_large": text}) is expected
 
 
 @pytest.mark.parametrize(
@@ -525,30 +526,72 @@ def test_misspelled_keys_exit_2_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_config_keys_are_the_keys_cli_reads():
-    # every key literal cli.py reads is in CONFIG_KEYS, and every entry is read
-    tree = ast.parse(Path(gibbsim.cli.__file__).read_text())
-    readers = ("_get", "_list", "_counts")  # each takes (cfg, key, ...)
+@pytest.mark.parametrize(
+    "text, code",
+    [
+        (EVOLVE_N3 + "jumps.count = 0\n", 2),
+        (EVOLVE_N3 + "solver.herm_tol = 1e-30\n", 1),
+        ("experiment = spectrum\npoint = CH\nn = 20\n", 3),
+    ],
+    ids=["config-error", "step-underflow", "ceiling"],
+)
+def test_failed_run_makes_no_out_dir(tmp_path, text, code):
+    # the out dir is made only when the artifacts are written
+    out = tmp_path / "od" / "new"
+    assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(out)]) == code
+    assert not (tmp_path / "od").exists()
 
-    def literal(node):
-        return node.value if isinstance(node, ast.Constant) else None
 
-    read = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in readers:
-            read.add(literal(node.args[1]))
-        elif (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("get", "setdefault")
-            and getattr(node.func.value, "id", None) == "cfg"
-        ):
-            read.add(literal(node.args[0]))
-        elif isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg":
-            read.add(literal(node.slice))
-    read.discard(None)
-    # a manifest carries artifact_version, which no experiment reads
-    assert read == gibbsim.cli.CONFIG_KEYS - {"artifact_version"}
+# A small base config per experiment (n <= 3, short horizon).  Step counts
+# are capped too, so that a key left empty, which takes its default, still
+# runs briefly.
+BASE_CONFIGS = {
+    "spectrum": "point = CH\nn = 3\n",
+    "chaos-scan": "n = 3\ngrid.h = 0.5\ngrid.m = 0.4\n",
+    "evolve": "point = CH\nn = 3\njumps.count = 4\nsolver.t_max = 5\nsolver.max_steps = 100\n"
+    "solver.n_traj = 2\nsolver.grid_points = 20\n",
+    "noise-bounds": "point = CH\nn = 3\njumps.count = 6\nsolver.t_max = 200\n"
+    "solver.max_steps = 2000\nsolver.n_traj = 2\n",
+    "gap-scan": "point = CH\ngrid.n = 3\ngrid.jumps = 5\n",
+    "accuracy-scan": "point = CH\nn = 3\ngrid.jumps = 5\n",
+    "circuit": "point = CH\nn = 3\ncircuit.dt_ev = 0.5\ncircuit.dt_oft = 0.2\ncircuit.t_max = 5\n"
+    "circuit.n_rep = 2\njumps.count = 4\n",
+    "circuit-noise": "point = CH\nn = 3\ncircuit.dt_oft = 0.2\ncircuit.t_max = 5\n"
+    "circuit.n_rep = 2\njumps.count = 4\ngrid.dt_ev = 1.0\ngrid.lambda_g = 1e-4\n",
+    "error-fit": "point = CH\nn = 2\ncircuit.t_max = 5\ncircuit.n_rep = 2\njumps.count = 4\n"
+    "grid.dt_ev = 0.05 0.1\ngrid.dt_oft = 0.1 0.2\n",
+}
+PROBE_VALUES = ["nan", "inf", "-1", "0", "1e400", "x", ""]
+CEILING_KEYS = {"n", "grid.n", "allow_large"}  # the keys whose value may exit 3
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_base_configs_run(tmp_path, experiment):
+    text = f"experiment = {experiment}\n" + BASE_CONFIGS[experiment]
+    assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "experiment, key",
+    [(name, key) for name, (_, table) in EXPERIMENTS.items() for key in table],
+    ids=[f"{name}.{key}" for name, (_, table) in EXPERIMENTS.items() for key in table],
+)
+def test_every_key_takes_odd_values_cleanly(tmp_path, experiment, key):
+    # generated from the key tables: each value exits 0, 1, 2 or 3 (3 only
+    # for a ceiling key) with no exception escaping main, and a non-zero
+    # exit leaves the non-empty out dir byte for byte as it was
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "earlier.txt").write_text("an earlier run\n")
+    lines = f"experiment = {experiment}\n{BASE_CONFIGS[experiment]}".splitlines()
+    base = [line for line in lines if line.split(" = ")[0] != key]
+    for value in PROBE_VALUES:
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        cfg = write_cfg(tmp_path, "run.cfg", "\n".join([*base, f"{key} = {value}"]) + "\n")
+        code = main(["run", cfg, "--out-dir", str(out)])
+        assert code in ((0, 1, 2, 3) if key in CEILING_KEYS else (0, 1, 2)), value
+        if code:
+            assert {path.name: path.read_bytes() for path in out.iterdir()} == before, value
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from gibbsim.circuit import CircuitConfig, NoiseSpec
 from gibbsim.cli import _distances_csv
 from gibbsim.dynamics import JUMP_PROB_CAP, PROPAGATOR_MAX_DIM, _taylor4_propagators
 from gibbsim.errors import StepUnderflow
+from gibbsim.model import RK_STEP_TABLE
 
 from conftest import BETA, apply_lindbladian, gap_setup, lindblad_setup, point_setup
 
@@ -297,6 +298,26 @@ def test_propagator_applies_one_rk4_step(rng, n):
 
         step = gs.rk4_step(x, gen, 0.3)
         assert np.max(np.abs(props[a] @ x.ravel() - step.ravel())) <= 1e-12 * np.max(np.abs(step))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_randomized_states_stay_positive_with_unit_trace(n):
+    # both step maps: the propagator step at n = 3, the staged RK4 at n = 4.
+    # Every kept trajectory state has a minimum eigenvalue of at least 8.9e-3
+    # and |Tr rho - 1| of at most 6.7e-16, so a negative one is a real signal.
+    assert (2**n <= PROPAGATOR_MAX_DIM) == (n == 3)
+    setup = lindblad_setup("CH", n, 20, seed=3)
+    cfg = gs.SolverConfig(
+        dt_rk0=RK_STEP_TABLE["CH"][n], n_traj=4, t_max=40.0, seed=3, grid_points=0, state_blocks=4
+    )
+    rec = gs.evolve_randomized(
+        setup["ham"], setup["lindblads"], gs.maximally_mixed(n), cfg, setup["sigma"]
+    )
+    states = rec.traj_states
+    assert np.linalg.eigvalsh(rec.final_avg_state).min() > 0
+    assert np.linalg.eigvalsh(states).min() > 0
+    assert abs(np.trace(rec.final_avg_state) - 1) <= 1e-14
+    assert np.max(np.abs(np.einsum("bgii->bg", states) - 1)) <= 1e-14
 
 
 # -------------------------------------------------------------------- exact

@@ -22,7 +22,6 @@ from .model import (
     bohr_frequencies,
     build_hamiltonian,
     gibbs_state,
-    ising_split,
     maximally_mixed,
     named_point,
 )

@@ -38,7 +38,7 @@ class CircuitConfig:
     T : OFT cutoff time
     coherent_mode : 'exact' eigenbasis exponentials, or 'trotter2' with
         r_delta substeps for e^{-iH dt_ev} and r_big substeps per
-        e^{+-iH Delta t} (requires a Hamiltonian split)
+        e^{+-iH Delta t}, over H's diagonal and off-diagonal parts
     """
 
     dt_ev: float
@@ -126,17 +126,22 @@ def dilation_discrete(lbar):
     return kron(lower, lbar) + kron(lower.T, lbar.conj().T)
 
 
-class _CoherentFactory:
-    """Produces e^{-iHt} either exactly or by second-order Trotter split."""
+def _diagonal_split(ham):
+    """H's diagonal and off-diagonal parts, the terms of the trotter2 product
+    formula: -J sum ZZ - m sum Z and -h sum X for the Ising chain."""
+    diag = np.diag(np.diag(ham))
+    return diag, ham - diag
 
-    def __init__(self, spec, mode, ham_split=None):
-        self.spec = spec
+
+class _CoherentFactory:
+    """Produces e^{-iHt} either exactly or by the second-order product formula
+    over H's diagonal and off-diagonal parts."""
+
+    def __init__(self, ham, mode):
+        self.spec = eig_hermitian(ham)
         self.mode = mode
         if mode == "trotter2":
-            if ham_split is None:
-                raise ValueError("trotter2 mode needs a Hamiltonian split (A, B)")
-            self.spec_a = eig_hermitian(ham_split[0])
-            self.spec_b = eig_hermitian(ham_split[1])
+            self.spec_a, self.spec_b = map(eig_hermitian, _diagonal_split(ham))
 
     def unitary(self, t, substeps):
         if self.mode == "exact":
@@ -147,7 +152,7 @@ class _CoherentFactory:
         return np.linalg.matrix_power(step, substeps)
 
 
-def step_V(a, cfg, spec, ham_split=None):
+def step_V(a, cfg, ham):
     """Second-order product formula for the dilated dissipative step.
 
     Interleaves the closed-form ancilla rotations B_s with coherent steps
@@ -156,10 +161,10 @@ def step_V(a, cfg, spec, ham_split=None):
     boundary factors e^{-+iHS Dt} cancel between consecutive protocol steps
     and are dropped, so V approximates the exponential of the dilation
     conjugated by e^{iHS Dt}; `step_v_reference` builds that target.  `a` is
-    the jump's `PauliString` and `spec` the Hamiltonian's `Spectrum`.
+    the jump's `PauliString` and `ham` the dense Hamiltonian.
     """
-    dim = 2 * spec.dim
-    coherent = _CoherentFactory(spec, cfg.coherent_mode, ham_split)
+    coherent = _CoherentFactory(ham, cfg.coherent_mode)
+    dim = 2 * coherent.spec.dim
     return _sweep([a], cfg, coherent, np.eye(dim, dtype=complex))[0].reshape(dim, dim)
 
 
@@ -249,12 +254,12 @@ class ProtocolEngine:
     W-tilde(rho) = sum_m K_m rho K_m^dag with K_m = V^a[m-block, 0-block] U_ev.
     """
 
-    def __init__(self, ham, cfg, ham_split=None):
+    def __init__(self, ham, cfg):
         ham = np.asarray(ham, dtype=complex)
         self.dim = ham.shape[0]
         self.n = int(round(math.log2(self.dim)))
-        self.spec = eig_hermitian(ham)
-        self.coherent = _CoherentFactory(self.spec, cfg.coherent_mode, ham_split)
+        self.coherent = _CoherentFactory(ham, cfg.coherent_mode)
+        self.spec = self.coherent.spec
         self.jump_set = sample_jump_set(self.n, cfg.k, cfg.jump_count, cfg.seed)
         self.u_ev = self.coherent.unitary(cfg.dt_ev, cfg.r_delta)
         start = np.concatenate([self.u_ev, np.zeros_like(self.u_ev)])
@@ -319,7 +324,7 @@ def apply_noise(rho, noise, step_context):
     return out.reshape(rho.shape)
 
 
-def simulate_protocol(ham, cfg, noise, target, ham_split=None):
+def simulate_protocol(ham, cfg, noise, target):
     """Run the full randomized single-ancilla protocol from the maximally
     mixed state.
 
@@ -329,7 +334,7 @@ def simulate_protocol(ham, cfg, noise, target, ham_split=None):
     and noise placement use separate per-repetition streams, so noiseless
     and noisy runs at the same seed share jump trajectories.
     """
-    engine = ProtocolEngine(ham, cfg, ham_split)
+    engine = ProtocolEngine(ham, cfg)
     n_g = gate_count(noise, engine.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
 
     jump_rngs = [np.random.default_rng([cfg.seed, rep, 0]) for rep in range(cfg.n_rep)]

@@ -34,7 +34,6 @@ from .model import (
     bohr_frequencies,
     build_hamiltonian,
     gibbs_state,
-    ising_split,
     maximally_mixed,
     named_point,
 )
@@ -363,7 +362,7 @@ def _evolve(model, v):
 
 
 @experiment("evolve", MODEL, JUMPS, SOLVER, {
-    "eps": Key(float, 1e-2, lambda e: e > 0, "must be positive"),
+    "eps": Key(float, 1e-2, lambda e: 0 < e < math.inf, "must be positive and finite"),
 })
 def run_evolve(model, v, threads):
     record, jump_set = _evolve(model, v)
@@ -422,20 +421,14 @@ def _circuit_config(v, **grid_point):
     return _validated(CircuitConfig, **fields, k=v["jumps.k"], seed=v["seed"], beta=v["beta"])
 
 
-def _simulate(params, ham, circuit_cfg, noise, target):
-    """simulate_protocol, with the chain's Ising split for trotter2 steps."""
-    split = ising_split(params) if circuit_cfg.coherent_mode == "trotter2" else None
-    return simulate_protocol(ham, circuit_cfg, noise, target, ham_split=split)
-
-
-def _plateau_grid(params, chain, runs, threads):
+def _plateau_grid(chain, runs, threads):
     """Plateau distance of the protocol at each (CircuitConfig, NoiseSpec)
     run.  Callers build every run first, so that a rejected grid value
     exits 2 before the first simulation."""
     ham, _, target = chain
 
     def one(run):
-        return plateau_level(_simulate(params, ham, *run, target))
+        return plateau_level(simulate_protocol(ham, *run, target))
 
     return _map_maybe_parallel(one, runs, threads)
 
@@ -449,7 +442,7 @@ def run_circuit(model, v, threads):
     noise = _validated(NoiseSpec, kind=v["noise.kind"], lam=v["noise.lambda"],
                        lambda_g=v["noise.lambda_g"], n_g_override=v["noise.n_g"])
     ham, _, target = _chain(model, v["beta"])
-    record = _simulate(model, ham, circuit_cfg, noise, target)
+    record = simulate_protocol(ham, circuit_cfg, noise, target)
     plateau = {
         "plateau_distance": plateau_level(record),
         "final_distance": float(record.avg_distance[-1]),
@@ -476,7 +469,7 @@ def run_circuit_noise(model, v, threads):
         for lam_g in v["grid.lambda_g"]
         for dt_ev in v["grid.dt_ev"]
     ]
-    plateaus = _plateau_grid(model, _chain(model, v["beta"]), runs, threads)
+    plateaus = _plateau_grid(_chain(model, v["beta"]), runs, threads)
     rows = [(noise.lambda_g, c.dt_ev, c.dt_oft, p) for (c, noise), p in zip(runs, plateaus)]
     units = "times in 1/J, probabilities dimensionless"
     columns = ["lambda_g", "dt_ev", "dt_oft", "plateau_distance"]
@@ -529,7 +522,7 @@ def run_error_fit(model, v, threads):
             f"grid.dt_ev and grid.dt_oft give {usable} usable points; the error fit needs "
             "four with dt_ev <= 0.3, dt_oft <= 0.37 and a positive aliasing argument"
         )
-    plateaus = _plateau_grid(model, chain, runs, threads)
+    plateaus = _plateau_grid(chain, runs, threads)
     rows = [(c.dt_ev, c.dt_oft, p) for (c, _), p in zip(runs, plateaus)]
     bohr = bohr_frequencies(spec)
     fit = fit_error_model(rows, T=v["circuit.T"], beta=beta, h_norm=h_norm, bohr_count=bohr.count)
@@ -555,14 +548,6 @@ def run(config_path, seed=None, out_dir=None, threads=1):
     """Execute one experiment config; returns the output directory."""
     with open(config_path) as fh:
         cfg = parse_config(fh.read())
-    known = sorted({key for _, table in EXPERIMENTS.values() for key in table})
-    unknown = sorted(set(cfg) - set(known))
-    if unknown:
-        import difflib  # imported here: only a misspelled key needs it
-
-        near = difflib.get_close_matches(unknown[0], known, n=1)
-        hint = f"; did you mean {near[0]!r}?" if near else ""
-        raise ConfigError(f"unknown key {unknown[0]!r}{hint}")
     if seed is not None:
         cfg["seed"] = str(seed)
     cfg.setdefault("seed", "0")
@@ -570,6 +555,13 @@ def run(config_path, seed=None, out_dir=None, threads=1):
     if kind not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {kind!r}; have {sorted(EXPERIMENTS)}")
     fn, table = EXPERIMENTS[kind]
+    unknown = sorted(set(cfg) - set(table))
+    if unknown:
+        import difflib  # imported here: only a misspelled key needs it
+
+        near = difflib.get_close_matches(unknown[0], table, n=1)
+        hint = f"; did you mean {near[0]!r}?" if near else ""
+        raise ConfigError(f"{kind} reads no key {unknown[0]!r}{hint}")
     model, values = resolve(table, cfg)
     artifacts = fn(model, values, threads)
     out_dir = out_dir or values["out_dir"] or "."

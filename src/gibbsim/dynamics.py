@@ -17,9 +17,9 @@ distances in two (R + 1)-matrix buffers allocated once per run, and lends
 their first R matrices to the step between grid points.
 
 Both RK4 solvers run `_evolve_with_halving`: one attempt per step size,
-restarted with half the step when a step fails the Hermiticity gate, each
-step followed by the gate, symmetrization and renormalization.  The map
-that advances the batch one step is one of two:
+restarted with half the step when it fails, each step followed by the gate,
+symmetrization and renormalization.  The map that advances the batch one
+step is one of two:
 
 - *Staged RK4* (`_rk4_advance`): the exact solver, and randomized runs
   with D > PROPAGATOR_MAX_DIM.  Four generator calls per step, keeping the
@@ -65,6 +65,9 @@ from .liouville import _superop4, drift_operator
 from .numkernel import trace_distance
 
 DT_FLOOR = 1e-6
+# A final trajectory state with an eigenvalue below -POSITIVITY_TOL fails its
+# attempt: stable runs end at >= +5e-6, RK4 steps past stability at <= -1.1e-2.
+POSITIVITY_TOL = 1e-3
 # Largest dimension D whose randomized runs step with precomputed RK4
 # propagators.  Measured per step, three runs each (CH, 20 jumps, R = 10,
 # one BLAS thread, 2-vCPU Xeon VM): at D = 8 the propagator step takes
@@ -120,16 +123,16 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.dt_rk0 < math.inf:
             raise ValueError("dt_rk0 must be positive and finite")
-        if not self.herm_tol > 0:
-            raise ValueError("herm_tol must be positive")
+        if not 0 < self.herm_tol < math.inf:
+            raise ValueError("herm_tol must be positive and finite")
         if not (self.n_traj >= 1 and self.max_steps >= 1):
             raise ValueError("n_traj and max_steps must be at least 1")
         if not 0 <= self.state_blocks <= self.n_traj:
             raise ValueError(f"state_blocks must lie between 0 and n_traj = {self.n_traj}")
         if self.t_max is not None and not 0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
-        if self.stop_below is not None and not self.stop_below > 0:
-            raise ValueError("stop_below must be positive")
+        if self.stop_below is not None and not 0 < self.stop_below < math.inf:
+            raise ValueError("stop_below must be positive and finite")
 
 
 @dataclass
@@ -158,7 +161,7 @@ class EvolutionRecord:
         return self
 
 
-class _HermiticityViolation(Exception):
+class _StepFailure(Exception):
     pass
 
 
@@ -198,9 +201,9 @@ def evolve_randomized(ham, lindblads, rho0, cfg, target):
     `_taylor4_propagators`, one matrix-vector product per trajectory; above
     it, the staged RK4 of `_rk4_advance` on the stack of
     A_a = -iH - (1/2) L_a^dag L_a, with each step's L_a gathered into reused
-    arrays.  After every step the state is checked element-wise for
-    Hermiticity; a violation halves the step and restarts every trajectory
-    from rho0; survivors are symmetrized and renormalized.
+    arrays.  A step or run that fails the checks of `_evolve_with_halving`
+    halves the step and restarts every trajectory from rho0; survivors are
+    symmetrized and renormalized after every step.
     """
     l_ops = np.asarray(lindblads, dtype=complex)
     dim = l_ops.shape[-1]
@@ -354,30 +357,37 @@ def _propagator_advance(props, draws):
 
 def _evolve_with_halving(make_advance, draw, rho0, cfg, target):
     """A trajectory batch from rho0 through `_run_batched`, restarted from
-    rho0 with half the step whenever a step fails the Hermiticity gate.
+    rho0 with half the step whenever the attempt fails.
 
     draw(n_steps) returns the (R, n_steps) jump indices for one attempt;
     make_advance(dt, draws) returns that attempt's step map, advance(rho, j,
     scratch), which overwrites the batch rho with its step j and may use the
-    record's buffers `scratch`.  The gate, the symmetrization and the
-    renormalization follow it here, in those buffers.
+    record's buffers `scratch`.  The gate (Hermitian to herm_tol, positive
+    trace), the symmetrization and the renormalization follow it here, in
+    those buffers.  RK4 beyond its stability region gives Hermitian states
+    that are not positive some steps before the gate fires, so an attempt
+    also fails when a recorded trace distance exceeds 1 or a final
+    trajectory state has an eigenvalue below -POSITIVITY_TOL.
     """
     dt = cfg.dt_rk0
     halvings = 0
+    final = None
     while True:
         draws = draw(_n_steps(cfg, dt))
         advance = make_advance(dt, draws)
 
         def step(rho, j, scratch):
+            nonlocal final
             advance(rho, j, scratch)
             rho_dag = np.conjugate(rho, out=scratch[0]).transpose(0, 2, 1)
             dev = np.abs(np.subtract(rho, rho_dag, out=scratch[1])).max()
-            if not np.isfinite(dev) or dev > cfg.herm_tol:
-                raise _HermiticityViolation
+            tr = np.einsum("tii->t", rho).real  # symmetrizing keeps the real diagonal
+            if not (dev <= cfg.herm_tol and tr.min() > 0):  # NaN fails both
+                raise _StepFailure
             rho += rho_dag
             rho *= 0.5
-            tr = np.einsum("tii->t", rho).real
             rho /= tr[:, None, None]
+            final = rho
             return rho
 
         try:
@@ -385,7 +395,10 @@ def _evolve_with_halving(make_advance, draw, rho0, cfg, target):
                 step, np.broadcast_to(rho0, (len(draws),) + np.shape(rho0)), draws.shape[1],
                 dt, cfg.grid_points, target, cfg.stop_below, min(cfg.state_blocks, len(draws)),
             )
-        except _HermiticityViolation:
+            lowest = np.linalg.eigvalsh(final).min()
+            if not (record.per_traj_distance.max() <= 1.0 and lowest >= -POSITIVITY_TOL):
+                raise _StepFailure
+        except _StepFailure:
             halvings += 1
             dt *= 0.5
             if dt < DT_FLOOR:

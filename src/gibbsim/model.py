@@ -90,16 +90,16 @@ class BohrSpectrum:
         return self.frequencies[self.pair_index]
 
 
-def ising_split(p):
-    """Diagonal part -J sum Z_i Z_{i+1} - m sum Z_i and transverse part
-    -h sum X_i of the chain Hamiltonian, the split used by trotter2 steps.
+def build_hamiltonian(p):
+    """H = -J sum Z_i Z_{i+1} - h sum X_i - m sum Z_i, open boundaries.
 
-    Row r's z_i = 1 - 2 bit_{n-1-i}(r) is summed into the diagonal by the
-    float operations, in the order, of the Kronecker-product sum (same bits);
-    0 - h goes to (r, r XOR 2^{n-1-i}).  Building and diagonalizing H hold four
-    dense D x D complex arrays (diag, transverse, H; then H, its eigenvectors
-    and two reconstruction-check temporaries).  ResourceCeiling is raised
-    before any allocation when they would exceed the physical memory.
+    Site 0 is the leftmost (most significant) tensor factor.  Row r's
+    z_i = 1 - 2 bit_{n-1-i}(r) is summed into the diagonal by the float
+    operations, in the order, of the Kronecker-product sum (same bits);
+    0 - h goes to (r, r XOR 2^{n-1-i}).  Building and diagonalizing H hold
+    four dense D x D complex arrays (H, its eigenvectors and two
+    reconstruction-check temporaries).  ResourceCeiling is raised before
+    any allocation when they would exceed the physical memory.
     """
     n, dim = p.n, 2**p.n
     need = 4 * 16 * dim * dim
@@ -113,21 +113,11 @@ def ising_split(p):
         energy -= p.J * (z[i] * z[i + 1])
     for i in range(n):
         energy -= p.m * z[i]
-    diag = np.zeros((dim, dim), dtype=complex)
-    diag[rows, rows] = energy
-    transverse = np.zeros((dim, dim), dtype=complex)
+    ham = np.zeros((dim, dim), dtype=complex)
+    ham[rows, rows] = energy
     for i in range(n):
-        transverse[rows, rows ^ (1 << (n - 1 - i))] = 0.0 - p.h  # +0, not -0, at h = 0
-    return diag, transverse
-
-
-def build_hamiltonian(p):
-    """H = -J sum Z_i Z_{i+1} - h sum X_i - m sum Z_i, open boundaries.
-
-    Site 0 is the leftmost (most significant) tensor factor.
-    """
-    diag, transverse = ising_split(p)
-    return diag + transverse
+        ham[rows, rows ^ (1 << (n - 1 - i))] = 0.0 - p.h  # +0, not -0, at h = 0
+    return ham
 
 
 def gibbs_state(spec, beta):

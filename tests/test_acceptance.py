@@ -274,7 +274,7 @@ def test_criterion_07_order_checks(rng):
 
     def v_err(dt_ev):
         cfg = CircuitConfig(dt_ev=dt_ev, dt_oft=0.1, T=1.6, jump_count=1, seed=1, beta=BETA)
-        v_mat = gs.step_V(a, cfg, pset["spec"])
+        v_mat = gs.step_V(a, cfg, pset["ham"])
         return np.linalg.norm(v_mat - step_v_reference(a, cfg, pset["spec"]), 2)
 
     v_ratio = v_err(0.1) / v_err(0.05)

@@ -167,7 +167,7 @@ def test_step_v_unitary():
     setup = point_setup("CH", 2)
     a = gs.sample_jump_set(2, 2, 1, seed=1)[0]
     cfg = CircuitConfig(dt_ev=0.1, dt_oft=0.1, T=1.6, jump_count=1, seed=1, beta=BETA)
-    v = gs.step_V(a, cfg, setup["spec"])
+    v = gs.step_V(a, cfg, setup["ham"])
     assert np.max(np.abs(v @ v.conj().T - np.eye(8))) < 1e-12
 
 
@@ -177,7 +177,7 @@ def test_step_v_order_against_dense_exponential():
 
     def err(dt_ev):
         cfg = CircuitConfig(dt_ev=dt_ev, dt_oft=0.1, T=1.6, jump_count=1, seed=1, beta=BETA)
-        v = gs.step_V(a, cfg, setup["spec"])
+        v = gs.step_V(a, cfg, setup["ham"])
         return np.linalg.norm(v - step_v_reference(a, cfg, setup["spec"]), 2)
 
     ratio = err(0.1) / err(0.05)
@@ -185,17 +185,12 @@ def test_step_v_order_against_dense_exponential():
 
 
 def test_step_v_trotter2_matches_exact_at_high_order():
-    params = gs.named_point("CH", 2)
-    ham = gs.build_hamiltonian(params)
+    ham = gs.build_hamiltonian(gs.named_point("CH", 2))
     a = gs.sample_jump_set(2, 2, 1, seed=1)[0]
     kwargs = dict(dt_ev=0.1, dt_oft=0.2, T=1.6, jump_count=1, seed=1, beta=BETA)
-    spec = gs.eig_hermitian(ham)
-    v_exact = gs.step_V(a, CircuitConfig(coherent_mode="exact", **kwargs), spec)
+    v_exact = gs.step_V(a, CircuitConfig(coherent_mode="exact", **kwargs), ham)
     v_trott = gs.step_V(
-        a,
-        CircuitConfig(coherent_mode="trotter2", r_delta=400, r_big=400, **kwargs),
-        spec,
-        ham_split=gs.ising_split(params),
+        a, CircuitConfig(coherent_mode="trotter2", r_delta=400, r_big=400, **kwargs), ham
     )
     assert np.max(np.abs(v_exact - v_trott)) < 1e-6
 
@@ -204,19 +199,18 @@ def test_step_v_trotter2_matches_exact_at_high_order():
 @pytest.mark.parametrize("n", [3, 4])
 def test_kraus_sweep_matches_dense_product(n, mode):
     # the batched right-to-left sweep against the dense product, every jump
-    params = gs.named_point("CH", n)
+    ham = gs.build_hamiltonian(gs.named_point("CH", n))
     cfg = CircuitConfig(
         dt_ev=0.25, dt_oft=0.2, T=1.6, jump_count=6, k=2, seed=n, beta=BETA,
         coherent_mode=mode, r_big=2,
     )
-    split = gs.ising_split(params) if mode == "trotter2" else None
-    engine = ProtocolEngine(gs.build_hamiltonian(params), cfg, split)
+    engine = ProtocolEngine(ham, cfg)
     dim = engine.dim
     for a, kraus in zip(engine.jump_set, engine.kraus):
         v = dense_step_v(a, cfg, engine.coherent)
         expected = (v[:, :dim] @ engine.u_ev).reshape(2, dim, dim)
         assert np.max(np.abs(kraus - expected)) <= 1e-13 * np.max(np.abs(expected))
-        v_sweep = gs.step_V(a, cfg, engine.spec, split)
+        v_sweep = gs.step_V(a, cfg, ham)
         assert np.max(np.abs(v_sweep - v)) <= 1e-13 * np.max(np.abs(v))
         assert np.max(np.abs(v_sweep @ v_sweep.conj().T - np.eye(2 * dim))) < 1e-12
 
@@ -261,7 +255,7 @@ def test_step_wtilde_batch_matches_zero_padded_dilation(rng):
     rho = np.stack([random_density_matrix(8, rng) for _ in range(cfg.jump_count)])
     out = engine.step_wtilde_batch(rho, np.arange(cfg.jump_count))
     for idx, a in enumerate(engine.jump_set):
-        v = gs.step_V(a, cfg, setup["spec"])
+        v = gs.step_V(a, cfg, setup["ham"])
         big = np.zeros((16, 16), dtype=complex)
         big[:8, :8] = u @ rho[idx] @ u.conj().T
         expected = gs.partial_trace_ancilla(v @ big @ v.conj().T)

@@ -138,25 +138,6 @@ def test_accuracy_scan_small(tmp_path):
     assert len(dists) == 2 and all(d > 0 for d in dists)
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 5\n",
-        "experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 10\n",
-    ],
-    ids=["gap-scan", "accuracy-scan"],
-)
-def test_scans_ignore_jumps_count(tmp_path, text):
-    # grid.jumps sets the scans' jump counts, so jumps.count is not read
-    outs = []
-    for name, extra in (("plain", ""), ("count0", "jumps.count = 0\n")):
-        out = tmp_path / name
-        cfg = write_cfg(tmp_path, name + ".cfg", text + extra)
-        assert main(["run", cfg, "--out-dir", str(out)]) == 0
-        outs.append({p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.txt"})
-    assert outs[0] and outs[0] == outs[1]
-
-
 def test_chaos_scan_small(tmp_path):
     cfg = write_cfg(
         tmp_path, "chaos.cfg",
@@ -188,7 +169,7 @@ def test_circuit_noise_grid_small(tmp_path):
         tmp_path, "cn.cfg",
         "experiment = circuit-noise\npoint = CH\nn = 2\ncircuit.dt_oft = 0.2\n"
         "circuit.t_max = 10\ncircuit.n_rep = 2\njumps.count = 4\nseed = 0\n"
-        "grid.lambda_g = 0.0001\ngrid.dt_ev = 1.0 2.0\ncircuit.dt_ev = 1.0\n",
+        "grid.lambda_g = 0.0001\ngrid.dt_ev = 1.0 2.0\n",
     )
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == 0
@@ -218,8 +199,7 @@ def test_error_fit_run(tmp_path):
         tmp_path, "ef.cfg",
         "experiment = error-fit\npoint = CH\nn = 2\ncircuit.t_max = 40\n"
         "circuit.n_rep = 2\njumps.count = 4\nseed = 0\n"
-        "grid.dt_ev = 0.05 0.1 0.2\ngrid.dt_oft = 0.1 0.2 0.3\n"
-        "circuit.dt_ev = 0.1\ncircuit.dt_oft = 0.2\n",
+        "grid.dt_ev = 0.05 0.1 0.2\ngrid.dt_oft = 0.1 0.2 0.3\n",
     )
     out = tmp_path / "out"
     assert main(["run", cfg, "--out-dir", str(out)]) == 0
@@ -281,7 +261,10 @@ NOISE_BOUNDS_N3 = (
 GAP_N3 = "experiment = gap-scan\npoint = CH\ngrid.n = 3\ngrid.jumps = 5\n"
 CHAOS_N3 = "experiment = chaos-scan\nn = 3\ngrid.h = 0.5\ngrid.m = 0.4\n"
 CIRCUIT_N1 = CIRCUIT_N3.replace("n = 3", "n = 1") + "jumps.k = 1\n"
-ERROR_FIT_N1 = CIRCUIT_N1.replace("experiment = circuit", "experiment = error-fit")
+ERROR_FIT_N1 = (
+    "experiment = error-fit\npoint = CH\nn = 1\njumps.k = 1\ncircuit.t_max = 5\n"
+    "circuit.n_rep = 2\njumps.count = 4\nseed = 0\n"
+)
 CIRCUIT_NOISE_N1 = (
     "experiment = circuit-noise\npoint = CH\nn = 1\njumps.k = 1\njumps.count = 4\n"
     "circuit.dt_oft = 0.2\ncircuit.t_max = 5\ncircuit.n_rep = 2\ngrid.dt_ev = 1.0\n"
@@ -294,9 +277,12 @@ REJECTED_VALUES = {
     "solver.dt_rk0.nan": EVOLVE_N3 + "solver.dt_rk0 = nan\n",
     "solver.dt_rk0.inf": EVOLVE_N3 + "solver.dt_rk0 = inf\n",
     "solver.herm_tol.nan": EVOLVE_N3 + "solver.herm_tol = nan\n",
+    "solver.herm_tol.inf": EVOLVE_N3 + "solver.herm_tol = inf\n",
     "solver.max_steps": EVOLVE_N3 + "solver.max_steps = -1\n",
     "solver.stop_below.nan": EVOLVE_N3 + "solver.stop_below = nan\n",
+    "solver.stop_below.inf": EVOLVE_N3 + "solver.stop_below = inf\n",
     "evolve.eps.nan": EVOLVE_N3 + "eps = nan\n",
+    "evolve.eps.inf": EVOLVE_N3 + "eps = inf\n",
     "circuit.t_max.nan": CIRCUIT_N3 + "circuit.t_max = nan\n",
     "circuit.t_max.inf": CIRCUIT_N3 + "circuit.t_max = inf\n",
     "circuit.dt_ev.nan": CIRCUIT_N3 + "circuit.dt_ev = nan\n",
@@ -325,9 +311,14 @@ REJECTED_VALUES = {
     # a named point sets h and m
     "evolve.point.h": EVOLVE_N3 + "h = 5\n",
     "gap-scan.point.m": GAP_N3 + "m = 5\n",
-    # a key that no experiment reads
+    # a key that the experiment does not read: a misspelling, the scans'
+    # jumps.count (grid.jumps sets their jump counts) and error-fit's noise
+    # keys (it always runs noiseless)
     "solver.tmax": EVOLVE_N3 + "solver.tmax = 5\n",
     "jumps.cout": EVOLVE_N3 + "jumps.cout = 0\n",
+    "gap-scan.jumps.count": GAP_N3 + "jumps.count = 0\n",
+    "accuracy-scan.jumps.count": "experiment = accuracy-scan\npoint = CH\nn = 3\njumps.count = 5\n",
+    "error-fit.noise.kind": ERROR_FIT_N1 + "noise.kind = depolarizing_budget\n",
 }
 
 
@@ -407,7 +398,8 @@ def test_rejected_config_leaves_no_manifest(tmp_path, text, code):
     [
         "gap-scan.grid.n", "circuit.noise.n1", "circuit-noise.n1", "error-fit.usable",
         "chaos-scan.empty-window", "gap-scan.allow_large", "evolve.point.h", "gap-scan.point.m",
-        "solver.tmax", "jumps.cout",
+        "solver.tmax", "jumps.cout", "gap-scan.jumps.count", "accuracy-scan.jumps.count",
+        "error-fit.noise.kind",
     ],
 )
 def test_rejected_value_is_named(tmp_path, capsys, key):
@@ -428,8 +420,11 @@ def test_rejected_value_is_named(tmp_path, capsys, key):
         "gap-scan.allow_large": "'allow_large': 'maybe'",
         "evolve.point.h": "h given beside point = CH",
         "gap-scan.point.m": "m given beside point = CH",
-        "solver.tmax": "unknown key 'solver.tmax'; did you mean 'solver.t_max'?",
-        "jumps.cout": "unknown key 'jumps.cout'; did you mean 'jumps.count'?",
+        "solver.tmax": "evolve reads no key 'solver.tmax'; did you mean 'solver.t_max'?",
+        "jumps.cout": "evolve reads no key 'jumps.cout'; did you mean 'jumps.count'?",
+        "gap-scan.jumps.count": "gap-scan reads no key 'jumps.count'",
+        "accuracy-scan.jumps.count": "accuracy-scan reads no key 'jumps.count'",
+        "error-fit.noise.kind": "error-fit reads no key 'noise.kind'",
     }[key]
     assert named in capsys.readouterr().err
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
@@ -443,18 +438,6 @@ def test_chaos_scan_index_window_runs_at_one_qubit(tmp_path):
     assert main(["run", cfg, "--out-dir", str(out)]) == 0
     row = (out / "heatmap.csv").read_text().splitlines()[-1]
     assert np.all(np.isfinite([float(x) for x in row.split(",")]))
-
-
-def test_error_fit_reads_no_noise_keys(tmp_path):
-    # error-fit always runs noiseless, so a pair-noise kind does not bar n = 1
-    cfg = write_cfg(
-        tmp_path, "ef.cfg",
-        ERROR_FIT_N1 + "noise.kind = depolarizing_budget\nnoise.lambda_g = 0.001\n"
-        "grid.dt_ev = 0.05 0.1\ngrid.dt_oft = 0.1 0.2\n",
-    )
-    out = tmp_path / "out"
-    assert main(["run", cfg, "--out-dir", str(out)]) == 0
-    assert len((out / "error_grid.csv").read_text().splitlines()) == 2 + 4
 
 
 @pytest.mark.parametrize("experiment", ["circuit-noise", "error-fit"])
@@ -522,7 +505,7 @@ def test_misspelled_keys_exit_2_before_any_work(tmp_path, capsys):
     text = EVOLVE_N3 + "solver.tmax = 1\njumps.cout = 0\nsolver.n_trj = 3\n"
     out = tmp_path / "out"
     assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(out)]) == 2
-    assert "unknown key 'jumps.cout'; did you mean 'jumps.count'?" in capsys.readouterr().err
+    assert "evolve reads no key 'jumps.cout'; did you mean 'jumps.count'?" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -561,8 +544,14 @@ BASE_CONFIGS = {
     "error-fit": "point = CH\nn = 2\ncircuit.t_max = 5\ncircuit.n_rep = 2\njumps.count = 4\n"
     "grid.dt_ev = 0.05 0.1\ngrid.dt_oft = 0.1 0.2\n",
 }
-PROBE_VALUES = ["nan", "inf", "-1", "0", "1e400", "x", ""]
+PROBE_VALUES = ["nan", "inf", "-1", "0", "1", "1e400", "x", ""]
 CEILING_KEYS = {"n", "grid.n", "allow_large"}  # the keys whose value may exit 3
+
+
+def distances(path):
+    """The trace distances of a distances CSV: every column after `t`."""
+    rows = path.read_text().splitlines()[2:]
+    return np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
@@ -578,8 +567,9 @@ def test_base_configs_run(tmp_path, experiment):
 )
 def test_every_key_takes_odd_values_cleanly(tmp_path, experiment, key):
     # generated from the key tables: each value exits 0, 1, 2 or 3 (3 only
-    # for a ceiling key) with no exception escaping main, and a non-zero
-    # exit leaves the non-empty out dir byte for byte as it was
+    # for a ceiling key) with no exception escaping main, a zero exit writes
+    # trace distances in [0, 1], and a non-zero exit leaves the non-empty
+    # out dir byte for byte as it was
     out = tmp_path / "out"
     out.mkdir()
     (out / "earlier.txt").write_text("an earlier run\n")
@@ -592,6 +582,36 @@ def test_every_key_takes_odd_values_cleanly(tmp_path, experiment, key):
         assert code in ((0, 1, 2, 3) if key in CEILING_KEYS else (0, 1, 2)), value
         if code:
             assert {path.name: path.read_bytes() for path in out.iterdir()} == before, value
+        for name in ("distances.csv", "circuit_distances.csv"):
+            if not code and (out / name).exists():
+                dist = distances(out / name)
+                assert np.all((0 <= dist) & (dist <= 1)), (value, name)
+
+
+@pytest.mark.parametrize(
+    "n, dt_rk0, t_max, extra",
+    [
+        (3, 1, 3, ""), (3, 1, 6, ""), (4, 0.5, 3, ""), (3, 0.5, 2, ""),
+        (3, 3, 20, "solver.herm_tol = 10\n"), (3, 3, 20, "solver.herm_tol = 1e6\n"),
+    ],
+)
+def test_unstable_rk4_step_halves_as_a_long_run_does(tmp_path, n, dt_rk0, t_max, extra):
+    # RK4 beyond its stability region gives Hermitian states that are not
+    # positive before the Hermiticity gate fires: a short run, or a loose
+    # gate, halves to the step of the t_max = 20 run with the default gate
+    def halvings(name, text):
+        out = tmp_path / name
+        cfg = write_cfg(
+            tmp_path, f"{name}.cfg",
+            f"experiment = evolve\npoint = CH\nn = {n}\nsolver.dt_rk0 = {dt_rk0}\n{text}",
+        )
+        assert main(["run", cfg, "--out-dir", str(out)]) == 0
+        assert np.all(distances(out / "distances.csv") <= 1)
+        return json.loads((out / "mixing.json").read_text())["halvings"]
+
+    assert halvings("run", f"solver.t_max = {t_max}\n{extra}") == halvings(
+        "long", "solver.t_max = 20\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 
 import gibbsim as gs
 from gibbsim.chaos import even_sector_basis
+from gibbsim.circuit import _diagonal_split
 from gibbsim.errors import ResourceCeiling
 from gibbsim.model import RK_STEP_TABLE, _sorted_distinct
 
@@ -31,8 +32,8 @@ def pauli_sum_oracle(params):
 
 
 def kron_split(params):
-    """(diag, transverse) as ising_split built them before the bit
-    construction: sums of Kronecker-product chains, kept as the bit oracle."""
+    """(diag, transverse), -J sum ZZ - m sum Z and -h sum X, as sums of
+    Kronecker-product chains: the bit oracle of the Hamiltonian build."""
     n, dim = params.n, 2**params.n
     eye = np.eye(2, dtype=complex)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,31 +53,44 @@ def kron_split(params):
     return diag, transverse
 
 
-def assert_split_is_kron_sum(params):
-    diag, transverse = gs.ising_split(params)
-    old_diag, old_transverse = kron_split(params)
-    assert diag.tobytes() == old_diag.tobytes()
-    assert transverse.tobytes() == old_transverse.tobytes()
-    assert gs.build_hamiltonian(params).tobytes() == (old_diag + old_transverse).tobytes()
+def assert_hamiltonian_is_kron_sum(params):
+    diag, transverse = kron_split(params)
+    assert gs.build_hamiltonian(params).tobytes() == (diag + transverse).tobytes()
 
 
 @pytest.mark.parametrize("J", [1.0, 0.5, 2.0])
 @pytest.mark.parametrize("key", sorted(gs.NAMED_POINTS))
 def test_ising_split_is_the_kron_sum_bit_for_bit(key, J):
     for n in range(1, 9):
-        assert_split_is_kron_sum(gs.named_point(key, n, J=J))
+        assert_hamiltonian_is_kron_sum(gs.named_point(key, n, J=J))
 
 
-@pytest.mark.parametrize("h, m", [(0.0, 0.0), (-0.0, -0.0), (-0.7, 0.3), (0.0, -1.2)])
+SIGNED_FIELDS = [(0.0, 0.0), (-0.0, -0.0), (-0.7, 0.3), (0.0, -1.2)]
+
+
+@pytest.mark.parametrize("h, m", SIGNED_FIELDS)
 def test_ising_split_keeps_signed_zeros_and_signs_of_fields(h, m):
     for n in range(1, 6):
-        assert_split_is_kron_sum(gs.IsingParams(n=n, J=1.3, h=h, m=m))
+        assert_hamiltonian_is_kron_sum(gs.IsingParams(n=n, J=1.3, h=h, m=m))
+
+
+def test_trotter2_parts_are_the_kron_split_bit_for_bit():
+    # the diagonal and off-diagonal parts that circuit's trotter2 mode takes from H
+    chains = [
+        gs.named_point(key, n, J=J)
+        for key in gs.NAMED_POINTS for J in (1.0, 0.5, 2.0) for n in range(1, 9)
+    ]
+    chains += [gs.IsingParams(n=n, J=1.3, h=h, m=m) for h, m in SIGNED_FIELDS for n in range(1, 6)]
+    for params in chains:
+        parts = _diagonal_split(gs.build_hamiltonian(params))
+        for part, old in zip(parts, kron_split(params)):
+            assert part.tobytes() == old.tobytes()
 
 
 @pytest.mark.parametrize("n", [20, 40])
 def test_ising_split_too_big_for_memory_raises_ceiling(n):
     with pytest.raises(ResourceCeiling, match=f"n={n}"):
-        gs.ising_split(gs.named_point("CH", n))
+        gs.build_hamiltonian(gs.named_point("CH", n))
 
 
 def test_ising_split_ceiling_counts_four_dense_arrays(monkeypatch):
@@ -84,10 +98,10 @@ def test_ising_split_ceiling_counts_four_dense_arrays(monkeypatch):
     params = gs.named_point("CH", 3)
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 * 16 * 8 * 8}
     monkeypatch.setattr("gibbsim.model.os.sysconf", memory.__getitem__)
-    gs.ising_split(params)
+    gs.build_hamiltonian(params)
     memory["SC_PHYS_PAGES"] -= 1
     with pytest.raises(ResourceCeiling):
-        gs.ising_split(params)
+        gs.build_hamiltonian(params)
 
 
 def test_single_qubit_fields():
@@ -115,7 +129,7 @@ def test_ch_point_matches_pauli_sum_oracle():
 @pytest.mark.parametrize("key", ["CH", "REG"])
 def test_ising_split_parts_sum_to_hamiltonian(key):
     params = gs.named_point(key, 4)
-    diag, transverse = gs.ising_split(params)
+    diag, transverse = _diagonal_split(gs.build_hamiltonian(params))
     assert np.array_equal(diag, np.diag(np.diag(diag)))
     assert np.max(np.abs(np.diag(transverse))) == 0
     expected = -params.h * sum(

@@ -16,12 +16,10 @@ from .numkernel import (
     trace_distance,
 )
 from .model import (
-    BohrSpectrum,
+    Chain,
     IsingParams,
     NAMED_POINTS,
-    bohr_frequencies,
     build_hamiltonian,
-    gibbs_state,
     maximally_mixed,
     named_point,
 )

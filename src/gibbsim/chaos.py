@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .numkernel import eig_hermitian, kron_all
+from .numkernel import kron_all
 
 # Fraction of the spectrum, by energy span or by count, kept by fractal_stats.
 BULK_WINDOW = 0.8
@@ -77,14 +77,13 @@ def _window_mask(values, kind):
     raise ValueError(f"unknown window kind {kind!r}")
 
 
-def fractal_stats(ham, basis_letters, window_kind="energy"):
-    """Mean and variance of D_1 over the retained bulk of the spectrum.
+def fractal_stats(spec, basis_letters, window_kind="energy"):
+    """Mean and variance of D_1 over the retained bulk of H's spectrum `spec`.
 
     The window keeps the inner 80% (BULK_WINDOW) of the spectrum by energy span;
     window_kind='index' switches to an eigenvalue-count window.  Raises
     ValueError when the window holds no eigenstate.
     """
-    spec = eig_hermitian(ham)
     mask = _window_mask(spec.values, window_kind)
     if not mask.any():
         raise ValueError(f"the {window_kind} window holds no eigenstate")

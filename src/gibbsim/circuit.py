@@ -23,7 +23,7 @@ from .dynamics import _run_batched
 from .errors import DimensionMismatch
 from .jumps import FilterSpec, filter_time, sample_jump_set
 from .model import maximally_mixed
-from .numkernel import PAULI_I, eig_hermitian, expm_phase, kron
+from .numkernel import PAULI_I, eig_hermitian, expm_phase, kron, require_memory
 
 GATE_COUNT_LOOKUP_N5 = {1.0: 308, 3.0: 484, 5.0: 644}
 GATE_COUNT_PER_QUBIT_TIME = 50.0
@@ -49,7 +49,6 @@ class CircuitConfig:
     jump_count: int = 10
     k: int = 2
     seed: int = 0
-    beta: float = 0.5
     coherent_mode: str = "exact"
     r_delta: int = 1
     r_big: int = 1
@@ -134,14 +133,14 @@ def _diagonal_split(ham):
 
 
 class _CoherentFactory:
-    """Produces e^{-iHt} either exactly or by the second-order product formula
-    over H's diagonal and off-diagonal parts."""
+    """Produces e^{-iHt} either exactly, from the chain's spectrum, or by the
+    second-order product formula over H's diagonal and off-diagonal parts."""
 
-    def __init__(self, ham, mode):
-        self.spec = eig_hermitian(ham)
+    def __init__(self, chain, mode):
+        self.spec = chain.spec
         self.mode = mode
         if mode == "trotter2":
-            self.spec_a, self.spec_b = map(eig_hermitian, _diagonal_split(ham))
+            self.spec_a, self.spec_b = map(eig_hermitian, _diagonal_split(chain.ham))
 
     def unitary(self, t, substeps):
         if self.mode == "exact":
@@ -152,7 +151,7 @@ class _CoherentFactory:
         return np.linalg.matrix_power(step, substeps)
 
 
-def step_V(a, cfg, ham):
+def step_V(a, cfg, chain):
     """Second-order product formula for the dilated dissipative step.
 
     Interleaves the closed-form ancilla rotations B_s with coherent steps
@@ -161,28 +160,27 @@ def step_V(a, cfg, ham):
     boundary factors e^{-+iHS Dt} cancel between consecutive protocol steps
     and are dropped, so V approximates the exponential of the dilation
     conjugated by e^{iHS Dt}; `step_v_reference` builds that target.  `a` is
-    the jump's `PauliString` and `ham` the dense Hamiltonian.
+    the jump's `PauliString` and `chain` the `model.Chain`.
     """
-    coherent = _CoherentFactory(ham, cfg.coherent_mode)
-    dim = 2 * coherent.spec.dim
-    return _sweep([a], cfg, coherent, np.eye(dim, dtype=complex))[0].reshape(dim, dim)
+    coherent = _CoherentFactory(chain, cfg.coherent_mode)
+    dim = 2 * chain.spec.dim
+    return _sweep([a], cfg, chain.beta, coherent, np.eye(dim, dtype=complex))[0].reshape(dim, dim)
 
 
-def step_v_reference(a, cfg, spec):
+def step_v_reference(a, cfg, chain):
     """Dense-exponential target of step_V: the boundary-conjugated
     e^{-i sqrt(dt_ev gamma) K_bar}, exact up to the product-formula error."""
     from .jumps import lindblad_op_discretized
 
-    f = FilterSpec(cfg.beta)
-    lbar = lindblad_op_discretized(a, spec, f, cfg.T, cfg.oft_steps)
+    lbar = lindblad_op_discretized(a, chain.spec, FilterSpec(chain.beta), cfg.T, cfg.oft_steps)
     kbar = dilation_discrete(lbar)
     kspec = eig_hermitian(kbar)
     theta = math.sqrt(cfg.dt_ev * cfg.gamma)
-    boundary = kron(PAULI_I, expm_phase(spec, -cfg.oft_steps * cfg.dt_oft_effective))
+    boundary = kron(PAULI_I, expm_phase(chain.spec, -cfg.oft_steps * cfg.dt_oft_effective))
     return boundary @ expm_phase(kspec, theta) @ boundary.conj().T
 
 
-def _sweep(jump_set, cfg, coherent, start):
+def _sweep(jump_set, cfg, beta, coherent, start):
     """V^a @ start for every jump a, applied factor by factor right to left.
 
     start is (2D, W); returns (J, 2, D, W), the rows of ancilla block m.
@@ -196,10 +194,12 @@ def _sweep(jump_set, cfg, coherent, start):
     the (D, J * 2W) layout.
     """
     s_max, dt = cfg.oft_steps, cfg.dt_oft_effective
+    # the grid's dozen float and complex arrays take about 128 bytes a point
+    require_memory(128 * (2 * s_max + 1), f"the OFT grid of {2 * s_max + 1} points")
     dim, width = start.shape[0] // 2, start.shape[1]
     n_jump = len(jump_set)
     steps = np.arange(-s_max, s_max + 1)
-    g = filter_time(FilterSpec(cfg.beta), steps * dt)
+    g = filter_time(FilterSpec(beta), steps * dt)
     mag = np.abs(g)
     weights = np.where(np.abs(steps) < s_max, dt, dt / 2.0)
     theta = 0.5 * math.sqrt(cfg.dt_ev * cfg.gamma) * weights * mag
@@ -254,17 +254,15 @@ class ProtocolEngine:
     W-tilde(rho) = sum_m K_m rho K_m^dag with K_m = V^a[m-block, 0-block] U_ev.
     """
 
-    def __init__(self, ham, cfg):
-        ham = np.asarray(ham, dtype=complex)
-        self.dim = ham.shape[0]
-        self.n = int(round(math.log2(self.dim)))
-        self.coherent = _CoherentFactory(ham, cfg.coherent_mode)
-        self.spec = self.coherent.spec
+    def __init__(self, chain, cfg):
+        self.n = chain.params.n
+        self.dim = 2**self.n
+        self.coherent = _CoherentFactory(chain, cfg.coherent_mode)
         self.jump_set = sample_jump_set(self.n, cfg.k, cfg.jump_count, cfg.seed)
         self.u_ev = self.coherent.unitary(cfg.dt_ev, cfg.r_delta)
         start = np.concatenate([self.u_ev, np.zeros_like(self.u_ev)])
         # (jump, m, D, D): rows of ancilla block m, columns of ancilla block 0
-        self.kraus = _sweep(self.jump_set, cfg, self.coherent, start)
+        self.kraus = _sweep(self.jump_set, cfg, chain.beta, self.coherent, start)
         self.kraus_dag = self.kraus.conj().swapaxes(-1, -2)
 
     def step_wtilde_batch(self, rho, a_indices):
@@ -324,17 +322,18 @@ def apply_noise(rho, noise, step_context):
     return out.reshape(rho.shape)
 
 
-def simulate_protocol(ham, cfg, noise, target):
-    """Run the full randomized single-ancilla protocol from the maximally
-    mixed state.
+def simulate_protocol(chain, cfg, noise):
+    """Run the full randomized single-ancilla protocol on the `model.Chain`
+    from the maximally mixed state.
 
     Repetitions evolve in lock step; the recorded series is the trace
-    distance of the repetition-averaged state to `target`, and
-    final_avg_state is the protocol's steady-state estimate.  Jump sampling
-    and noise placement use separate per-repetition streams, so noiseless
-    and noisy runs at the same seed share jump trajectories.
+    distance of the repetition-averaged state to the chain's Gibbs state,
+    and final_avg_state is the protocol's steady-state estimate.  Jump
+    sampling and noise placement use separate per-repetition streams, so
+    noiseless and noisy runs at the same seed share jump trajectories.
     """
-    engine = ProtocolEngine(ham, cfg)
+    require_memory(8 * cfg.n_rep * cfg.n_steps, f"the jump-draw array of {cfg.n_steps} steps")
+    engine = ProtocolEngine(chain, cfg)
     n_g = gate_count(noise, engine.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
 
     jump_rngs = [np.random.default_rng([cfg.seed, rep, 0]) for rep in range(cfg.n_rep)]
@@ -348,7 +347,7 @@ def simulate_protocol(ham, cfg, noise, target):
         return apply_noise(engine.step_wtilde_batch(rho, draws[:, j]), noise, noise_context)
 
     rho0 = np.broadcast_to(maximally_mixed(engine.n), (cfg.n_rep, engine.dim, engine.dim))
-    record = _run_batched(step, rho0, cfg.n_steps, cfg.dt_ev, cfg.grid_points, target)
+    record = _run_batched(step, rho0, cfg.n_steps, cfg.dt_ev, cfg.grid_points, chain.sigma)
     record.meta.update(gate_count=n_g, engine_jumps=len(engine.jump_set))
     return record
 

@@ -28,12 +28,11 @@ from .errors import ConfigError, GibbsimError, ResourceCeiling
 from .jumps import FilterSpec, jump_set_to_text, lindblad_op_exact, sample_jump_set
 from .liouville import steady_state_and_gap
 from .model import (
+    Chain,
     IsingParams,
     NAMED_POINTS,
     RK_STEP_TABLE,
-    bohr_frequencies,
     build_hamiltonian,
-    gibbs_state,
     maximally_mixed,
     named_point,
 )
@@ -277,33 +276,25 @@ def _distances_csv(record):
     return csv_text("times in 1/J, trace distances dimensionless", columns, rows)
 
 
-def _chain(params, beta):
-    """H, its spectrum and its Gibbs state at beta."""
-    ham = build_hamiltonian(params)
-    spec = eig_hermitian(ham)
-    return ham, spec, gibbs_state(spec, beta)
-
-
-def _jump_family(params, v, count):
-    """H and its Gibbs state, with a sampled `jumps.k`-local set of `count`
-    jumps and the (count, D, D) stack of its exact OFT Lindblad operators."""
-    ham, spec, sigma = _chain(params, v["beta"])
-    jump_set = sample_jump_set(params.n, v["jumps.k"], count, v["seed"])
-    bohr = bohr_frequencies(spec)
-    f = FilterSpec(v["beta"])
-    lindblads = np.stack([lindblad_op_exact(a, spec, f, bohr) for a in jump_set])
-    return ham, sigma, jump_set, lindblads
+def _jump_family(chain, v, count):
+    """A sampled `jumps.k`-local set of `count` jumps on the chain and the
+    (count, D, D) stack of its exact OFT Lindblad operators."""
+    jump_set = sample_jump_set(chain.params.n, v["jumps.k"], count, v["seed"])
+    f = FilterSpec(chain.beta)
+    lindblads = np.stack([lindblad_op_exact(a, chain.spec, f, chain.bohr) for a in jump_set])
+    return jump_set, lindblads
 
 
 @experiment("spectrum", MODEL)
 def run_spectrum(model, v, threads):
-    spec = eig_hermitian(build_hamiltonian(model))
+    chain = Chain(model, v["beta"])
+    spec = chain.spec
     rows = [(i, e / model.J) for i, e in enumerate(spec.values)]
     summary = {
         "n": model.n,
         "ground_energy": float(spec.values[0] / model.J),
         "spectral_width": float((spec.values[-1] - spec.values[0]) / model.J),
-        "bohr_frequency_count": int(bohr_frequencies(spec).count),
+        "bohr_frequency_count": int(chain.bohr.count),
         "beta_J": v["beta"] * model.J,
     }
     return {
@@ -340,9 +331,9 @@ def run_chaos_scan(model, v, threads):
 
     def one(point):
         h, m, params = point
-        ham = build_hamiltonian(params)
+        spec = eig_hermitian(build_hamiltonian(params))
         try:
-            stats = fractal_stats(ham, letters, window_kind=window_kind)
+            stats = fractal_stats(spec, letters, window_kind=window_kind)
         except ValueError as exc:
             raise ConfigError(f"chaos-scan at h/J = {h}, m/J = {m}: {exc}") from exc
         return (h, m, stats.mean, stats.variance)
@@ -356,8 +347,9 @@ def _evolve(model, v):
     """The randomized evolution from the maximally mixed state that `evolve`
     and `noise-bounds` run; returns its record and jump set."""
     solver = _validated(SolverConfig, **_fields(v, "solver."), seed=v["seed"])
-    ham, sigma, jump_set, lindblads = _jump_family(model, v, v["jumps.count"])
-    record = evolve_randomized(ham, lindblads, maximally_mixed(model.n), solver, sigma)
+    chain = Chain(model, v["beta"])
+    jump_set, lindblads = _jump_family(chain, v, v["jumps.count"])
+    record = evolve_randomized(chain.ham, lindblads, maximally_mixed(model.n), solver, chain.sigma)
     return record, jump_set
 
 
@@ -383,16 +375,23 @@ def run_evolve(model, v, threads):
 def _gap_rows(model, v, n_values, threads):
     """A row (n, jump count, gap, zero count, distance to Gibbs) per n and
     `grid.jumps` entry; `grid.jumps` sets the jump counts, so the scans
-    have no `jumps.count` key."""
+    have no `jumps.count` key.  Each n builds one chain and the Lindblad
+    stack of the largest count; a smaller count takes the stack's head,
+    since `sample_jump_set` draws a set as the head of any larger one.  The
+    tasks get plain arrays, so threads never fill a chain field."""
+    tasks = []
+    for n in n_values:
+        chain = Chain(dataclasses.replace(model, n=n), v["beta"])
+        _, lindblads = _jump_family(chain, v, max(v["grid.jumps"]))
+        tasks += [(n, chain.ham, chain.sigma, lindblads[:c]) for c in v["grid.jumps"]]
 
     def one(task):
-        params, count = task
-        ham, sigma, _, lindblads = _jump_family(params, v, count)
+        n, ham, sigma, lindblads = task
+        count = len(lindblads)
         result = steady_state_and_gap(ham, lindblads, np.full(count, 1.0 / count))
         distance = trace_distance(result.steady_state, sigma)
-        return (params.n, count, result.gap, result.zero_count, distance)
+        return (n, count, result.gap, result.zero_count, distance)
 
-    tasks = [(dataclasses.replace(model, n=n), c) for n in n_values for c in v["grid.jumps"]]
     return _map_maybe_parallel(one, tasks, threads)
 
 
@@ -415,20 +414,21 @@ def run_accuracy_scan(model, v, threads):
 
 
 def _circuit_config(v, **grid_point):
-    """The CircuitConfig of the circuit, jump, seed and beta keys; a grid
-    point's `dt_ev` or `dt_oft` stands for the circuit key."""
+    """The CircuitConfig of the circuit, jump and seed keys; a grid point's
+    `dt_ev` or `dt_oft` stands for the circuit key."""
     fields = {**_fields(v, "circuit."), **grid_point, "jump_count": v["jumps.count"]}
-    return _validated(CircuitConfig, **fields, k=v["jumps.k"], seed=v["seed"], beta=v["beta"])
+    return _validated(CircuitConfig, **fields, k=v["jumps.k"], seed=v["seed"])
 
 
 def _plateau_grid(chain, runs, threads):
     """Plateau distance of the protocol at each (CircuitConfig, NoiseSpec)
     run.  Callers build every run first, so that a rejected grid value
-    exits 2 before the first simulation."""
-    ham, _, target = chain
+    exits 2 before the first simulation.  Reading the Gibbs state fills H,
+    its spectrum and the state before the runs share the chain."""
+    chain.sigma
 
     def one(run):
-        return plateau_level(simulate_protocol(ham, *run, target))
+        return plateau_level(simulate_protocol(chain, *run))
 
     return _map_maybe_parallel(one, runs, threads)
 
@@ -441,8 +441,7 @@ def run_circuit(model, v, threads):
     circuit_cfg = _circuit_config(v)
     noise = _validated(NoiseSpec, kind=v["noise.kind"], lam=v["noise.lambda"],
                        lambda_g=v["noise.lambda_g"], n_g_override=v["noise.n_g"])
-    ham, _, target = _chain(model, v["beta"])
-    record = simulate_protocol(ham, circuit_cfg, noise, target)
+    record = simulate_protocol(Chain(model, v["beta"]), circuit_cfg, noise)
     plateau = {
         "plateau_distance": plateau_level(record),
         "final_distance": float(record.avg_distance[-1]),
@@ -469,7 +468,7 @@ def run_circuit_noise(model, v, threads):
         for lam_g in v["grid.lambda_g"]
         for dt_ev in v["grid.dt_ev"]
     ]
-    plateaus = _plateau_grid(_chain(model, v["beta"]), runs, threads)
+    plateaus = _plateau_grid(Chain(model, v["beta"]), runs, threads)
     rows = [(noise.lambda_g, c.dt_ev, c.dt_oft, p) for (c, noise), p in zip(runs, plateaus)]
     units = "times in 1/J, probabilities dimensionless"
     columns = ["lambda_g", "dt_ev", "dt_oft", "plateau_distance"]
@@ -513,9 +512,8 @@ def run_error_fit(model, v, threads):
         for dt_oft in v["grid.dt_oft"]
     ]
     beta = v["beta"]
-    chain = _chain(model, beta)
-    spec = chain[1]
-    h_norm = float(np.max(np.abs(spec.values)))
+    chain = Chain(model, beta)
+    h_norm = float(np.max(np.abs(chain.spec.values)))
     usable = sum(in_fit_domain(c.dt_ev, c.dt_oft, beta, h_norm) for c, _ in runs)
     if usable < 4:
         raise ConfigError(
@@ -524,8 +522,8 @@ def run_error_fit(model, v, threads):
         )
     plateaus = _plateau_grid(chain, runs, threads)
     rows = [(c.dt_ev, c.dt_oft, p) for (c, _), p in zip(runs, plateaus)]
-    bohr = bohr_frequencies(spec)
-    fit = fit_error_model(rows, T=v["circuit.T"], beta=beta, h_norm=h_norm, bohr_count=bohr.count)
+    bohr_count = chain.bohr.count
+    fit = fit_error_model(rows, T=v["circuit.T"], beta=beta, h_norm=h_norm, bohr_count=bohr_count)
     return {
         "error_grid.csv": csv_text("times in 1/J", ["dt_ev", "dt_oft", "plateau_distance"], rows),
         "errorfit.json": json_text({"a1": fit.a1, "a2": fit.a2, "a3": fit.a3, "a4": fit.a4}),

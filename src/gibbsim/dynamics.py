@@ -62,7 +62,7 @@ import numpy as np
 
 from .errors import StepUnderflow
 from .liouville import _superop4, drift_operator
-from .numkernel import trace_distance
+from .numkernel import require_memory, trace_distance
 
 DT_FLOOR = 1e-6
 # A final trajectory state with an eigenvalue below -POSITIVITY_TOL fails its
@@ -209,6 +209,7 @@ def evolve_randomized(ham, lindblads, rho0, cfg, target):
     dim = l_ops.shape[-1]
 
     def draw(n_steps):
+        require_memory(8 * cfg.n_traj * n_steps, f"the jump-draw array of {n_steps} steps")
         rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
         return np.stack([rng.integers(0, len(l_ops), size=n_steps) for rng in rngs])
 

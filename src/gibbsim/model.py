@@ -6,12 +6,12 @@ built from basis-state bits: site s is bit n-1-s, Z_s is +1 or -1 on the
 diagonal as that bit is 0 or 1, and X_s flips it.
 """
 
-import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import ResourceCeiling
+from .numkernel import eig_hermitian, require_memory
 
 DEFAULT_BETA_J = 0.5  # beta * J = 1/2
 
@@ -102,10 +102,7 @@ def build_hamiltonian(p):
     any allocation when they would exceed the physical memory.
     """
     n, dim = p.n, 2**p.n
-    need = 4 * 16 * dim * dim
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > physical:
-        raise ResourceCeiling(f"dense H at n={n} needs {need:.3g} bytes, memory is {physical:.3g}")
+    require_memory(4 * 16 * dim * dim, f"dense H at n={n}")
     rows = np.arange(dim)
     z = [1.0 - 2.0 * ((rows >> (n - 1 - i)) & 1) for i in range(n)]
     energy = np.zeros(dim)
@@ -196,6 +193,32 @@ def bohr_frequencies(spec, tol=None):
     zero_idx = len(reps) - 1  # index of 0 within `frequencies`
     pair_index = np.where(diffs >= 0, zero_idx + idx_abs, zero_idx - idx_abs)
     return BohrSpectrum(frequencies=frequencies, pair_index=pair_index)
+
+
+@dataclass(frozen=True)
+class Chain:
+    """One chain at one inverse temperature: H, its spectrum, Bohr grouping
+    and Gibbs state, each computed once, on first read, so a run builds and
+    diagonalizes H once and forms only the fields it reads."""
+
+    params: IsingParams
+    beta: float
+
+    @cached_property
+    def ham(self):
+        return build_hamiltonian(self.params)
+
+    @cached_property
+    def spec(self):
+        return eig_hermitian(self.ham)
+
+    @cached_property
+    def bohr(self):
+        return bohr_frequencies(self.spec)
+
+    @cached_property
+    def sigma(self):
+        return gibbs_state(self.spec, self.beta)
 
 
 def maximally_mixed(n):

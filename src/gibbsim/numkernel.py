@@ -5,11 +5,12 @@ two.  The ancilla qubit, when present, is always the leftmost (most
 significant) tensor factor.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EigendecompositionFailure, NotHermitian
+from .errors import DimensionMismatch, EigendecompositionFailure, NotHermitian, ResourceCeiling
 
 HERMITICITY_TOL = 1e-10
 RECONSTRUCTION_RTOL = 1e-8
@@ -41,6 +42,14 @@ class Spectrum:
     def from_eigenbasis(self, a):
         """Rotate a matrix given in the eigenbasis back, V a V†."""
         return self.vectors @ a @ self.vectors.conj().T
+
+
+def require_memory(nbytes, what):
+    """Raise ResourceCeiling, before anything is allocated, when `what`
+    needs more than the physical memory."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical:
+        raise ResourceCeiling(f"{what} needs {nbytes:.3g} bytes, memory is {physical:.3g}")
 
 
 def eig_hermitian(a):

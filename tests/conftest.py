@@ -13,18 +13,16 @@ BETA = 0.5  # beta * J = 1/2 throughout
 
 @lru_cache(maxsize=None)
 def point_setup(key, n):
-    """Hamiltonian, spectrum, Bohr grouping and Gibbs state for a named point."""
-    params = gs.named_point(key, n)
-    ham = gs.build_hamiltonian(params)
-    spec = gs.eig_hermitian(ham)
-    bohr = gs.bohr_frequencies(spec)
-    sigma = gs.gibbs_state(spec, BETA)
+    """The `gs.Chain` of a named point at BETA, with its Hamiltonian,
+    spectrum, Bohr grouping and Gibbs state."""
+    chain = gs.Chain(gs.named_point(key, n), BETA)
     return {
-        "params": params,
-        "ham": ham,
-        "spec": spec,
-        "bohr": bohr,
-        "sigma": sigma,
+        "chain": chain,
+        "params": chain.params,
+        "ham": chain.ham,
+        "spec": chain.spec,
+        "bohr": chain.bohr,
+        "sigma": chain.sigma,
         "filter": FilterSpec(BETA),
     }
 

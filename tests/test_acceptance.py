@@ -273,9 +273,9 @@ def test_criterion_07_order_checks(rng):
     a = gs.sample_jump_set(2, 2, 1, seed=1)[0]
 
     def v_err(dt_ev):
-        cfg = CircuitConfig(dt_ev=dt_ev, dt_oft=0.1, T=1.6, jump_count=1, seed=1, beta=BETA)
-        v_mat = gs.step_V(a, cfg, pset["ham"])
-        return np.linalg.norm(v_mat - step_v_reference(a, cfg, pset["spec"]), 2)
+        cfg = CircuitConfig(dt_ev=dt_ev, dt_oft=0.1, T=1.6, jump_count=1, seed=1)
+        v_mat = gs.step_V(a, cfg, pset["chain"])
+        return np.linalg.norm(v_mat - step_v_reference(a, cfg, pset["chain"]), 2)
 
     v_ratio = v_err(0.1) / v_err(0.05)
     assert 4 * 0.7 <= v_ratio <= 4 * 1.3
@@ -291,26 +291,22 @@ def test_criterion_08_circuit_vs_exact():
     setup = gap_setup("CH", 3, 10)
     base = dict(
         dt_oft=0.05, T=1.6, t_max=500.0, jump_count=10, k=2,
-        seed=0, beta=BETA, n_rep=10, grid_points=250,
+        seed=0, n_rep=10, grid_points=250,
     )
-    rec = gs.simulate_protocol(
-        setup["ham"], CircuitConfig(dt_ev=0.05, **base), NoiseSpec(), setup["sigma"]
-    )
+    rec = gs.simulate_protocol(setup["chain"], CircuitConfig(dt_ev=0.05, **base), NoiseSpec())
     dist_main = gs.trace_distance(rec.final_avg_state, setup["gap_result"].steady_state)
     assert dist_main <= 5e-2
 
     plateaus = []
     for dt_ev in (0.05, 0.0158, 0.005):
-        r = gs.simulate_protocol(
-            setup["ham"], CircuitConfig(dt_ev=dt_ev, **base), NoiseSpec(), setup["sigma"]
-        )
+        r = gs.simulate_protocol(setup["chain"], CircuitConfig(dt_ev=dt_ev, **base), NoiseSpec())
         plateaus.append(plateau_level(r))
     assert plateaus[0] > plateaus[1] > plateaus[2]
 
     flat = []
     for dt_oft in (0.25, 0.16, 0.1, 0.05):
         cfg = CircuitConfig(dt_ev=1.0, **{**base, "dt_oft": dt_oft})
-        r = gs.simulate_protocol(setup["ham"], cfg, NoiseSpec(), setup["sigma"])
+        r = gs.simulate_protocol(setup["chain"], cfg, NoiseSpec())
         flat.append(plateau_level(r))
     spread = (max(flat) - min(flat)) / np.mean(flat)
     assert spread < 0.35
@@ -409,13 +405,13 @@ def test_criterion_12_noisy_circuit_tradeoff():
     for dt_ev in dts:
         cfg = CircuitConfig(
             dt_ev=dt_ev, dt_oft=0.2, T=1.6, t_max=500.0, jump_count=10, k=2,
-            seed=0, beta=BETA, n_rep=10, grid_points=100,
+            seed=0, n_rep=10, grid_points=100,
         )
-        r0 = gs.simulate_protocol(setup["ham"], cfg, NoiseSpec(), setup["sigma"])
+        r0 = gs.simulate_protocol(setup["chain"], cfg, NoiseSpec())
         d0[dt_ev] = plateau_level(r0)
         for lam_g in lambdas:
             noise = NoiseSpec(kind="depolarizing_budget", lambda_g=lam_g)
-            r = gs.simulate_protocol(setup["ham"], cfg, noise, setup["sigma"])
+            r = gs.simulate_protocol(setup["chain"], cfg, noise)
             measured[(lam_g, dt_ev)] = plateau_level(r)
             n_g = gs.gate_count(noise, 5, dt_ev)
             lam = 1 - (1 - lam_g) ** n_g
@@ -440,8 +436,8 @@ def test_criterion_13_chaos_diagnostics():
 
     ch = point_setup("CH", 8)
     reg = point_setup("REG", 8)
-    d1_ch = fractal_stats(ch["ham"], "Z" * 8).mean
-    d1_reg = fractal_stats(reg["ham"], "Z" * 8).mean
+    d1_ch = fractal_stats(ch["spec"], "Z" * 8).mean
+    d1_reg = fractal_stats(reg["spec"], "Z" * 8).mean
     assert d1_ch > d1_reg
 
     stats = gs.spacing_ratios(ch["ham"])

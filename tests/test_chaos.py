@@ -57,9 +57,9 @@ def test_eigenbasis_amplitudes_give_zero_dimension():
 
 def test_fractal_stats_windows_and_determinism():
     setup = point_setup("CH", 5)
-    by_energy = fractal_stats(setup["ham"], "Z" * 5, window_kind="energy")
-    by_index = fractal_stats(setup["ham"], "Z" * 5, window_kind="index")
-    again = fractal_stats(setup["ham"], "Z" * 5, window_kind="energy")
+    by_energy = fractal_stats(setup["spec"], "Z" * 5, window_kind="energy")
+    by_index = fractal_stats(setup["spec"], "Z" * 5, window_kind="index")
+    again = fractal_stats(setup["spec"], "Z" * 5, window_kind="energy")
     assert np.array_equal(by_energy.per_state_D, again.per_state_D)
     assert len(by_index.per_state_D) == round(0.8 * 32)
     assert len(by_energy.per_state_D) >= len(by_index.per_state_D) - 8

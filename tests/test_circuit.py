@@ -129,7 +129,7 @@ def test_b_gate_product_reproduces_static_dilation():
     # without the Heisenberg interleaving, the symmetric B_s product is the
     # second-order formula for the dilation of (sum_s w_s g_s) A
     a = gs.sample_jump_set(2, 1, 1, seed=3)[0]
-    cfg = CircuitConfig(dt_ev=0.1, dt_oft=0.2, T=1.6, jump_count=1, seed=3, beta=BETA)
+    cfg = CircuitConfig(dt_ev=0.1, dt_oft=0.2, T=1.6, jump_count=1, seed=3)
     s_max, dt = cfg.oft_steps, cfg.dt_oft_effective
 
     def product_and_target(dt_ev):
@@ -166,8 +166,8 @@ def test_step_v_rejects_degenerate_discretization():
 def test_step_v_unitary():
     setup = point_setup("CH", 2)
     a = gs.sample_jump_set(2, 2, 1, seed=1)[0]
-    cfg = CircuitConfig(dt_ev=0.1, dt_oft=0.1, T=1.6, jump_count=1, seed=1, beta=BETA)
-    v = gs.step_V(a, cfg, setup["ham"])
+    cfg = CircuitConfig(dt_ev=0.1, dt_oft=0.1, T=1.6, jump_count=1, seed=1)
+    v = gs.step_V(a, cfg, setup["chain"])
     assert np.max(np.abs(v @ v.conj().T - np.eye(8))) < 1e-12
 
 
@@ -176,21 +176,21 @@ def test_step_v_order_against_dense_exponential():
     a = gs.sample_jump_set(2, 2, 1, seed=1)[0]
 
     def err(dt_ev):
-        cfg = CircuitConfig(dt_ev=dt_ev, dt_oft=0.1, T=1.6, jump_count=1, seed=1, beta=BETA)
-        v = gs.step_V(a, cfg, setup["ham"])
-        return np.linalg.norm(v - step_v_reference(a, cfg, setup["spec"]), 2)
+        cfg = CircuitConfig(dt_ev=dt_ev, dt_oft=0.1, T=1.6, jump_count=1, seed=1)
+        v = gs.step_V(a, cfg, setup["chain"])
+        return np.linalg.norm(v - step_v_reference(a, cfg, setup["chain"]), 2)
 
     ratio = err(0.1) / err(0.05)
     assert 4 * 0.7 <= ratio <= 4 * 1.3
 
 
 def test_step_v_trotter2_matches_exact_at_high_order():
-    ham = gs.build_hamiltonian(gs.named_point("CH", 2))
+    chain = point_setup("CH", 2)["chain"]
     a = gs.sample_jump_set(2, 2, 1, seed=1)[0]
-    kwargs = dict(dt_ev=0.1, dt_oft=0.2, T=1.6, jump_count=1, seed=1, beta=BETA)
-    v_exact = gs.step_V(a, CircuitConfig(coherent_mode="exact", **kwargs), ham)
+    kwargs = dict(dt_ev=0.1, dt_oft=0.2, T=1.6, jump_count=1, seed=1)
+    v_exact = gs.step_V(a, CircuitConfig(coherent_mode="exact", **kwargs), chain)
     v_trott = gs.step_V(
-        a, CircuitConfig(coherent_mode="trotter2", r_delta=400, r_big=400, **kwargs), ham
+        a, CircuitConfig(coherent_mode="trotter2", r_delta=400, r_big=400, **kwargs), chain
     )
     assert np.max(np.abs(v_exact - v_trott)) < 1e-6
 
@@ -199,26 +199,26 @@ def test_step_v_trotter2_matches_exact_at_high_order():
 @pytest.mark.parametrize("n", [3, 4])
 def test_kraus_sweep_matches_dense_product(n, mode):
     # the batched right-to-left sweep against the dense product, every jump
-    ham = gs.build_hamiltonian(gs.named_point("CH", n))
+    chain = point_setup("CH", n)["chain"]
     cfg = CircuitConfig(
-        dt_ev=0.25, dt_oft=0.2, T=1.6, jump_count=6, k=2, seed=n, beta=BETA,
+        dt_ev=0.25, dt_oft=0.2, T=1.6, jump_count=6, k=2, seed=n,
         coherent_mode=mode, r_big=2,
     )
-    engine = ProtocolEngine(ham, cfg)
+    engine = ProtocolEngine(chain, cfg)
     dim = engine.dim
     for a, kraus in zip(engine.jump_set, engine.kraus):
         v = dense_step_v(a, cfg, engine.coherent)
         expected = (v[:, :dim] @ engine.u_ev).reshape(2, dim, dim)
         assert np.max(np.abs(kraus - expected)) <= 1e-13 * np.max(np.abs(expected))
-        v_sweep = gs.step_V(a, cfg, ham)
+        v_sweep = gs.step_V(a, cfg, chain)
         assert np.max(np.abs(v_sweep - v)) <= 1e-13 * np.max(np.abs(v))
         assert np.max(np.abs(v_sweep @ v_sweep.conj().T - np.eye(2 * dim))) < 1e-12
 
 
 def test_kraus_sweep_gamma_zero_leaves_ancilla_untouched():
     setup = point_setup("CH", 3)
-    cfg = CircuitConfig(dt_ev=0.2, dt_oft=0.1, T=1.6, gamma=0.0, jump_count=4, seed=0, beta=BETA)
-    engine = ProtocolEngine(setup["ham"], cfg)
+    cfg = CircuitConfig(dt_ev=0.2, dt_oft=0.1, T=1.6, gamma=0.0, jump_count=4, seed=0)
+    engine = ProtocolEngine(setup["chain"], cfg)
     assert np.all(engine.kraus[:, 1] == 0)
     assert np.max(np.abs(engine.kraus[:, 0] - engine.u_ev)) < 1e-13
 
@@ -226,8 +226,8 @@ def test_kraus_sweep_gamma_zero_leaves_ancilla_untouched():
 # -------------------------------------------------------------- step Wtilde
 def test_step_wtilde_trace_preserving_and_positive(rng):
     setup = point_setup("CH", 3)
-    cfg = CircuitConfig(dt_ev=0.2, dt_oft=0.1, T=1.6, jump_count=4, seed=0, beta=BETA)
-    engine = ProtocolEngine(setup["ham"], cfg)
+    cfg = CircuitConfig(dt_ev=0.2, dt_oft=0.1, T=1.6, jump_count=4, seed=0)
+    engine = ProtocolEngine(setup["chain"], cfg)
     rho = random_density_matrix(8, rng)
     for out in engine.step_wtilde_batch(np.stack([rho] * 4), np.arange(4)):
         assert abs(np.trace(out).real - 1.0) < 1e-10
@@ -237,8 +237,8 @@ def test_step_wtilde_trace_preserving_and_positive(rng):
 
 def test_step_wtilde_gamma_zero_is_pure_conjugation(rng):
     setup = point_setup("CH", 3)
-    cfg = CircuitConfig(dt_ev=0.2, dt_oft=0.1, T=1.6, gamma=0.0, jump_count=2, seed=0, beta=BETA)
-    engine = ProtocolEngine(setup["ham"], cfg)
+    cfg = CircuitConfig(dt_ev=0.2, dt_oft=0.1, T=1.6, gamma=0.0, jump_count=2, seed=0)
+    engine = ProtocolEngine(setup["chain"], cfg)
     rho = random_density_matrix(8, rng)
     u = gs.expm_phase(setup["spec"], cfg.dt_ev)
     out = engine.step_wtilde_batch(rho[None], np.array([0]))[0]
@@ -249,13 +249,13 @@ def test_step_wtilde_batch_matches_zero_padded_dilation(rng):
     # reference: pad rho with the ancilla in |0>, conjugate by the full V^a,
     # trace the ancilla out
     setup = point_setup("CH", 3)
-    cfg = CircuitConfig(dt_ev=0.3, dt_oft=0.2, T=1.6, jump_count=5, seed=2, beta=BETA)
-    engine = ProtocolEngine(setup["ham"], cfg)
+    cfg = CircuitConfig(dt_ev=0.3, dt_oft=0.2, T=1.6, jump_count=5, seed=2)
+    engine = ProtocolEngine(setup["chain"], cfg)
     u = gs.expm_phase(setup["spec"], cfg.dt_ev)
     rho = np.stack([random_density_matrix(8, rng) for _ in range(cfg.jump_count)])
     out = engine.step_wtilde_batch(rho, np.arange(cfg.jump_count))
     for idx, a in enumerate(engine.jump_set):
-        v = gs.step_V(a, cfg, setup["ham"])
+        v = gs.step_V(a, cfg, setup["chain"])
         big = np.zeros((16, 16), dtype=complex)
         big[:8, :8] = u @ rho[idx] @ u.conj().T
         expected = gs.partial_trace_ancilla(v @ big @ v.conj().T)
@@ -266,7 +266,7 @@ def step_w(engine, cfg, rho, a_indices):
     """Boundary-restored step W for each jump index: W-tilde conjugated by
     the OFT boundary evolution u = e^{-iHS Dt}, which cancels along a full
     protocol run; the jump average of W matches e^{dt_ev L} to second order."""
-    u = gs.expm_phase(engine.spec, cfg.oft_steps * cfg.dt_oft_effective)
+    u = gs.expm_phase(engine.coherent.spec, cfg.oft_steps * cfg.dt_oft_effective)
     inner = engine.step_wtilde_batch(np.stack([u.conj().T @ rho @ u] * len(a_indices)), a_indices)
     return u @ inner @ u.conj().T
 
@@ -278,9 +278,9 @@ def test_step_w_average_matches_exact_channel_second_order(rng):
 
     def err(dt_ev):
         cfg = CircuitConfig(
-            dt_ev=dt_ev, dt_oft=0.05, T=1.6, jump_count=8, k=2, seed=0, beta=BETA
+            dt_ev=dt_ev, dt_oft=0.05, T=1.6, jump_count=8, k=2, seed=0
         )
-        engine = ProtocolEngine(setup["ham"], cfg)
+        engine = ProtocolEngine(setup["chain"], cfg)
         ls = [gs.lindblad_op_exact(a, spec, F, bohr) for a in engine.jump_set]
         sup = gs.build_superop(setup["ham"], ls, np.full(8, cfg.gamma / 8))
         ref = unvec(scipy.linalg.expm(dt_ev * sup) @ vec(rho))
@@ -394,10 +394,10 @@ def test_protocol_record_is_deterministic_and_valid():
     setup = point_setup("CH", 3)
     cfg = CircuitConfig(
         dt_ev=0.5, dt_oft=0.2, T=1.6, t_max=30.0, jump_count=5, k=2,
-        seed=0, beta=BETA, n_rep=3, grid_points=20,
+        seed=0, n_rep=3, grid_points=20,
     )
-    rec1 = gs.simulate_protocol(setup["ham"], cfg, NoiseSpec(), setup["sigma"])
-    rec2 = gs.simulate_protocol(setup["ham"], cfg, NoiseSpec(), setup["sigma"])
+    rec1 = gs.simulate_protocol(setup["chain"], cfg, NoiseSpec())
+    rec2 = gs.simulate_protocol(setup["chain"], cfg, NoiseSpec())
     assert np.array_equal(rec1.avg_distance, rec2.avg_distance)
     rho = rec1.final_avg_state
     assert abs(np.trace(rho).real - 1.0) < 1e-10
@@ -409,9 +409,9 @@ def test_grid_points_zero_records_every_step():
     setup = lindblad_setup("CH", 3, 5)
     cfg = CircuitConfig(
         dt_ev=0.5, dt_oft=0.2, T=1.6, t_max=5.0, jump_count=5, k=2,
-        seed=0, beta=BETA, n_rep=2, grid_points=0,
+        seed=0, n_rep=2, grid_points=0,
     )
-    rec = gs.simulate_protocol(setup["ham"], cfg, NoiseSpec(), setup["sigma"])
+    rec = gs.simulate_protocol(setup["chain"], cfg, NoiseSpec())
     assert np.array_equal(rec.times, cfg.dt_ev * np.arange(cfg.n_steps + 1))
     assert rec.per_traj_distance.shape == (2, cfg.n_steps + 1)
     solver = gs.SolverConfig(dt_rk0=0.25, n_traj=2, t_max=2.0, grid_points=0)
@@ -425,11 +425,11 @@ def test_protocol_noisy_placement_deterministic():
     setup = point_setup("CH", 3)
     cfg = CircuitConfig(
         dt_ev=1.0, dt_oft=0.2, T=1.6, t_max=20.0, jump_count=5, k=2,
-        seed=4, beta=BETA, n_rep=2, grid_points=10,
+        seed=4, n_rep=2, grid_points=10,
     )
     noise = NoiseSpec(kind="depolarizing_budget", lambda_g=1e-4)
-    rec1 = gs.simulate_protocol(setup["ham"], cfg, noise, setup["sigma"])
-    rec2 = gs.simulate_protocol(setup["ham"], cfg, noise, setup["sigma"])
+    rec1 = gs.simulate_protocol(setup["chain"], cfg, noise)
+    rec2 = gs.simulate_protocol(setup["chain"], cfg, noise)
     assert np.array_equal(rec1.avg_distance, rec2.avg_distance)
 
 
@@ -439,11 +439,11 @@ def test_protocol_noiseless_and_noisy_share_jump_streams():
     setup = point_setup("CH", 3)
     cfg = CircuitConfig(
         dt_ev=1.0, dt_oft=0.2, T=1.6, t_max=20.0, jump_count=5, k=2,
-        seed=4, beta=BETA, n_rep=2, grid_points=10,
+        seed=4, n_rep=2, grid_points=10,
     )
-    rec_none = gs.simulate_protocol(setup["ham"], cfg, NoiseSpec(), setup["sigma"])
+    rec_none = gs.simulate_protocol(setup["chain"], cfg, NoiseSpec())
     rec_zero = gs.simulate_protocol(
-        setup["ham"], cfg, NoiseSpec(kind="depolarizing_budget", lambda_g=0.0), setup["sigma"]
+        setup["chain"], cfg, NoiseSpec(kind="depolarizing_budget", lambda_g=0.0)
     )
     assert np.allclose(rec_none.avg_distance, rec_zero.avg_distance, atol=1e-12)
 
@@ -468,8 +468,8 @@ def test_gibbs_drift_per_step_follows_taxonomy_regimes():
     limit = 2 * np.pi * BETA / (2 * BETA * h_norm + 1.0)
 
     def drift(dt_oft):
-        cfg = CircuitConfig(dt_ev=0.1, dt_oft=dt_oft, T=T, jump_count=6, seed=0, beta=BETA)
-        engine = ProtocolEngine(setup["ham"], cfg)
+        cfg = CircuitConfig(dt_ev=0.1, dt_oft=dt_oft, T=T, jump_count=6, seed=0)
+        engine = ProtocolEngine(setup["chain"], cfg)
         outs = engine.step_wtilde_batch(np.stack([setup["sigma"]] * 6), np.arange(6))
         return cfg, engine, gs.trace_distance(np.mean(outs, axis=0), setup["sigma"])
 

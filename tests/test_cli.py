@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -219,34 +220,70 @@ def test_threads_fanout_matches_serial(tmp_path):
     assert (out1 / "accuracy.csv").read_bytes() == (out2 / "accuracy.csv").read_bytes()
 
 
-def test_manifest_reruns_reproduce_outputs(tmp_path):
-    text = (
-        "experiment = evolve\npoint = CH\nn = 3\njumps.count = 8\n"
-        "solver.t_max = 20\nsolver.n_traj = 2\nseed = 7\n"
-    )
-    cfg = write_cfg(tmp_path, "ev.cfg", text)
-    out1 = tmp_path / "first"
-    assert main(["run", cfg, "--out-dir", str(out1)]) == 0
-    out2 = tmp_path / "from_manifest"
-    assert main(["run", str(out1 / "manifest.txt"), "--out-dir", str(out2)]) == 0
-    assert (out1 / "distances.csv").read_bytes() == (out2 / "distances.csv").read_bytes()
-    # the re-run's manifest differs only in its out_dir line: one artifact_version line too
-    first, rerun = (
-        [line for line in (out / "manifest.txt").read_text().splitlines() if "out_dir" not in line]
-        for out in (out1, out2)
-    )
-    assert first == rerun
+@pytest.mark.parametrize(
+    "text, threads",
+    [
+        ("experiment = chaos-scan\nn = 3\ngrid.h = 0.5 1.0\ngrid.m = 0.4 0.8\nbasis = z\n", 4),
+        # one chain and one Lindblad stack per n, shared by the tasks of its counts
+        ("experiment = gap-scan\npoint = CH\ngrid.n = 3 4\ngrid.jumps = 5 10\n", 2),
+        ("experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 20\n", 2),
+        # one chain, filled before the threads share it
+        ("experiment = circuit-noise\npoint = CH\nn = 3\ncircuit.dt_oft = 0.2\n"
+         "circuit.t_max = 5\ncircuit.n_rep = 2\ngrid.lambda_g = 0 1e-4\ngrid.dt_ev = 1.0 2.0\n", 3),
+    ],
+    ids=["chaos-scan", "gap-scan", "accuracy-scan", "circuit-noise"],
+)
+def test_threads_on_closure_experiments(tmp_path, text, threads):
+    # the serial and the threaded run write the same out dir, byte for byte
+    cfg = write_cfg(tmp_path, "run.cfg", text)
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    serial = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert main(["run", cfg, "--out-dir", str(out), "--threads", str(threads)]) == 0
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == serial
 
 
-def test_threads_on_closure_experiments(tmp_path):
-    cfg = write_cfg(
-        tmp_path, "chaos.cfg",
-        "experiment = chaos-scan\nn = 3\ngrid.h = 0.5 1.0\ngrid.m = 0.4 0.8\nbasis = z\n",
-    )
-    out1, out2 = tmp_path / "s", tmp_path / "p"
-    assert main(["run", cfg, "--out-dir", str(out1)]) == 0
-    assert main(["run", cfg, "--out-dir", str(out2), "--threads", "4"]) == 0
-    assert (out1 / "heatmap.csv").read_bytes() == (out2 / "heatmap.csv").read_bytes()
+def _count_eigensolves(monkeypatch):
+    """The shapes of the operators that every gibbsim module binding of
+    `eig_hermitian` is called with, from here on."""
+    calls = []
+    original = gibbsim.numkernel.eig_hermitian
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return original(a)
+
+    for module in vars(gibbsim).values():
+        if getattr(module, "eig_hermitian", None) is original:
+            monkeypatch.setattr(module, "eig_hermitian", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = circuit-noise\npoint = CH\nn = 3\ncircuit.dt_oft = 0.2\n"
+        "circuit.t_max = 5\ncircuit.n_rep = 2\njumps.count = 4\n"
+        "grid.lambda_g = 0 1e-4\ngrid.dt_ev = 1.0 2.0\n",
+        "experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 10 20\n",
+    ],
+    ids=["circuit-noise", "accuracy-scan"],
+)
+def test_one_eigensolve_per_chain(tmp_path, monkeypatch, text):
+    # every grid point of a run shares one chain, whose H is diagonalized once
+    calls = _count_eigensolves(monkeypatch)
+    assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(tmp_path)]) == 0
+    assert calls == [(8, 8)]
+
+
+def test_spectrum_forms_no_gibbs_state(tmp_path, monkeypatch):
+    # a Chain computes only the fields a run reads: no fifth D x D array
+    def refused(spec, beta):
+        raise AssertionError("spectrum formed a Gibbs state")
+
+    monkeypatch.setattr(gibbsim.model, "gibbs_state", refused)
+    cfg = write_cfg(tmp_path, "spec.cfg", "experiment = spectrum\npoint = CH\nn = 3\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path)]) == 0
 
 
 CIRCUIT_N3 = (
@@ -558,6 +595,46 @@ def distances(path):
 def test_base_configs_run(tmp_path, experiment):
     text = f"experiment = {experiment}\n" + BASE_CONFIGS[experiment]
     assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("experiment", sorted(BASE_CONFIGS))
+def test_manifest_reruns_reproduce_outputs(tmp_path, experiment):
+    text = f"experiment = {experiment}\n{BASE_CONFIGS[experiment]}seed = 7\n"
+    out1 = tmp_path / "first"
+    assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(out1)]) == 0
+    out2 = tmp_path / "from_manifest"
+    assert main(["run", str(out1 / "manifest.txt"), "--out-dir", str(out2)]) == 0
+    first, rerun = (
+        {path.name: path.read_bytes() for path in out.iterdir() if path.name != "manifest.txt"}
+        for out in (out1, out2)
+    )
+    assert first == rerun
+    # the re-run's manifest differs only in its out_dir line: one artifact_version line too
+    first, rerun = (
+        [line for line in (out / "manifest.txt").read_text().splitlines() if "out_dir" not in line]
+        for out in (out1, out2)
+    )
+    assert first == rerun
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = evolve\npoint = CH\nn = 3\nsolver.max_steps = 100000000000\n",
+        CIRCUIT_N3 + "circuit.t_max = 1e12\n",
+        CIRCUIT_N3 + "circuit.T = 1e12\n",
+    ],
+    ids=["evolve.jump-draws", "circuit.jump-draws", "circuit.oft-grid"],
+)
+def test_array_beyond_memory_exits_3_at_once(tmp_path, capsys, text):
+    # jump draws or an OFT grid of terabytes: each run refuses them before
+    # it allocates anything, in well under a second
+    out = tmp_path / "od" / "new"
+    start = time.perf_counter()
+    assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(out)]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.startswith("resource ceiling:")
+    assert not (tmp_path / "od").exists()
 
 
 @pytest.mark.parametrize(

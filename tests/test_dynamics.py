@@ -552,8 +552,7 @@ def test_every_solver_reports_one_meta_key_set(solver):
     ls, gammas, sigma = setup["lindblads"], setup["gammas"], setup["sigma"]
     cfg = gs.SolverConfig(dt_rk0=0.25, n_traj=2, t_max=2.0, grid_points=4)
     circuit_cfg = CircuitConfig(
-        dt_ev=0.25, dt_oft=0.2, T=1.6, t_max=2.0, jump_count=5, k=2,
-        beta=BETA, n_rep=2, grid_points=4,
+        dt_ev=0.25, dt_oft=0.2, T=1.6, t_max=2.0, jump_count=5, k=2, n_rep=2, grid_points=4,
     )
     run = {
         "randomized": lambda: gs.evolve_randomized(
@@ -563,7 +562,7 @@ def test_every_solver_reports_one_meta_key_set(solver):
             setup["ham"], ls, gammas, gs.maximally_mixed(3), cfg, sigma
         ),
         "mcwf": lambda: gs.mcwf_evolve(setup["ham"], ls, gammas, None, cfg, sigma),
-        "circuit": lambda: gs.simulate_protocol(setup["ham"], circuit_cfg, NoiseSpec(), sigma),
+        "circuit": lambda: gs.simulate_protocol(setup["chain"], circuit_cfg, NoiseSpec()),
     }[solver]
     rec = run()
     extra = {"gate_count", "engine_jumps"} if solver == "circuit" else set()

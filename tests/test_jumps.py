@@ -52,6 +52,14 @@ def test_sampling_deterministic():
     assert [(a.sites, a.letters) for a in one] == [(a.sites, a.letters) for a in two]
 
 
+@pytest.mark.parametrize("n, k, seed", [(2, 1, 0), (3, 2, 7), (5, 2, 1), (6, 3, 123)])
+def test_smaller_jump_set_is_the_head_of_a_larger_one(n, k, seed):
+    # gap-scan and accuracy-scan slice the Lindblad stack of their largest count
+    full = gs.sample_jump_set(n, k, 100, seed)
+    for count in (5, 10, 20, 50):
+        assert full[:count] == gs.sample_jump_set(n, k, count, seed)
+
+
 def test_invalid_locality():
     with pytest.raises(InvalidLocality):
         gs.sample_jump_set(3, 4, 1, seed=0)

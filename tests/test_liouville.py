@@ -16,6 +16,7 @@ from gibbsim.liouville import (
     unvec,
     vec,
 )
+from gibbsim.model import bohr_frequencies, gibbs_state
 
 from conftest import (
     BETA,
@@ -302,7 +303,7 @@ def test_ckg_vanishes_for_single_bohr_frequency():
     # the diagonal blocks where tanh(0) = 0 applies... use H = 0 instead:
     # every frequency collapses to the zero cluster.
     spec = gs.eig_hermitian(np.zeros((4, 4)))
-    bohr = gs.bohr_frequencies(spec, tol=1e-9)
+    bohr = bohr_frequencies(spec, tol=1e-9)
     a = gs.sample_jump_set(2, 1, 1, seed=0)[0]
     g_ckg = gs.ckg_coherent_term([a], spec, F, bohr)
     assert np.max(np.abs(g_ckg)) < 1e-14
@@ -433,8 +434,8 @@ def test_markov_reg_degenerate_levels_grouped():
     params = gs.IsingParams(n=3, J=1.0, h=0.0, m=3.0)
     ham = gs.build_hamiltonian(params)
     spec = gs.eig_hermitian(ham)
-    bohr = gs.bohr_frequencies(spec)
-    sigma = gs.gibbs_state(spec, BETA)
+    bohr = bohr_frequencies(spec)
+    sigma = gibbs_state(spec, BETA)
     jumps = gs.sample_jump_set(3, 2, 10, seed=0)
     ls = np.stack([gs.lindblad_op_exact(a, spec, F, bohr) for a in jumps])
     mc = markov_restriction(spec, ls, np.full(10, 0.1), sigma, level_tol=1e-8)

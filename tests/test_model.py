@@ -8,7 +8,7 @@ import gibbsim as gs
 from gibbsim.chaos import even_sector_basis
 from gibbsim.circuit import _diagonal_split
 from gibbsim.errors import ResourceCeiling
-from gibbsim.model import RK_STEP_TABLE, _sorted_distinct
+from gibbsim.model import RK_STEP_TABLE, _sorted_distinct, bohr_frequencies, gibbs_state
 
 from conftest import BETA, point_setup
 
@@ -97,7 +97,7 @@ def test_ising_split_ceiling_counts_four_dense_arrays(monkeypatch):
     # four complex 8x8 arrays at n = 3 take 4096 bytes
     params = gs.named_point("CH", 3)
     memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 4 * 16 * 8 * 8}
-    monkeypatch.setattr("gibbsim.model.os.sysconf", memory.__getitem__)
+    monkeypatch.setattr("gibbsim.numkernel.os.sysconf", memory.__getitem__)
     gs.build_hamiltonian(params)
     memory["SC_PHYS_PAGES"] -= 1
     with pytest.raises(ResourceCeiling):
@@ -149,7 +149,7 @@ def test_named_point_values():
 
 def test_gibbs_infinite_temperature():
     setup = point_setup("CH", 3)
-    assert np.allclose(gs.gibbs_state(setup["spec"], 0.0), np.eye(8) / 8)
+    assert np.allclose(gibbs_state(setup["spec"], 0.0), np.eye(8) / 8)
 
 
 def test_gibbs_low_temperature_projects_ground_state():
@@ -158,7 +158,7 @@ def test_gibbs_low_temperature_projects_ground_state():
     beta = 60.0
     gap = spec.values[1] - spec.values[0]
     ground = np.outer(spec.vectors[:, 0], spec.vectors[:, 0].conj())
-    dist = gs.trace_distance(gs.gibbs_state(spec, beta), ground)
+    dist = gs.trace_distance(gibbs_state(spec, beta), ground)
     assert dist < 8 * 2**3 * np.exp(-beta * gap)
 
 
@@ -167,7 +167,7 @@ def test_gibbs_single_qubit_closed_form():
     ham = -h * np.array([[0, 1], [1, 0]], dtype=complex)
     spec = gs.eig_hermitian(ham)
     beta = 0.7
-    sigma = gs.gibbs_state(spec, beta)
+    sigma = gibbs_state(spec, beta)
     plus = np.array([1, 1]) / np.sqrt(2)
     p_plus = float(np.real(plus @ sigma @ plus))
     assert p_plus == pytest.approx(np.exp(beta * h) / (2 * np.cosh(beta * h)), abs=1e-12)
@@ -185,14 +185,14 @@ def test_gibbs_properties():
 def test_bohr_two_qubit_zz():
     params = gs.IsingParams(n=2, J=1.0, h=0.0, m=0.0)
     spec = gs.eig_hermitian(gs.build_hamiltonian(params))
-    bohr = gs.bohr_frequencies(spec)
+    bohr = bohr_frequencies(spec)
     assert np.allclose(bohr.frequencies, [-2.0, 0.0, 2.0])
 
 
 def test_bohr_single_qubit():
     h = 0.6
     spec = gs.eig_hermitian(-h * np.array([[0, 1], [1, 0]], dtype=complex))
-    assert np.allclose(gs.bohr_frequencies(spec).frequencies, [-1.2, 0.0, 1.2])
+    assert np.allclose(bohr_frequencies(spec).frequencies, [-1.2, 0.0, 1.2])
 
 
 @pytest.mark.parametrize("key,n", [("CH", 4), ("REG", 4), ("TFIM", 5), ("KIH", 5)])
@@ -235,7 +235,7 @@ def test_bohr_clusters_match_greedy_loop(seed):
     reps, pos = greedy_cluster_reps(w, tol)
     assert len(reps) > np.sum(np.diff(pos) > tol) + 1  # some run was split
     assert _sorted_distinct(np.abs(w[:, None] - w[None, :])).tobytes() == pos.tobytes()
-    bohr = gs.bohr_frequencies(SimpleNamespace(values=w), tol=tol)
+    bohr = bohr_frequencies(SimpleNamespace(values=w), tol=tol)
     assert np.array_equal(bohr.frequencies[bohr.count // 2 :], reps)
     assert np.array_equal(bohr.frequencies, -bohr.frequencies[::-1])
 
@@ -256,7 +256,7 @@ def test_bohr_reg_far_fewer_clusters_than_ch(n):
     counts = {}
     for key in ("CH", "REG"):
         spec = point_setup(key, n)["spec"]
-        counts[key] = gs.bohr_frequencies(spec, tol=0.02).count
+        counts[key] = bohr_frequencies(spec, tol=0.02).count
     assert counts["REG"] < counts["CH"] / 3
 
 

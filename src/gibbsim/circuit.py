@@ -125,22 +125,16 @@ def dilation_discrete(lbar):
     return kron(lower, lbar) + kron(lower.T, lbar.conj().T)
 
 
-def _diagonal_split(ham):
-    """H's diagonal and off-diagonal parts, the terms of the trotter2 product
-    formula: -J sum ZZ - m sum Z and -h sum X for the Ising chain."""
-    diag = np.diag(np.diag(ham))
-    return diag, ham - diag
-
-
 class _CoherentFactory:
     """Produces e^{-iHt} either exactly, from the chain's spectrum, or by the
-    second-order product formula over H's diagonal and off-diagonal parts."""
+    second-order product formula over H's diagonal and off-diagonal parts,
+    from the chain's `split_spectra`."""
 
     def __init__(self, chain, mode):
         self.spec = chain.spec
         self.mode = mode
         if mode == "trotter2":
-            self.spec_a, self.spec_b = map(eig_hermitian, _diagonal_split(chain.ham))
+            self.spec_a, self.spec_b = chain.split_spectra
 
     def unitary(self, t, substeps):
         if self.mode == "exact":
@@ -256,9 +250,12 @@ class ProtocolEngine:
 
     def __init__(self, chain, cfg):
         self.n = chain.params.n
-        self.dim = 2**self.n
         self.coherent = _CoherentFactory(chain, cfg.coherent_mode)
-        self.jump_set = sample_jump_set(self.n, cfg.k, cfg.jump_count, cfg.seed)
+        self.dim = chain.spec.dim
+        # the sweep's two halves, the Kraus stack it returns and its adjoint
+        count = cfg.jump_count
+        require_memory(96 * count * self.dim**2, f"the Kraus pairs of {count} jumps")
+        self.jump_set = sample_jump_set(self.n, cfg.k, count, cfg.seed)
         self.u_ev = self.coherent.unitary(cfg.dt_ev, cfg.r_delta)
         start = np.concatenate([self.u_ev, np.zeros_like(self.u_ev)])
         # (jump, m, D, D): rows of ancilla block m, columns of ancilla block 0
@@ -333,8 +330,9 @@ def simulate_protocol(chain, cfg, noise):
     noiseless and noisy runs at the same seed share jump trajectories.
     """
     require_memory(8 * cfg.n_rep * cfg.n_steps, f"the jump-draw array of {cfg.n_steps} steps")
+    n_g = gate_count(noise, chain.params.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
+    require_memory(8 * n_g, f"the placement draws of {n_g} depolarizing events")
     engine = ProtocolEngine(chain, cfg)
-    n_g = gate_count(noise, engine.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
 
     jump_rngs = [np.random.default_rng([cfg.seed, rep, 0]) for rep in range(cfg.n_rep)]
     noise_rngs = [np.random.default_rng([cfg.seed, rep, 1]) for rep in range(cfg.n_rep)]

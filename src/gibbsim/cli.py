@@ -35,6 +35,7 @@ from .model import (
     build_hamiltonian,
     maximally_mixed,
     named_point,
+    require_dense,
 )
 from .noisefit import (
     bound_asymptotic,
@@ -44,7 +45,7 @@ from .noisefit import (
     fit_error_model,
     in_fit_domain,
 )
-from .numkernel import eig_hermitian, trace_distance
+from .numkernel import eig_hermitian, require_memory, trace_distance
 
 GAP_QUBIT_CEILING = 6
 REQUIRED = object()  # the default of a key that the config must give
@@ -278,7 +279,9 @@ def _distances_csv(record):
 
 def _jump_family(chain, v, count):
     """A sampled `jumps.k`-local set of `count` jumps on the chain and the
-    (count, D, D) stack of its exact OFT Lindblad operators."""
+    (count, D, D) stack of its exact OFT Lindblad operators.  The operators
+    and their stack, 32 count D^2 bytes, are checked before the sampling."""
+    require_memory(32 * count * chain.spec.dim**2, f"the Lindblad operators of {count} jumps")
     jump_set = sample_jump_set(chain.params.n, v["jumps.k"], count, v["seed"])
     f = FilterSpec(chain.beta)
     lindblads = np.stack([lindblad_op_exact(a, chain.spec, f, chain.bohr) for a in jump_set])
@@ -321,6 +324,7 @@ def run_chaos_scan(model, v, threads):
         for h in v["grid.h"]
         for m in v["grid.m"]
     ]
+    require_dense(n, 4, "dense H")  # before the n-letter basis strings
     bases = preset_bases(n)
     if v["basis"] not in bases:
         raise ConfigError(f"unknown basis {v['basis']!r}; have {sorted(bases)}")
@@ -423,9 +427,12 @@ def _circuit_config(v, **grid_point):
 def _plateau_grid(chain, runs, threads):
     """Plateau distance of the protocol at each (CircuitConfig, NoiseSpec)
     run.  Callers build every run first, so that a rejected grid value
-    exits 2 before the first simulation.  Reading the Gibbs state fills H,
-    its spectrum and the state before the runs share the chain."""
+    exits 2 before the first simulation.  Reading the Gibbs state, and the
+    split spectra for a trotter2 run, fills every chain field the runs read
+    before they share the chain."""
     chain.sigma
+    if any(cfg.coherent_mode == "trotter2" for cfg, _ in runs):
+        chain.split_spectra
 
     def one(run):
         return plateau_level(simulate_protocol(chain, *run))

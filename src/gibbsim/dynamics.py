@@ -27,17 +27,18 @@ step is one of two:
   16 D^2 (J + 5R + 2(R + 1)) bytes beside the caller's J operators: the A
   stack, the state, one k, L[sel], A[sel], one generator temporary and the
   two record buffers.
-- *Propagators* (`_taylor4_propagators`, `_propagator_advance`):
-  randomized runs with D <= PROPAGATOR_MAX_DIM (three qubits or fewer).
-  For a linear generator one RK4 step is the Taylor polynomial
-  P = I + hM + (hM)^2/2 + (hM)^3/6 + (hM)^4/24 of its superoperator M, so
-  each attempt builds P_a for every jump once, and a step is one
-  matrix-vector product per trajectory.  A run holds 16 (J D^4 +
-  D^2 (R + 2(R + 1))) bytes: the propagator stack, the state and the two
-  record buffers; building the stack adds two D^2 x D^2 work arrays, freed
-  before the run.  It computes the same polynomial as the staged step, so
-  the two agree to roundoff (about 1e-13 relative in the recorded
-  distances), not bit for bit.
+- *Propagators* (`_taylor4_propagators`, `_propagator_advance`): randomized
+  runs with D <= PROPAGATOR_MAX_DIM (three qubits or fewer).  For a linear
+  generator one RK4 step is the Taylor polynomial P = I + hM + (hM)^2/2 +
+  (hM)^3/6 + (hM)^4/24 of its superoperator M, so each attempt builds P_a
+  for every jump once, and a step is one matrix-vector product per
+  trajectory.  In the C-order vectorization rho[i, j] at D i + j,
+  M_a = L_a kron conj(L_a) + A_a kron I + I kron conj(A_a), with A below.
+  A run holds 16 (J D^4 + D^2 (R + 2(R + 1))) bytes: the propagator
+  stack, the state and the two record buffers; building the stack adds
+  two D^2 x D^2 work arrays, freed before the run.  It computes the same
+  polynomial as the staged step, so the two agree to roundoff (about
+  1e-13 relative in the recorded distances), not bit for bit.
 
 The staged step writes the Lindblad generator in three products,
 
@@ -45,8 +46,8 @@ The staged step writes the Lindblad generator in three products,
     A = -iH - (1/2) sum_a gamma_a L_a^dag L_a,
 
 with A precomputed (per jump, at gamma_a = 1, for the randomized scheme;
-summed for the exact one by `liouville.drift_operator`, which
-`build_superop` shares).
+summed for the exact one by `liouville.drift_operator`, which the
+propagators, MCWF's effective Hamiltonian iA and `build_superop` share).
 This equals -i[H, rho] + sum_a gamma_a D^a(rho) exactly whenever rho is
 Hermitian, since then rho A^dag = (A rho)^dag.  Every RK4
 stage input is Hermitian in exact arithmetic: the state is symmetrized
@@ -61,7 +62,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepUnderflow
-from .liouville import _superop4, drift_operator
+from .liouville import drift_operator
 from .numkernel import require_memory, trace_distance
 
 DT_FLOOR = 1e-6
@@ -213,12 +214,19 @@ def evolve_randomized(ham, lindblads, rho0, cfg, target):
         rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
         return np.stack([rng.integers(0, len(l_ops), size=n_steps) for rng in rngs])
 
+    # the run's arrays of the module docstring, checked before any of them
+    n_jump, n_traj = len(l_ops), cfg.n_traj
     if dim <= PROPAGATOR_MAX_DIM:
+        nbytes = 16 * ((n_jump + 2) * dim**4 + (3 * n_traj + 2) * dim**2)
+        require_memory(nbytes, f"the propagators of {n_jump} jumps and {n_traj} states")
+
         def make_advance(dt, draws):
             return _propagator_advance(_taylor4_propagators(ham, l_ops, dt), draws)
 
         return _evolve_with_halving(make_advance, draw, rho0, cfg, target)
 
+    nbytes = 16 * (n_jump + 7 * n_traj + 2) * dim**2
+    require_memory(nbytes, f"the staged RK4 arrays of {n_traj} trajectories")
     l_sel, a_sel, tmp = np.empty((3, cfg.n_traj) + l_ops.shape[1:], dtype=complex)
     # L^dag L one batch of operators at a time, conjugated in `tmp`: a
     # conjugated copy of the whole stack left a heap hole that the run's
@@ -317,17 +325,25 @@ def _taylor4_propagators(ham, l_ops, dt):
     """The (J, D^2, D^2) stack of P_a = I + hM (I + hM/2 (I + hM/3 (I + hM/4))),
     h = dt, for each jump's superoperator M = M_a of -i[H, .] + D^a: the
     Taylor polynomial that one RK4 step of y' = M y applies, so P_a vec(rho)
-    is that step exactly in exact arithmetic.  M_a is written in the C-order
-    vectorization of the state batch, rho[i, j] at D i + j, one jump at a
-    time, into one of two D^2 x D^2 work arrays; the Horner products
-    alternate between the other and the stack's slot."""
+    is that step exactly in exact arithmetic.  In the C-order vectorization
+    of the state batch, rho[i, j] at D i + j, vec(X rho Y) = (X kron Y^T)
+    vec(rho), so M_a = L_a kron conj(L_a) + A_a kron I + I kron conj(A_a)
+    with A_a = `drift_operator`(H, [L_a], [1]).  That is formed as
+    m4[i, k, j, l] = M_a[D i + k, D j + l], one outer product plus A_a and
+    conj(A_a) on its diagonal blocks, in one of two D^2 x D^2 work arrays;
+    the Horner products alternate between the other and the stack's slot."""
     dim = l_ops.shape[-1]
     n = dim * dim
+    diag = np.arange(dim)
     props = np.empty((len(l_ops), n, n), dtype=complex)
     hm, work = np.empty((2, n, n), dtype=complex)
-    unit_rate = np.ones(1)
-    for a, prop in enumerate(props):
-        _superop4(ham, l_ops[a : a + 1], unit_rate, hm.reshape((dim,) * 4).transpose(1, 0, 3, 2))
+    m4 = hm.reshape((dim,) * 4)
+    for l_op, prop in zip(l_ops, props):
+        a = drift_operator(ham, l_op[None], np.ones(1))
+        for row, l_row in zip(m4, l_op):  # by rows: one broadcast buffers all of m4
+            np.multiply(l_row[None, :, None], l_op.conj()[:, None, :], out=row)
+        m4[:, diag, :, diag] += a
+        m4[diag, :, diag, :] += a.conj()
         hm *= dt
         np.multiply(hm, 0.25, out=work)
         work.reshape(-1)[:: n + 1] += 1.0
@@ -511,8 +527,7 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target):
 
     l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)
-    decay = np.einsum("a,aij,ajk->ik", gammas, l_ops.conj().transpose(0, 2, 1), l_ops)
-    h_eff = np.asarray(ham, dtype=complex) - 0.5j * decay
+    h_eff = 1j * drift_operator(ham, l_ops, gammas)  # H - (i/2) sum_a gamma_a L_a^dag L_a
     dim = h_eff.shape[0]
     rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
     if psi0 is None:

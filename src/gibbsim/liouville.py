@@ -66,8 +66,9 @@ def drift_operator(coherent, l_ops, gammas):
     G = 0 when `coherent` is None.
 
     For Hermitian G the generator is sum_a gamma_a L_a rho L_a^dag +
-    A rho + rho A^dag; `dynamics.evolve_exact` and the superoperator rows
-    both use this one operator.
+    A rho + rho A^dag.  The superoperator rows, `dynamics.evolve_exact`,
+    the RK4 propagators of `dynamics` and the MCWF effective Hamiltonian
+    iA all use this one operator.
     """
     l_dag = l_ops.conj().transpose(0, 2, 1)
     a = -0.5 * np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
@@ -156,22 +157,12 @@ def build_superop(coherent, lindblads, gammas):
     block p is written by the same row kernel that `steady_state_and_gap`
     gathers its real form from.
     """
-    s4 = _superop4(coherent, lindblads, gammas)
-    n = len(s4) ** 2
-    return s4.reshape(n, n)
-
-
-def _superop4(coherent, lindblads, gammas, out=None):
-    """The superoperator of `build_superop` as s4[p, q, r, s] = S[q + D p, s + D r],
-    written one row block p at a time into `out` when given.  `out` may be a
-    strided view, such as the transpose that gives the C-order vectorization
-    (`dynamics` builds its propagators in one)."""
     factors = _generator_factors(coherent, lindblads, gammas)
     d = factors.dim
-    s4 = np.empty((d, d, d, d), dtype=complex) if out is None else out
+    s4 = np.empty((d, d, d, d), dtype=complex)
     for p in range(d):
         s4[p] = factors.rows(p, slice(None))
-    return s4
+    return s4.reshape(d * d, d * d)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ built from basis-state bits: site s is bit n-1-s, Z_s is +1 or -1 on the
 diagonal as that bit is 0 or 1, and X_s flips it.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -90,6 +91,13 @@ class BohrSpectrum:
         return self.frequencies[self.pair_index]
 
 
+def require_dense(n, count, what):
+    """Raise ResourceCeiling unless `count` dense complex 2^n x 2^n arrays fit
+    in memory (`numkernel.require_memory`).  n is bounded before 2^n is
+    formed: at n = 10^12 forming it alone would not finish."""
+    require_memory(16 * count * 4.0**n if n < 64 else math.inf, f"{what} at n={n}")
+
+
 def build_hamiltonian(p):
     """H = -J sum Z_i Z_{i+1} - h sum X_i - m sum Z_i, open boundaries.
 
@@ -99,10 +107,11 @@ def build_hamiltonian(p):
     0 - h goes to (r, r XOR 2^{n-1-i}).  Building and diagonalizing H hold
     four dense D x D complex arrays (H, its eigenvectors and two
     reconstruction-check temporaries).  ResourceCeiling is raised before
-    any allocation when they would exceed the physical memory.
+    any allocation when they would not fit (`require_dense`).
     """
-    n, dim = p.n, 2**p.n
-    require_memory(4 * 16 * dim * dim, f"dense H at n={n}")
+    n = p.n
+    require_dense(n, 4, "dense H")
+    dim = 2**n
     rows = np.arange(dim)
     z = [1.0 - 2.0 * ((rows >> (n - 1 - i)) & 1) for i in range(n)]
     energy = np.zeros(dim)
@@ -195,11 +204,20 @@ def bohr_frequencies(spec, tol=None):
     return BohrSpectrum(frequencies=frequencies, pair_index=pair_index)
 
 
+def _diagonal_split(ham):
+    """H's diagonal and off-diagonal parts, the terms of the trotter2 product
+    formula: -J sum ZZ - m sum Z and -h sum X for the Ising chain."""
+    diag = np.diag(np.diag(ham))
+    return diag, ham - diag
+
+
 @dataclass(frozen=True)
 class Chain:
-    """One chain at one inverse temperature: H, its spectrum, Bohr grouping
-    and Gibbs state, each computed once, on first read, so a run builds and
-    diagonalizes H once and forms only the fields it reads."""
+    """One chain at one inverse temperature: H, its spectrum, Bohr grouping,
+    Gibbs state and `split_spectra`, the spectra of H's diagonal and
+    off-diagonal parts (`_diagonal_split`) that the trotter2 circuit
+    exponentiates.  Each is computed once, on first read, so a run builds
+    and diagonalizes each operator once and forms only the fields it reads."""
 
     params: IsingParams
     beta: float
@@ -219,6 +237,10 @@ class Chain:
     @cached_property
     def sigma(self):
         return gibbs_state(self.spec, self.beta)
+
+    @cached_property
+    def split_spectra(self):
+        return tuple(map(eig_hermitian, _diagonal_split(self.ham)))
 
 
 def maximally_mixed(n):

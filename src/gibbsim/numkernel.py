@@ -6,6 +6,7 @@ significant) tensor factor.
 """
 
 import os
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,14 @@ class Spectrum:
 
 def require_memory(nbytes, what):
     """Raise ResourceCeiling, before anything is allocated, when `what`
-    needs more than the physical memory."""
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if nbytes > physical:
-        raise ResourceCeiling(f"{what} needs {nbytes:.3g} bytes, memory is {physical:.3g}")
+    needs more than the physical memory or a finite address-space limit
+    (RLIMIT_AS, as `ulimit -v` sets it), whichever is smaller."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    address_space = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if address_space != resource.RLIM_INFINITY:
+        limit = min(limit, address_space)
+    if nbytes > limit:
+        raise ResourceCeiling(f"{what} needs {nbytes:.3g} bytes, memory is {limit:.3g}")
 
 
 def eig_hermitian(a):

@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -259,21 +260,28 @@ def _count_eigensolves(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "experiment = circuit-noise\npoint = CH\nn = 3\ncircuit.dt_oft = 0.2\n"
-        "circuit.t_max = 5\ncircuit.n_rep = 2\njumps.count = 4\n"
-        "grid.lambda_g = 0 1e-4\ngrid.dt_ev = 1.0 2.0\n",
-        "experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 10 20\n",
-    ],
-    ids=["circuit-noise", "accuracy-scan"],
+CIRCUIT_NOISE_GRID = (
+    "experiment = circuit-noise\npoint = CH\nn = 3\ncircuit.dt_oft = 0.2\n"
+    "circuit.t_max = 5\ncircuit.n_rep = 2\njumps.count = 4\n"
+    "grid.lambda_g = 0 1e-4\ngrid.dt_ev = 1.0 2.0\n"
 )
-def test_one_eigensolve_per_chain(tmp_path, monkeypatch, text):
-    # every grid point of a run shares one chain, whose H is diagonalized once
+
+
+@pytest.mark.parametrize(
+    "text, n_solves",
+    [
+        (CIRCUIT_NOISE_GRID, 1),
+        (CIRCUIT_NOISE_GRID + "circuit.coherent_mode = trotter2\n", 3),
+        ("experiment = accuracy-scan\npoint = CH\nn = 3\ngrid.jumps = 5 10 20\n", 1),
+    ],
+    ids=["circuit-noise", "circuit-noise-trotter2", "accuracy-scan"],
+)
+def test_one_eigensolve_per_chain(tmp_path, monkeypatch, text, n_solves):
+    # every grid point of a run shares one chain, which diagonalizes H once
+    # and, for trotter2, H's diagonal and off-diagonal parts once each
     calls = _count_eigensolves(monkeypatch)
     assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(tmp_path)]) == 0
-    assert calls == [(8, 8)]
+    assert calls == [(8, 8)] * n_solves
 
 
 def test_spectrum_forms_no_gibbs_state(tmp_path, monkeypatch):
@@ -581,8 +589,9 @@ BASE_CONFIGS = {
     "error-fit": "point = CH\nn = 2\ncircuit.t_max = 5\ncircuit.n_rep = 2\njumps.count = 4\n"
     "grid.dt_ev = 0.05 0.1\ngrid.dt_oft = 0.1 0.2\n",
 }
-PROBE_VALUES = ["nan", "inf", "-1", "0", "1", "1e400", "x", ""]
+PROBE_VALUES = ["nan", "inf", "-1", "0", "1", "1e400", "x", "", "1e12", "1000000000000"]
 CEILING_KEYS = {"n", "grid.n", "allow_large"}  # the keys whose value may exit 3
+SIZE_VALUES = {"1e12", "1000000000000"}  # the values that may exit 3 at any key
 
 
 def distances(path):
@@ -618,17 +627,32 @@ def test_manifest_reruns_reproduce_outputs(tmp_path, experiment):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, address_space",
     [
-        "experiment = evolve\npoint = CH\nn = 3\nsolver.max_steps = 100000000000\n",
-        CIRCUIT_N3 + "circuit.t_max = 1e12\n",
-        CIRCUIT_N3 + "circuit.T = 1e12\n",
+        ("experiment = evolve\npoint = CH\nn = 3\nsolver.max_steps = 100000000000\n", None),
+        (CIRCUIT_N3 + "circuit.t_max = 1e12\n", None),
+        (CIRCUIT_N3 + "circuit.T = 1e12\n", None),
+        ("experiment = spectrum\npoint = CH\nn = 1000000000000\n", None),
+        (CIRCUIT_N3 + "jumps.count = 1000000000000\n", None),
+        (GAP_N3 + "grid.jumps = 1000000000000\n", None),
+        (EVOLVE_N3 + "jumps.count = 3000000\n", 1_000_000 * 1024),
+        (CIRCUIT_N3 + "noise.kind = depolarizing_budget\nnoise.n_g = 1000000000000\n", None),
+        ("experiment = evolve\npoint = CH\nn = 3\nsolver.max_steps = 20000000\n", 1_200_000 * 1024),
     ],
-    ids=["evolve.jump-draws", "circuit.jump-draws", "circuit.oft-grid"],
+    ids=[
+        "evolve.jump-draws", "circuit.jump-draws", "circuit.oft-grid", "spectrum.n",
+        "circuit.kraus-pairs", "gap-scan.lindblad-stack", "evolve.lindblad-stack",
+        "circuit.depolarizing-draws", "evolve.address-space",
+    ],
 )
-def test_array_beyond_memory_exits_3_at_once(tmp_path, capsys, text):
-    # jump draws or an OFT grid of terabytes: each run refuses them before
-    # it allocates anything, in well under a second
+def test_array_beyond_memory_exits_3_at_once(tmp_path, monkeypatch, capsys, text, address_space):
+    # jump draws, an OFT grid, a 2^n Hamiltonian, a jump family or noise
+    # draws beyond memory, or beyond an address-space limit as `ulimit -v`
+    # sets one: each run refuses them before it allocates or loops over
+    # anything, in well under a second
+    if address_space is not None:
+        limits = (address_space, resource.RLIM_INFINITY)
+        monkeypatch.setattr(resource, "getrlimit", lambda _: limits)
     out = tmp_path / "od" / "new"
     start = time.perf_counter()
     assert main(["run", write_cfg(tmp_path, "run.cfg", text), "--out-dir", str(out)]) == 3
@@ -644,7 +668,8 @@ def test_array_beyond_memory_exits_3_at_once(tmp_path, capsys, text):
 )
 def test_every_key_takes_odd_values_cleanly(tmp_path, experiment, key):
     # generated from the key tables: each value exits 0, 1, 2 or 3 (3 only
-    # for a ceiling key) with no exception escaping main, a zero exit writes
+    # for a ceiling key or a size value) with no exception escaping main,
+    # and without hanging on a size value; a zero exit writes
     # trace distances in [0, 1], and a non-zero exit leaves the non-empty
     # out dir byte for byte as it was
     out = tmp_path / "out"
@@ -656,7 +681,8 @@ def test_every_key_takes_odd_values_cleanly(tmp_path, experiment, key):
         before = {path.name: path.read_bytes() for path in out.iterdir()}
         cfg = write_cfg(tmp_path, "run.cfg", "\n".join([*base, f"{key} = {value}"]) + "\n")
         code = main(["run", cfg, "--out-dir", str(out)])
-        assert code in ((0, 1, 2, 3) if key in CEILING_KEYS else (0, 1, 2)), value
+        ceiling = key in CEILING_KEYS or value in SIZE_VALUES
+        assert code in ((0, 1, 2, 3) if ceiling else (0, 1, 2)), value
         if code:
             assert {path.name: path.read_bytes() for path in out.iterdir()} == before, value
         for name in ("distances.csv", "circuit_distances.csv"):

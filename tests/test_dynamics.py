@@ -300,6 +300,24 @@ def test_propagator_applies_one_rk4_step(rng, n):
         assert np.max(np.abs(props[a] @ x.ravel() - step.ravel())) <= 1e-12 * np.max(np.abs(step))
 
 
+@pytest.mark.parametrize("seed", [0, 3])
+def test_propagators_are_the_taylor_polynomial_of_build_superop(seed):
+    # the Kronecker build of M_a is the row kernel's superoperator re-indexed
+    # from column stacking to C order, bit for bit, and so is its polynomial
+    setup = lindblad_setup("CH", 3, 20, seed=seed)
+    ham, l_ops, dt = setup["ham"], np.stack(setup["lindblads"]), 0.25
+    n = 64
+    eye = np.eye(n)
+    props = _taylor4_propagators(ham, l_ops, dt)
+    for a, L in enumerate(l_ops):
+        s4 = gs.build_superop(ham, [L], [1.0]).reshape((8,) * 4)
+        hm = s4.transpose(1, 0, 3, 2).reshape(n, n) * dt
+        poly = eye + hm * 0.25
+        for order in (3, 2, 1):
+            poly = eye + (hm @ poly) * (1.0 / order)
+        assert np.array_equal(props[a], poly), a
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_randomized_states_stay_positive_with_unit_trace(n):
     # both step maps: the propagator step at n = 3, the staged RK4 at n = 4.

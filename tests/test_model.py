@@ -6,9 +6,10 @@ import pytest
 
 import gibbsim as gs
 from gibbsim.chaos import even_sector_basis
-from gibbsim.circuit import _diagonal_split
 from gibbsim.errors import ResourceCeiling
-from gibbsim.model import RK_STEP_TABLE, _sorted_distinct, bohr_frequencies, gibbs_state
+from gibbsim.model import (
+    RK_STEP_TABLE, _diagonal_split, _sorted_distinct, bohr_frequencies, gibbs_state,
+)
 
 from conftest import BETA, point_setup
 

@@ -1,9 +1,11 @@
+import resource
+
 import numpy as np
 import pytest
 
 import gibbsim as gs
-from gibbsim.errors import DimensionMismatch, NotHermitian
-from gibbsim.numkernel import PAULI_I, PAULI_X, PAULI_Z
+from gibbsim.errors import DimensionMismatch, NotHermitian, ResourceCeiling
+from gibbsim.numkernel import PAULI_I, PAULI_X, PAULI_Z, require_memory
 
 from conftest import random_density_matrix, random_hermitian
 
@@ -205,3 +207,19 @@ def test_partial_trace_of_kron_scales_by_trace(rng):
         m = 0.5 * (m + m.conj().T)
         out = gs.partial_trace_ancilla(gs.kron(m, rho))
         assert np.max(np.abs(out - np.trace(m) * rho)) < 1e-12
+
+
+def test_require_memory_honours_a_finite_address_space_limit(monkeypatch):
+    # the smaller of physical memory and the RLIMIT_AS soft limit bounds a
+    # request; an infinite soft limit leaves physical memory alone
+    memory = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 10_000}
+    soft = {"limit": 4096}
+    monkeypatch.setattr("gibbsim.numkernel.os.sysconf", memory.__getitem__)
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (soft["limit"], resource.RLIM_INFINITY))
+    require_memory(4096, "a request")
+    with pytest.raises(ResourceCeiling, match=r"needs 4.1e\+03 bytes, memory is 4.1e\+03"):
+        require_memory(4097, "a request")
+    soft["limit"] = resource.RLIM_INFINITY
+    require_memory(10_000, "a request")
+    with pytest.raises(ResourceCeiling, match=r"memory is 1e\+04"):
+        require_memory(10_001, "a request")

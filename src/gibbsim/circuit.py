@@ -12,6 +12,12 @@ rotation B_s is a signed row permutation of the other ancilla block, O(D^2)
 per jump, and each e^{-+iH Delta t} is one GEMM over the whole jump set.
 That costs 4(2S + 1) D^3 complex multiply-adds per jump, against
 4(2S + 1) (2D)^3 for the dense product of V^a's 2D x 2D factors.
+
+Every circuit function reads H's exponentials from the `model.Chain` it is
+given (`_coherent_unitary`).  A run's byte estimates live in
+`require_protocol_memory` alone, which `simulate_protocol`, `ProtocolEngine`
+and `step_V` call before any work and the CLI calls for every grid point
+before the first one runs.
 """
 
 import math
@@ -125,24 +131,30 @@ def dilation_discrete(lbar):
     return kron(lower, lbar) + kron(lower.T, lbar.conj().T)
 
 
-class _CoherentFactory:
-    """Produces e^{-iHt} either exactly, from the chain's spectrum, or by the
-    second-order product formula over H's diagonal and off-diagonal parts,
-    from the chain's `split_spectra`."""
+def _coherent_unitary(chain, mode, t, substeps):
+    """e^{-iHt} of the `model.Chain`: exact from its spectrum for mode
+    'exact', else `substeps` steps of the second-order product formula over
+    H's diagonal and off-diagonal parts, from its `split_spectra`."""
+    if mode == "exact":
+        return expm_phase(chain.spec, t)
+    spec_a, spec_b = chain.split_spectra
+    half_a = expm_phase(spec_a, t / (2 * substeps))
+    full_b = expm_phase(spec_b, t / substeps)
+    step = half_a @ full_b @ half_a
+    return np.linalg.matrix_power(step, substeps)
 
-    def __init__(self, chain, mode):
-        self.spec = chain.spec
-        self.mode = mode
-        if mode == "trotter2":
-            self.spec_a, self.spec_b = chain.split_spectra
 
-    def unitary(self, t, substeps):
-        if self.mode == "exact":
-            return expm_phase(self.spec, t)
-        half_a = expm_phase(self.spec_a, t / (2 * substeps))
-        full_b = expm_phase(self.spec_b, t / substeps)
-        step = half_a @ full_b @ half_a
-        return np.linalg.matrix_power(step, substeps)
+def require_protocol_memory(chain, cfg, noise):
+    """Raise ResourceCeiling before any work unless a run's jump draws, one
+    step's N_g noise placements, its Kraus pairs (the sweep's two halves and
+    result) and its OFT grid fit in memory.  Returns N_g (0 without noise)."""
+    require_memory(8 * cfg.n_rep * cfg.n_steps, f"the jump-draw array of {cfg.n_steps} steps")
+    n_g = gate_count(noise, chain.params.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
+    require_memory(8 * n_g, f"the placement draws of {n_g} depolarizing events")
+    n_jump, points = cfg.jump_count, 2 * cfg.oft_steps + 1
+    require_memory(96 * n_jump * chain.spec.dim**2, f"the Kraus pairs of {n_jump} jumps")
+    require_memory(128 * points, f"the OFT grid of {points} points")
+    return n_g
 
 
 def step_V(a, cfg, chain):
@@ -156,9 +168,9 @@ def step_V(a, cfg, chain):
     conjugated by e^{iHS Dt}; `step_v_reference` builds that target.  `a` is
     the jump's `PauliString` and `chain` the `model.Chain`.
     """
-    coherent = _CoherentFactory(chain, cfg.coherent_mode)
+    require_protocol_memory(chain, cfg, NoiseSpec())
     dim = 2 * chain.spec.dim
-    return _sweep([a], cfg, chain.beta, coherent, np.eye(dim, dtype=complex))[0].reshape(dim, dim)
+    return _sweep([a], cfg, chain, np.eye(dim, dtype=complex))[0].reshape(dim, dim)
 
 
 def step_v_reference(a, cfg, chain):
@@ -174,7 +186,7 @@ def step_v_reference(a, cfg, chain):
     return boundary @ expm_phase(kspec, theta) @ boundary.conj().T
 
 
-def _sweep(jump_set, cfg, beta, coherent, start):
+def _sweep(jump_set, cfg, chain, start):
     """V^a @ start for every jump a, applied factor by factor right to left.
 
     start is (2D, W); returns (J, 2, D, W), the rows of ancilla block m.
@@ -188,12 +200,10 @@ def _sweep(jump_set, cfg, beta, coherent, start):
     the (D, J * 2W) layout.
     """
     s_max, dt = cfg.oft_steps, cfg.dt_oft_effective
-    # the grid's dozen float and complex arrays take about 128 bytes a point
-    require_memory(128 * (2 * s_max + 1), f"the OFT grid of {2 * s_max + 1} points")
     dim, width = start.shape[0] // 2, start.shape[1]
     n_jump = len(jump_set)
     steps = np.arange(-s_max, s_max + 1)
-    g = filter_time(FilterSpec(beta), steps * dt)
+    g = filter_time(FilterSpec(chain.beta), steps * dt)
     mag = np.abs(g)
     weights = np.where(np.abs(steps) < s_max, dt, dt / 2.0)
     theta = 0.5 * math.sqrt(cfg.dt_ev * cfg.gamma) * weights * mag
@@ -201,8 +211,8 @@ def _sweep(jump_set, cfg, beta, coherent, start):
     # mix[s, m]: weight of old ancilla block m in the other new block
     mix = -1j * np.sin(theta)[:, None] * np.stack([unit, unit.conj()], axis=1)
     cosine = np.cos(theta)
-    u_plus = coherent.unitary(-dt, cfg.r_big)
-    u_minus = coherent.unitary(dt, cfg.r_big)
+    u_plus = _coherent_unitary(chain, cfg.coherent_mode, -dt, cfg.r_big)
+    u_minus = _coherent_unitary(chain, cfg.coherent_mode, dt, cfg.r_big)
 
     # Built from the strings' bits: dense D x D temporaries here measurably
     # raised the page faults of the later steps.
@@ -242,29 +252,24 @@ def _sweep(jump_set, cfg, beta, coherent, start):
 
 
 class ProtocolEngine:
-    """Precomputed Kraus operators of W-tilde for the M-step loop.
-
-    The ancilla enters in |0>, so only the 0-column blocks of V^a act:
-    W-tilde(rho) = sum_m K_m rho K_m^dag with K_m = V^a[m-block, 0-block] U_ev.
+    """The sampled `jump_set` and `kraus`, the (jump, m, D, D) Kraus stack of
+    W-tilde for the M-step loop.  The ancilla enters in |0>, so only the
+    0-column blocks of V^a act: W-tilde(rho) = sum_m K_m rho K_m^dag with
+    K_m = V^a[m-block, 0-block] U_ev.
     """
 
     def __init__(self, chain, cfg):
-        self.n = chain.params.n
-        self.coherent = _CoherentFactory(chain, cfg.coherent_mode)
-        self.dim = chain.spec.dim
-        # the sweep's two halves, the Kraus stack it returns and its adjoint
-        count = cfg.jump_count
-        require_memory(96 * count * self.dim**2, f"the Kraus pairs of {count} jumps")
-        self.jump_set = sample_jump_set(self.n, cfg.k, count, cfg.seed)
-        self.u_ev = self.coherent.unitary(cfg.dt_ev, cfg.r_delta)
-        start = np.concatenate([self.u_ev, np.zeros_like(self.u_ev)])
-        # (jump, m, D, D): rows of ancilla block m, columns of ancilla block 0
-        self.kraus = _sweep(self.jump_set, cfg, chain.beta, self.coherent, start)
-        self.kraus_dag = self.kraus.conj().swapaxes(-1, -2)
+        require_protocol_memory(chain, cfg, NoiseSpec())
+        self.jump_set = sample_jump_set(chain.params.n, cfg.k, cfg.jump_count, cfg.seed)
+        u_ev = _coherent_unitary(chain, cfg.coherent_mode, cfg.dt_ev, cfg.r_delta)
+        self.kraus = _sweep(self.jump_set, cfg, chain, np.concatenate([u_ev, np.zeros_like(u_ev)]))
 
     def step_wtilde_batch(self, rho, a_indices):
-        """W-tilde on a stack of states, state r with jump a_indices[r]."""
-        branches = self.kraus[a_indices] @ rho[:, None] @ self.kraus_dag[a_indices]
+        """W-tilde on a stack of states, state r with jump a_indices[r].  The
+        gathered pairs k are conjugated in place after k rho is formed, so the
+        step holds three (R, 2, D, D) temporaries: a fourth doubled its time."""
+        k = self.kraus[a_indices]
+        branches = k @ rho[:, None] @ np.conjugate(k, out=k).swapaxes(-1, -2)
         return branches[:, 0] + branches[:, 1]
 
 
@@ -329,9 +334,7 @@ def simulate_protocol(chain, cfg, noise):
     sampling and noise placement use separate per-repetition streams, so
     noiseless and noisy runs at the same seed share jump trajectories.
     """
-    require_memory(8 * cfg.n_rep * cfg.n_steps, f"the jump-draw array of {cfg.n_steps} steps")
-    n_g = gate_count(noise, chain.params.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
-    require_memory(8 * n_g, f"the placement draws of {n_g} depolarizing events")
+    n_g = require_protocol_memory(chain, cfg, noise)
     engine = ProtocolEngine(chain, cfg)
 
     jump_rngs = [np.random.default_rng([cfg.seed, rep, 0]) for rep in range(cfg.n_rep)]
@@ -344,9 +347,9 @@ def simulate_protocol(chain, cfg, noise):
     def step(rho, j, _scratch):
         return apply_noise(engine.step_wtilde_batch(rho, draws[:, j]), noise, noise_context)
 
-    rho0 = np.broadcast_to(maximally_mixed(engine.n), (cfg.n_rep, engine.dim, engine.dim))
+    rho0 = np.broadcast_to(maximally_mixed(chain.params.n), (cfg.n_rep,) + chain.sigma.shape)
     record = _run_batched(step, rho0, cfg.n_steps, cfg.dt_ev, cfg.grid_points, chain.sigma)
-    record.meta.update(gate_count=n_g, engine_jumps=len(engine.jump_set))
+    record.meta.update(gate_count=n_g)
     return record
 
 

@@ -5,9 +5,10 @@ and its own keys; README's CLI section shows the same tables.  `run`
 resolves the table before any work, so a bad config exits 2 (3 at a
 resource ceiling) before the experiment starts.  The experiment computes
 its artifacts as text from the typed values; `run` writes them once it has
-returned, after a manifest of the keys the config gives plus `experiment`,
-`seed`, `out_dir` and `artifact_version`.  Re-running a manifest reproduces
-the outputs byte for byte.  A failed run writes nothing and makes no
+returned, after a manifest of every key of the table that has a value: as
+the config gives it, else its resolved default in text form, plus
+`out_dir` and `artifact_version`.  Re-running a manifest reproduces the
+outputs byte for byte.  A failed run writes nothing and makes no
 directory; a successful one writes only its own file names.
 """
 
@@ -22,7 +23,9 @@ import numpy as np
 
 from . import __version__
 from .chaos import fractal_stats, preset_bases
-from .circuit import CircuitConfig, NoiseSpec, plateau_level, simulate_protocol
+from .circuit import (
+    CircuitConfig, NoiseSpec, plateau_level, require_protocol_memory, simulate_protocol,
+)
 from .dynamics import NOT_CONVERGED, SolverConfig, evolve_randomized, mixing_time_estimate
 from .errors import ConfigError, GibbsimError, ResourceCeiling
 from .jumps import FilterSpec, jump_set_to_text, lindblad_op_exact, sample_jump_set
@@ -426,13 +429,15 @@ def _circuit_config(v, **grid_point):
 
 def _plateau_grid(chain, runs, threads):
     """Plateau distance of the protocol at each (CircuitConfig, NoiseSpec)
-    run.  Callers build every run first, so that a rejected grid value
-    exits 2 before the first simulation.  Reading the Gibbs state, and the
-    split spectra for a trotter2 run, fills every chain field the runs read
-    before they share the chain."""
+    run.  Callers build every run first and every run's sizes are checked
+    here, so that a bad grid value exits 2 or 3 before the first simulation.
+    Reading the Gibbs state, and the split spectra for a trotter2 run, fills
+    every chain field the runs read before they share the chain."""
     chain.sigma
     if any(cfg.coherent_mode == "trotter2" for cfg, _ in runs):
         chain.split_spectra
+    for run in runs:
+        require_protocol_memory(chain, *run)
 
     def one(run):
         return plateau_level(simulate_protocol(chain, *run))
@@ -571,7 +576,8 @@ def run(config_path, seed=None, out_dir=None, threads=1):
     artifacts = fn(model, values, threads)
     out_dir = out_dir or values["out_dir"] or "."
     os.makedirs(out_dir, exist_ok=True)
-    given = {**cfg, "experiment": kind, "out_dir": out_dir}
+    filled = {key: _text(table[key], value) for key, value in values.items() if value is not None}
+    given = {**filled, **cfg, "experiment": kind, "out_dir": out_dir}
     manifest = [f"artifact_version = {__version__}"]
     manifest += [f"{key} = {given[key]}" for key in sorted(given) if key != "artifact_version"]
     for name, text in {"manifest.txt": "\n".join(manifest) + "\n", **artifacts}.items():
@@ -580,6 +586,16 @@ def run(config_path, seed=None, out_dir=None, threads=1):
             fh.write(text)
         os.replace(path + ".tmp", path)
     return out_dir
+
+
+def _text(spec, value):
+    """A resolved value as `spec.read` parses it back: a list space-separated,
+    a float by its repr and a bool as true or false."""
+    if isinstance(spec.kind, list):
+        return " ".join(_text(Key(spec.kind[0]), x) for x in value)
+    if spec.kind is float:
+        return repr(float(value))
+    return str(value).lower() if spec.kind is bool else str(value)
 
 
 def list_points():

@@ -259,7 +259,7 @@ def evolve_randomized(ham, lindblads, rho0, cfg, target):
 
 def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
     """Deterministic RK4 with the full Lindbladian (all jump channels at once);
-    `ham` = None leaves only the dissipator.  No CLI experiment runs it; it is
+    a zero `ham` leaves only the dissipator.  No CLI experiment runs it; it is
     the exact reference that the solver tests compare the randomized scheme with."""
     l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)

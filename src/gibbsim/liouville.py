@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DegenerateChain, DimensionMismatch, NonUniqueSteadyState, NotHermitian
 from .jumps import filter_freq
-from .numkernel import trace_distance
+from .numkernel import require_memory, trace_distance
 
 # Roundoff bound on the imaginary part dropped from the Hermitian-basis form,
 # relative to its largest entry; measured parts are about 1e-17.
@@ -62,8 +62,8 @@ def unvec(v):
 
 
 def drift_operator(coherent, l_ops, gammas):
-    """A = -iG - (1/2) sum_a gamma_a L_a^dag L_a for a (n_jump, D, D) stack;
-    G = 0 when `coherent` is None.
+    """A = -iG - (1/2) sum_a gamma_a L_a^dag L_a for the (D, D) coherent term
+    G and a (n_jump, D, D) stack.
 
     For Hermitian G the generator is sum_a gamma_a L_a rho L_a^dag +
     A rho + rho A^dag.  The superoperator rows, `dynamics.evolve_exact`,
@@ -72,9 +72,7 @@ def drift_operator(coherent, l_ops, gammas):
     """
     l_dag = l_ops.conj().transpose(0, 2, 1)
     a = -0.5 * np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
-    if coherent is not None:
-        a = a - 1j * np.asarray(coherent, dtype=complex)
-    return a
+    return a - 1j * np.asarray(coherent, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -126,19 +124,17 @@ def _jump_stack(lindblads, gammas, d):
 
 def _generator_factors(coherent, lindblads, gammas):
     """Check (G, L_a, gamma_a) and gather the factors of the generator's rows;
-    G = 0 when `coherent` is None."""
-    l_ops = np.asarray(lindblads, dtype=complex)
-    d = l_ops.shape[1] if len(l_ops) else np.asarray(coherent).shape[0]
-    l_ops, gammas = _jump_stack(l_ops, gammas, d)
-    if coherent is not None and np.asarray(coherent).shape[0] != d:
-        raise DimensionMismatch("coherent term dimension mismatch")
-    a = drift_operator(coherent, l_ops, gammas)
+    D is G's dimension."""
+    g = np.asarray(coherent, dtype=complex)
+    d = g.shape[0]
+    if g.shape != (d, d):
+        raise DimensionMismatch(f"coherent term of shape {g.shape} is not square")
+    l_ops, gammas = _jump_stack(lindblads, gammas, d)
+    a = drift_operator(g, l_ops, gammas)
     # M^T = conj(A) when G is Hermitian; the correction keeps -i[G, .]
     # exact for any G.
     right = a.conj()
-    if coherent is not None:
-        g = np.asarray(coherent, dtype=complex)
-        right += 1j * (g.T - g.conj())
+    right += 1j * (g.T - g.conj())
     return _GeneratorFactors(
         l_bar=np.ascontiguousarray(l_ops.conj().transpose(1, 2, 0)),
         l_weighted=np.ascontiguousarray((gammas[:, None, None] * l_ops).transpose(1, 0, 2)),
@@ -148,17 +144,19 @@ def _generator_factors(coherent, lindblads, gammas):
 
 
 def build_superop(coherent, lindblads, gammas):
-    """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .}),
-    with G = 0 when `coherent` is None.
+    """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .})
+    for the (D, D) coherent term G (zeros for none).
 
     S = sum_a gamma_a conj(L_a) kron L_a + I kron A + M^T kron I, where
     rho -> rho M is the right-hand part, M = iG - (1/2) sum_a gamma_a
     L_a^dag L_a.  As a 4-D array s4[p, q, r, s] = S[q + D p, s + D r], row
     block p is written by the same row kernel that `steady_state_and_gap`
-    gathers its real form from.
+    gathers its real form from.  ResourceCeiling is raised before S, 16 D^4
+    bytes, is allocated when it would not fit (`numkernel.require_memory`).
     """
     factors = _generator_factors(coherent, lindblads, gammas)
     d = factors.dim
+    require_memory(16 * d**4, f"the {d * d} x {d * d} superoperator")
     s4 = np.empty((d, d, d, d), dtype=complex)
     for p in range(d):
         s4[p] = factors.rows(p, slice(None))
@@ -229,12 +227,13 @@ def _real_form(factors, basis):
 
 def steady_state_and_gap(coherent, lindblads, gammas):
     """Spectral gap and steady state of the Lindbladian
-    -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .}), with
-    G = 0 when `coherent` is None.
+    -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .}) for the
+    (D, D) coherent term G (zeros for none).
 
     Works on the real Hermitian-basis form R only, built straight from the
     operators (module docstring), so it holds R and the copy LAPACK
-    factors, 16 D^4 bytes, and never the complex superoperator.
+    factors, 16 D^4 bytes, and never the complex superoperator; those bytes
+    are checked before any is allocated (`numkernel.require_memory`).
     The zero cluster collects eigenvalues of modulus below
     1e-9 * max|Re lambda| (with a floor of 1e-12 * max|lambda| so that a
     purely coherent generator still exposes its exact fixed points).
@@ -245,6 +244,7 @@ def steady_state_and_gap(coherent, lindblads, gammas):
     """
     factors = _generator_factors(coherent, lindblads, gammas)
     d = factors.dim
+    require_memory(16 * d**4, f"the real form of a {d * d} x {d * d} generator and its LAPACK copy")
     basis = _hermitian_basis(d)
     r, imag = _real_form(factors, basis)
     r_max = float(max(r.max(), -r.min()))

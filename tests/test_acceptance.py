@@ -254,7 +254,7 @@ def test_criterion_07_order_checks(rng):
     lset = lindblad_setup("CH", 3, 5)
     L = lset["lindblads"][0]
     kspec = gs.eig_hermitian(gs.dilation_discrete(L))
-    sup = gs.build_superop(None, [L], [1.0])
+    sup = gs.build_superop(np.zeros((8, 8)), [L], [1.0])
     rho = random_density_matrix(8, rng)
 
     def dilation_err(dt):

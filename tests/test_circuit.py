@@ -9,6 +9,7 @@ from gibbsim.circuit import (
     CircuitConfig,
     NoiseSpec,
     ProtocolEngine,
+    _coherent_unitary,
     _depolarize_adjacent_pairs,
     step_v_reference,
 )
@@ -39,15 +40,15 @@ def b_gate(a, g_s, weight, dt_ev, gamma):
     return math.cos(theta) * np.eye(dim, dtype=complex) - 1j * math.sin(theta) * gen
 
 
-def dense_step_v(a, cfg, coherent):
+def dense_step_v(a, cfg, chain):
     """V^a as the left-to-right product of dense 2D x 2D factors: the forward
     pass B_s e^{+iH Dt} for s = -S..S times the backward pass e^{-iH Dt} B_s
     for s = S..-S."""
     s_max, dt = cfg.oft_steps, cfg.dt_oft_effective
     amat = np.asarray(a)
     dim = 2 * amat.shape[0]
-    u_plus = gs.kron(PAULI_I, coherent.unitary(-dt, cfg.r_big))
-    u_minus = gs.kron(PAULI_I, coherent.unitary(dt, cfg.r_big))
+    u_plus = gs.kron(PAULI_I, _coherent_unitary(chain, cfg.coherent_mode, -dt, cfg.r_big))
+    u_minus = gs.kron(PAULI_I, _coherent_unitary(chain, cfg.coherent_mode, dt, cfg.r_big))
     gates = {}
     for s in range(-s_max, s_max + 1):
         weight = dt if abs(s) < s_max else dt / 2.0
@@ -78,7 +79,7 @@ def test_dilation_identity_second_order(rng):
     L = setup["lindblads"][0]
     kbar = gs.dilation_discrete(L)
     kspec = gs.eig_hermitian(kbar)
-    sup = gs.build_superop(None, [L], [1.0])
+    sup = gs.build_superop(np.zeros((8, 8)), [L], [1.0])
     rho = random_density_matrix(8, rng)
 
     def err(dt):
@@ -205,10 +206,11 @@ def test_kraus_sweep_matches_dense_product(n, mode):
         coherent_mode=mode, r_big=2,
     )
     engine = ProtocolEngine(chain, cfg)
-    dim = engine.dim
+    dim = chain.spec.dim
+    u_ev = _coherent_unitary(chain, mode, cfg.dt_ev, cfg.r_delta)
     for a, kraus in zip(engine.jump_set, engine.kraus):
-        v = dense_step_v(a, cfg, engine.coherent)
-        expected = (v[:, :dim] @ engine.u_ev).reshape(2, dim, dim)
+        v = dense_step_v(a, cfg, chain)
+        expected = (v[:, :dim] @ u_ev).reshape(2, dim, dim)
         assert np.max(np.abs(kraus - expected)) <= 1e-13 * np.max(np.abs(expected))
         v_sweep = gs.step_V(a, cfg, chain)
         assert np.max(np.abs(v_sweep - v)) <= 1e-13 * np.max(np.abs(v))
@@ -220,7 +222,8 @@ def test_kraus_sweep_gamma_zero_leaves_ancilla_untouched():
     cfg = CircuitConfig(dt_ev=0.2, dt_oft=0.1, T=1.6, gamma=0.0, jump_count=4, seed=0)
     engine = ProtocolEngine(setup["chain"], cfg)
     assert np.all(engine.kraus[:, 1] == 0)
-    assert np.max(np.abs(engine.kraus[:, 0] - engine.u_ev)) < 1e-13
+    u_ev = gs.expm_phase(setup["spec"], cfg.dt_ev)
+    assert np.max(np.abs(engine.kraus[:, 0] - u_ev)) < 1e-13
 
 
 # -------------------------------------------------------------- step Wtilde
@@ -262,11 +265,11 @@ def test_step_wtilde_batch_matches_zero_padded_dilation(rng):
         assert np.max(np.abs(out[idx] - expected)) < 1e-12
 
 
-def step_w(engine, cfg, rho, a_indices):
+def step_w(engine, spec, cfg, rho, a_indices):
     """Boundary-restored step W for each jump index: W-tilde conjugated by
     the OFT boundary evolution u = e^{-iHS Dt}, which cancels along a full
     protocol run; the jump average of W matches e^{dt_ev L} to second order."""
-    u = gs.expm_phase(engine.coherent.spec, cfg.oft_steps * cfg.dt_oft_effective)
+    u = gs.expm_phase(spec, cfg.oft_steps * cfg.dt_oft_effective)
     inner = engine.step_wtilde_batch(np.stack([u.conj().T @ rho @ u] * len(a_indices)), a_indices)
     return u @ inner @ u.conj().T
 
@@ -284,7 +287,7 @@ def test_step_w_average_matches_exact_channel_second_order(rng):
         ls = [gs.lindblad_op_exact(a, spec, F, bohr) for a in engine.jump_set]
         sup = gs.build_superop(setup["ham"], ls, np.full(8, cfg.gamma / 8))
         ref = unvec(scipy.linalg.expm(dt_ev * sup) @ vec(rho))
-        avg = np.mean(step_w(engine, cfg, rho, np.arange(8)), axis=0)
+        avg = np.mean(step_w(engine, spec, cfg, rho, np.arange(8)), axis=0)
         return np.max(np.abs(avg - ref))
 
     ratio = err(0.08) / err(0.04)

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import gibbsim
-from gibbsim.cli import EXPERIMENTS, csv_text, json_text, list_points, main, parse_config
+from gibbsim.cli import (
+    EXPERIMENTS, REQUIRED, csv_text, json_text, list_points, main, parse_config, resolve,
+)
 from gibbsim.errors import ConfigError, GibbsimError
 
 
@@ -626,6 +628,30 @@ def test_manifest_reruns_reproduce_outputs(tmp_path, experiment):
     assert first == rerun
 
 
+REQUIRED_VALUES = {"n": "3", "circuit.dt_ev": "0.5", "circuit.dt_oft": "0.2"}
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_manifest_names_every_resolved_key(tmp_path, monkeypatch, experiment):
+    # a config with only the required keys (and `point`): the manifest
+    # names every key of the table that has a value, and reading it back
+    # resolves every key to the same value; the experiment itself is
+    # stubbed, since only the manifest is looked at
+    _, table = EXPERIMENTS[experiment]
+    monkeypatch.setitem(EXPERIMENTS, experiment, (lambda model, v, threads: {}, table))
+    lines = [f"experiment = {experiment}"] + ["point = CH"] * ("point" in table)
+    lines += [f"{k} = {REQUIRED_VALUES[k]}" for k, spec in table.items() if spec.default is REQUIRED]
+    cfg = write_cfg(tmp_path, "run.cfg", "\n".join(lines) + "\n")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    manifest = parse_config((tmp_path / "out" / "manifest.txt").read_text())
+    written = {"experiment", "out_dir", "artifact_version", "point"} & set(table)
+    assert set(manifest) == written | {k for k, spec in table.items() if spec.default is not None}
+    assert not {"h", "m"} & set(manifest)
+    _, given = resolve(table, parse_config(Path(cfg).read_text() + "seed = 0\n"))
+    _, reread = resolve(table, manifest)
+    assert {**given, "out_dir": None} == {**reread, "out_dir": None, "artifact_version": None}
+
+
 @pytest.mark.parametrize(
     "text, address_space",
     [
@@ -638,18 +664,26 @@ def test_manifest_reruns_reproduce_outputs(tmp_path, experiment):
         (EVOLVE_N3 + "jumps.count = 3000000\n", 1_000_000 * 1024),
         (CIRCUIT_N3 + "noise.kind = depolarizing_budget\nnoise.n_g = 1000000000000\n", None),
         ("experiment = evolve\npoint = CH\nn = 3\nsolver.max_steps = 20000000\n", 1_200_000 * 1024),
+        (
+            "experiment = circuit-noise\npoint = CH\nn = 5\ncircuit.dt_oft = 0.2\n"
+            "circuit.t_max = 3000\ngrid.lambda_g = 1e-4\ngrid.dt_ev = 1 1e12\n",
+            None,
+        ),
+        ("experiment = gap-scan\npoint = CH\ngrid.n = 7\nallow_large = true\n", 2_000_000 * 1024),
     ],
     ids=[
         "evolve.jump-draws", "circuit.jump-draws", "circuit.oft-grid", "spectrum.n",
         "circuit.kraus-pairs", "gap-scan.lindblad-stack", "evolve.lindblad-stack",
-        "circuit.depolarizing-draws", "evolve.address-space",
+        "circuit.depolarizing-draws", "evolve.address-space", "circuit-noise.later-grid-point",
+        "gap-scan.real-form",
     ],
 )
 def test_array_beyond_memory_exits_3_at_once(tmp_path, monkeypatch, capsys, text, address_space):
-    # jump draws, an OFT grid, a 2^n Hamiltonian, a jump family or noise
-    # draws beyond memory, or beyond an address-space limit as `ulimit -v`
-    # sets one: each run refuses them before it allocates or loops over
-    # anything, in well under a second
+    # jump draws, an OFT grid, a 2^n Hamiltonian, a jump family, noise
+    # draws or a gap's real form beyond memory, or beyond an address-space
+    # limit as `ulimit -v` sets one: each run refuses them before it
+    # allocates or loops over anything, in well under a second; a grid
+    # refuses a later point's sizes before its first point runs
     if address_space is not None:
         limits = (address_space, resource.RLIM_INFINITY)
         monkeypatch.setattr(resource, "getrlimit", lambda _: limits)

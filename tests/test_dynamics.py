@@ -583,7 +583,7 @@ def test_every_solver_reports_one_meta_key_set(solver):
         "circuit": lambda: gs.simulate_protocol(setup["chain"], circuit_cfg, NoiseSpec()),
     }[solver]
     rec = run()
-    extra = {"gate_count", "engine_jumps"} if solver == "circuit" else set()
+    extra = {"gate_count"} if solver == "circuit" else set()
     assert set(rec.meta) == {"n_steps", "stopped_early"} | extra
     assert rec.meta["n_steps"] == 8 and rec.meta["stopped_early"] is False
 

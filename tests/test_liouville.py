@@ -1,3 +1,4 @@
+import resource
 import tracemalloc
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import gibbsim as gs
-from gibbsim.errors import DegenerateChain, DimensionMismatch, NonUniqueSteadyState, NotHermitian
+from gibbsim.errors import (
+    DegenerateChain, DimensionMismatch, NonUniqueSteadyState, NotHermitian, ResourceCeiling,
+)
 from gibbsim.liouville import (
     MarkovRestriction,
     _generator_factors,
@@ -238,7 +241,7 @@ def test_real_form_matches_dense_basis_change(n, kind):
     ls = list(s["lindblads"])
     rng = np.random.default_rng(n)
     coherent = {
-        "none": None,
+        "none": np.zeros((d, d)),
         "hermitian": s["ham"],
         "non-hermitian": rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)),
     }[kind]
@@ -270,6 +273,23 @@ def test_gap_holds_less_than_one_complex_superoperator():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 32**4
+
+
+@pytest.mark.parametrize("build", [gs.steady_state_and_gap, gs.build_superop])
+def test_gap_and_superoperator_check_their_bytes_first(monkeypatch, build):
+    # R and its LAPACK copy, or S: 16 D^4 bytes (1 MiB at n = 4) are refused
+    # under an address-space limit one byte smaller, before either exists
+    setup = lindblad_setup("CH", 4, 20)
+    limits = (16 * 16**4 - 1, resource.RLIM_INFINITY)
+    monkeypatch.setattr(resource, "getrlimit", lambda _: limits)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCeiling, match=r"needs 1.05e\+06 bytes"):
+            build(setup["ham"], setup["lindblads"], setup["gammas"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_trace_norm_equals_the_direct_form_bitwise(rng):

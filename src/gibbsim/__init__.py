@@ -11,7 +11,6 @@ from .numkernel import (
     Spectrum,
     eig_hermitian,
     expm_phase,
-    kron,
     partial_trace_ancilla,
     trace_distance,
 )
@@ -24,7 +23,6 @@ from .model import (
     named_point,
 )
 from .jumps import (
-    FilterSpec,
     PauliString,
     filter_freq,
     filter_time,
@@ -44,7 +42,6 @@ from .liouville import (
 )
 from .dynamics import (
     EvolutionRecord,
-    NOT_CONVERGED,
     SolverConfig,
     evolve_exact,
     evolve_randomized,

@@ -1,11 +1,11 @@
 """Quantum-chaos diagnostics: fractal dimensions, spacing ratios, ETH statistics."""
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .numkernel import kron_all
 
 # Fraction of the spectrum, by energy span or by count, kept by fractal_stats.
 BULK_WINDOW = 0.8
@@ -20,7 +20,7 @@ _EIGENBASES = {
 
 def pauli_product_basis(letters):
     """Unitary whose columns are the joint eigenbasis of a Pauli product string."""
-    return kron_all([_EIGENBASES[l] for l in letters])
+    return functools.reduce(np.kron, [_EIGENBASES[l] for l in letters])
 
 
 def preset_bases(n):

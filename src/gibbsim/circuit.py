@@ -27,9 +27,9 @@ import numpy as np
 
 from .dynamics import _run_batched
 from .errors import DimensionMismatch
-from .jumps import FilterSpec, filter_time, sample_jump_set
+from .jumps import filter_time, lindblad_op_discretized, oft_nodes, sample_jump_set
 from .model import maximally_mixed
-from .numkernel import PAULI_I, eig_hermitian, expm_phase, kron, require_memory
+from .numkernel import PAULI_I, eig_hermitian, expm_phase, require_memory
 
 GATE_COUNT_LOOKUP_N5 = {1.0: 308, 3.0: 484, 5.0: 644}
 GATE_COUNT_PER_QUBIT_TIME = 50.0
@@ -128,7 +128,7 @@ def gate_count(noise, n, dt_ev):
 def dilation_discrete(lbar):
     """Hermitian dilation |1><0| (x) L + |0><1| (x) L^dag on dim 2D."""
     lower = np.array([[0, 0], [1, 0]], dtype=complex)
-    return kron(lower, lbar) + kron(lower.T, lbar.conj().T)
+    return np.kron(lower, lbar) + np.kron(lower.T, lbar.conj().T)
 
 
 def _coherent_unitary(chain, mode, t, substeps):
@@ -176,13 +176,11 @@ def step_V(a, cfg, chain):
 def step_v_reference(a, cfg, chain):
     """Dense-exponential target of step_V: the boundary-conjugated
     e^{-i sqrt(dt_ev gamma) K_bar}, exact up to the product-formula error."""
-    from .jumps import lindblad_op_discretized
-
-    lbar = lindblad_op_discretized(a, chain.spec, FilterSpec(chain.beta), cfg.T, cfg.oft_steps)
+    lbar = lindblad_op_discretized(a, chain.spec, chain.beta, cfg.T, cfg.oft_steps)
     kbar = dilation_discrete(lbar)
     kspec = eig_hermitian(kbar)
     theta = math.sqrt(cfg.dt_ev * cfg.gamma)
-    boundary = kron(PAULI_I, expm_phase(chain.spec, -cfg.oft_steps * cfg.dt_oft_effective))
+    boundary = np.kron(PAULI_I, expm_phase(chain.spec, -cfg.oft_steps * cfg.dt_oft_effective))
     return boundary @ expm_phase(kspec, theta) @ boundary.conj().T
 
 
@@ -202,10 +200,9 @@ def _sweep(jump_set, cfg, chain, start):
     s_max, dt = cfg.oft_steps, cfg.dt_oft_effective
     dim, width = start.shape[0] // 2, start.shape[1]
     n_jump = len(jump_set)
-    steps = np.arange(-s_max, s_max + 1)
-    g = filter_time(FilterSpec(chain.beta), steps * dt)
+    times, weights = oft_nodes(cfg.T, s_max)
+    g = filter_time(chain.beta, times)
     mag = np.abs(g)
-    weights = np.where(np.abs(steps) < s_max, dt, dt / 2.0)
     theta = 0.5 * math.sqrt(cfg.dt_ev * cfg.gamma) * weights * mag
     unit = np.divide(g, mag, out=np.zeros_like(g), where=mag > 0)
     # mix[s, m]: weight of old ancilla block m in the other new block
@@ -300,13 +297,13 @@ def _depolarize_adjacent_pairs(rho, counts, lam):
     return out
 
 
-def apply_noise(rho, noise, step_context):
+def apply_noise(rho, noise, rngs=(), n_g=0):
     """Apply the per-step noise channel to one state (D, D) or a stack (R, D, D).
 
-    step_context carries the placement RNG (a sequence of R generators for
-    a stack) and the per-step gate budget for the depolarizing mode; it is
-    ignored for the global channels.  Each state draws its N_g pair indices
-    in one call, which leaves its stream where N_g single draws would.
+    The depolarizing mode places n_g events per state with `rngs`, one
+    generator per state (`[rng]` for a single state); the global channels
+    ignore both.  Each state draws its n_g pair indices in one call, which
+    leaves its stream where n_g single draws would.
     """
     if noise.kind == "none":
         return rho
@@ -317,10 +314,11 @@ def apply_noise(rho, noise, step_context):
     n = int(round(math.log2(dim)))
     if n < 2:
         raise DimensionMismatch("two-qubit noise needs at least two qubits")
-    rngs = step_context["rng"] if rho.ndim == 3 else [step_context["rng"]]
-    n_g = step_context["n_g"]
+    states = rho.reshape(-1, dim, dim)
+    if len(rngs) != len(states):
+        raise DimensionMismatch(f"{len(rngs)} placement generators for {len(states)} states")
     counts = np.stack([np.bincount(rng.integers(n - 1, size=n_g), minlength=n - 1) for rng in rngs])
-    out = _depolarize_adjacent_pairs(rho.reshape(-1, dim, dim), counts, noise.lambda_g)
+    out = _depolarize_adjacent_pairs(states, counts, noise.lambda_g)
     return out.reshape(rho.shape)
 
 
@@ -342,10 +340,9 @@ def simulate_protocol(chain, cfg, noise):
     draws = np.stack(
         [rng.integers(0, cfg.jump_count, size=cfg.n_steps) for rng in jump_rngs]
     )
-    noise_context = {"rng": noise_rngs, "n_g": n_g}
 
     def step(rho, j, _scratch):
-        return apply_noise(engine.step_wtilde_batch(rho, draws[:, j]), noise, noise_context)
+        return apply_noise(engine.step_wtilde_batch(rho, draws[:, j]), noise, noise_rngs, n_g)
 
     rho0 = np.broadcast_to(maximally_mixed(chain.params.n), (cfg.n_rep,) + chain.sigma.shape)
     record = _run_batched(step, rho0, cfg.n_steps, cfg.dt_ev, cfg.grid_points, chain.sigma)

@@ -26,9 +26,9 @@ from .chaos import fractal_stats, preset_bases
 from .circuit import (
     CircuitConfig, NoiseSpec, plateau_level, require_protocol_memory, simulate_protocol,
 )
-from .dynamics import NOT_CONVERGED, SolverConfig, evolve_randomized, mixing_time_estimate
+from .dynamics import SolverConfig, evolve_randomized, mixing_time_estimate
 from .errors import ConfigError, GibbsimError, ResourceCeiling
-from .jumps import FilterSpec, jump_set_to_text, lindblad_op_exact, sample_jump_set
+from .jumps import jump_set_to_text, lindblad_op_exact, sample_jump_set
 from .liouville import steady_state_and_gap
 from .model import (
     Chain,
@@ -286,8 +286,9 @@ def _jump_family(chain, v, count):
     and their stack, 32 count D^2 bytes, are checked before the sampling."""
     require_memory(32 * count * chain.spec.dim**2, f"the Lindblad operators of {count} jumps")
     jump_set = sample_jump_set(chain.params.n, v["jumps.k"], count, v["seed"])
-    f = FilterSpec(chain.beta)
-    lindblads = np.stack([lindblad_op_exact(a, chain.spec, f, chain.bohr) for a in jump_set])
+    lindblads = np.stack(
+        [lindblad_op_exact(a, chain.spec, chain.beta, chain.bohr) for a in jump_set]
+    )
     return jump_set, lindblads
 
 
@@ -367,8 +368,8 @@ def run_evolve(model, v, threads):
     record, jump_set = _evolve(model, v)
     estimate = mixing_time_estimate(record, v["eps"])
     mixing = {
-        "mixing_time": None if estimate is NOT_CONVERGED else estimate,
-        "converged": estimate is not NOT_CONVERGED,
+        "mixing_time": estimate,
+        "converged": estimate is not None,
         "final_dt_rk": record.final_dt_rk,
         "halvings": record.halvings,
     }
@@ -613,13 +614,20 @@ def main(argv=None):
     runp.add_argument("config")
     runp.add_argument("--seed", type=int, default=None)
     runp.add_argument("--out-dir", default=None)
-    runp.add_argument("--threads", type=int, default=1)
+    runp.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads over the grid points of chaos-scan, gap-scan, accuracy-scan, "
+        "circuit-noise and error-fit; no other experiment reads it, and it never changes "
+        "an output",
+    )
     sub.add_parser("list-points", help="show the named Hamiltonian parameter points")
 
     args = parser.parse_args(argv)
     if args.command == "list-points":
         print(list_points())
         return 0
+    if args.threads < 1:
+        runp.error(f"argument --threads: must be at least 1, got {args.threads}")
     try:
         out_dir = run(args.config, args.seed, args.out_dir, args.threads)
     except ConfigError as exc:

@@ -80,19 +80,6 @@ PROPAGATOR_MAX_DIM = 8
 JUMP_PROB_CAP = 0.05
 
 
-class _NotConverged:
-    """Sentinel for mixing-time estimates that never cross the threshold."""
-
-    def __repr__(self):
-        return "NOT_CONVERGED"
-
-    def __bool__(self):
-        return False
-
-
-NOT_CONVERGED = _NotConverged()
-
-
 @dataclass
 class SolverConfig:
     """Integrator controls.
@@ -260,9 +247,16 @@ def evolve_randomized(ham, lindblads, rho0, cfg, target):
 def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
     """Deterministic RK4 with the full Lindbladian (all jump channels at once);
     a zero `ham` leaves only the dissipator.  No CLI experiment runs it; it is
-    the exact reference that the solver tests compare the randomized scheme with."""
+    the exact reference that the solver tests compare the randomized scheme with.
+
+    Beside the caller's J operators it holds 16 D^2 (4J + 8) bytes, checked
+    before any is allocated: the weighted stack, L^dag, the generator's two
+    (J, D, D) products, and eight single matrices (A, the state, one k and
+    the record's buffers)."""
     l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)
+    n_jump, dim = len(l_ops), l_ops.shape[-1]
+    require_memory(16 * dim**2 * (4 * n_jump + 8), f"the exact RK4 arrays of {n_jump} jumps")
     l_weighted = gammas[:, None, None] * l_ops
     l_dag = l_ops.conj().transpose(0, 2, 1)
     a_op = drift_operator(ham, l_ops, gammas)
@@ -275,7 +269,7 @@ def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
         return np.zeros((1, n_steps), dtype=int)
 
     def make_advance(dt, draws):
-        return _rk4_advance(lambda sel: generator, dt, draws, a_op.shape[0])
+        return _rk4_advance(lambda sel: generator, dt, draws, dim)
 
     return _evolve_with_halving(make_advance, draw, rho0, cfg, target)
 
@@ -441,7 +435,8 @@ def _run_batched(
     first grid point whose averaged distance is below `stop_below`.  With
     state_blocks = B > 0 the record also keeps the mean density of each of
     B contiguous blocks of trajectories (trajectory i in block i B // R) as
-    `traj_states`.
+    `traj_states`: B G 16 D^2 bytes over the G grid points, and as much
+    again for their final copy, checked before the first step.
 
     The record forms the (R + 1)-matrix difference and its conjugate in two
     buffers allocated once per run.  Between grid points their first R
@@ -450,6 +445,8 @@ def _run_batched(
     survive the next record, and the state it returns must not live in them.
     """
     grid = _grid_indices(n_steps, grid_points)
+    kept_bytes = 2 * 16 * state_blocks * len(grid) * np.size(target)
+    require_memory(kept_bytes, f"the block states of {len(grid)} grid points")
     states = np.array(states, dtype=complex, order="C")
     n_traj = len(states)
     work = np.empty((2, n_traj + 1) + np.shape(target), dtype=complex)
@@ -522,13 +519,21 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target):
     None to unravel the maximally mixed state by drawing a computational
     basis state per trajectory.  No CLI experiment runs it; acceptance
     criterion 15 checks the randomized scheme against it.
+
+    Beside the caller's J operators it holds 16 (2 J D^2 + R J D +
+    (2R + 5) D^2) bytes, checked before any is allocated: the L^dag stack
+    of `drift_operator`, the flattened stack, one rate call's amplitudes,
+    the record's two (R + 1)-matrix buffers, and H_eff, a propagator and
+    the identity the basis states come from.
     """
     import scipy.linalg  # imported here so that importing gibbsim loads numpy only
 
     l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)
+    n_jump, dim = len(l_ops), l_ops.shape[-1]
+    nbytes = 16 * (2 * n_jump * dim**2 + cfg.n_traj * n_jump * dim + (2 * cfg.n_traj + 5) * dim**2)
+    require_memory(nbytes, f"the MCWF arrays of {n_jump} jumps")
     h_eff = 1j * drift_operator(ham, l_ops, gammas)  # H - (i/2) sum_a gamma_a L_a^dag L_a
-    dim = h_eff.shape[0]
     rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
     if psi0 is None:
         psi_start = np.eye(dim, dtype=complex)[[rng.integers(dim) for rng in rngs]]
@@ -586,8 +591,7 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target):
 
 
 def mixing_time_estimate(record, eps=1e-2):
-    """First grid time with averaged distance below eps, or NOT_CONVERGED."""
+    """First grid time with averaged distance below eps, or None when the
+    record never gets there."""
     below = np.nonzero(record.avg_distance < eps)[0]
-    if below.size == 0:
-        return NOT_CONVERGED
-    return float(record.times[below[0]])
+    return float(record.times[below[0]]) if below.size else None

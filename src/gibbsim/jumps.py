@@ -3,7 +3,9 @@
 The Lindblad operator attached to a jump A is the operator Fourier transform
 L = int g(t) e^{iHt} A e^{-iHt} dt = sum_nu eta_nu A_nu, evaluated either
 exactly in the eigenbasis of H or through the trapezoid discretization of
-the time integral over [-T, T].  Both builders return a finite complex array.
+the time integral over [-T, T] (`oft_nodes`).  The Gaussian filter g is
+given by the inverse temperature beta alone: energy width sqrt(2)/beta,
+shift 1/beta.  Both builders return a finite complex array.
 """
 
 import math
@@ -103,52 +105,46 @@ def jump_set_to_text(jump_set, seed=None):
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class FilterSpec:
-    """Gaussian filter scales: energy width sqrt(2)/beta and shift 1/beta."""
-
-    beta: float
-
-    @property
-    def delta_e(self):
-        return math.sqrt(2.0) / self.beta
-
-
-def filter_time(f, t):
-    """Time-domain Gaussian filter g(t), complex."""
-    d2 = f.delta_e**2
+def filter_time(beta, t):
+    """Time-domain Gaussian filter g(t), complex, of energy width
+    sqrt(2)/beta and shift 1/beta."""
+    d2 = (math.sqrt(2.0) / beta) ** 2
     pref = (d2 / (2.0 * math.pi**3)) ** 0.25
     t = np.asarray(t, dtype=float)
-    return pref * np.exp(-d2 * t**2 + 1j * f.beta * d2 * t / 2.0)
+    return pref * np.exp(-d2 * t**2 + 1j * beta * d2 * t / 2.0)
 
 
-def filter_freq(f, nu):
+def filter_freq(beta, nu):
     """Frequency-domain filter eta_nu = (beta^2/4pi)^{1/4} e^{-(beta nu + 1)^2/8}.
 
     This is the Fourier transform int e^{i nu t} g(t) dt of `filter_time`.
     """
     nu = np.asarray(nu, dtype=float)
-    pref = (f.beta**2 / (4.0 * math.pi)) ** 0.25
-    expo = -((f.beta * nu + 1.0) ** 2) / 8.0
+    pref = (beta**2 / (4.0 * math.pi)) ** 0.25
+    expo = -((beta * nu + 1.0) ** 2) / 8.0
     return pref * np.exp(np.maximum(expo, _EXP_UNDERFLOW)) * (expo >= _EXP_UNDERFLOW)
 
 
-def filter_freq_discretized(f, nu, T, S):
-    """Trapezoid approximation of the filter transform over [-T, T].
-
-    eta_bar(nu) = sum_{s=-S}^{S} dt_s g(s dt) e^{i nu s dt} with dt = T/S and
-    halved end weights; complex-valued for finite S.
-    """
-    if S < 1 or T <= 0:
+def oft_nodes(T, S):
+    """The trapezoid rule over [-T, T] with S steps each side: the times
+    s dt, s = -S..S with dt = T/S, and their weights dt, the ends halved."""
+    if not (T > 0 and S >= 1):
         raise ValueError("need T > 0 and S >= 1")
     dt = T / S
-    s = np.arange(-S, S + 1)
-    weights = np.full(2 * S + 1, dt)
-    weights[0] = weights[-1] = dt / 2.0
-    g = filter_time(f, s * dt) * weights
+    steps = np.arange(-S, S + 1)
+    return steps * dt, np.where(np.abs(steps) < S, dt, dt / 2.0)
+
+
+def filter_freq_discretized(beta, nu, T, S):
+    """Trapezoid approximation of the filter transform over [-T, T].
+
+    eta_bar(nu) = sum_{s=-S}^{S} w_s g(s dt) e^{i nu s dt} on the nodes of
+    `oft_nodes`; complex-valued for finite S.
+    """
+    times, weights = oft_nodes(T, S)
+    g = filter_time(beta, times) * weights
     nu = np.asarray(nu, dtype=float)
-    phases = np.exp(1j * np.multiply.outer(nu, s * dt))
-    return phases @ g
+    return np.exp(1j * np.multiply.outer(nu, times)) @ g
 
 
 def _oft(a, spec, eta):
@@ -159,17 +155,17 @@ def _oft(a, spec, eta):
     return matrix
 
 
-def lindblad_op_exact(a, spec, f, bohr):
+def lindblad_op_exact(a, spec, beta, bohr):
     """Exact OFT Lindblad operator: entry (i,j) in the eigenbasis is
     eta(nu_ij) <E_i|A|E_j> with nu_ij the grouped Bohr frequency."""
-    return _oft(a, spec, filter_freq(f, bohr.pair_frequencies()))
+    return _oft(a, spec, filter_freq(beta, bohr.pair_frequencies()))
 
 
-def lindblad_op_discretized(a, spec, f, T, S):
+def lindblad_op_discretized(a, spec, beta, T, S):
     """Trapezoid-discretized OFT Lindblad operator over [-T, T] with S steps.
 
     Uses exact eigenbasis exponentials: in the eigenbasis the sum collapses
     to eta_bar(E_i - E_j) times the jump matrix element.
     """
     nu = spec.values[:, None] - spec.values[None, :]
-    return _oft(a, spec, filter_freq_discretized(f, nu.ravel(), T, S).reshape(nu.shape))
+    return _oft(a, spec, filter_freq_discretized(beta, nu.ravel(), T, S).reshape(nu.shape))

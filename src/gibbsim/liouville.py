@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChain, DimensionMismatch, NonUniqueSteadyState, NotHermitian
-from .jumps import filter_freq
 from .numkernel import require_memory, trace_distance
 
 # Roundoff bound on the imaginary part dropped from the Hermitian-basis form,
@@ -291,28 +290,25 @@ def steady_state_and_gap(coherent, lindblads, gammas):
     )
 
 
-def ckg_coherent_term(jump_set, spec, f, bohr, gammas=None):
-    """Coherent term that makes the filtered dissipator exactly detailed balanced.
+def ckg_coherent_term(spec, bohr, beta, lindblads, gammas):
+    """Coherent term that makes the filtered dissipator exactly detailed
+    balanced (Chen, Kastoryano and Gilyen, arXiv:2311.09207), from the
+    (n_jump, D, D) stack of OFT Lindblad operators L_a and their weights.
 
     G = (i/2) sum_a gamma_a sum_{nu1,nu2} eta_nu1 eta_nu2
         tanh(beta (nu1 - nu2) / 4) (A^a_nu1)^dag A^a_nu2,
-    evaluated in the eigenbasis where the double frequency sum collapses to
-    an elementwise tanh weight on (L^a dag L^a).
+    evaluated in the eigenbasis, where the double frequency sum collapses to
+    an elementwise tanh weight on the Bohr frequencies of
+    sum_a gamma_a (V^dag L_a V)^dag (V^dag L_a V), one product over the
+    stacked jumps.
     """
-    if gammas is None:
-        gammas = np.full(len(jump_set), 1.0 / len(jump_set))
-    nu = bohr.pair_frequencies()
-    eta = filter_freq(f, nu)
+    l_ops, gammas = _jump_stack(lindblads, gammas, spec.dim)
+    l_eig = spec.to_eigenbasis(l_ops)
+    d = spec.dim
+    g_eig = (gammas[:, None, None] * l_eig).reshape(-1, d).conj().T @ l_eig.reshape(-1, d)
     # Sign fixed by the exact-DB requirement L[sigma_beta] = 0, which this
     # construction satisfies to machine precision.
-    weight = np.tanh(f.beta * nu / 4.0)
-    d = spec.dim
-    g_eig = np.zeros((d, d), dtype=complex)
-    for gamma_a, a in zip(gammas, jump_set):
-        a_eig = spec.to_eigenbasis(np.asarray(a))
-        l_eig = eta * a_eig
-        g_eig += gamma_a * (l_eig.conj().T @ l_eig)
-    g_eig *= 0.5j * weight
+    g_eig *= 0.5j * np.tanh(beta * bohr.pair_frequencies() / 4.0)
     return spec.from_eigenbasis(g_eig)
 
 

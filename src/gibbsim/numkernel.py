@@ -118,17 +118,3 @@ def partial_trace_ancilla(a):
     d = dim // 2
     blocks = a.reshape(2, d, 2, d)
     return blocks[0, :, 0, :] + blocks[1, :, 1, :]
-
-
-def kron(a, b):
-    """Tensor product; the first argument is the more significant factor."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
-def kron_all(factors):
-    """Tensor product of a sequence of operators, left factor most significant."""
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, f)
-    return out
-

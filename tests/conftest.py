@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import gibbsim as gs
-from gibbsim.jumps import FilterSpec
 
 BETA = 0.5  # beta * J = 1/2 throughout
 
@@ -23,7 +22,6 @@ def point_setup(key, n):
         "spec": chain.spec,
         "bohr": chain.bohr,
         "sigma": chain.sigma,
-        "filter": FilterSpec(BETA),
     }
 
 
@@ -34,7 +32,7 @@ def lindblad_setup(key, n, count, k=2, seed=0):
     base = point_setup(key, n)
     jump_set = tuple(gs.sample_jump_set(n, k, count, seed))
     lindblads = np.stack(
-        [gs.lindblad_op_exact(a, base["spec"], base["filter"], base["bohr"]) for a in jump_set]
+        [gs.lindblad_op_exact(a, base["spec"], BETA, base["bohr"]) for a in jump_set]
     )
     lindblads.flags.writeable = False
     gammas = np.full(count, 1.0 / count)

@@ -13,12 +13,11 @@ from gibbsim.circuit import (
     _depolarize_adjacent_pairs,
     step_v_reference,
 )
+from gibbsim.errors import DimensionMismatch
 from gibbsim.liouville import unvec, vec
 from gibbsim.numkernel import PAULI_I, PAULI_X
 
 from conftest import BETA, apply_lindbladian, lindblad_setup, point_setup, random_density_matrix
-
-F = gs.FilterSpec(BETA)
 
 
 def b_gate(a, g_s, weight, dt_ev, gamma):
@@ -36,7 +35,7 @@ def b_gate(a, g_s, weight, dt_ev, gamma):
     direction = np.array(
         [[0.0, g_s.conjugate()], [g_s, 0.0]], dtype=complex
     ) / mag  # (Re g) X + (Im g) Y on the ancilla
-    gen = gs.kron(direction, amat)
+    gen = np.kron(direction, amat)
     return math.cos(theta) * np.eye(dim, dtype=complex) - 1j * math.sin(theta) * gen
 
 
@@ -47,12 +46,12 @@ def dense_step_v(a, cfg, chain):
     s_max, dt = cfg.oft_steps, cfg.dt_oft_effective
     amat = np.asarray(a)
     dim = 2 * amat.shape[0]
-    u_plus = gs.kron(PAULI_I, _coherent_unitary(chain, cfg.coherent_mode, -dt, cfg.r_big))
-    u_minus = gs.kron(PAULI_I, _coherent_unitary(chain, cfg.coherent_mode, dt, cfg.r_big))
+    u_plus = np.kron(PAULI_I, _coherent_unitary(chain, cfg.coherent_mode, -dt, cfg.r_big))
+    u_minus = np.kron(PAULI_I, _coherent_unitary(chain, cfg.coherent_mode, dt, cfg.r_big))
     gates = {}
     for s in range(-s_max, s_max + 1):
         weight = dt if abs(s) < s_max else dt / 2.0
-        gates[s] = b_gate(amat, complex(gs.filter_time(F, s * dt)), weight, cfg.dt_ev, cfg.gamma)
+        gates[s] = b_gate(amat, complex(gs.filter_time(BETA, s * dt)), weight, cfg.dt_ev, cfg.gamma)
     forward = np.eye(dim, dtype=complex)
     for s in range(-s_max, s_max + 1):
         forward = forward @ gates[s] @ u_plus
@@ -65,12 +64,12 @@ def dense_step_v(a, cfg, chain):
 # ----------------------------------------------------------------- dilation
 def test_dilation_hermitian_and_structure():
     setup = lindblad_setup("CH", 3, 5)
-    lbar = gs.lindblad_op_discretized(setup["jump_set"][0], setup["spec"], F, T=1.6, S=8)
+    lbar = gs.lindblad_op_discretized(setup["jump_set"][0], setup["spec"], BETA, T=1.6, S=8)
     kbar = gs.dilation_discrete(lbar)
     assert np.max(np.abs(kbar - kbar.conj().T)) < 1e-14
     # Hermitian argument collapses the dilation to X_anc (x) L
     herm = 0.5 * (lbar + lbar.conj().T)
-    assert np.allclose(gs.dilation_discrete(herm), gs.kron(PAULI_X, herm))
+    assert np.allclose(gs.dilation_discrete(herm), np.kron(PAULI_X, herm))
     assert np.max(np.abs(gs.dilation_discrete(np.zeros((8, 8))))) == 0
 
 
@@ -106,7 +105,7 @@ def test_b_gate_half_pi_rotation():
     g_s = 1.0
     weight = np.pi
     gate = b_gate(a, g_s, weight, dt_ev=1.0, gamma=1.0)
-    expected = -1j * gs.kron(PAULI_X, a.matrix())
+    expected = -1j * np.kron(PAULI_X, a.matrix())
     assert np.max(np.abs(gate - expected)) < 1e-12
 
 
@@ -119,7 +118,7 @@ def test_b_gate_matches_dense_exponential(rng):
             * np.sqrt(dt_ev * gamma)
             * weight
             * (
-                gs.kron(g_s.real * PAULI_X + g_s.imag * np.array([[0, -1j], [1j, 0]]), a.matrix())
+                np.kron(g_s.real * PAULI_X + g_s.imag * np.array([[0, -1j], [1j, 0]]), a.matrix())
             )
         )
         expected = scipy.linalg.expm(-1j * gen)
@@ -140,10 +139,10 @@ def test_b_gate_product_reproduces_static_dilation():
         gates = {}
         for s in range(-s_max, s_max + 1):
             w = dt if abs(s) < s_max else dt / 2
-            g_s = complex(gs.filter_time(F, s * dt))
+            g_s = complex(gs.filter_time(BETA, s * dt))
             gates[s] = b_gate(a, g_s, w, dt_ev, cfg.gamma)
             direction = np.array([[0, np.conj(g_s)], [g_s, 0]])
-            gen_total += 0.5 * theta * w * gs.kron(direction, a.matrix())
+            gen_total += 0.5 * theta * w * np.kron(direction, a.matrix())
         bwd = np.eye(8, dtype=complex)
         for s in range(-s_max, s_max + 1):
             fwd = fwd @ gates[s]
@@ -284,7 +283,7 @@ def test_step_w_average_matches_exact_channel_second_order(rng):
             dt_ev=dt_ev, dt_oft=0.05, T=1.6, jump_count=8, k=2, seed=0
         )
         engine = ProtocolEngine(setup["chain"], cfg)
-        ls = [gs.lindblad_op_exact(a, spec, F, bohr) for a in engine.jump_set]
+        ls = [gs.lindblad_op_exact(a, spec, BETA, bohr) for a in engine.jump_set]
         sup = gs.build_superop(setup["ham"], ls, np.full(8, cfg.gamma / 8))
         ref = unvec(scipy.linalg.expm(dt_ev * sup) @ vec(rho))
         avg = np.mean(step_w(engine, spec, cfg, rho, np.arange(8)), axis=0)
@@ -297,14 +296,14 @@ def test_step_w_average_matches_exact_channel_second_order(rng):
 # -------------------------------------------------------------------- noise
 def test_noise_none_and_zero_strength(rng):
     rho = random_density_matrix(8, rng)
-    assert np.array_equal(gs.apply_noise(rho, NoiseSpec(kind="none"), {}), rho)
-    out = gs.apply_noise(rho, NoiseSpec(kind="global_stochastic", lam=0.0), {})
+    assert np.array_equal(gs.apply_noise(rho, NoiseSpec(kind="none")), rho)
+    out = gs.apply_noise(rho, NoiseSpec(kind="global_stochastic", lam=0.0))
     assert np.max(np.abs(out - rho)) == 0
 
 
 def test_noise_full_depolarizing(rng):
     rho = random_density_matrix(8, rng)
-    out = gs.apply_noise(rho, NoiseSpec(kind="global_stochastic", lam=1.0), {})
+    out = gs.apply_noise(rho, NoiseSpec(kind="global_stochastic", lam=1.0))
     assert np.max(np.abs(out - np.eye(8) / 8)) < 1e-12
 
 
@@ -316,7 +315,8 @@ def test_budget_survival_probability_bernoulli_product(rng):
     out = gs.apply_noise(
         rho,
         NoiseSpec(kind="depolarizing_budget", lambda_g=lam_g),
-        {"rng": np.random.default_rng(0), "n_g": n_g},
+        [np.random.default_rng(0)],
+        n_g,
     )
     keep = (1 - lam_g) ** n_g
     expected = keep * rho + (1 - keep) * np.eye(4) / 4
@@ -360,26 +360,32 @@ def test_fused_budget_matches_sequential_events(n, rng):
     for n_g in (1, 7, 61):
         fused_rngs = [np.random.default_rng([11, r, n_g]) for r in range(reps)]
         seq_rngs = [np.random.default_rng([11, r, n_g]) for r in range(reps)]
-        fused = gs.apply_noise(rho, noise, {"rng": fused_rngs, "n_g": n_g})
+        fused = gs.apply_noise(rho, noise, fused_rngs, n_g)
         for r in range(reps):
             expected = rho[r]
             for _ in range(n_g):
                 expected = _pair_event_oracle(expected, int(seq_rngs[r].integers(n - 1)), n, lam_g)
             assert np.max(np.abs(fused[r] - expected)) < 1e-12
-            single = gs.apply_noise(
-                rho[r], noise, {"rng": np.random.default_rng([11, r, n_g]), "n_g": n_g}
-            )
+            single = gs.apply_noise(rho[r], noise, [np.random.default_rng([11, r, n_g])], n_g)
             assert np.max(np.abs(single - expected)) < 1e-12
         for fused_rng, seq_rng in zip(fused_rngs, seq_rngs):
             assert fused_rng.integers(2**62) == seq_rng.integers(2**62)
 
 
+def test_budget_takes_one_placement_generator_per_state(rng):
+    rho = np.stack([random_density_matrix(8, rng) for _ in range(3)])
+    noise = NoiseSpec(kind="depolarizing_budget", lambda_g=0.1)
+    for rngs in ([], [np.random.default_rng(0)] * 2):
+        with pytest.raises(DimensionMismatch, match="placement generators for 3 states"):
+            gs.apply_noise(rho, noise, rngs, 4)
+
+
 def test_global_stochastic_batch_matches_single_states(rng):
     rho = np.stack([random_density_matrix(8, rng) for _ in range(3)])
     noise = NoiseSpec(kind="global_stochastic", lam=0.2)
-    batch = gs.apply_noise(rho, noise, {})
+    batch = gs.apply_noise(rho, noise)
     for r in range(3):
-        assert np.array_equal(batch[r], gs.apply_noise(rho[r], noise, {}))
+        assert np.array_equal(batch[r], gs.apply_noise(rho[r], noise))
 
 
 def test_gate_count_lookup_and_linear_rule():
@@ -485,7 +491,7 @@ def test_gibbs_drift_per_step_follows_taxonomy_regimes():
     # inside the limit the drift is the discretized generator's own defect
     cfg, engine, mid = drift(0.45)
     lbars = [
-        gs.lindblad_op_discretized(a, setup["spec"], F, cfg.T, cfg.oft_steps)
+        gs.lindblad_op_discretized(a, setup["spec"], BETA, cfg.T, cfg.oft_steps)
         for a in engine.jump_set
     ]
     gen = apply_lindbladian(setup["sigma"], None, lbars, np.full(6, cfg.gamma / 6))

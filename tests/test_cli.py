@@ -246,6 +246,25 @@ def test_threads_on_closure_experiments(tmp_path, text, threads):
     assert {path.name: path.read_bytes() for path in out.iterdir()} == serial
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exits_2_without_out_dir(tmp_path, capsys, threads):
+    cfg = write_cfg(tmp_path, "run.cfg", "experiment = spectrum\npoint = CH\nn = 3\n")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", cfg, "--out-dir", str(out), "--threads", threads])
+    assert exc.value.code == 2
+    assert f"--threads: must be at least 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unconverged_evolve_writes_a_null_mixing_time(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_cfg(tmp_path, "run.cfg", "experiment = evolve\npoint = CH\nn = 3\nsolver.t_max = 2\n")
+    assert main(["run", cfg, "--out-dir", str(out)]) == 0
+    mixing = json.loads((out / "mixing.json").read_text())
+    assert mixing["mixing_time"] is None and mixing["converged"] is False
+
+
 def _count_eigensolves(monkeypatch):
     """The shapes of the operators that every gibbsim module binding of
     `eig_hermitian` is called with, from here on."""

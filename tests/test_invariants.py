@@ -77,8 +77,9 @@ def measure(c):
     params = gs.IsingParams(n=c["n"], J=c["J"], h=c["h"] * c["J"], m=c["m"] * c["J"])
     chain = gs.Chain(params, c["beta"])
     jump_set = gs.sample_jump_set(c["n"], c["k"], c["jumps"], c["id"])
-    f = gs.FilterSpec(c["beta"])
-    lindblads = np.stack([gs.lindblad_op_exact(a, chain.spec, f, chain.bohr) for a in jump_set])
+    lindblads = np.stack(
+        [gs.lindblad_op_exact(a, chain.spec, c["beta"], chain.bohr) for a in jump_set]
+    )
     gammas = np.full(c["jumps"], 1.0 / c["jumps"])
     rho0, dim = gs.maximally_mixed(c["n"]), chain.spec.dim
     worst = {}
@@ -116,12 +117,12 @@ def measure(c):
     mixed = mixed @ mixed.conj().T
     states = np.stack([np.outer(psi, psi.conj()), mixed / np.trace(mixed).real, chain.sigma])
     noises = [
-        (NoiseSpec("global_stochastic", lam=c["lam"]), {}),
+        (NoiseSpec("global_stochastic", lam=c["lam"]), (), 0),
         (NoiseSpec("depolarizing_budget", lambda_g=c["lam"]),
-         {"rng": [np.random.default_rng([c["id"], r]) for r in range(3)], "n_g": 5}),
+         [np.random.default_rng([c["id"], r]) for r in range(3)], 5),
     ]
-    for noise, context in noises:
-        defects = _state_defects(apply_noise(states, noise, context))
+    for noise, rngs, n_g in noises:
+        defects = _state_defects(apply_noise(states, noise, rngs, n_g))
         worst = _worst(worst, {
             "noise_trace": defects["state_trace"], "noise_negativity": defects["state_negativity"],
         })

@@ -5,11 +5,10 @@ import pytest
 
 import gibbsim as gs
 from gibbsim.errors import InvalidLocality
-from gibbsim.jumps import FilterSpec, PauliString, filter_freq_discretized, jump_set_to_text
+from gibbsim.jumps import PauliString, filter_freq_discretized, jump_set_to_text, oft_nodes
 
 from conftest import BETA, lindblad_setup, point_setup
 
-F = FilterSpec(BETA)
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -82,18 +81,18 @@ def test_jump_set_text_golden():
 
 # ---------------------------------------------------------------- filters
 def test_filter_time_at_zero():
-    expected = (F.delta_e**2 / (2 * np.pi**3)) ** 0.25
-    val = complex(gs.filter_time(F, 0.0))
+    expected = ((np.sqrt(2) / BETA) ** 2 / (2 * np.pi**3)) ** 0.25
+    val = complex(gs.filter_time(BETA, 0.0))
     assert val.real == pytest.approx(expected, abs=1e-15)
     assert val.imag == 0.0
 
 
 def test_filter_time_symmetry():
     t = np.linspace(-2, 2, 41)
-    g = gs.filter_time(F, t)
+    g = gs.filter_time(BETA, t)
     assert np.allclose(np.abs(g), np.abs(g[::-1]), atol=1e-15)
     # phase linear in t: g(t) e^{-i beta Delta^2 t / 2} is real
-    stripped = g * np.exp(-1j * F.beta * F.delta_e**2 * t / 2)
+    stripped = g * np.exp(-1j * BETA * (np.sqrt(2) / BETA) ** 2 * t / 2)
     assert np.max(np.abs(stripped.imag)) < 1e-15
 
 
@@ -101,16 +100,16 @@ def test_filter_normalization_quadrature():
     # The filter pair is normalized in the frequency domain; equivalently
     # the time-domain square integral is 1/(2 pi).
     t = np.linspace(-10 * BETA, 10 * BETA, 80001)
-    norm_t = np.trapezoid(np.abs(gs.filter_time(F, t)) ** 2, t)
+    norm_t = np.trapezoid(np.abs(gs.filter_time(BETA, t)) ** 2, t)
     assert norm_t == pytest.approx(1.0 / (2 * np.pi), abs=1e-10)
     nu = np.linspace(-60 / BETA, 60 / BETA, 400001)
-    norm_nu = np.trapezoid(gs.filter_freq(F, nu) ** 2, nu)
+    norm_nu = np.trapezoid(gs.filter_freq(BETA, nu) ** 2, nu)
     assert norm_nu == pytest.approx(1.0, abs=1e-8)
 
 
 def test_filter_tail_mass_at_protocol_cutoff():
     t = np.linspace(-12 * BETA, 12 * BETA, 400001)
-    g = gs.filter_time(F, t)
+    g = gs.filter_time(BETA, t)
     full = np.trapezoid(g, t)
     inner = np.trapezoid(np.where(np.abs(t) <= 1.6, g, 0), t)
     ratio = abs((full - inner) / full)
@@ -119,35 +118,35 @@ def test_filter_tail_mass_at_protocol_cutoff():
 
 def test_filter_freq_db_identity():
     for nu in (0.3 / BETA, 1 / BETA, 3 / BETA):
-        lhs = float(gs.filter_freq(F, nu))
-        rhs = np.exp(-BETA * nu / 2) * float(gs.filter_freq(F, -nu))
+        lhs = float(gs.filter_freq(BETA, nu))
+        rhs = np.exp(-BETA * nu / 2) * float(gs.filter_freq(BETA, -nu))
         assert abs(lhs - rhs) < 1e-12
 
 
 def test_filter_freq_at_zero():
     expected = (BETA**2 / (4 * np.pi)) ** 0.25 * np.exp(-1 / 8)
-    assert float(gs.filter_freq(F, 0.0)) == pytest.approx(expected, abs=1e-15)
+    assert float(gs.filter_freq(BETA, 0.0)) == pytest.approx(expected, abs=1e-15)
 
 
 def test_filter_freq_peak_location():
     nu = np.linspace(-4 / BETA, 4 / BETA, 8001)
-    eta = gs.filter_freq(F, nu)
+    eta = gs.filter_freq(BETA, nu)
     assert abs(nu[np.argmax(eta)] + 1 / BETA) < 2e-3
 
 
 def test_filter_freq_matches_quadrature_transform():
     t = np.linspace(-10 * BETA, 10 * BETA, 80001)
-    g = gs.filter_time(F, t)
+    g = gs.filter_time(BETA, t)
     for nu in (-3.0, -1.0, 0.0, 0.7, 2.0):
         ft = np.trapezoid(np.exp(1j * nu * t) * g, t)
-        assert abs(ft - float(gs.filter_freq(F, nu))) < 1e-8
+        assert abs(ft - float(gs.filter_freq(BETA, nu))) < 1e-8
 
 
 # ------------------------------------------------------- exact Lindblad op
 def test_identity_jump_gives_eta0_identity():
     setup = point_setup("CH", 3)
-    L = gs.lindblad_op_exact(np.eye(8), setup["spec"], F, setup["bohr"])
-    eta0 = float(gs.filter_freq(F, 0.0))
+    L = gs.lindblad_op_exact(np.eye(8), setup["spec"], BETA, setup["bohr"])
+    eta0 = float(gs.filter_freq(BETA, 0.0))
     assert np.max(np.abs(L - eta0 * np.eye(8))) < 1e-12
 
 
@@ -159,7 +158,7 @@ def test_exact_op_entrywise_in_eigenbasis():
     a_eig = spec.to_eigenbasis(a.matrix())
     l_eig = spec.to_eigenbasis(L)
     nu = spec.values[:, None] - spec.values[None, :]
-    assert np.max(np.abs(np.abs(l_eig) - gs.filter_freq(F, nu) * np.abs(a_eig))) < 1e-10
+    assert np.max(np.abs(np.abs(l_eig) - gs.filter_freq(BETA, nu) * np.abs(a_eig))) < 1e-10
 
 
 def test_exact_op_matches_time_quadrature_oracle():
@@ -169,7 +168,7 @@ def test_exact_op_matches_time_quadrature_oracle():
     L = setup["lindblads"][0]
     t = np.linspace(-8 * BETA, 8 * BETA, 4001)
     weights = np.gradient(t)
-    g = gs.filter_time(F, t)
+    g = gs.filter_time(BETA, t)
     acc = np.zeros((8, 8), dtype=complex)
     amat = a.matrix()
     for w, gv, ti in zip(weights, g, t):
@@ -188,7 +187,7 @@ def test_lindblad_entries_finite_and_adjoint_closure():
     nu = bohr.pair_frequencies()
     for a, L in zip(setup["jump_set"], setup["lindblads"]):
         a_eig = spec.to_eigenbasis(a.matrix())
-        expected_dag = spec.from_eigenbasis(gs.filter_freq(F, -nu) * a_eig)
+        expected_dag = spec.from_eigenbasis(gs.filter_freq(BETA, -nu) * a_eig)
         assert np.max(np.abs(L.conj().T - expected_dag)) < 1e-12
 
 
@@ -197,16 +196,25 @@ def test_discretized_close_to_exact_at_fine_step():
     setup = lindblad_setup("CH", 3, 5, seed=2)
     a = setup["jump_set"][0]
     exact = setup["lindblads"][0]
-    bar = gs.lindblad_op_discretized(a, setup["spec"], F, T=1.6, S=16)
+    bar = gs.lindblad_op_discretized(a, setup["spec"], BETA, T=1.6, S=16)
     assert np.linalg.norm(bar - exact, 2) < 1e-3
 
 
 def test_discretized_identity_jump_scalar_trapezoid():
     setup = point_setup("CH", 3)
     T, S = 1.6, 8
-    bar = gs.lindblad_op_discretized(np.eye(8), setup["spec"], F, T=T, S=S)
-    scalar = complex(filter_freq_discretized(F, 0.0, T, S))
+    bar = gs.lindblad_op_discretized(np.eye(8), setup["spec"], BETA, T=T, S=S)
+    scalar = complex(filter_freq_discretized(BETA, 0.0, T, S))
     assert np.max(np.abs(bar - scalar * np.eye(8))) < 1e-12
+
+
+def test_oft_nodes_are_the_trapezoid_rule():
+    times, weights = oft_nodes(1.6, 8)
+    assert np.array_equal(times, np.arange(-8, 9) * (1.6 / 8))
+    assert np.array_equal(weights, np.r_[0.1, np.full(15, 0.2), 0.1])
+    for T, S in ((0.0, 8), (-1.0, 8), (float("nan"), 8), (1.6, 0)):
+        with pytest.raises(ValueError, match="need T > 0 and S >= 1"):
+            oft_nodes(T, S)
 
 
 def test_discretized_error_taxonomy_in_step():
@@ -218,7 +226,7 @@ def test_discretized_error_taxonomy_in_step():
     T = 1.6
 
     def err(dt):
-        bar = gs.lindblad_op_discretized(a, setup["spec"], F, T=T, S=round(T / dt))
+        bar = gs.lindblad_op_discretized(a, setup["spec"], BETA, T=T, S=round(T / dt))
         return np.linalg.norm(bar - exact, 2)
 
     e_04, e_032, e_02, e_01 = err(0.4), err(0.32), err(0.2), err(0.1)
@@ -229,7 +237,7 @@ def test_discretized_error_taxonomy_in_step():
 
 def test_lindblad_norm_sanity_cap():
     setup = lindblad_setup("CH", 4, 10, seed=1)
-    eta_max = float(gs.filter_freq(F, -1 / BETA))
+    eta_max = float(gs.filter_freq(BETA, -1 / BETA))
     for a, L in zip(setup["jump_set"], setup["lindblads"]):
         cap = np.linalg.norm(a.matrix(), 2) * eta_max * setup["bohr"].count
         assert np.linalg.norm(L, 2) <= cap
@@ -268,8 +276,8 @@ def test_exact_oft_of_a_string_is_that_of_its_kron_matrix(key, n):
         for a in gs.sample_jump_set(n, k, 8, seed=k):
             dense = kron_matrix(a)
             assert np.array_equal(a.matrix(), dense)
-            built = gs.lindblad_op_exact(a, spec, F, bohr)
-            assert built.tobytes() == gs.lindblad_op_exact(dense, spec, F, bohr).tobytes()
+            built = gs.lindblad_op_exact(a, spec, BETA, bohr)
+            assert built.tobytes() == gs.lindblad_op_exact(dense, spec, BETA, bohr).tobytes()
 
 
 @pytest.mark.parametrize("builder", ["exact", "discretized"])
@@ -280,11 +288,11 @@ def test_builders_return_the_eigenbasis_product(builder):
     T, S = 1.6, 8
     nu = spec.values[:, None] - spec.values[None, :]
     if builder == "exact":
-        eta = gs.filter_freq(F, bohr.pair_frequencies())
-        build = lambda a: gs.lindblad_op_exact(a, spec, F, bohr)
+        eta = gs.filter_freq(BETA, bohr.pair_frequencies())
+        build = lambda a: gs.lindblad_op_exact(a, spec, BETA, bohr)
     else:
-        eta = filter_freq_discretized(F, nu.ravel(), T, S).reshape(nu.shape)
-        build = lambda a: gs.lindblad_op_discretized(a, spec, F, T, S)
+        eta = filter_freq_discretized(BETA, nu.ravel(), T, S).reshape(nu.shape)
+        build = lambda a: gs.lindblad_op_discretized(a, spec, BETA, T, S)
     v = spec.vectors
     for a in setup["jump_set"]:
         L = build(a)

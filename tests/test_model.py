@@ -134,7 +134,7 @@ def test_ising_split_parts_sum_to_hamiltonian(key):
     assert np.array_equal(diag, np.diag(np.diag(diag)))
     assert np.max(np.abs(np.diag(transverse))) == 0
     expected = -params.h * sum(
-        gs.kron(gs.kron(np.eye(2**i), np.array([[0, 1], [1, 0]])), np.eye(2 ** (3 - i)))
+        np.kron(np.kron(np.eye(2**i), np.array([[0, 1], [1, 0]])), np.eye(2 ** (3 - i)))
         for i in range(4)
     )
     assert np.max(np.abs(transverse - expected)) < 1e-14

@@ -163,12 +163,12 @@ def test_trace_distance_symmetry(rng):
 def test_partial_trace_ancilla_zero_block(rng):
     rho = random_density_matrix(8, rng)
     anc = np.array([[1.0, 0.0], [0.0, 0.0]])
-    assert np.allclose(gs.partial_trace_ancilla(gs.kron(anc, rho)), rho)
+    assert np.allclose(gs.partial_trace_ancilla(np.kron(anc, rho)), rho)
 
 
 def test_partial_trace_ancilla_mixed(rng):
     rho = random_density_matrix(4, rng)
-    assert np.allclose(gs.partial_trace_ancilla(gs.kron(np.eye(2) / 2, rho)), rho)
+    assert np.allclose(gs.partial_trace_ancilla(np.kron(np.eye(2) / 2, rho)), rho)
 
 
 def test_partial_trace_bell_state():
@@ -188,24 +188,12 @@ def test_partial_trace_odd_dim_rejected():
         gs.partial_trace_ancilla(np.eye(3))
 
 
-def test_kron_identities():
-    assert np.allclose(gs.kron(PAULI_I, PAULI_I), np.eye(4))
-    assert np.allclose(gs.kron(PAULI_Z, PAULI_I), np.diag([1, 1, -1, -1]))
-
-
-def test_kron_xx_flips_00():
-    xx = gs.kron(PAULI_X, PAULI_X)
-    zero = np.zeros(4)
-    zero[0] = 1.0
-    assert np.allclose(xx @ zero, np.eye(4)[3])
-
-
 def test_partial_trace_of_kron_scales_by_trace(rng):
     rho = random_density_matrix(8, rng)
     for _ in range(5):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         m = 0.5 * (m + m.conj().T)
-        out = gs.partial_trace_ancilla(gs.kron(m, rho))
+        out = gs.partial_trace_ancilla(np.kron(m, rho))
         assert np.max(np.abs(out - np.trace(m) * rho)) < 1e-12
 
 

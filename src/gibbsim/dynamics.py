@@ -9,9 +9,10 @@ array; the randomized scheme runs each sampled jump at unit rate.
 
 All three, and the circuit protocol in `circuit.simulate_protocol`, run one
 trajectory loop, `_run_batched`: a batch of states advanced in lock step by
-a per-step map and recorded, on the grid of `_grid_indices`, through a
-state-to-density map (psi -> psi psi^dag / |psi|^2 for MCWF, else the
-identity), keeping block-mean states per `SolverConfig.state_blocks`.
+a per-step map and recorded at step 0, every stride-th step and the last
+(`SolverConfig.grid_points` sets the stride) through a state-to-density
+map (psi -> psi psi^dag / |psi|^2 for MCWF, else the identity), keeping
+block-mean states per `SolverConfig.state_blocks`.
 The exact solver is a batch of one state.  The grid record forms its trace
 distances in two (R + 1)-matrix buffers allocated once per run, and lends
 their first R matrices to the step between grid points.
@@ -24,9 +25,9 @@ step is one of two:
 - *Staged RK4* (`_rk4_advance`): the exact solver, and randomized runs
   with D > PROPAGATOR_MAX_DIM.  Four generator calls per step, keeping the
   k-sum and stage input in the record's buffers.  A randomized run holds
-  16 D^2 (J + 5R + 2(R + 1)) bytes beside the caller's J operators: the A
-  stack, the state, one k, L[sel], A[sel], one generator temporary and the
-  two record buffers.
+  16 D^2 (J + 5R + 2(R + 1)) bytes beside the caller's J operators and its
+  jump draws: the A stack, the state, one k, L[sel], A[sel], one generator
+  temporary and the two record buffers.
 - *Propagators* (`_taylor4_propagators`, `_propagator_advance`): randomized
   runs with D <= PROPAGATOR_MAX_DIM (three qubits or fewer).  For a linear
   generator one RK4 step is the Taylor polynomial P = I + hM + (hM)^2/2 +
@@ -45,9 +46,9 @@ The staged step writes the Lindblad generator in three products,
     L(rho) = sum_a gamma_a L_a rho L_a^dag + X + X^dag,   X = A rho,
     A = -iH - (1/2) sum_a gamma_a L_a^dag L_a,
 
-with A precomputed (per jump, at gamma_a = 1, for the randomized scheme;
-summed for the exact one by `liouville.drift_operator`, which the
-propagators, MCWF's effective Hamiltonian iA and `build_superop` share).
+with A from `liouville.drift_operator`: one jump at a time, at gamma_a = 1,
+into the randomized scheme's A stack, and summed for the exact one.  The
+propagators, MCWF's effective Hamiltonian iA and `build_superop` share it.
 This equals -i[H, rho] + sum_a gamma_a D^a(rho) exactly whenever rho is
 Hermitian, since then rho A^dag = (A rho)^dag.  Every RK4
 stage input is Hermitian in exact arithmetic: the state is symmetrized
@@ -163,21 +164,23 @@ def rk4_step(rho, generator, dt):
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _grid_indices(n_steps, grid_points):
-    """Recorded step indices: every step for grid_points <= 0, else a stride
-    giving about grid_points points; always 0 and n_steps."""
-    stride = 1 if grid_points <= 0 else max(1, math.ceil(n_steps / grid_points))
-    idx = list(range(0, n_steps + 1, stride))
-    if idx[-1] != n_steps:
-        idx.append(n_steps)
-    return idx
-
-
 def _n_steps(cfg, dt):
     n = cfg.max_steps
     if cfg.t_max is not None:
         n = min(n, max(1, math.ceil(cfg.t_max / dt)))
     return n
+
+
+def jump_draws(rngs, n_jump, n_steps):
+    """The (R, n_steps) int64 jump indices in [0, n_jump) of R = len(rngs)
+    trajectories, row r drawn in one call from rngs[r].  Its 8 R n_steps
+    bytes are checked first; the rows fill one preallocated array, so the
+    peak is that array and one row."""
+    require_memory(8 * len(rngs) * n_steps, f"the jump-draw array of {n_steps} steps")
+    draws = np.empty((len(rngs), n_steps), dtype=np.int64)
+    for rng, row in zip(rngs, draws):
+        row[:] = rng.integers(0, n_jump, size=n_steps)
+    return draws
 
 
 def evolve_randomized(ham, lindblads, rho0, cfg, target):
@@ -189,59 +192,54 @@ def evolve_randomized(ham, lindblads, rho0, cfg, target):
     `_taylor4_propagators`, one matrix-vector product per trajectory; above
     it, the staged RK4 of `_rk4_advance` on the stack of
     A_a = -iH - (1/2) L_a^dag L_a, with each step's L_a gathered into reused
-    arrays.  A step or run that fails the checks of `_evolve_with_halving`
+    arrays.  Each attempt draws its jumps with `jump_draws` on the streams
+    (seed, i).  A step or run that fails the checks of `_evolve_with_halving`
     halves the step and restarts every trajectory from rho0; survivors are
     symmetrized and renormalized after every step.
     """
     l_ops = np.asarray(lindblads, dtype=complex)
     dim = l_ops.shape[-1]
+    n_jump, n_traj = len(l_ops), cfg.n_traj
 
     def draw(n_steps):
-        require_memory(8 * cfg.n_traj * n_steps, f"the jump-draw array of {n_steps} steps")
-        rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
-        return np.stack([rng.integers(0, len(l_ops), size=n_steps) for rng in rngs])
+        rngs = [np.random.default_rng([cfg.seed, i]) for i in range(n_traj)]
+        return jump_draws(rngs, n_jump, n_steps)
 
     # the run's arrays of the module docstring, checked before any of them
-    n_jump, n_traj = len(l_ops), cfg.n_traj
     if dim <= PROPAGATOR_MAX_DIM:
         nbytes = 16 * ((n_jump + 2) * dim**4 + (3 * n_traj + 2) * dim**2)
         require_memory(nbytes, f"the propagators of {n_jump} jumps and {n_traj} states")
 
-        def make_advance(dt, draws):
+        def make_advance(dt, n_steps):
+            draws = draw(n_steps)
             return _propagator_advance(_taylor4_propagators(ham, l_ops, dt), draws)
 
-        return _evolve_with_halving(make_advance, draw, rho0, cfg, target)
+        return _evolve_with_halving(make_advance, n_traj, rho0, cfg, target)
 
     nbytes = 16 * (n_jump + 7 * n_traj + 2) * dim**2
     require_memory(nbytes, f"the staged RK4 arrays of {n_traj} trajectories")
-    l_sel, a_sel, tmp = np.empty((3, cfg.n_traj) + l_ops.shape[1:], dtype=complex)
-    # L^dag L one batch of operators at a time, conjugated in `tmp`: a
-    # conjugated copy of the whole stack left a heap hole that the run's
-    # later arrays did not fit.
+    l_sel, a_sel, tmp = np.empty((3, n_traj) + l_ops.shape[1:], dtype=complex)
     a_ops = np.empty_like(l_ops)
-    for lo in range(0, len(l_ops), cfg.n_traj):
-        chunk = l_ops[lo : lo + cfg.n_traj]
-        l_dag = np.conjugate(chunk, out=tmp[: len(chunk)]).transpose(0, 2, 1)
-        np.matmul(l_dag, chunk, out=a_ops[lo : lo + cfg.n_traj])
-    a_ops *= -0.5
-    a_ops -= 1j * np.asarray(ham, dtype=complex)
+    for l_op, a_op in zip(l_ops, a_ops):
+        a_op[...] = drift_operator(ham, l_op[None], np.ones(1))
 
-    def generator_for(sel):
-        np.take(l_ops, sel, axis=0, out=l_sel, mode="clip")  # "raise" would buffer out
-        np.take(a_ops, sel, axis=0, out=a_sel, mode="clip")
+    def generator(rho, out):
+        # `out` holds conj(L[sel]) until L rho L^dag lands in it.
+        l_dag = np.conjugate(l_sel, out=out).transpose(0, 2, 1)
+        np.matmul(l_sel, np.matmul(rho, l_dag, out=tmp), out=out)
+        return _add_hermitian_part(out, a_sel, rho, tmp)
 
-        def generator(rho, out):
-            # `out` holds conj(L[sel]) until L rho L^dag lands in it.
-            l_dag = np.conjugate(l_sel, out=out).transpose(0, 2, 1)
-            np.matmul(l_sel, np.matmul(rho, l_dag, out=tmp), out=out)
-            return _add_hermitian_part(out, a_sel, rho, tmp)
+    def make_advance(dt, n_steps):
+        draws = draw(n_steps)
 
-        return generator
+        def generator_for(j):
+            np.take(l_ops, draws[:, j], axis=0, out=l_sel, mode="clip")  # "raise" would buffer out
+            np.take(a_ops, draws[:, j], axis=0, out=a_sel, mode="clip")
+            return generator
 
-    def make_advance(dt, draws):
-        return _rk4_advance(generator_for, dt, draws, dim)
+        return _rk4_advance(generator_for, dt, n_traj, dim)
 
-    return _evolve_with_halving(make_advance, draw, rho0, cfg, target)
+    return _evolve_with_halving(make_advance, n_traj, rho0, cfg, target)
 
 
 def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
@@ -265,13 +263,10 @@ def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
         np.matmul(l_weighted, np.matmul(rho, l_dag)).sum(axis=0, keepdims=True, out=out)
         return _add_hermitian_part(out, a_op, rho)
 
-    def draw(n_steps):
-        return np.zeros((1, n_steps), dtype=int)
+    def make_advance(dt, n_steps):
+        return _rk4_advance(lambda j: generator, dt, 1, dim)
 
-    def make_advance(dt, draws):
-        return _rk4_advance(lambda sel: generator, dt, draws, dim)
-
-    return _evolve_with_halving(make_advance, draw, rho0, cfg, target)
+    return _evolve_with_halving(make_advance, 1, rho0, cfg, target)
 
 
 def _add_hermitian_part(out, a, rho, x=None):
@@ -284,23 +279,24 @@ def _add_hermitian_part(out, a, rho, x=None):
     return out
 
 
-def _rk4_advance(generator_for, dt, draws, dim):
+def _rk4_advance(generator_for, dt, n_traj, dim):
     """The staged RK4 step map of one attempt at step dt: advance(rho, j,
-    scratch) adds to the (R, D, D) batch rho its step j.
+    scratch) adds to the (n_traj, D, D) batch rho its step j.
 
-    generator_for(sel) returns the generator on the batch with trajectory r
-    under jump sel[r], called as generator(rho, out); it is called once per
-    step and its result serves all four stages.  The step keeps its k-sum
-    and stage input in `scratch`, the record's buffers lent between grid
-    points, and its k in one array that outlives the steps: fresh arrays
-    cost heap trims and page faults.
+    generator_for(j) returns the generator of step j on the batch (for the
+    randomized scheme, trajectory r under its jump drawn for step j), called
+    as generator(rho, out); it is called once per step and its result serves
+    all four stages.  The step keeps its k-sum and stage input in
+    `scratch`, the record's buffers lent between grid points, and its k in
+    one array that outlives the steps: fresh arrays cost heap trims and
+    page faults.
     """
-    k_out = np.empty((len(draws), dim, dim), dtype=complex)
+    k_out = np.empty((n_traj, dim, dim), dtype=complex)
 
     def advance(rho, j, scratch):
         # `rk4_step`'s operations in order, in place; `acc` sums k1 + 2 k2 + 2 k3 + k4.
         acc, stage = scratch
-        generator = generator_for(draws[:, j])
+        generator = generator_for(j)
         generator(rho, acc)
         np.add(rho, np.multiply(acc, 0.5 * dt, out=stage), out=stage)
         for scale in (0.5 * dt, dt):
@@ -366,16 +362,16 @@ def _propagator_advance(props, draws):
     return advance
 
 
-def _evolve_with_halving(make_advance, draw, rho0, cfg, target):
-    """A trajectory batch from rho0 through `_run_batched`, restarted from
-    rho0 with half the step whenever the attempt fails.
+def _evolve_with_halving(make_advance, n_traj, rho0, cfg, target):
+    """A batch of n_traj trajectories from rho0 through `_run_batched`,
+    restarted from rho0 with half the step whenever the attempt fails.
 
-    draw(n_steps) returns the (R, n_steps) jump indices for one attempt;
-    make_advance(dt, draws) returns that attempt's step map, advance(rho, j,
-    scratch), which overwrites the batch rho with its step j and may use the
-    record's buffers `scratch`.  The gate (Hermitian to herm_tol, positive
-    trace), the symmetrization and the renormalization follow it here, in
-    those buffers.  RK4 beyond its stability region gives Hermitian states
+    make_advance(dt, n_steps) returns the step map of an attempt of n_steps
+    steps of dt, advance(rho, j, scratch), which overwrites the batch rho
+    with its step j and may use the record's buffers `scratch`; a
+    randomized attempt draws its jumps there.  The gate (Hermitian to
+    herm_tol, positive trace), the symmetrization and the renormalization
+    follow it here, in those buffers.  RK4 beyond its stability region gives Hermitian states
     that are not positive some steps before the gate fires, so an attempt
     also fails when a recorded trace distance exceeds 1 or a final
     trajectory state has an eigenvalue below -POSITIVITY_TOL.
@@ -384,8 +380,8 @@ def _evolve_with_halving(make_advance, draw, rho0, cfg, target):
     halvings = 0
     final = None
     while True:
-        draws = draw(_n_steps(cfg, dt))
-        advance = make_advance(dt, draws)
+        n_steps = _n_steps(cfg, dt)
+        advance = make_advance(dt, n_steps)
 
         def step(rho, j, scratch):
             nonlocal final
@@ -403,8 +399,8 @@ def _evolve_with_halving(make_advance, draw, rho0, cfg, target):
 
         try:
             record = _run_batched(
-                step, np.broadcast_to(rho0, (len(draws),) + np.shape(rho0)), draws.shape[1],
-                dt, cfg.grid_points, target, cfg.stop_below, min(cfg.state_blocks, len(draws)),
+                step, np.broadcast_to(rho0, (n_traj,) + np.shape(rho0)), n_steps,
+                dt, cfg.grid_points, target, cfg.stop_below, min(cfg.state_blocks, n_traj),
             )
             lowest = np.linalg.eigvalsh(final).min()
             if not (record.per_traj_distance.max() <= 1.0 and lowest >= -POSITIVITY_TOL):
@@ -427,11 +423,14 @@ def _run_batched(
     """The trajectory loop of every solver.
 
     All R = len(states) trajectories advance in lock step: step j maps the
-    batch to step(states, j, scratch), j = 0 .. n_steps - 1.  On the grid of
-    `_grid_indices` the record writes each trajectory's density matrix with
-    to_density(out, states), by default a copy, and takes the trace distance
-    to `target` of every trajectory and of the symmetrized trajectory
-    average, stacked into one batched call.  The run stops early at the
+    batch to step(states, j, scratch), j = 0 .. n_steps - 1.  The grid is
+    step 0, every stride-th step and step n_steps, with stride 1 for
+    grid_points <= 0 and else ceil(n_steps / grid_points), so about
+    grid_points points.  At each grid point the record writes each
+    trajectory's density matrix with to_density(out, states), by default a
+    copy, and takes the trace distance to `target` of every trajectory and
+    of the symmetrized trajectory average, stacked into one batched call.
+    The run stops early at the
     first grid point whose averaged distance is below `stop_below`.  With
     state_blocks = B > 0 the record also keeps the mean density of each of
     B contiguous blocks of trajectories (trajectory i in block i B // R) as
@@ -444,9 +443,10 @@ def _run_batched(
     step may overwrite them freely, but what it leaves there does not
     survive the next record, and the state it returns must not live in them.
     """
-    grid = _grid_indices(n_steps, grid_points)
-    kept_bytes = 2 * 16 * state_blocks * len(grid) * np.size(target)
-    require_memory(kept_bytes, f"the block states of {len(grid)} grid points")
+    stride = 1 if grid_points <= 0 else max(1, math.ceil(n_steps / grid_points))
+    n_grid = n_steps // stride + 1 + (n_steps % stride > 0)
+    kept_bytes = 2 * 16 * state_blocks * n_grid * np.size(target)
+    require_memory(kept_bytes, f"the block states of {n_grid} grid points")
     states = np.array(states, dtype=complex, order="C")
     n_traj = len(states)
     work = np.empty((2, n_traj + 1) + np.shape(target), dtype=complex)
@@ -474,13 +474,11 @@ def _run_batched(
         return avg
 
     avg = record_point(0, states)
-    grid_pos = 1
     stopped = False
-    for j in range(n_steps):
-        states = step(states, j, scratch)
-        if grid_pos < len(grid) and j + 1 == grid[grid_pos]:
-            avg = record_point(j + 1, states)
-            grid_pos += 1
+    for j in range(1, n_steps + 1):
+        states = step(states, j - 1, scratch)
+        if j % stride == 0 or j == n_steps:
+            avg = record_point(j, states)
             if stop_below is not None and avg_dist[-1] < stop_below:
                 stopped = True
                 break
@@ -521,10 +519,10 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target):
     criterion 15 checks the randomized scheme against it.
 
     Beside the caller's J operators it holds 16 (2 J D^2 + R J D +
-    (2R + 5) D^2) bytes, checked before any is allocated: the L^dag stack
-    of `drift_operator`, the flattened stack, one rate call's amplitudes,
-    the record's two (R + 1)-matrix buffers, and H_eff, a propagator and
-    the identity the basis states come from.
+    (2R + 5) D^2) bytes, checked before any is allocated: the two stacks
+    of `drift_operator` (then the flattened stack), one rate call's
+    amplitudes, the record's two (R + 1)-matrix buffers, and H_eff, a
+    propagator and the identity the basis states come from.
     """
     import scipy.linalg  # imported here so that importing gibbsim loads numpy only
 

@@ -60,18 +60,27 @@ def unvec(v):
     return v.reshape(d, d, order="F")
 
 
+def _jump_sum(l_ops, gammas):
+    """sum_a gamma_a L_a^dag L_a of a (n_jump, D, D) stack, as one product of
+    the stacked (n_jump D, D) operators, [L_1; ...; L_J]^dag
+    [gamma_1 L_1; ...; gamma_J L_J]; zeros for an empty stack."""
+    d = l_ops.shape[-1]
+    weighted = np.asarray(gammas)[:, None, None] * l_ops
+    return l_ops.reshape(-1, d).conj().T @ weighted.reshape(-1, d)
+
+
 def drift_operator(coherent, l_ops, gammas):
     """A = -iG - (1/2) sum_a gamma_a L_a^dag L_a for the (D, D) coherent term
-    G and a (n_jump, D, D) stack.
+    G and a (n_jump, D, D) stack, its jump sum from `_jump_sum`.
 
     For Hermitian G the generator is sum_a gamma_a L_a rho L_a^dag +
     A rho + rho A^dag.  The superoperator rows, `dynamics.evolve_exact`,
-    the RK4 propagators of `dynamics` and the MCWF effective Hamiltonian
-    iA all use this one operator.
+    the staged RK4's per-jump A stack and the propagators of `dynamics`,
+    and the MCWF effective Hamiltonian iA all use this one operator.  It
+    holds two (n_jump, D, D) temporaries: the conjugated and the weighted
+    stack.
     """
-    l_dag = l_ops.conj().transpose(0, 2, 1)
-    a = -0.5 * np.einsum("a,aij,ajk->ik", gammas, l_dag, l_ops)
-    return a - 1j * np.asarray(coherent, dtype=complex)
+    return -0.5 * _jump_sum(l_ops, gammas) - 1j * np.asarray(coherent, dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -299,13 +308,11 @@ def ckg_coherent_term(spec, bohr, beta, lindblads, gammas):
         tanh(beta (nu1 - nu2) / 4) (A^a_nu1)^dag A^a_nu2,
     evaluated in the eigenbasis, where the double frequency sum collapses to
     an elementwise tanh weight on the Bohr frequencies of
-    sum_a gamma_a (V^dag L_a V)^dag (V^dag L_a V), one product over the
-    stacked jumps.
+    V^dag (sum_a gamma_a L_a^dag L_a) V, the jump sum of `_jump_sum`
+    rotated once.
     """
     l_ops, gammas = _jump_stack(lindblads, gammas, spec.dim)
-    l_eig = spec.to_eigenbasis(l_ops)
-    d = spec.dim
-    g_eig = (gammas[:, None, None] * l_eig).reshape(-1, d).conj().T @ l_eig.reshape(-1, d)
+    g_eig = spec.to_eigenbasis(_jump_sum(l_ops, gammas))
     # Sign fixed by the exact-DB requirement L[sigma_beta] = 0, which this
     # construction satisfies to machine precision.
     g_eig *= 0.5j * np.tanh(beta * bohr.pair_frequencies() / 4.0)

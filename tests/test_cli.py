@@ -689,20 +689,27 @@ def test_manifest_names_every_resolved_key(tmp_path, monkeypatch, experiment):
             None,
         ),
         ("experiment = gap-scan\npoint = CH\ngrid.n = 7\nallow_large = true\n", 2_000_000 * 1024),
+        (CIRCUIT_N3.replace("circuit.n_rep = 2", "circuit.n_rep = 100000"), 500_000 * 1024),
+        (
+            "experiment = circuit-noise\npoint = CH\nn = 3\ncircuit.dt_oft = 0.2\n"
+            "circuit.t_max = 5\ncircuit.n_rep = 100000\ngrid.lambda_g = 1e-4\ngrid.dt_ev = 1\n",
+            500_000 * 1024,
+        ),
     ],
     ids=[
         "evolve.jump-draws", "circuit.jump-draws", "circuit.oft-grid", "spectrum.n",
         "circuit.kraus-pairs", "gap-scan.lindblad-stack", "evolve.lindblad-stack",
         "circuit.depolarizing-draws", "evolve.address-space", "circuit-noise.later-grid-point",
-        "gap-scan.real-form",
+        "gap-scan.real-form", "circuit.state-batch", "circuit-noise.state-batch",
     ],
 )
 def test_array_beyond_memory_exits_3_at_once(tmp_path, monkeypatch, capsys, text, address_space):
     # jump draws, an OFT grid, a 2^n Hamiltonian, a jump family, noise
-    # draws or a gap's real form beyond memory, or beyond an address-space
-    # limit as `ulimit -v` sets one: each run refuses them before it
-    # allocates or loops over anything, in well under a second; a grid
-    # refuses a later point's sizes before its first point runs
+    # draws, a gap's real form or a circuit's state batch beyond memory, or
+    # beyond an address-space limit as `ulimit -v` sets one: each run
+    # refuses them before it allocates or loops over anything, in well
+    # under a second; a grid refuses a later point's sizes, or its
+    # repetitions' state batch, before its first point runs
     if address_space is not None:
         limits = (address_space, resource.RLIM_INFINITY)
         monkeypatch.setattr(resource, "getrlimit", lambda _: limits)
@@ -990,3 +997,18 @@ def test_every_public_name_is_used():
         and name not in PUBLIC_KEEP
     ]
     assert unused == []
+
+
+def test_no_einsum_in_the_package_takes_three_operands():
+    # an einsum of three or more operands runs unoptimized as nested C
+    # loops; a product of stacked operators goes through BLAS instead
+    package = Path(gibbsim.__file__).parent
+    wide = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for call in ast.walk(ast.parse(path.read_text()))
+        if isinstance(call, ast.Call)
+        and (getattr(call.func, "attr", None) or getattr(call.func, "id", None)) == "einsum"
+        and len(call.args) - 1 > 2
+    ]
+    assert wide == []

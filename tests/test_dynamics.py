@@ -1,3 +1,4 @@
+import inspect
 import math
 import re
 import resource
@@ -10,7 +11,8 @@ import scipy.linalg
 import gibbsim as gs
 from gibbsim.circuit import CircuitConfig, NoiseSpec
 from gibbsim.cli import _distances_csv
-from gibbsim.dynamics import JUMP_PROB_CAP, PROPAGATOR_MAX_DIM, _taylor4_propagators
+from gibbsim import dynamics
+from gibbsim.dynamics import JUMP_PROB_CAP, PROPAGATOR_MAX_DIM, _taylor4_propagators, jump_draws
 from gibbsim.errors import ResourceCeiling, StepUnderflow
 from gibbsim.model import RK_STEP_TABLE
 
@@ -318,6 +320,90 @@ def test_solver_arrays_are_checked_before_they_exist(monkeypatch, entry):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("solver", ["exact", "mcwf"])
+def test_a_grid_beyond_memory_is_refused_before_any_array(solver):
+    # 10^11 recorded steps of one kept block: the grid is counted, not
+    # listed, and the exact solver draws nothing, so the ceiling comes
+    # before any step-sized array
+    setup = lindblad_setup("CH", 3, 5)
+    cfg = gs.SolverConfig(dt_rk0=0.25, max_steps=10**11, grid_points=0, state_blocks=1)
+    args = (setup["ham"], setup["lindblads"], setup["gammas"])
+    run = {
+        "exact": lambda: gs.evolve_exact(*args, gs.maximally_mixed(3), cfg, setup["sigma"]),
+        "mcwf": lambda: gs.mcwf_evolve(*args, None, cfg, setup["sigma"]),
+    }[solver]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCeiling, match="grid points"):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_jump_draws_fill_one_array_from_the_streams():
+    # the rows are each stream's one call, as a stack of them would be, and
+    # the peak is the array and one row
+    rngs = [np.random.default_rng([7, i]) for i in range(10)]
+    oracle = np.stack([np.random.default_rng([7, i]).integers(0, 20, 10**4) for i in range(10)])
+    draws = jump_draws(rngs, 20, 10**4)
+    assert draws.dtype == np.int64 and np.array_equal(draws, oracle)
+    n_steps = 10**6
+    tracemalloc.start()
+    try:
+        draws = jump_draws(rngs, 20, n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draws.shape == (10, n_steps)
+    assert peak <= 8 * (10 + 1) * n_steps + 64 * 1024
+
+
+@pytest.mark.parametrize("grid_points", [0, 1, 3, 7, 13, 18])
+def test_recorded_times_follow_the_stride_rule(grid_points):
+    # the grid of 13 steps: step 0, every stride-th step and the last, the
+    # rule the record's index list used to spell out
+    setup = lindblad_setup("CH", 3, 5)
+    n_steps, dt = 13, 0.25
+    cfg = gs.SolverConfig(dt_rk0=dt, n_traj=1, t_max=n_steps * dt, grid_points=grid_points)
+    rec = gs.evolve_exact(
+        setup["ham"], setup["lindblads"], setup["gammas"], gs.maximally_mixed(3), cfg,
+        setup["sigma"],
+    )
+    assert rec.meta["n_steps"] == n_steps and rec.halvings == 0
+    stride = 1 if grid_points <= 0 else max(1, math.ceil(n_steps / grid_points))
+    idx = list(range(0, n_steps + 1, stride))
+    if idx[-1] != n_steps:
+        idx.append(n_steps)
+    assert np.array_equal(rec.times, np.array(idx) * dt)
+
+
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_staged_drift_stack_is_the_batched_matmul_bitwise(monkeypatch, n):
+    # the staged RK4's A stack, filled one jump at a time by drift_operator,
+    # is -0.5 L^dag L - iH from one batched matmul, bit for bit
+    assert 2**n > PROPAGATOR_MAX_DIM
+    setup = lindblad_setup("CH", n, 20)
+    ham, l_ops = setup["ham"], setup["lindblads"]
+    captured = {}
+
+    def capture(generator_for, *_):
+        captured.update(inspect.getclosurevars(generator_for).nonlocals)
+        raise _Captured
+
+    monkeypatch.setattr(dynamics, "_rk4_advance", capture)
+    cfg = gs.SolverConfig(dt_rk0=0.25, n_traj=2, t_max=0.5)
+    with pytest.raises(_Captured):
+        gs.evolve_randomized(ham, l_ops, gs.maximally_mixed(n), cfg, setup["sigma"])
+    oracle = -0.5 * np.matmul(l_ops.conj().transpose(0, 2, 1), l_ops) - 1j * ham
+    assert np.array_equal(captured["a_ops"], oracle)
 
 
 @pytest.mark.parametrize("n", [2, 3])

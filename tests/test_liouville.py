@@ -15,6 +15,7 @@ from gibbsim.liouville import (
     _hermitian_basis,
     _real_form,
     conductance_cheeger,
+    drift_operator,
     markov_restriction,
     unvec,
     vec,
@@ -32,6 +33,19 @@ from conftest import (
 
 
 # ------------------------------------------------------------ construction
+@pytest.mark.parametrize("key,n", [("CH", 3), ("CH", 4), ("REG", 3), ("REG", 4)])
+def test_drift_operator_matches_the_einsum_oracle(key, n):
+    # the one-product jump sum against the three-operand einsum it replaced,
+    # with non-uniform weights; an empty stack leaves -iG
+    s = lindblad_setup(key, n, 12, seed=3)
+    l_ops, ham = s["lindblads"], s["ham"]
+    gammas = np.linspace(0.2, 1.0, 12)
+    decay = np.einsum("a,aij,ajk->ik", gammas, l_ops.conj().transpose(0, 2, 1), l_ops)
+    oracle = -0.5 * decay - 1j * ham
+    a = drift_operator(ham, l_ops, gammas)
+    assert np.max(np.abs(a - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+    assert np.array_equal(drift_operator(ham, l_ops[:0], gammas[:0]), -1j * ham)
+
 def test_superop_action_matches_direct_evaluation(rng):
     setup = lindblad_setup("CH", 3, 20)
     sup = gs.build_superop(setup["ham"], list(setup["lindblads"]), setup["gammas"])

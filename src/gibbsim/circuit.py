@@ -146,22 +146,27 @@ def _coherent_unitary(chain, mode, t, substeps):
 
 def require_protocol_memory(chain, cfg, noise):
     """Raise ResourceCeiling before any work unless a run's arrays fit in
-    memory, each checked on its own, for R = n_rep repetitions of a D x D
-    state: the jump draws (8 R N bytes over N steps); one step's N_g noise
-    placements (8 N_g bytes); the Kraus pairs of J jumps (the sweep's two
-    halves and result, 96 J D^2 bytes); the OFT grid (about 128 bytes a
-    point); and the state batch, the record's two (R + 1)-matrix buffers
-    and `ProtocolEngine.step_wtilde_batch`'s three (R, 2, D, D)
-    temporaries, 16 D^2 (3R + 2) + 96 R D^2 = 16 D^2 (9R + 2) bytes.
-    Returns N_g (0 without noise)."""
+    memory together, for R = n_rep repetitions of a D x D state: the jump
+    draws (8 R N bytes over N steps); one step's N_g noise placements
+    (8 N_g bytes); the Kraus pairs of J jumps (the sweep's two halves and
+    result, 96 J D^2 bytes); the OFT grid (about 128 bytes a point); and
+    the state batch, the record's two (R + 1)-matrix buffers and
+    `ProtocolEngine.step_wtilde_batch`'s three (R, 2, D, D) temporaries,
+    16 D^2 (3R + 2) + 96 R D^2 = 16 D^2 (9R + 2) bytes.  Their sum is
+    checked once, and the message names the largest.  Returns N_g (0
+    without noise)."""
     reps, dim = cfg.n_rep, chain.spec.dim
-    require_memory(8 * reps * cfg.n_steps, f"the jump-draw array of {cfg.n_steps} steps")
     n_g = gate_count(noise, chain.params.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
-    require_memory(8 * n_g, f"the placement draws of {n_g} depolarizing events")
     n_jump, points = cfg.jump_count, 2 * cfg.oft_steps + 1
-    require_memory(96 * n_jump * dim**2, f"the Kraus pairs of {n_jump} jumps")
-    require_memory(128 * points, f"the OFT grid of {points} points")
-    require_memory(16 * dim**2 * (9 * reps + 2), f"the state batch of {reps} repetitions")
+    parts = {
+        f"the jump-draw array of {cfg.n_steps} steps": 8 * reps * cfg.n_steps,
+        f"the placement draws of {n_g} depolarizing events": 8 * n_g,
+        f"the Kraus pairs of {n_jump} jumps": 96 * n_jump * dim**2,
+        f"the OFT grid of {points} points": 128 * points,
+        f"the state batch of {reps} repetitions": 16 * dim**2 * (9 * reps + 2),
+    }
+    largest = max(parts, key=parts.get)
+    require_memory(sum(parts.values()), f"a circuit run whose largest array is {largest}")
     return n_g
 
 

@@ -7,8 +7,10 @@ resource ceiling) before the experiment starts.  The experiment computes
 its artifacts as text from the typed values; `run` writes them once it has
 returned, after a manifest of every key of the table that has a value: as
 the config gives it, else its resolved default in text form, plus
-`out_dir` and `artifact_version`.  Re-running a manifest reproduces the
-outputs byte for byte.  A failed run writes nothing and makes no
+`out_dir` and `artifact_version`.  Re-running a manifest at the same BLAS
+thread count reproduces the outputs byte for byte; the manifest does not
+record that count, and spectral outputs can move in their last digits
+between counts.  A failed run writes nothing and makes no
 directory; a successful one writes only its own file names.
 """
 

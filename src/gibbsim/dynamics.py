@@ -33,8 +33,8 @@ step is one of two:
   generator one RK4 step is the Taylor polynomial P = I + hM + (hM)^2/2 +
   (hM)^3/6 + (hM)^4/24 of its superoperator M, so each attempt builds P_a
   for every jump once, and a step is one matrix-vector product per
-  trajectory.  In the C-order vectorization rho[i, j] at D i + j,
-  M_a = L_a kron conj(L_a) + A_a kron I + I kron conj(A_a), with A below.
+  trajectory.  M_a is `liouville`'s superoperator of the one jump, in its
+  vectorization, which is the state batch's own C order.
   A run holds 16 (J D^4 + D^2 (R + 2(R + 1))) bytes: the propagator
   stack, the state and the two record buffers; building the stack adds
   two D^2 x D^2 work arrays, freed before the run.  It computes the same
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepUnderflow
-from .liouville import drift_operator
+from .liouville import _generator_factors, drift_operator
 from .numkernel import require_memory, trace_distance
 
 DT_FLOOR = 1e-6
@@ -315,25 +315,16 @@ def _taylor4_propagators(ham, l_ops, dt):
     """The (J, D^2, D^2) stack of P_a = I + hM (I + hM/2 (I + hM/3 (I + hM/4))),
     h = dt, for each jump's superoperator M = M_a of -i[H, .] + D^a: the
     Taylor polynomial that one RK4 step of y' = M y applies, so P_a vec(rho)
-    is that step exactly in exact arithmetic.  In the C-order vectorization
-    of the state batch, rho[i, j] at D i + j, vec(X rho Y) = (X kron Y^T)
-    vec(rho), so M_a = L_a kron conj(L_a) + A_a kron I + I kron conj(A_a)
-    with A_a = `drift_operator`(H, [L_a], [1]).  That is formed as
-    m4[i, k, j, l] = M_a[D i + k, D j + l], one outer product plus A_a and
-    conj(A_a) on its diagonal blocks, in one of two D^2 x D^2 work arrays;
-    the Horner products alternate between the other and the stack's slot."""
-    dim = l_ops.shape[-1]
-    n = dim * dim
-    diag = np.arange(dim)
+    is that step exactly in exact arithmetic.  M_a is the `liouville` row
+    kernel's matrix at gamma = 1 (its module docstring has the
+    vectorization), built one jump at a time and freed before the next;
+    the Horner products alternate between one work array and the stack's
+    slot."""
+    n = l_ops.shape[-1] ** 2
     props = np.empty((len(l_ops), n, n), dtype=complex)
-    hm, work = np.empty((2, n, n), dtype=complex)
-    m4 = hm.reshape((dim,) * 4)
+    work = np.empty((n, n), dtype=complex)
     for l_op, prop in zip(l_ops, props):
-        a = drift_operator(ham, l_op[None], np.ones(1))
-        for row, l_row in zip(m4, l_op):  # by rows: one broadcast buffers all of m4
-            np.multiply(l_row[None, :, None], l_op.conj()[:, None, :], out=row)
-        m4[:, diag, :, diag] += a
-        m4[diag, :, diag, :] += a.conj()
+        hm = _generator_factors(ham, l_op[None], np.ones(1)).matrix()
         hm *= dt
         np.multiply(hm, 0.25, out=work)
         work.reshape(-1)[:: n + 1] += 1.0
@@ -342,6 +333,7 @@ def _taylor4_propagators(ham, l_ops, dt):
             if order > 1:
                 dst *= 1.0 / order
             dst.reshape(-1)[:: n + 1] += 1.0
+        del hm
     return props
 
 

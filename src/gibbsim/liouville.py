@@ -1,17 +1,19 @@
 """Vectorized generator, spectral gap, detailed-balance coherent term and Markov restriction.
 
-Vectorization is column-stacking: vec(A rho B) = (B^T kron A) vec(rho).
-`build_superop` returns the dense D^2 x D^2 complex matrix S.
+Vectorization is numpy's C order, ``rho.reshape(-1)``: rho[i, j] sits at
+D i + j, so vec(X rho Y) = (X kron Y^T) vec(rho).  The package uses no
+other.  `build_superop` returns the dense D^2 x D^2 complex matrix S.
 
-Row q + D p of S, read as a D x D matrix over columns s + D r, is
-sum_a gamma_a conj(L_a[p, :])^T L_a[q, :], plus A[q, :] on its row r = p
-and M^T[p, :] on its column s = q (A and M are the left- and right-hand
+Row D i + j of S, read as a D x D matrix over columns D k + l, is
+sum_a gamma_a L_a[i, k] conj(L_a[j, l]), plus A[i, :] on its column l = j
+and M^T[j, :] on its row k = i (A and M are the left- and right-hand
 parts, see `build_superop`).  One row kernel, `_GeneratorFactors.rows`,
 builds any block of rows straight from (G, L_a, gamma_a) as one batched
-product over the jump index; `build_superop` writes S with it, and
-`steady_state_and_gap` gathers its real form from it without ever holding
-S.  A gap therefore holds R and the copy LAPACK factors, 16 D^4 bytes in
-all; S alone would take 16 D^4 more.
+product over the jump index.  `build_superop` and the RK4 propagators of
+`dynamics` take S from it whole, and `steady_state_and_gap` gathers its
+real form from it in row blocks without ever holding S.  A gap therefore
+holds R and the copy LAPACK factors, 16 D^4 bytes in all; S alone would
+take 16 D^4 more.
 
 `steady_state_and_gap` never diagonalizes the complex matrix S:
 
@@ -51,15 +53,6 @@ from .numkernel import require_memory, trace_distance
 REAL_FORM_RTOL = 1e-10
 
 
-def vec(rho):
-    return np.asarray(rho).reshape(-1, order="F")
-
-
-def unvec(v):
-    d = int(round(np.sqrt(v.shape[0])))
-    return v.reshape(d, d, order="F")
-
-
 def _jump_sum(l_ops, gammas):
     """sum_a gamma_a L_a^dag L_a of a (n_jump, D, D) stack, as one product of
     the stacked (n_jump D, D) operators, [L_1; ...; L_J]^dag
@@ -88,8 +81,8 @@ class _GeneratorFactors:
     """The factors of -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .})
     that every row of its superoperator is built from."""
 
-    l_bar: np.ndarray  # (p, r, a) = conj(L_a[p, r])
-    l_weighted: np.ndarray  # (q, a, s) = gamma_a L_a[q, s]
+    l_weighted: np.ndarray  # (i, k, a) = gamma_a L_a[i, k]
+    l_bar: np.ndarray  # (j, a, l) = conj(L_a[j, l])
     drift: np.ndarray  # A, the left-hand part rho -> A rho
     right: np.ndarray  # M^T, the transposed right-hand part rho -> rho M
 
@@ -97,24 +90,29 @@ class _GeneratorFactors:
     def dim(self):
         return self.drift.shape[0]
 
-    def rows(self, p, q):
-        """Rows q + D p of S, for p and q each an int or a slice, over their
-        broadcast; entry [b, r, s] of the (rows, D, D) result is
-        S[q_b + D p_b, s + D r]:
+    def rows(self, i, j):
+        """Rows D i + j of S, for i and j each an int, a slice or an index
+        array, over their broadcast; entry [b, k, l] of the (rows, D, D)
+        result is S[D i_b + j_b, D k + l]:
 
-            sum_a gamma_a conj(L_a[p, r]) L_a[q, s] + [r = p] A[q, s]
-                + [s = q] M^T[p, r].
+            sum_a gamma_a L_a[i, k] conj(L_a[j, l]) + [l = j] A[i, k]
+                + [k = i] M^T[j, l].
 
         The jump sum of the block is one product over the jump index, and
         a slice reads its operands in place.
         """
         d = self.dim
-        out = np.matmul(self.l_bar[p], self.l_weighted[q]).reshape(-1, d, d)
-        ps, qs = (np.ravel(x) for x in np.broadcast_arrays(np.arange(d)[p], np.arange(d)[q]))
+        out = np.matmul(self.l_weighted[i], self.l_bar[j]).reshape(-1, d, d)
+        iv, jv = (np.ravel(x) for x in np.broadcast_arrays(np.arange(d)[i], np.arange(d)[j]))
         b = np.arange(len(out))
-        out[b, ps] += self.drift[qs]
-        out[b, :, qs] += self.right[ps]
+        out[b, :, jv] += self.drift[iv]
+        out[b, iv] += self.right[jv]
         return out
+
+    def matrix(self):
+        """S itself: the rows of every (i, j), as one (D^2, D^2) array."""
+        i = np.arange(self.dim)
+        return self.rows(i[:, None], i).reshape(self.dim**2, -1)
 
 
 def _jump_stack(lindblads, gammas, d):
@@ -144,8 +142,8 @@ def _generator_factors(coherent, lindblads, gammas):
     right = a.conj()
     right += 1j * (g.T - g.conj())
     return _GeneratorFactors(
-        l_bar=np.ascontiguousarray(l_ops.conj().transpose(1, 2, 0)),
-        l_weighted=np.ascontiguousarray((gammas[:, None, None] * l_ops).transpose(1, 0, 2)),
+        l_weighted=np.ascontiguousarray((gammas[:, None, None] * l_ops).transpose(1, 2, 0)),
+        l_bar=np.ascontiguousarray(l_ops.conj().transpose(1, 0, 2)),
         drift=a,
         right=right,
     )
@@ -155,20 +153,17 @@ def build_superop(coherent, lindblads, gammas):
     """Vectorize -i[G, .] + sum_a gamma_a (L_a . L_a^dag - 1/2 {L_a^dag L_a, .})
     for the (D, D) coherent term G (zeros for none).
 
-    S = sum_a gamma_a conj(L_a) kron L_a + I kron A + M^T kron I, where
+    S = sum_a gamma_a L_a kron conj(L_a) + A kron I + I kron M^T, where
     rho -> rho M is the right-hand part, M = iG - (1/2) sum_a gamma_a
-    L_a^dag L_a.  As a 4-D array s4[p, q, r, s] = S[q + D p, s + D r], row
-    block p is written by the same row kernel that `steady_state_and_gap`
-    gathers its real form from.  ResourceCeiling is raised before S, 16 D^4
-    bytes, is allocated when it would not fit (`numkernel.require_memory`).
+    L_a^dag L_a.  It is the row kernel's `matrix`, the rows that
+    `steady_state_and_gap` gathers its real form from.  ResourceCeiling is
+    raised before S, 16 D^4 bytes, is allocated when it would not fit
+    (`numkernel.require_memory`).
     """
     factors = _generator_factors(coherent, lindblads, gammas)
     d = factors.dim
     require_memory(16 * d**4, f"the {d * d} x {d * d} superoperator")
-    s4 = np.empty((d, d, d, d), dtype=complex)
-    for p in range(d):
-        s4[p] = factors.rows(p, slice(None))
-    return s4.reshape(d * d, d * d)
+    return factors.matrix()
 
 
 @dataclass(frozen=True)
@@ -182,12 +177,13 @@ class GapResult:
 
 def _hermitian_basis(d):
     """The orthonormal Hermitian basis {E_ii, (E_ij + E_ji)/sqrt2,
-    i(E_ij - E_ji)/sqrt2 : i < j} as column-stacked vectors, each with two
-    nonzeros: basis vector k is w1[k] e_{m1[k]} + w2[k] e_{m2[k]}.  A
-    diagonal E_ii is written as two halves on the same index."""
+    i(E_ij - E_ji)/sqrt2 : i < j} as vectors, each with two nonzeros:
+    basis vector k is w1[k] e_{m1[k]} + w2[k] e_{m2[k]}, with m1 at (i, j)
+    and m2 at (j, i).  A diagonal E_ii is written as two halves on the
+    same index."""
     diag = np.arange(d) * (d + 1)
     iu, ju = np.triu_indices(d, 1)
-    upper, lower = iu + d * ju, ju + d * iu
+    upper, lower = d * iu + ju, iu + d * ju
     n_pair = len(iu)
     h = np.sqrt(0.5)
     m1 = np.concatenate([diag, upper, upper])
@@ -200,7 +196,7 @@ def _hermitian_basis(d):
 def _real_form(factors, basis):
     """R = U^dag S U in the Hermitian basis U, one group of rows per index i:
     E_ii and the pairs (i, j > i), whose basis vectors have their nonzeros
-    on S rows i + D j and j + D i.  The row kernel builds those as two
+    on S rows D i + j and D j + i.  The row kernel builds those as two
     contiguous blocks; the two nonzeros of every basis vector are then
     gathered across them.  Never forms U, S or a complex D^2 x D^2
     temporary.  Returns R and max |Im(U^dag S U)|."""
@@ -216,11 +212,11 @@ def _real_form(factors, basis):
         n_pair_before = i * d - i * (i + 1) // 2
         pairs = d + n_pair_before + np.arange(d - 1 - i)
         ks = np.concatenate(([i], pairs, pairs + n_pair))
-        col = factors.rows(i, slice(i, None))  # rows j + D i, j >= i
-        row = factors.rows(slice(i + 1, None), i)  # rows i + D j, j > i
-        left = np.concatenate((col[:1], row, row)).reshape(-1, n)  # rows m1[ks]
+        row = factors.rows(i, slice(i, None))  # rows D i + j, j >= i
+        col = factors.rows(slice(i + 1, None), i)  # rows D j + i, j > i
+        left = np.concatenate((row, row[1:])).reshape(-1, n)  # rows m1[ks]
         left *= w1[ks].conj()[:, None]
-        other = np.concatenate((col, col[1:])).reshape(-1, n)  # rows m2[ks]
+        other = np.concatenate((row[:1], col, col)).reshape(-1, n)  # rows m2[ks]
         other *= w2[ks].conj()[:, None]
         left += other
         block = np.take(left, m1, axis=1)
@@ -284,7 +280,7 @@ def steady_state_and_gap(coherent, lindblads, gammas):
     v = np.zeros(d * d, dtype=complex)
     np.add.at(v, m1, w1 * x)
     np.add.at(v, m2, w2 * x)
-    rho = unvec(v)
+    rho = v.reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     tr = np.trace(rho).real
     if abs(tr) < 1e-12 * np.max(np.abs(rho)):

@@ -13,7 +13,7 @@ import scipy.linalg
 
 import gibbsim as gs
 from gibbsim.circuit import CircuitConfig, NoiseSpec, plateau_level, step_v_reference
-from gibbsim.liouville import markov_restriction, conductance_cheeger, unvec, vec
+from gibbsim.liouville import markov_restriction, conductance_cheeger
 from gibbsim.model import RK_STEP_TABLE
 from gibbsim.noisefit import fit_convergence
 
@@ -53,26 +53,26 @@ def channel_iteration_fit(n=3, dt_step=1.0, n_steps=400):
     setup = gap_setup("CH", n, 20)
     superop = gs.build_superop(setup["ham"], setup["lindblads"], setup["gammas"])
     channel = scipy.linalg.expm(dt_step * superop)
-    x = vec(gs.maximally_mixed(n))
+    x = gs.maximally_mixed(n).reshape(-1)
     dists = []
     for _ in range(n_steps):
-        dists.append(gs.trace_distance(unvec(x), setup["sigma"]))
+        dists.append(gs.trace_distance(x.reshape(2**n, 2**n), setup["sigma"]))
         x = channel @ x
     fit = fit_convergence(np.arange(n_steps, dtype=float), np.array(dists))
     return setup, channel, fit
 
 
 def noisy_channel_fixed_point(channel, lam, n, iters=4000):
-    eyev = vec(np.eye(2**n) / 2**n)
-    x = vec(gs.maximally_mixed(n))
+    eyev = (np.eye(2**n) / 2**n).reshape(-1)
+    x = gs.maximally_mixed(n).reshape(-1)
     prev = None
     for _ in range(iters):
         x = channel @ x
-        x = (1 - lam) * x + lam * np.trace(unvec(x)).real * eyev
+        x = (1 - lam) * x + lam * np.trace(x.reshape(2**n, 2**n)).real * eyev
         if prev is not None and np.max(np.abs(x - prev)) < 1e-16:
             break
         prev = x.copy()
-    return unvec(x)
+    return x.reshape(2**n, 2**n)
 
 
 # =====================================================================
@@ -262,7 +262,7 @@ def test_criterion_07_order_checks(rng):
         big = np.zeros((16, 16), dtype=complex)
         big[:8, :8] = rho
         lhs = gs.partial_trace_ancilla(u_k @ big @ u_k.conj().T)
-        rhs = unvec(scipy.linalg.expm(dt * sup) @ vec(rho))
+        rhs = (scipy.linalg.expm(dt * sup) @ rho.reshape(-1)).reshape(8, 8)
         return np.max(np.abs(lhs - rhs))
 
     dil_ratio = dilation_err(0.1) / dilation_err(0.05)
@@ -354,13 +354,13 @@ def test_criterion_10_noise_bounds_on_exact_channel():
         bounds.append(bound)
 
         # measured noisy convergence rate vs alpha - ln(1 - lam)
-        eyev = vec(np.eye(2**n) / 2**n)
-        x = vec(gs.maximally_mixed(n))
+        eyev = (np.eye(2**n) / 2**n).reshape(-1)
+        x = gs.maximally_mixed(n).reshape(-1)
         decay = []
         for _ in range(600):
             x = channel @ x
-            x = (1 - lam) * x + lam * np.trace(unvec(x)).real * eyev
-            decay.append(gs.trace_distance(unvec(x), rho_inf))
+            x = (1 - lam) * x + lam * np.trace(x.reshape(2**n, 2**n)).real * eyev
+            decay.append(gs.trace_distance(x.reshape(2**n, 2**n), rho_inf))
         decay = np.array(decay)
         good = decay > max(10 * decay.min(), 1e-12)
         slope, _ = np.polyfit(np.arange(600)[good], np.log(decay[good]), 1)

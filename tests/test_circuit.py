@@ -14,7 +14,6 @@ from gibbsim.circuit import (
     step_v_reference,
 )
 from gibbsim.errors import DimensionMismatch
-from gibbsim.liouville import unvec, vec
 from gibbsim.numkernel import PAULI_I, PAULI_X
 
 from conftest import BETA, apply_lindbladian, lindblad_setup, point_setup, random_density_matrix
@@ -86,7 +85,7 @@ def test_dilation_identity_second_order(rng):
         big = np.zeros((16, 16), dtype=complex)
         big[:8, :8] = rho
         lhs = gs.partial_trace_ancilla(u @ big @ u.conj().T)
-        rhs = unvec(scipy.linalg.expm(dt * sup) @ vec(rho))
+        rhs = (scipy.linalg.expm(dt * sup) @ rho.reshape(-1)).reshape(8, 8)
         return np.max(np.abs(lhs - rhs))
 
     ratio = err(0.1) / err(0.05)
@@ -285,7 +284,7 @@ def test_step_w_average_matches_exact_channel_second_order(rng):
         engine = ProtocolEngine(setup["chain"], cfg)
         ls = [gs.lindblad_op_exact(a, spec, BETA, bohr) for a in engine.jump_set]
         sup = gs.build_superop(setup["ham"], ls, np.full(8, cfg.gamma / 8))
-        ref = unvec(scipy.linalg.expm(dt_ev * sup) @ vec(rho))
+        ref = (scipy.linalg.expm(dt_ev * sup) @ rho.reshape(-1)).reshape(8, 8)
         avg = np.mean(step_w(engine, spec, cfg, rho, np.arange(8)), axis=0)
         return np.max(np.abs(avg - ref))
 

@@ -695,12 +695,19 @@ def test_manifest_names_every_resolved_key(tmp_path, monkeypatch, experiment):
             "circuit.t_max = 5\ncircuit.n_rep = 100000\ngrid.lambda_g = 1e-4\ngrid.dt_ev = 1\n",
             500_000 * 1024,
         ),
+        (
+            CIRCUIT_N3.replace("circuit.n_rep = 2", "circuit.n_rep = 1000").replace(
+                "circuit.t_max = 5", "circuit.t_max = 500"
+            ),
+            12_000 * 1024,
+        ),
     ],
     ids=[
         "evolve.jump-draws", "circuit.jump-draws", "circuit.oft-grid", "spectrum.n",
         "circuit.kraus-pairs", "gap-scan.lindblad-stack", "evolve.lindblad-stack",
         "circuit.depolarizing-draws", "evolve.address-space", "circuit-noise.later-grid-point",
         "gap-scan.real-form", "circuit.state-batch", "circuit-noise.state-batch",
+        "circuit.sum-of-parts",
     ],
 )
 def test_array_beyond_memory_exits_3_at_once(tmp_path, monkeypatch, capsys, text, address_space):
@@ -709,7 +716,9 @@ def test_array_beyond_memory_exits_3_at_once(tmp_path, monkeypatch, capsys, text
     # beyond an address-space limit as `ulimit -v` sets one: each run
     # refuses them before it allocates or loops over anything, in well
     # under a second; a grid refuses a later point's sizes, or its
-    # repetitions' state batch, before its first point runs
+    # repetitions' state batch, before its first point runs.  A circuit's
+    # arrays count as one sum: its 8.0 MB of jump draws and 9.2 MB of
+    # state batch each fit in 12,000 KiB, and together they do not
     if address_space is not None:
         limits = (address_space, resource.RLIM_INFINITY)
         monkeypatch.setattr(resource, "getrlimit", lambda _: limits)
@@ -1012,3 +1021,20 @@ def test_no_einsum_in_the_package_takes_three_operands():
         and len(call.args) - 1 > 2
     ]
     assert wide == []
+
+
+def test_no_call_in_the_package_passes_fortran_order():
+    # the package has one vectorization, numpy's C order (`liouville`'s
+    # module docstring); a column-stacked reshape would be a second
+    package = Path(gibbsim.__file__).parent
+    fortran = [
+        f"{path.name}:{call.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for call in ast.walk(ast.parse(path.read_text()))
+        if isinstance(call, ast.Call)
+        and any(
+            kw.arg == "order" and isinstance(kw.value, ast.Constant) and kw.value.value == "F"
+            for kw in call.keywords
+        )
+    ]
+    assert fortran == []

@@ -427,16 +427,14 @@ def test_propagator_applies_one_rk4_step(rng, n):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_propagators_are_the_taylor_polynomial_of_build_superop(seed):
-    # the Kronecker build of M_a is the row kernel's superoperator re-indexed
-    # from column stacking to C order, bit for bit, and so is its polynomial
+    # each P_a is the Horner polynomial of the one jump's build_superop,
+    # bit for bit: both take M_a from the same row kernel
     setup = lindblad_setup("CH", 3, 20, seed=seed)
     ham, l_ops, dt = setup["ham"], np.stack(setup["lindblads"]), 0.25
-    n = 64
-    eye = np.eye(n)
+    eye = np.eye(64)
     props = _taylor4_propagators(ham, l_ops, dt)
     for a, L in enumerate(l_ops):
-        s4 = gs.build_superop(ham, [L], [1.0]).reshape((8,) * 4)
-        hm = s4.transpose(1, 0, 3, 2).reshape(n, n) * dt
+        hm = gs.build_superop(ham, [L], [1.0]) * dt
         poly = eye + hm * 0.25
         for order in (3, 2, 1):
             poly = eye + (hm @ poly) * (1.0 / order)

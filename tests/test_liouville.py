@@ -17,8 +17,6 @@ from gibbsim.liouville import (
     conductance_cheeger,
     drift_operator,
     markov_restriction,
-    unvec,
-    vec,
 )
 from gibbsim.model import bohr_frequencies, gibbs_state
 
@@ -52,14 +50,14 @@ def test_superop_action_matches_direct_evaluation(rng):
     for _ in range(10):
         x = random_hermitian(8, rng)
         direct = apply_lindbladian(x, setup["ham"], setup["lindblads"], setup["gammas"])
-        assert np.max(np.abs(unvec(sup @ vec(x)) - direct)) < 1e-10
+        assert np.max(np.abs((sup @ x.reshape(-1)).reshape(8, 8) - direct)) < 1e-10
 
 
 def test_trace_preservation_functional():
     setup = lindblad_setup("CH", 3, 20)
     sup = gs.build_superop(setup["ham"], list(setup["lindblads"]), setup["gammas"])
     # the trace functional acting from the left vanishes
-    left = vec(np.eye(8)).conj() @ sup
+    left = np.eye(8).reshape(-1) @ sup
     assert np.max(np.abs(left)) < 1e-10
 
 
@@ -122,17 +120,18 @@ def test_gap_vs_mixing_time_bound():
 
 # ------------------------------------------ oracle: per-jump kron and eig
 def kron_superop(coherent, lindblads, gammas):
-    """The per-jump np.kron build that build_superop replaced."""
+    """The per-jump np.kron build of S in C order: X rho Y, flattened by
+    reshape(-1), is (X kron Y^T) applied to rho.reshape(-1)."""
     mats = [np.asarray(l) for l in lindblads]
     d = mats[0].shape[0] if mats else np.asarray(coherent).shape[0]
     eye = np.eye(d)
     out = np.zeros((d * d, d * d), dtype=complex)
     if coherent is not None:
         G = np.asarray(coherent, dtype=complex)
-        out += -1j * (np.kron(eye, G) - np.kron(G.T, eye))
+        out += -1j * (np.kron(G, eye) - np.kron(eye, G.T))
     for g, L in zip(gammas, mats):
         LdL = L.conj().T @ L
-        out += g * (np.kron(L.conj(), L) - 0.5 * np.kron(eye, LdL) - 0.5 * np.kron(LdL.T, eye))
+        out += g * (np.kron(L, L.conj()) - 0.5 * np.kron(LdL, eye) - 0.5 * np.kron(eye, LdL.T))
     return out
 
 
@@ -151,7 +150,8 @@ def eig_steady_state_and_gap(matrix):
     if np.max(nonzero.real) > zero_tol:
         raise NonUniqueSteadyState(zero_count)
     gap = float(np.min(np.abs(nonzero.real)))
-    rho = unvec(evecs[:, int(np.argmax(zero_mask))])
+    d = int(round(np.sqrt(len(matrix))))
+    rho = evecs[:, int(np.argmax(zero_mask))].reshape(d, d)
     rho = 0.5 * (rho + rho.conj().T)
     return gap, zero_count, rho / np.trace(rho).real, evals
 
@@ -227,8 +227,9 @@ def test_non_hermitian_coherent_term_raises(rng):
 
 
 def hermitian_basis_unitary(d):
-    """Dense U with columns vec(E_ii), then vec((E_ij + E_ji)/sqrt2) and
-    vec(i(E_ij - E_ji)/sqrt2) over the pairs i < j in row-major order."""
+    """Dense U with columns E_ii, then (E_ij + E_ji)/sqrt2 and
+    i(E_ij - E_ji)/sqrt2 over the pairs i < j in row-major order, each
+    flattened by reshape(-1)."""
 
     def unit(i, j):
         m = np.zeros((d, d), dtype=complex)
@@ -236,9 +237,9 @@ def hermitian_basis_unitary(d):
         return m
 
     pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    cols = [vec(unit(i, i)) for i in range(d)]
-    cols += [vec(unit(i, j) + unit(j, i)) / np.sqrt(2) for i, j in pairs]
-    cols += [vec(1j * (unit(i, j) - unit(j, i))) / np.sqrt(2) for i, j in pairs]
+    cols = [unit(i, i).reshape(-1) for i in range(d)]
+    cols += [(unit(i, j) + unit(j, i)).reshape(-1) / np.sqrt(2) for i, j in pairs]
+    cols += [(1j * (unit(i, j) - unit(j, i))).reshape(-1) / np.sqrt(2) for i, j in pairs]
     return np.array(cols).T
 
 
@@ -442,7 +443,7 @@ def superop_markov_rates(superop, spec, sigma, level_tol=None):
     projs = [spec.vectors[:, idx] @ spec.vectors[:, idx].conj().T for idx in blocks]
     q = np.empty((len(blocks), len(blocks)))
     for i, idx in enumerate(blocks):
-        image = unvec(superop @ vec(projs[i] / len(idx)))
+        image = (superop @ (projs[i] / len(idx)).reshape(-1)).reshape(spec.dim, spec.dim)
         for j in range(len(blocks)):
             q[i, j] = np.trace(projs[j] @ image).real
     pi = np.array([np.trace(proj @ sigma).real for proj in projs])
@@ -555,7 +556,3 @@ def test_contiguous_fallback_upper_bounds_exhaustive():
     assert not contiguous.exhaustive
     assert contiguous.phi >= full.phi - 1e-14
 
-
-def test_vec_unvec_roundtrip(rng):
-    x = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    assert np.array_equal(unvec(vec(x)), x)

@@ -15,9 +15,9 @@ That costs 4(2S + 1) D^3 complex multiply-adds per jump, against
 
 Every circuit function reads H's exponentials from the `model.Chain` it is
 given (`_coherent_unitary`).  A run's byte estimates live in
-`require_protocol_memory` alone, which `simulate_protocol`, `ProtocolEngine`
-and `step_V` call before any work and the CLI calls for every grid point
-before the first one runs.
+`_protocol_parts` alone: `simulate_protocol` and `step_V` check them with
+`require_protocol_memory` before any work, and the CLI checks a grid's
+points with them before the first one runs.
 """
 
 import math
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _run_batched, jump_draws
+from .dynamics import STREAM_BYTES, _record_parts, _run_batched, jump_draws
 from .errors import DimensionMismatch
 from .jumps import filter_time, lindblad_op_discretized, oft_nodes, sample_jump_set
 from .model import maximally_mixed
@@ -144,29 +144,35 @@ def _coherent_unitary(chain, mode, t, substeps):
     return np.linalg.matrix_power(step, substeps)
 
 
-def require_protocol_memory(chain, cfg, noise):
-    """Raise ResourceCeiling before any work unless a run's arrays fit in
-    memory together, for R = n_rep repetitions of a D x D state: the jump
-    draws (8 R N bytes over N steps); one step's N_g noise placements
-    (8 N_g bytes); the Kraus pairs of J jumps (the sweep's two halves and
-    result, 96 J D^2 bytes); the OFT grid (about 128 bytes a point); and
-    the state batch, the record's two (R + 1)-matrix buffers and
-    `ProtocolEngine.step_wtilde_batch`'s three (R, 2, D, D) temporaries,
-    16 D^2 (3R + 2) + 96 R D^2 = 16 D^2 (9R + 2) bytes.  Their sum is
-    checked once, and the message names the largest.  Returns N_g (0
-    without noise)."""
-    reps, dim = cfg.n_rep, chain.spec.dim
+def _protocol_parts(chain, cfg, noise):
+    """What a run holds at its peak, for R = n_rep repetitions of a D x D
+    state, and its N_g (0 without noise): the jump draws and the R streams
+    of jumps, then of noise placements; one step's N_g placements, the
+    Kraus pairs of J jumps (the sweep's two halves and result), the OFT
+    grid, the state batch with `ProtocolEngine.step_wtilde_batch`'s three
+    (R, 2, D, D) temporaries, and the record's buffers and series;
+    ({part: bytes}, N_g)."""
+    reps, dim, n_steps = cfg.n_rep, chain.spec.dim, cfg.n_steps
     n_g = gate_count(noise, chain.params.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
     n_jump, points = cfg.jump_count, 2 * cfg.oft_steps + 1
     parts = {
-        f"the jump-draw array of {cfg.n_steps} steps": 8 * reps * cfg.n_steps,
+        f"the jump-draw array of {n_steps} steps and a stream a repetition":
+            reps * (8 * n_steps + STREAM_BYTES),
         f"the placement draws of {n_g} depolarizing events": 8 * n_g,
         f"the Kraus pairs of {n_jump} jumps": 96 * n_jump * dim**2,
         f"the OFT grid of {points} points": 128 * points,
-        f"the state batch of {reps} repetitions": 16 * dim**2 * (9 * reps + 2),
+        f"the state batch and step temporaries of {reps} repetitions": 112 * reps * dim**2,
+        **_record_parts(reps, dim, n_steps, cfg.grid_points, 0),
     }
-    largest = max(parts, key=parts.get)
-    require_memory(sum(parts.values()), f"a circuit run whose largest array is {largest}")
+    return parts, n_g
+
+
+def require_protocol_memory(chain, cfg, noise):
+    """Raise ResourceCeiling before any work unless a run's arrays,
+    `_protocol_parts`, fit in memory together (`numkernel.require_memory`).
+    Returns N_g."""
+    parts, n_g = _protocol_parts(chain, cfg, noise)
+    require_memory(parts)
     return n_g
 
 
@@ -265,11 +271,11 @@ class ProtocolEngine:
     """The sampled `jump_set` and `kraus`, the (jump, m, D, D) Kraus stack of
     W-tilde for the M-step loop.  The ancilla enters in |0>, so only the
     0-column blocks of V^a act: W-tilde(rho) = sum_m K_m rho K_m^dag with
-    K_m = V^a[m-block, 0-block] U_ev.
+    K_m = V^a[m-block, 0-block] U_ev.  Its caller checks the run's memory
+    first (`require_protocol_memory`).
     """
 
     def __init__(self, chain, cfg):
-        require_protocol_memory(chain, cfg, NoiseSpec())
         self.jump_set = sample_jump_set(chain.params.n, cfg.k, cfg.jump_count, cfg.seed)
         u_ev = _coherent_unitary(chain, cfg.coherent_mode, cfg.dt_ev, cfg.r_delta)
         self.kraus = _sweep(self.jump_set, cfg, chain, np.concatenate([u_ev, np.zeros_like(u_ev)]))
@@ -348,9 +354,11 @@ def simulate_protocol(chain, cfg, noise):
     n_g = require_protocol_memory(chain, cfg, noise)
     engine = ProtocolEngine(chain, cfg)
 
+    # the jump streams are dropped once drawn, before the noise streams exist
     jump_rngs = [np.random.default_rng([cfg.seed, rep, 0]) for rep in range(cfg.n_rep)]
-    noise_rngs = [np.random.default_rng([cfg.seed, rep, 1]) for rep in range(cfg.n_rep)]
     draws = jump_draws(jump_rngs, cfg.jump_count, cfg.n_steps)
+    del jump_rngs
+    noise_rngs = [np.random.default_rng([cfg.seed, rep, 1]) for rep in range(cfg.n_rep)]
 
     def step(rho, j, _scratch):
         return apply_noise(engine.step_wtilde_batch(rho, draws[:, j]), noise, noise_rngs, n_g)

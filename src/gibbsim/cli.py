@@ -15,6 +15,7 @@ directory; a successful one writes only its own file names.
 """
 
 import argparse
+import collections
 import dataclasses
 import json
 import math
@@ -25,22 +26,22 @@ import numpy as np
 
 from . import __version__
 from .chaos import fractal_stats, preset_bases
-from .circuit import (
-    CircuitConfig, NoiseSpec, plateau_level, require_protocol_memory, simulate_protocol,
+from .circuit import CircuitConfig, NoiseSpec, _protocol_parts, plateau_level, simulate_protocol
+from .dynamics import (
+    SolverConfig, _n_steps, _randomized_parts, evolve_randomized, mixing_time_estimate,
 )
-from .dynamics import SolverConfig, evolve_randomized, mixing_time_estimate
 from .errors import ConfigError, GibbsimError, ResourceCeiling
 from .jumps import jump_set_to_text, lindblad_op_exact, sample_jump_set
-from .liouville import steady_state_and_gap
+from .liouville import _generator_parts, steady_state_and_gap
 from .model import (
     Chain,
     IsingParams,
     NAMED_POINTS,
     RK_STEP_TABLE,
+    _dense_parts,
     build_hamiltonian,
     maximally_mixed,
     named_point,
-    require_dense,
 )
 from .noisefit import (
     bound_asymptotic,
@@ -284,13 +285,14 @@ def _distances_csv(record):
 
 def _jump_family(chain, v, count):
     """A sampled `jumps.k`-local set of `count` jumps on the chain and the
-    (count, D, D) stack of its exact OFT Lindblad operators.  The operators
-    and their stack, 32 count D^2 bytes, are checked before the sampling."""
-    require_memory(32 * count * chain.spec.dim**2, f"the Lindblad operators of {count} jumps")
+    (count, D, D) stack of its exact OFT Lindblad operators, filled one
+    operator at a time.  Its callers check the stack, with the run it
+    feeds, before they build it."""
+    dim = chain.spec.dim
     jump_set = sample_jump_set(chain.params.n, v["jumps.k"], count, v["seed"])
-    lindblads = np.stack(
-        [lindblad_op_exact(a, chain.spec, chain.beta, chain.bohr) for a in jump_set]
-    )
+    lindblads = np.empty((count, dim, dim), dtype=complex)
+    for a, l_op in zip(jump_set, lindblads):
+        l_op[...] = lindblad_op_exact(a, chain.spec, chain.beta, chain.bohr)
     return jump_set, lindblads
 
 
@@ -330,7 +332,8 @@ def run_chaos_scan(model, v, threads):
         for h in v["grid.h"]
         for m in v["grid.m"]
     ]
-    require_dense(n, 4, "dense H")  # before the n-letter basis strings
+    # before the n-letter basis strings; the threads build their points' H at once
+    _require_grid_memory([_dense_parts(n)] * len(points), threads)
     bases = preset_bases(n)
     if v["basis"] not in bases:
         raise ConfigError(f"unknown basis {v['basis']!r}; have {sorted(bases)}")
@@ -358,7 +361,12 @@ def _evolve(model, v):
     and `noise-bounds` run; returns its record and jump set."""
     solver = _validated(SolverConfig, **_fields(v, "solver."), seed=v["seed"])
     chain = Chain(model, v["beta"])
-    jump_set, lindblads = _jump_family(chain, v, v["jumps.count"])
+    count = v["jumps.count"]
+    # the first attempt's arrays, the jump family among them, before the family exists
+    require_memory(
+        _randomized_parts(count, chain.spec.dim, solver, _n_steps(solver, solver.dt_rk0))
+    )
+    jump_set, lindblads = _jump_family(chain, v, count)
     record = evolve_randomized(chain.ham, lindblads, maximally_mixed(model.n), solver, chain.sigma)
     return record, jump_set
 
@@ -388,7 +396,19 @@ def _gap_rows(model, v, n_values, threads):
     have no `jumps.count` key.  Each n builds one chain and the Lindblad
     stack of the largest count; a smaller count takes the stack's head,
     since `sample_jump_set` draws a set as the head of any larger one.  The
-    tasks get plain arrays, so threads never fill a chain field."""
+    tasks get plain arrays, so threads never fill a chain field.  Every
+    task's gap arrays are checked before the first chain is built, with n
+    bounded before 2^n is formed."""
+    _require_grid_memory(
+        [
+            _generator_parts(
+                2**n if n < 64 else math.inf, count, f"the real form of a gap at n={n} and its copy"
+            )
+            for n in n_values
+            for count in v["grid.jumps"]
+        ],
+        threads,
+    )
     tasks = []
     for n in n_values:
         chain = Chain(dataclasses.replace(model, n=n), v["beta"])
@@ -432,15 +452,14 @@ def _circuit_config(v, **grid_point):
 
 def _plateau_grid(chain, runs, threads):
     """Plateau distance of the protocol at each (CircuitConfig, NoiseSpec)
-    run.  Callers build every run first and every run's sizes are checked
+    run.  Callers build every run first and the runs' sizes are checked
     here, so that a bad grid value exits 2 or 3 before the first simulation.
     Reading the Gibbs state, and the split spectra for a trotter2 run, fills
     every chain field the runs read before they share the chain."""
     chain.sigma
     if any(cfg.coherent_mode == "trotter2" for cfg, _ in runs):
         chain.split_spectra
-    for run in runs:
-        require_protocol_memory(chain, *run)
+    _require_grid_memory([_protocol_parts(chain, *run)[0] for run in runs], threads)
 
     def one(run):
         return plateau_level(simulate_protocol(chain, *run))
@@ -543,6 +562,18 @@ def run_error_fit(model, v, threads):
         "error_grid.csv": csv_text("times in 1/J", ["dt_ev", "dt_oft", "plateau_distance"], rows),
         "errorfit.json": json_text({"a1": fit.a1, "a2": fit.a2, "a3": fit.a3, "a4": fit.a4}),
     }
+
+
+def _require_grid_memory(budgets, threads):
+    """Raise ResourceCeiling unless the `threads` largest of a grid's point
+    budgets, {part: bytes} dicts, fit in memory together, since
+    `_map_maybe_parallel` runs that many points at once; same-named parts
+    add up."""
+    at_once = sorted(budgets, key=lambda parts: sum(parts.values()), reverse=True)[:threads]
+    total = collections.Counter()
+    for parts in at_once:
+        total.update(parts)
+    require_memory(total)
 
 
 def _map_maybe_parallel(fn, items, threads):

@@ -24,22 +24,21 @@ step is one of two:
 
 - *Staged RK4* (`_rk4_advance`): the exact solver, and randomized runs
   with D > PROPAGATOR_MAX_DIM.  Four generator calls per step, keeping the
-  k-sum and stage input in the record's buffers.  A randomized run holds
-  16 D^2 (J + 5R + 2(R + 1)) bytes beside the caller's J operators and its
-  jump draws: the A stack, the state, one k, L[sel], A[sel], one generator
-  temporary and the two record buffers.
+  k-sum and stage input in the record's buffers.
 - *Propagators* (`_taylor4_propagators`, `_propagator_advance`): randomized
   runs with D <= PROPAGATOR_MAX_DIM (three qubits or fewer).  For a linear
   generator one RK4 step is the Taylor polynomial P = I + hM + (hM)^2/2 +
   (hM)^3/6 + (hM)^4/24 of its superoperator M, so each attempt builds P_a
   for every jump once, and a step is one matrix-vector product per
   trajectory.  M_a is `liouville`'s superoperator of the one jump, in its
-  vectorization, which is the state batch's own C order.
-  A run holds 16 (J D^4 + D^2 (R + 2(R + 1))) bytes: the propagator
-  stack, the state and the two record buffers; building the stack adds
-  two D^2 x D^2 work arrays, freed before the run.  It computes the same
-  polynomial as the staged step, so the two agree to roundoff (about
-  1e-13 relative in the recorded distances), not bit for bit.
+  vectorization, which is the state batch's own C order.  It computes
+  the same polynomial as the staged step, so the two agree to roundoff
+  (about 1e-13 relative in the recorded distances), not bit for bit.
+
+What a run holds at its peak is one {part: bytes} dict per solver, checked
+as a sum by `numkernel.require_memory` before its first run-sized array:
+once per attempt for the RK4 solvers, whose attempts build their arrays in
+`make_advance`, and once for MCWF.  `_record_parts` is the record's share.
 
 The staged step writes the Lindblad generator in three products,
 
@@ -79,6 +78,10 @@ POSITIVITY_TOL = 1e-3
 PROPAGATOR_MAX_DIM = 8
 # mcwf_evolve splits each step into substeps of jump probability below this.
 JUMP_PROB_CAP = 0.05
+# Bytes of one random stream, a numpy Generator with its PCG64 state and
+# seed sequence (1.7 KB traced with numpy 2.4), in the budgets of runs
+# that hold one per trajectory.
+STREAM_BYTES = 2048
 
 
 @dataclass
@@ -95,8 +98,8 @@ class SolverConfig:
     grid_points : distance series is downsampled to about this many points
     state_blocks : B in [0, n_traj]; B > 0 keeps the mean state of B contiguous
         trajectory blocks (trajectory i in block i B // n_traj) at each of the
-        G grid points as `traj_states`, B G 16 D^2 bytes; B = n_traj keeps
-        every trajectory's state, and the exact solver keeps its one state
+        G grid points as `traj_states`; B = n_traj keeps every
+        trajectory's state, and the exact solver keeps its one state
     """
 
     dt_rk0: float
@@ -173,10 +176,9 @@ def _n_steps(cfg, dt):
 
 def jump_draws(rngs, n_jump, n_steps):
     """The (R, n_steps) int64 jump indices in [0, n_jump) of R = len(rngs)
-    trajectories, row r drawn in one call from rngs[r].  Its 8 R n_steps
-    bytes are checked first; the rows fill one preallocated array, so the
-    peak is that array and one row."""
-    require_memory(8 * len(rngs) * n_steps, f"the jump-draw array of {n_steps} steps")
+    trajectories, row r drawn in one call from rngs[r].  The rows fill one
+    preallocated array, so the peak is that array and one row; its caller
+    counts it in the run's budget."""
     draws = np.empty((len(rngs), n_steps), dtype=np.int64)
     for rng, row in zip(rngs, draws):
         row[:] = rng.integers(0, n_jump, size=n_steps)
@@ -205,68 +207,97 @@ def evolve_randomized(ham, lindblads, rho0, cfg, target):
         rngs = [np.random.default_rng([cfg.seed, i]) for i in range(n_traj)]
         return jump_draws(rngs, n_jump, n_steps)
 
-    # the run's arrays of the module docstring, checked before any of them
     if dim <= PROPAGATOR_MAX_DIM:
-        nbytes = 16 * ((n_jump + 2) * dim**4 + (3 * n_traj + 2) * dim**2)
-        require_memory(nbytes, f"the propagators of {n_jump} jumps and {n_traj} states")
-
         def make_advance(dt, n_steps):
             draws = draw(n_steps)
             return _propagator_advance(_taylor4_propagators(ham, l_ops, dt), draws)
 
-        return _evolve_with_halving(make_advance, n_traj, rho0, cfg, target)
+    else:
+        def make_advance(dt, n_steps):
+            draws = draw(n_steps)
+            l_sel, a_sel, tmp = np.empty((3, n_traj) + l_ops.shape[1:], dtype=complex)
+            a_ops = np.empty_like(l_ops)
+            for l_op, a_op in zip(l_ops, a_ops):
+                a_op[...] = drift_operator(ham, l_op[None], np.ones(1))
 
-    nbytes = 16 * (n_jump + 7 * n_traj + 2) * dim**2
-    require_memory(nbytes, f"the staged RK4 arrays of {n_traj} trajectories")
-    l_sel, a_sel, tmp = np.empty((3, n_traj) + l_ops.shape[1:], dtype=complex)
-    a_ops = np.empty_like(l_ops)
-    for l_op, a_op in zip(l_ops, a_ops):
-        a_op[...] = drift_operator(ham, l_op[None], np.ones(1))
+            def generator(rho, out):
+                # `out` holds conj(L[sel]) until L rho L^dag lands in it.
+                l_dag = np.conjugate(l_sel, out=out).transpose(0, 2, 1)
+                np.matmul(l_sel, np.matmul(rho, l_dag, out=tmp), out=out)
+                return _add_hermitian_part(out, a_sel, rho, tmp)
 
-    def generator(rho, out):
-        # `out` holds conj(L[sel]) until L rho L^dag lands in it.
-        l_dag = np.conjugate(l_sel, out=out).transpose(0, 2, 1)
-        np.matmul(l_sel, np.matmul(rho, l_dag, out=tmp), out=out)
-        return _add_hermitian_part(out, a_sel, rho, tmp)
+            def generator_for(j):
+                # mode "raise" would buffer `out`
+                np.take(l_ops, draws[:, j], axis=0, out=l_sel, mode="clip")
+                np.take(a_ops, draws[:, j], axis=0, out=a_sel, mode="clip")
+                return generator
 
-    def make_advance(dt, n_steps):
-        draws = draw(n_steps)
+            return _rk4_advance(generator_for, dt, n_traj, dim)
 
-        def generator_for(j):
-            np.take(l_ops, draws[:, j], axis=0, out=l_sel, mode="clip")  # "raise" would buffer out
-            np.take(a_ops, draws[:, j], axis=0, out=a_sel, mode="clip")
-            return generator
+    def parts(n_steps):
+        return _randomized_parts(n_jump, dim, cfg, n_steps)
 
-        return _rk4_advance(generator_for, dt, n_traj, dim)
+    return _evolve_with_halving(make_advance, parts, n_traj, rho0, cfg, target)
 
-    return _evolve_with_halving(make_advance, n_traj, rho0, cfg, target)
+
+def _randomized_parts(n_jump, dim, cfg, n_steps):
+    """What an attempt of `evolve_randomized` of n_steps steps holds at its
+    peak, for J operators of dimension D and R = cfg.n_traj trajectories:
+    the jump draws and a stream a trajectory, the caller's operators, the
+    propagators with their two work arrays and the state batch (D <=
+    PROPAGATOR_MAX_DIM) or the staged RK4's A stack and five (R, D, D)
+    arrays, and the record's share; a {part: bytes} dict for
+    `numkernel.require_memory`."""
+    n_traj = cfg.n_traj
+    if dim <= PROPAGATOR_MAX_DIM:
+        step_parts = {
+            f"the propagators of {n_jump} jumps and their two work arrays":
+                16 * (n_jump + 2) * dim**4,
+            f"the state batch of {n_traj} trajectories": 16 * n_traj * dim**2,
+        }
+    else:
+        step_parts = {
+            f"the A stack of {n_jump} jumps": 16 * n_jump * dim**2,
+            f"the state batch, one k, L[sel], A[sel] and a generator temporary of {n_traj} "
+            "trajectories": 80 * n_traj * dim**2,
+        }
+    return {
+        f"the jump-draw array of {n_steps} steps and its streams":
+            n_traj * (8 * n_steps + STREAM_BYTES),
+        f"the {n_jump} Lindblad operators": 16 * n_jump * dim**2,
+        **step_parts,
+        **_record_parts(n_traj, dim, n_steps, cfg.grid_points, min(cfg.state_blocks, n_traj)),
+    }
 
 
 def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
     """Deterministic RK4 with the full Lindbladian (all jump channels at once);
     a zero `ham` leaves only the dissipator.  No CLI experiment runs it; it is
-    the exact reference that the solver tests compare the randomized scheme with.
-
-    Beside the caller's J operators it holds 16 D^2 (4J + 8) bytes, checked
-    before any is allocated: the weighted stack, L^dag, the generator's two
-    (J, D, D) products, and eight single matrices (A, the state, one k and
-    the record's buffers)."""
+    the exact reference that the solver tests compare the randomized scheme with."""
     l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)
     n_jump, dim = len(l_ops), l_ops.shape[-1]
-    require_memory(16 * dim**2 * (4 * n_jump + 8), f"the exact RK4 arrays of {n_jump} jumps")
-    l_weighted = gammas[:, None, None] * l_ops
-    l_dag = l_ops.conj().transpose(0, 2, 1)
-    a_op = drift_operator(ham, l_ops, gammas)
 
-    def generator(rho, out):
-        np.matmul(l_weighted, np.matmul(rho, l_dag)).sum(axis=0, keepdims=True, out=out)
-        return _add_hermitian_part(out, a_op, rho)
+    def parts(n_steps):
+        return {
+            f"the {n_jump} Lindblad operators, their weighted stack, L^dag and the generator's "
+            "two products": 80 * n_jump * dim**2,
+            "A, the state, one k and the generator's X": 64 * dim**2,
+            **_record_parts(1, dim, n_steps, cfg.grid_points, min(cfg.state_blocks, 1)),
+        }
 
     def make_advance(dt, n_steps):
+        l_weighted = gammas[:, None, None] * l_ops
+        l_dag = l_ops.conj().transpose(0, 2, 1)
+        a_op = drift_operator(ham, l_ops, gammas)
+
+        def generator(rho, out):
+            np.matmul(l_weighted, np.matmul(rho, l_dag)).sum(axis=0, keepdims=True, out=out)
+            return _add_hermitian_part(out, a_op, rho)
+
         return _rk4_advance(lambda j: generator, dt, 1, dim)
 
-    return _evolve_with_halving(make_advance, 1, rho0, cfg, target)
+    return _evolve_with_halving(make_advance, parts, 1, rho0, cfg, target)
 
 
 def _add_hermitian_part(out, a, rho, x=None):
@@ -354,25 +385,31 @@ def _propagator_advance(props, draws):
     return advance
 
 
-def _evolve_with_halving(make_advance, n_traj, rho0, cfg, target):
+def _evolve_with_halving(make_advance, parts, n_traj, rho0, cfg, target):
     """A batch of n_traj trajectories from rho0 through `_run_batched`,
     restarted from rho0 with half the step whenever the attempt fails.
 
     make_advance(dt, n_steps) returns the step map of an attempt of n_steps
     steps of dt, advance(rho, j, scratch), which overwrites the batch rho
-    with its step j and may use the record's buffers `scratch`; a
-    randomized attempt draws its jumps there.  The gate (Hermitian to
-    herm_tol, positive trace), the symmetrization and the renormalization
-    follow it here, in those buffers.  RK4 beyond its stability region gives Hermitian states
-    that are not positive some steps before the gate fires, so an attempt
-    also fails when a recorded trace distance exceeds 1 or a final
-    trajectory state has an eigenvalue below -POSITIVITY_TOL.
+    with its step j and may use the record's buffers `scratch`; an attempt
+    builds all its arrays there, and a randomized one draws its jumps
+    there.  parts(n_steps) is what the attempt holds, the record's share
+    (`_record_parts`) included; it is checked as one sum before
+    make_advance, and a failed attempt's arrays go before the next one's
+    check.  The gate (Hermitian to herm_tol, positive trace), the
+    symmetrization and the renormalization follow it here, in those
+    buffers.  RK4 beyond its stability region gives Hermitian states that
+    are not positive some steps before the gate fires, so an attempt also
+    fails when a recorded trace distance exceeds 1 or a final trajectory
+    state has an eigenvalue below -POSITIVITY_TOL.
     """
     dt = cfg.dt_rk0
     halvings = 0
     final = None
+    blocks = min(cfg.state_blocks, n_traj)
     while True:
         n_steps = _n_steps(cfg, dt)
+        require_memory(parts(n_steps))
         advance = make_advance(dt, n_steps)
 
         def step(rho, j, scratch):
@@ -392,7 +429,7 @@ def _evolve_with_halving(make_advance, n_traj, rho0, cfg, target):
         try:
             record = _run_batched(
                 step, np.broadcast_to(rho0, (n_traj,) + np.shape(rho0)), n_steps,
-                dt, cfg.grid_points, target, cfg.stop_below, min(cfg.state_blocks, n_traj),
+                dt, cfg.grid_points, target, cfg.stop_below, blocks,
             )
             lowest = np.linalg.eigvalsh(final).min()
             if not (record.per_traj_distance.max() <= 1.0 and lowest >= -POSITIVITY_TOL):
@@ -402,10 +439,28 @@ def _evolve_with_halving(make_advance, n_traj, rho0, cfg, target):
             dt *= 0.5
             if dt < DT_FLOOR:
                 raise StepUnderflow(f"step fell below {DT_FLOOR}/J after {halvings} halvings")
-            del advance  # its arrays go before the next attempt builds its own
+            advance = record = final = None
             continue
         record.halvings = halvings
         return record
+
+
+def _grid(n_steps, grid_points):
+    """The stride of a run's grid and its point count G (`_run_batched`)."""
+    stride = 1 if grid_points <= 0 else max(1, math.ceil(n_steps / grid_points))
+    return stride, n_steps // stride + 1 + (n_steps % stride > 0)
+
+
+def _record_parts(n_traj, dim, n_steps, grid_points, state_blocks):
+    """What `_run_batched` holds itself for R trajectories of dimension D:
+    its two (R + 1)-matrix buffers, and at each of the G grid points a time,
+    R + 1 distances and B block states; a {part: bytes} dict."""
+    n_grid = _grid(n_steps, grid_points)[1]
+    return {
+        f"the record's two buffers of {n_traj + 1} matrices": 32 * (n_traj + 1) * dim**2,
+        f"the distances and block states of {n_grid} grid points":
+            8 * n_grid * (n_traj + 2 + 2 * state_blocks * dim**2),
+    }
 
 
 def _run_batched(
@@ -426,8 +481,9 @@ def _run_batched(
     first grid point whose averaged distance is below `stop_below`.  With
     state_blocks = B > 0 the record also keeps the mean density of each of
     B contiguous blocks of trajectories (trajectory i in block i B // R) as
-    `traj_states`: B G 16 D^2 bytes over the G grid points, and as much
-    again for their final copy, checked before the first step.
+    `traj_states`.  The series are allocated once, a row per grid point,
+    and a run that stops early returns their head; its callers count its
+    arrays in their budgets (`_record_parts`).
 
     The record forms the (R + 1)-matrix difference and its conjugate in two
     buffers allocated once per run.  Between grid points their first R
@@ -435,10 +491,7 @@ def _run_batched(
     step may overwrite them freely, but what it leaves there does not
     survive the next record, and the state it returns must not live in them.
     """
-    stride = 1 if grid_points <= 0 else max(1, math.ceil(n_steps / grid_points))
-    n_grid = n_steps // stride + 1 + (n_steps % stride > 0)
-    kept_bytes = 2 * 16 * state_blocks * n_grid * np.size(target)
-    require_memory(kept_bytes, f"the block states of {n_grid} grid points")
+    stride, n_grid = _grid(n_steps, grid_points)
     states = np.array(states, dtype=complex, order="C")
     n_traj = len(states)
     work = np.empty((2, n_traj + 1) + np.shape(target), dtype=complex)
@@ -447,22 +500,25 @@ def _run_batched(
     starts = np.flatnonzero(np.diff(block, prepend=-1))  # each block's first trajectory
     sizes = np.bincount(block)[:, None, None]
 
-    times, avg_dist, per_dist, kept = [], [], [], []
+    times, avg_dist = np.empty((2, n_grid))
+    per_dist = np.empty((n_grid, n_traj))
+    kept = np.empty((n_grid, state_blocks) + np.shape(target), dtype=complex)
+    count = 0
 
     def record_point(j, states):
+        nonlocal count
         stack = work[0]
         to_density(stack[:-1], states)
         if state_blocks:
-            blocks = np.add.reduceat(stack[:-1], starts, axis=0)
-            blocks /= sizes
-            kept.append(blocks)
+            np.add.reduceat(stack[:-1], starts, axis=0, out=kept[count])
+            kept[count] /= sizes
         avg = stack[:-1].mean(axis=0)
         avg = 0.5 * (avg + avg.conj().transpose())
         stack[-1] = avg
         dist = trace_distance(stack, target, work)
-        times.append(j * dt)
-        avg_dist.append(float(dist[-1]))
-        per_dist.append(dist[:-1])
+        times[count], avg_dist[count] = j * dt, dist[-1]
+        per_dist[count] = dist[:-1]
+        count += 1
         return avg
 
     avg = record_point(0, states)
@@ -471,18 +527,18 @@ def _run_batched(
         states = step(states, j - 1, scratch)
         if j % stride == 0 or j == n_steps:
             avg = record_point(j, states)
-            if stop_below is not None and avg_dist[-1] < stop_below:
+            if stop_below is not None and avg_dist[count - 1] < stop_below:
                 stopped = True
                 break
 
     return EvolutionRecord(
-        times=np.array(times),
-        per_traj_distance=np.array(per_dist).T,
-        avg_distance=np.array(avg_dist),
+        times=times[:count],
+        per_traj_distance=per_dist[:count].T,
+        avg_distance=avg_dist[:count],
         final_dt_rk=dt,
         halvings=0,
         final_avg_state=avg,
-        traj_states=np.array(kept).transpose(1, 0, 2, 3) if state_blocks else None,
+        traj_states=kept[:count].transpose(1, 0, 2, 3) if state_blocks else None,
         meta={"n_steps": n_steps, "stopped_early": stopped},
     ).validate()
 
@@ -503,26 +559,29 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target):
     the stream (seed, i): its basis state when psi0 is None, its first
     threshold, then a channel and a new threshold per jump.  The density
     estimate is the trajectory mean of psi psi^dag / |psi|^2; state_blocks
-    and stop_below act as for the other solvers.
+    and stop_below act as for the other solvers, and what the run holds is
+    checked before any of it is allocated.
 
     psi0 is a length-D vector of finite nonzero norm (normalized here), or
     None to unravel the maximally mixed state by drawing a computational
     basis state per trajectory.  No CLI experiment runs it; acceptance
     criterion 15 checks the randomized scheme against it.
-
-    Beside the caller's J operators it holds 16 (2 J D^2 + R J D +
-    (2R + 5) D^2) bytes, checked before any is allocated: the two stacks
-    of `drift_operator` (then the flattened stack), one rate call's
-    amplitudes, the record's two (R + 1)-matrix buffers, and H_eff, a
-    propagator and the identity the basis states come from.
     """
     import scipy.linalg  # imported here so that importing gibbsim loads numpy only
 
     l_ops = np.asarray(lindblads, dtype=complex)
     gammas = np.asarray(gammas, dtype=float)
     n_jump, dim = len(l_ops), l_ops.shape[-1]
-    nbytes = 16 * (2 * n_jump * dim**2 + cfg.n_traj * n_jump * dim + (2 * cfg.n_traj + 5) * dim**2)
-    require_memory(nbytes, f"the MCWF arrays of {n_jump} jumps")
+    dt = cfg.dt_rk0
+    n_steps = _n_steps(cfg, dt)
+    require_memory({
+        f"the {n_jump} Lindblad operators and drift_operator's two stacks (then the flattened "
+        "stack)": 48 * n_jump * dim**2,
+        f"one rate call's amplitudes and the states and streams of {cfg.n_traj} trajectories":
+            cfg.n_traj * (16 * (n_jump + 1) * dim + STREAM_BYTES),
+        "H_eff, a propagator and the identity the basis states come from": 48 * dim**2,
+        **_record_parts(cfg.n_traj, dim, n_steps, cfg.grid_points, cfg.state_blocks),
+    })
     h_eff = 1j * drift_operator(ham, l_ops, gammas)  # H - (i/2) sum_a gamma_a L_a^dag L_a
     rngs = [np.random.default_rng([cfg.seed, i]) for i in range(cfg.n_traj)]
     if psi0 is None:
@@ -536,7 +595,6 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target):
     thresholds = np.array([rng.random() for rng in rngs])
     # psi @ l_flat stacks the amplitudes L_a psi of every channel a.
     l_flat = l_ops.transpose(2, 0, 1).reshape(dim, -1)
-    dt = cfg.dt_rk0
     propagators = {}
 
     def rates(psi):
@@ -575,7 +633,7 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target):
         np.multiply(unit[:, :, None], unit.conj()[:, None, :], out=out)
 
     return _run_batched(
-        step, np.broadcast_to(psi_start, (cfg.n_traj, dim)), _n_steps(cfg, dt), dt,
+        step, np.broadcast_to(psi_start, (cfg.n_traj, dim)), n_steps, dt,
         cfg.grid_points, target, cfg.stop_below, cfg.state_blocks, to_density,
     )
 

@@ -12,8 +12,7 @@ builds any block of rows straight from (G, L_a, gamma_a) as one batched
 product over the jump index.  `build_superop` and the RK4 propagators of
 `dynamics` take S from it whole, and `steady_state_and_gap` gathers its
 real form from it in row blocks without ever holding S.  A gap therefore
-holds R and the copy LAPACK factors, 16 D^4 bytes in all; S alone would
-take 16 D^4 more.
+holds R and the copy LAPACK factors, and never S.
 
 `steady_state_and_gap` never diagonalizes the complex matrix S:
 
@@ -91,15 +90,15 @@ class _GeneratorFactors:
         return self.drift.shape[0]
 
     def rows(self, i, j):
-        """Rows D i + j of S, for i and j each an int, a slice or an index
-        array, over their broadcast; entry [b, k, l] of the (rows, D, D)
-        result is S[D i_b + j_b, D k + l]:
+        """Rows D i + j of S, for i and j each an int, a slice, an index
+        array or a basic index such as np.s_[:, None], over their broadcast;
+        entry [b, k, l] of the (rows, D, D) result is S[D i_b + j_b, D k + l]:
 
             sum_a gamma_a L_a[i, k] conj(L_a[j, l]) + [l = j] A[i, k]
                 + [k = i] M^T[j, l].
 
         The jump sum of the block is one product over the jump index, and
-        a slice reads its operands in place.
+        a basic index reads its operands in place.
         """
         d = self.dim
         out = np.matmul(self.l_weighted[i], self.l_bar[j]).reshape(-1, d, d)
@@ -110,9 +109,9 @@ class _GeneratorFactors:
         return out
 
     def matrix(self):
-        """S itself: the rows of every (i, j), as one (D^2, D^2) array."""
-        i = np.arange(self.dim)
-        return self.rows(i[:, None], i).reshape(self.dim**2, -1)
+        """S itself: the rows of every (i, j), as one (D^2, D^2) array.  The
+        index pair reads the factors as broadcast views, not gathered copies."""
+        return self.rows(np.s_[:, None], np.s_[:]).reshape(self.dim**2, -1)
 
 
 def _jump_stack(lindblads, gammas, d):
@@ -128,14 +127,31 @@ def _jump_stack(lindblads, gammas, d):
     return l_ops.reshape(len(l_ops), d, d), gammas
 
 
-def _generator_factors(coherent, lindblads, gammas):
-    """Check (G, L_a, gamma_a) and gather the factors of the generator's rows;
-    D is G's dimension."""
+def _generator_terms(coherent, lindblads, gammas):
+    """Check (G, L_a, gamma_a): a complex square G, its dimension D, and the
+    `_jump_stack` of D x D operators and weights."""
     g = np.asarray(coherent, dtype=complex)
     d = g.shape[0]
     if g.shape != (d, d):
         raise DimensionMismatch(f"coherent term of shape {g.shape} is not square")
-    l_ops, gammas = _jump_stack(lindblads, gammas, d)
+    return (g, *_jump_stack(lindblads, gammas, d))
+
+
+def _generator_parts(d, n_jump, square):
+    """What `build_superop` and `steady_state_and_gap` hold at their peak,
+    for J operators of dimension D: the caller's stack with the factors' two
+    copies of it, and `square`, the name of the call's D^2 x D^2 array (or
+    pair of real ones); a {part: bytes} dict for `numkernel.require_memory`."""
+    return {
+        f"the {n_jump} Lindblad operators and their two factor copies": 48 * n_jump * d**2,
+        square: 16 * d**4,
+    }
+
+
+def _generator_factors(coherent, lindblads, gammas):
+    """Check (G, L_a, gamma_a) and gather the factors of the generator's rows;
+    D is G's dimension."""
+    g, l_ops, gammas = _generator_terms(coherent, lindblads, gammas)
     a = drift_operator(g, l_ops, gammas)
     # M^T = conj(A) when G is Hermitian; the correction keeps -i[G, .]
     # exact for any G.
@@ -157,13 +173,13 @@ def build_superop(coherent, lindblads, gammas):
     rho -> rho M is the right-hand part, M = iG - (1/2) sum_a gamma_a
     L_a^dag L_a.  It is the row kernel's `matrix`, the rows that
     `steady_state_and_gap` gathers its real form from.  ResourceCeiling is
-    raised before S, 16 D^4 bytes, is allocated when it would not fit
-    (`numkernel.require_memory`).
+    raised before the factors or S are allocated when they would not fit
+    (`_generator_parts`).
     """
-    factors = _generator_factors(coherent, lindblads, gammas)
-    d = factors.dim
-    require_memory(16 * d**4, f"the {d * d} x {d * d} superoperator")
-    return factors.matrix()
+    g, l_ops, gammas = _generator_terms(coherent, lindblads, gammas)
+    d = len(g)
+    require_memory(_generator_parts(d, len(l_ops), f"the {d * d} x {d * d} superoperator"))
+    return _generator_factors(g, l_ops, gammas).matrix()
 
 
 @dataclass(frozen=True)
@@ -236,8 +252,8 @@ def steady_state_and_gap(coherent, lindblads, gammas):
 
     Works on the real Hermitian-basis form R only, built straight from the
     operators (module docstring), so it holds R and the copy LAPACK
-    factors, 16 D^4 bytes, and never the complex superoperator; those bytes
-    are checked before any is allocated (`numkernel.require_memory`).
+    factors and never the complex superoperator; what it holds is checked
+    before any of it is allocated (`_generator_parts`).
     The zero cluster collects eigenvalues of modulus below
     1e-9 * max|Re lambda| (with a floor of 1e-12 * max|lambda| so that a
     purely coherent generator still exposes its exact fixed points).
@@ -246,9 +262,11 @@ def steady_state_and_gap(coherent, lindblads, gammas):
     (its Hermitian-basis form has an imaginary part above
     REAL_FORM_RTOL * max|R|).
     """
-    factors = _generator_factors(coherent, lindblads, gammas)
-    d = factors.dim
-    require_memory(16 * d**4, f"the real form of a {d * d} x {d * d} generator and its LAPACK copy")
+    g, l_ops, gammas = _generator_terms(coherent, lindblads, gammas)
+    d = len(g)
+    square = f"the real form of a {d * d} x {d * d} generator and its LAPACK copy"
+    require_memory(_generator_parts(d, len(l_ops), square))
+    factors = _generator_factors(g, l_ops, gammas)
     basis = _hermitian_basis(d)
     r, imag = _real_form(factors, basis)
     r_max = float(max(r.max(), -r.min()))

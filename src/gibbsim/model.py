@@ -91,11 +91,18 @@ class BohrSpectrum:
         return self.frequencies[self.pair_index]
 
 
-def require_dense(n, count, what):
-    """Raise ResourceCeiling unless `count` dense complex 2^n x 2^n arrays fit
-    in memory (`numkernel.require_memory`).  n is bounded before 2^n is
-    formed: at n = 10^12 forming it alone would not finish."""
-    require_memory(16 * count * 4.0**n if n < 64 else math.inf, f"{what} at n={n}")
+def _dense_parts(n):
+    """What building and diagonalizing a 2^n x 2^n H hold: H, its
+    eigenvectors and the two temporaries of the eigensolve's reconstruction
+    check, dense complex arrays; a {part: bytes} dict for
+    `numkernel.require_memory`.  n is bounded before 2^n is formed: at
+    n = 10^12 forming it alone would not finish."""
+    matrix = 16 * 4.0**n if n < 64 else math.inf
+    return {
+        f"dense H at n={n}": matrix,
+        f"its eigenvectors at n={n}": matrix,
+        f"the two reconstruction-check temporaries at n={n}": 2 * matrix,
+    }
 
 
 def build_hamiltonian(p):
@@ -104,13 +111,12 @@ def build_hamiltonian(p):
     Site 0 is the leftmost (most significant) tensor factor.  Row r's
     z_i = 1 - 2 bit_{n-1-i}(r) is summed into the diagonal by the float
     operations, in the order, of the Kronecker-product sum (same bits);
-    0 - h goes to (r, r XOR 2^{n-1-i}).  Building and diagonalizing H hold
-    four dense D x D complex arrays (H, its eigenvectors and two
-    reconstruction-check temporaries).  ResourceCeiling is raised before
-    any allocation when they would not fit (`require_dense`).
+    0 - h goes to (r, r XOR 2^{n-1-i}).  ResourceCeiling is raised before
+    any allocation when building and diagonalizing H would not fit in
+    memory (`_dense_parts`).
     """
     n = p.n
-    require_dense(n, 4, "dense H")
+    require_memory(_dense_parts(n))
     dim = 2**n
     rows = np.arange(dim)
     z = [1.0 - 2.0 * ((rows >> (n - 1 - i)) & 1) for i in range(n)]

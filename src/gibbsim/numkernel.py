@@ -45,16 +45,24 @@ class Spectrum:
         return self.vectors @ a @ self.vectors.conj().T
 
 
-def require_memory(nbytes, what):
-    """Raise ResourceCeiling, before anything is allocated, when `what`
-    needs more than the physical memory or a finite address-space limit
-    (RLIMIT_AS, as `ulimit -v` sets it), whichever is smaller."""
+def require_memory(parts):
+    """Raise ResourceCeiling, before anything is allocated, when a run's
+    `parts`, a {what: bytes} dict of everything it holds at its peak, need
+    more together than the physical memory or a finite address-space limit
+    (RLIMIT_AS, as `ulimit -v` sets it), whichever is smaller.  The sum is
+    checked once, and the message names the largest part.  Each library
+    entry point calls it once before its first run-sized array, the RK4
+    solvers once per attempt."""
     limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     address_space = resource.getrlimit(resource.RLIMIT_AS)[0]
     if address_space != resource.RLIM_INFINITY:
         limit = min(limit, address_space)
-    if nbytes > limit:
-        raise ResourceCeiling(f"{what} needs {nbytes:.3g} bytes, memory is {limit:.3g}")
+    total = sum(parts.values())
+    if total > limit:
+        largest = max(parts, key=parts.get)
+        raise ResourceCeiling(
+            f"a run whose largest part is {largest} needs {total:.3g} bytes, memory is {limit:.3g}"
+        )
 
 
 def eig_hermitian(a):

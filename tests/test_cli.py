@@ -701,13 +701,24 @@ def test_manifest_names_every_resolved_key(tmp_path, monkeypatch, experiment):
             ),
             12_000 * 1024,
         ),
+        (
+            "experiment = gap-scan\npoint = CH\ngrid.n = 3 4 5 7\nallow_large = true\n",
+            2_000_000 * 1024,
+        ),
+        (
+            "experiment = evolve\npoint = CH\nn = 3\njumps.count = 100\n"
+            "solver.max_steps = 110000\n",
+            12_000 * 1024,
+        ),
+        (EVOLVE_N3 + "jumps.count = 100000\n", 1_500_000 * 1024),
     ],
     ids=[
         "evolve.jump-draws", "circuit.jump-draws", "circuit.oft-grid", "spectrum.n",
         "circuit.kraus-pairs", "gap-scan.lindblad-stack", "evolve.lindblad-stack",
         "circuit.depolarizing-draws", "evolve.address-space", "circuit-noise.later-grid-point",
         "gap-scan.real-form", "circuit.state-batch", "circuit-noise.state-batch",
-        "circuit.sum-of-parts",
+        "circuit.sum-of-parts", "gap-scan.later-grid-point", "evolve.sum-of-parts",
+        "evolve.propagators-before-family",
     ],
 )
 def test_array_beyond_memory_exits_3_at_once(tmp_path, monkeypatch, capsys, text, address_space):
@@ -716,9 +727,12 @@ def test_array_beyond_memory_exits_3_at_once(tmp_path, monkeypatch, capsys, text
     # beyond an address-space limit as `ulimit -v` sets one: each run
     # refuses them before it allocates or loops over anything, in well
     # under a second; a grid refuses a later point's sizes, or its
-    # repetitions' state batch, before its first point runs.  A circuit's
-    # arrays count as one sum: its 8.0 MB of jump draws and 9.2 MB of
-    # state batch each fit in 12,000 KiB, and together they do not
+    # repetitions' state batch, before its first point runs.  A run's
+    # arrays count as one sum: a circuit's 8.0 MB of jump draws and 9.2 MB
+    # of state batch, or an evolve run's 8.8 MB of jump draws and 6.7 MB of
+    # propagators, each fit in 12,000 KiB, and together they do not; and an
+    # evolve run's 6.6 GB of propagators are refused before its 100000
+    # Lindblad operators are built
     if address_space is not None:
         limits = (address_space, resource.RLIM_INFINITY)
         monkeypatch.setattr(resource, "getrlimit", lambda _: limits)
@@ -728,6 +742,44 @@ def test_array_beyond_memory_exits_3_at_once(tmp_path, monkeypatch, capsys, text
     assert time.perf_counter() - start < 1.0
     assert capsys.readouterr().err.startswith("resource ceiling:")
     assert not (tmp_path / "od").exists()
+
+
+class _PointBudgets(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "experiment = gap-scan\npoint = CH\ngrid.n = 4\ngrid.jumps = 10 20\n",
+        "experiment = circuit-noise\npoint = CH\nn = 3\ncircuit.dt_oft = 0.2\n"
+        "circuit.t_max = 5\ncircuit.n_rep = 1000\ngrid.lambda_g = 0 1e-4\ngrid.dt_ev = 1\n",
+        "experiment = chaos-scan\nn = 3\ngrid.h = 0.5 0.6\ngrid.m = 0.4\n",
+    ],
+    ids=["gap-scan", "circuit-noise", "chaos-scan"],
+)
+def test_threads_check_the_points_they_run_at_once(tmp_path, monkeypatch, capsys, text):
+    # --threads K runs K grid points at once, so the K largest point budgets
+    # must fit together: under a limit that the larger point fits and the
+    # two together do not, two threads exit 3 before any point runs and one
+    # thread runs the grid
+    cfg = write_cfg(tmp_path, "run.cfg", text)
+
+    def point_budgets(budgets, threads):
+        raise _PointBudgets(sorted(sum(parts.values()) for parts in budgets))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gibbsim.cli, "_require_grid_memory", point_budgets)
+        with pytest.raises(_PointBudgets) as seen:
+            main(["run", cfg])
+    smaller, larger = seen.value.args[0]
+    limit = larger + smaller // 2
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (limit, resource.RLIM_INFINITY))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out), "--threads", "2"]) == 3
+    assert capsys.readouterr().err.startswith("resource ceiling:")
+    assert not out.exists()
+    assert main(["run", cfg, "--out-dir", str(out), "--threads", "1"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -1038,3 +1090,49 @@ def test_no_call_in_the_package_passes_fortran_order():
         )
     ]
     assert fortran == []
+
+
+# The functions that may check a run's memory: each library entry point
+# once (the RK4 solvers once per attempt, in `_evolve_with_halving`), and
+# the CLI's checks of an evolve run before its jump family and of a grid
+# before its first point.  A helper that checked the arrays it allocates
+# would check them alone, not as parts of its run's sum.
+MEMORY_CHECKS = [
+    "circuit.require_protocol_memory",
+    "cli._evolve",
+    "cli._require_grid_memory",
+    "dynamics._evolve_with_halving",
+    "dynamics.mcwf_evolve",
+    "liouville.build_superop",
+    "liouville.steady_state_and_gap",
+    "model.build_hamiltonian",
+]
+
+
+def test_only_the_entry_points_check_memory():
+    # one require_memory call in each function above and in no other, so
+    # jump_draws, _run_batched, ProtocolEngine and _jump_family never check
+    # their own arrays
+    package = Path(gibbsim.__file__).parent
+    callers = []
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.scope = [module]
+
+        def visit_scope(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_FunctionDef = visit_ClassDef = visit_scope
+
+        def visit_Call(self, call):
+            name = getattr(call.func, "attr", None) or getattr(call.func, "id", None)
+            if name == "require_memory":
+                callers.append(".".join(self.scope))
+            self.generic_visit(call)
+
+    for path in sorted(package.glob("*.py")):
+        Calls(path.stem).visit(ast.parse(path.read_text()))
+    assert sorted(callers) == MEMORY_CHECKS

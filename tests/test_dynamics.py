@@ -12,7 +12,9 @@ import gibbsim as gs
 from gibbsim.circuit import CircuitConfig, NoiseSpec
 from gibbsim.cli import _distances_csv
 from gibbsim import dynamics
-from gibbsim.dynamics import JUMP_PROB_CAP, PROPAGATOR_MAX_DIM, _taylor4_propagators, jump_draws
+from gibbsim.dynamics import (
+    JUMP_PROB_CAP, PROPAGATOR_MAX_DIM, STREAM_BYTES, _taylor4_propagators, jump_draws,
+)
 from gibbsim.errors import ResourceCeiling, StepUnderflow
 from gibbsim.model import RK_STEP_TABLE
 
@@ -283,30 +285,44 @@ def test_randomized_footprint_is_bounded_by_its_arrays(n, n_traj, propagators, h
     assert peak <= (step_arrays + headroom * n_traj + 2 * (n_traj + 1)) * matrix
 
 
-# Each entry point's stated bytes at CH n = 4 (D = 16), 20 jumps, R = 10.
+# Each entry point's stated sum at CH n = 4 (D = 16), 20 jumps, R = 10
+# trajectories in B = R blocks (one of each for the exact solver), over
+# 1000 steps and G = 1001 grid points (every step recorded).  Every sum
+# holds the record's series, 8 G (R + 2 + 2 B D^2) bytes of times,
+# distances and block states, and its two (R + 1)-matrix buffers.
 CEILINGS = {
-    # _run_batched: B G 16 D^2 kept block states and their copy, B = R,
-    # G = 1001 grid points (1000 steps, every one recorded)
+    # beside those, the staged RK4 holds the caller's 20 operators, the
+    # A stack and five (R, D, D) arrays, and 8 N bytes of jump draws and a
+    # stream for each trajectory
     "run_batched": (
         lambda s, cfg: gs.evolve_randomized(s["ham"], s["lindblads"], s["sigma"], cfg, s["sigma"]),
-        2 * 16 * 10 * 1001 * 16**2,
+        8 * 1001 * (10 + 2 + 2 * 10 * 16**2)
+        + 16 * 16**2 * (2 * 20 + 5 * 10 + 2 * 11)
+        + 10 * (8 * 1000 + STREAM_BYTES),
     ),
+    # the operators, their weighted stack, L^dag and two products; A, the
+    # state, one k and X
     "evolve_exact": (
         lambda s, cfg: gs.evolve_exact(
             s["ham"], s["lindblads"], s["gammas"], s["sigma"], cfg, s["sigma"]
         ),
-        16 * 16**2 * (4 * 20 + 8),
+        8 * 1001 * (1 + 2 + 2 * 16**2) + 16 * 16**2 * (5 * 20 + 4 + 2 * 2),
     ),
+    # the operators and drift_operator's two stacks; H_eff, a propagator
+    # and the identity; and per trajectory J + 1 amplitude and state
+    # vectors and a stream
     "mcwf_evolve": (
         lambda s, cfg: gs.mcwf_evolve(s["ham"], s["lindblads"], s["gammas"], None, cfg, s["sigma"]),
-        16 * (2 * 20 * 16**2 + 10 * 20 * 16 + (2 * 10 + 5) * 16**2),
+        8 * 1001 * (10 + 2 + 2 * 10 * 16**2)
+        + 16 * (3 * 20 * 16**2 + (2 * 11 + 3) * 16**2)
+        + 10 * (16 * 21 * 16 + STREAM_BYTES),
     ),
 }
 
 
 @pytest.mark.parametrize("entry", list(CEILINGS))
 def test_solver_arrays_are_checked_before_they_exist(monkeypatch, entry):
-    # an address-space limit one byte under the stated estimate is refused
+    # an address-space limit one byte under the stated sum is refused
     # before the arrays it counts are allocated
     run, nbytes = CEILINGS[entry]
     setup = lindblad_setup("CH", 4, 20)

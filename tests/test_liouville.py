@@ -290,14 +290,15 @@ def test_gap_holds_less_than_one_complex_superoperator():
 
 @pytest.mark.parametrize("build", [gs.steady_state_and_gap, gs.build_superop])
 def test_gap_and_superoperator_check_their_bytes_first(monkeypatch, build):
-    # R and its LAPACK copy, or S: 16 D^4 bytes (1 MiB at n = 4) are refused
-    # under an address-space limit one byte smaller, before either exists
+    # R and its LAPACK copy, or S, 16 D^4 bytes (1 MiB at n = 4), and the
+    # 20 operators with the factors' two copies, 48 J D^2 bytes, are refused
+    # under an address-space limit one byte under their sum, before any exists
     setup = lindblad_setup("CH", 4, 20)
-    limits = (16 * 16**4 - 1, resource.RLIM_INFINITY)
+    limits = (16 * 16**4 + 48 * 20 * 16**2 - 1, resource.RLIM_INFINITY)
     monkeypatch.setattr(resource, "getrlimit", lambda _: limits)
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceCeiling, match=r"needs 1.05e\+06 bytes"):
+        with pytest.raises(ResourceCeiling, match=r"needs 1.29e\+06 bytes"):
             build(setup["ham"], setup["lindblads"], setup["gammas"])
         _, peak = tracemalloc.get_traced_memory()
     finally:

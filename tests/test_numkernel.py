@@ -1,13 +1,18 @@
+import math
+import re
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg  # noqa: F401 (mcwf_evolve's import, outside the traced runs)
 
 import gibbsim as gs
+from gibbsim import circuit, dynamics, liouville, model
 from gibbsim.errors import DimensionMismatch, NotHermitian, ResourceCeiling
 from gibbsim.numkernel import PAULI_I, PAULI_X, PAULI_Z, require_memory
 
-from conftest import random_density_matrix, random_hermitian
+from conftest import lindblad_setup, point_setup, random_density_matrix, random_hermitian
 
 
 def test_eig_pauli_z():
@@ -204,10 +209,127 @@ def test_require_memory_honours_a_finite_address_space_limit(monkeypatch):
     soft = {"limit": 4096}
     monkeypatch.setattr("gibbsim.numkernel.os.sysconf", memory.__getitem__)
     monkeypatch.setattr(resource, "getrlimit", lambda _: (soft["limit"], resource.RLIM_INFINITY))
-    require_memory(4096, "a request")
+    require_memory({"a request": 4096})
     with pytest.raises(ResourceCeiling, match=r"needs 4.1e\+03 bytes, memory is 4.1e\+03"):
-        require_memory(4097, "a request")
+        require_memory({"a request": 4097})
     soft["limit"] = resource.RLIM_INFINITY
-    require_memory(10_000, "a request")
+    require_memory({"a request": 10_000})
     with pytest.raises(ResourceCeiling, match=r"memory is 1e\+04"):
-        require_memory(10_001, "a request")
+        require_memory({"a request": 10_001})
+
+
+def test_require_memory_checks_the_sum_of_its_parts(monkeypatch):
+    # parts that each fit but together do not are refused, the message names
+    # the largest; an infinite part never fits, and no parts always do
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (10_000, resource.RLIM_INFINITY))
+    require_memory({})
+    require_memory({"the draws": 6_000, "the stack": 4_000})
+    with pytest.raises(ResourceCeiling) as refused:
+        require_memory({"the draws": 6_000, "the stack": 4_001})
+    assert str(refused.value) == (
+        "a run whose largest part is the draws needs 1e+04 bytes, memory is 1e+04"
+    )
+    with pytest.raises(ResourceCeiling, match="largest part is the stack needs 1.2e"):
+        require_memory({"the draws": 5_000, "the stack": 7_000})
+    with pytest.raises(ResourceCeiling, match="largest part is an operator at n=64 needs inf"):
+        require_memory({"the draws": 1, "an operator at n=64": math.inf})
+
+
+def _solve(solver, n, **cfg):
+    s = lindblad_setup("CH", n, 20)
+    cfg = gs.SolverConfig(dt_rk0=0.05, grid_points=0, **cfg)
+    rho0 = gs.maximally_mixed(n)
+    if solver is gs.evolve_randomized:
+        return solver(s["ham"], s["lindblads"], rho0, cfg, s["sigma"])
+    if solver is gs.evolve_exact:
+        return solver(s["ham"], s["lindblads"], s["gammas"], rho0, cfg, s["sigma"])
+    return solver(s["ham"], s["lindblads"], s["gammas"], None, cfg, s["sigma"])
+
+
+def _generator(build):
+    s = lindblad_setup("CH", 4, 20)
+    return build(s["ham"], s["lindblads"], s["gammas"])
+
+
+PROTOCOL = {"dt_ev": 0.5, "dt_oft": 0.2, "t_max": 500.0, "n_rep": 100}
+
+# Every library entry point at CH, 20 jumps, sizes where its run holds over
+# 1 MB and no part holds all of it.
+ENTRY_POINTS = {
+    "evolve_randomized.propagators": lambda: _solve(gs.evolve_randomized, 3, max_steps=2000),
+    "evolve_randomized.staged": lambda: _solve(
+        gs.evolve_randomized, 4, max_steps=1000, state_blocks=2
+    ),
+    "evolve_exact": lambda: _solve(gs.evolve_exact, 4, max_steps=400, state_blocks=1),
+    "mcwf_evolve": lambda: _solve(gs.mcwf_evolve, 4, max_steps=400, state_blocks=1),
+    "steady_state_and_gap": lambda: _generator(gs.steady_state_and_gap),
+    "build_superop": lambda: _generator(gs.build_superop),
+    "build_hamiltonian": lambda: gs.build_hamiltonian(gs.named_point("CH", 8)),
+    "simulate_protocol": lambda: gs.simulate_protocol(
+        point_setup("CH", 3)["chain"], gs.CircuitConfig(**PROTOCOL), gs.NoiseSpec()
+    ),
+    "step_V": lambda: gs.step_V(
+        gs.sample_jump_set(3, 2, 1, 0)[0],
+        gs.CircuitConfig(**PROTOCOL),
+        point_setup("CH", 3)["chain"],
+    ),
+}
+
+
+class _Checked(Exception):
+    pass
+
+
+def checked_parts(monkeypatch, entry):
+    """The {part: bytes} of the one memory check that `entry` makes first,
+    read by stopping the run there; the setups it reads are built before."""
+    for n in (3, 4):
+        lindblad_setup("CH", n, 20)
+    seen = []
+
+    def spy(parts):
+        seen.append(dict(parts))
+        raise _Checked
+
+    with monkeypatch.context() as patch:
+        for module in (model, liouville, dynamics, circuit):
+            patch.setattr(module, "require_memory", spy)
+        with pytest.raises(_Checked):
+            ENTRY_POINTS[entry]()
+    (parts,) = seen
+    return parts
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_entry_point_checks_the_sum_of_its_parts_first(monkeypatch, entry):
+    # an address-space limit between the largest part and the sum is
+    # refused before any part exists, naming the largest
+    parts = checked_parts(monkeypatch, entry)
+    largest, total = max(parts.values()), sum(parts.values())
+    limit = (largest + total) // 2
+    assert largest < limit < total and total > 1_000_000
+    monkeypatch.setattr(resource, "getrlimit", lambda _: (limit, resource.RLIM_INFINITY))
+    name = re.escape(max(parts, key=parts.get))
+
+    def refused():
+        with pytest.raises(ResourceCeiling, match=f"largest part is {name} needs"):
+            ENTRY_POINTS[entry]()
+
+    assert traced_peak(refused) < 1_000_000
+
+
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_entry_point_peak_stays_within_its_stated_sum(monkeypatch, entry):
+    # the parts cover what the run holds: its traced peak exceeds their sum
+    # by at most a slack for Python objects and O(D^3) index temporaries
+    total = sum(checked_parts(monkeypatch, entry).values())
+    assert traced_peak(ENTRY_POINTS[entry]) <= total + 128 * 1024

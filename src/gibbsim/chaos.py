@@ -101,26 +101,20 @@ def fractal_stats(spec, basis_letters, window_kind="energy"):
 
 
 def even_sector_basis(n):
-    """Orthonormal basis of the even sector of site reversal, as columns."""
-    dim = 2**n
-    cols = []
-    seen = set()
-    for x in range(dim):
-        if x in seen:
-            continue
-        bits = [(x >> k) & 1 for k in range(n)]
-        y = 0
-        for k, b in enumerate(bits[::-1]):
-            y |= b << k
-        seen.add(x)
-        v = np.zeros(dim, dtype=complex)
-        if y == x:
-            v[x] = 1.0
-        else:
-            seen.add(y)
-            v[x] = v[y] = 1.0 / np.sqrt(2.0)
-        cols.append(v)
-    return np.column_stack(cols)
+    """Orthonormal basis of the even sector of site reversal, as columns:
+    (e_x + e_rev(x))/sqrt2, or e_x when x = rev(x), for each x <= rev(x),
+    where rev reverses the n bits of the basis state x."""
+    x = np.arange(2**n)
+    rev = np.zeros_like(x)
+    for k in range(n):
+        rev |= (x >> k & 1) << (n - 1 - k)
+    keep = np.flatnonzero(x <= rev)
+    cols = np.arange(len(keep))
+    basis = np.zeros((2**n, len(keep)), dtype=complex)
+    weight = np.where(rev[keep] == keep, 1.0, 1.0 / np.sqrt(2.0))
+    basis[keep, cols] = weight
+    basis[rev[keep], cols] = weight
+    return basis
 
 
 def ratios_from_levels(values, scale=None):
@@ -148,7 +142,7 @@ def spacing_ratios(ham):
     basis = even_sector_basis(n)
     h_even = basis.conj().T @ ham @ basis
     values = np.linalg.eigvalsh(0.5 * (h_even + h_even.conj().T))
-    return ratios_from_levels(values, scale=float(np.max(np.abs(values))))
+    return ratios_from_levels(values)
 
 
 @dataclass(frozen=True)
@@ -167,66 +161,56 @@ class ETHStats:
     off_count: np.ndarray
 
 
+def _bins(x, count):
+    """`count` equal bins spanning [min x, max x], the top edge in the last:
+    each x's bin and the bins' centers."""
+    edges = np.linspace(x.min(), x.max(), count + 1)
+    which = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, count - 1)
+    return which, 0.5 * (edges[:-1] + edges[1:])
+
+
+def _bin_means(which, count, *columns):
+    """Per bin of `which`, with `count` bins: the number of entries and the
+    mean of each column, NaN for an empty bin."""
+    n = np.bincount(which, minlength=count)
+    with np.errstate(invalid="ignore"):
+        return n, [np.bincount(which, weights=c, minlength=count) / n for c in columns]
+
+
 def eth_statistics(a, spec, e_bins=8, nu_bins=8):
-    """Diagonal profile and off-diagonal bin statistics of <E_i|A|E_j>.
+    """Diagonal profile and off-diagonal bin statistics of <E_i|A|E_j>:
+    A_ii binned by E_i, and A_ij (i != j) by (E_i + E_j)/2 and E_i - E_j.
 
     No CLI experiment writes these; the function stays in the library
     because it computes the paper's ETH matrix-element diagnostic.
     """
-    amat = np.asarray(a)
-    tilde = spec.to_eigenbasis(amat)
+    tilde = spec.to_eigenbasis(np.asarray(a))
     w = spec.values
 
-    edges = np.linspace(w[0], w[-1], e_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    which = np.clip(np.searchsorted(edges, w, side="right") - 1, 0, e_bins - 1)
-    diag = np.real(np.diag(tilde))
-    diag_mean = np.full(e_bins, np.nan)
-    diag_count = np.zeros(e_bins, dtype=int)
-    for b in range(e_bins):
-        sel = which == b
-        diag_count[b] = sel.sum()
-        if diag_count[b]:
-            diag_mean[b] = diag[sel].mean()
+    which, centers = _bins(w, e_bins)
+    diag_count, (diag_mean,) = _bin_means(which, e_bins, np.real(np.diag(tilde)))
 
-    ii, jj = np.meshgrid(np.arange(len(w)), np.arange(len(w)), indexing="ij")
-    off = ii != jj
-    e_avg = 0.5 * (w[ii] + w[jj])[off]
-    nu = (w[ii] - w[jj])[off]
+    off = ~np.eye(len(w), dtype=bool)
+    be, e_centers = _bins(0.5 * (w[:, None] + w[None, :])[off], e_bins)
+    bn, nu_centers = _bins((w[:, None] - w[None, :])[off], nu_bins)
+    flat, size = be * nu_bins + bn, e_bins * nu_bins
     vals = tilde[off]
-
-    e_edges = np.linspace(e_avg.min(), e_avg.max(), e_bins + 1)
-    nu_edges = np.linspace(nu.min(), nu.max(), nu_bins + 1)
-    be = np.clip(np.searchsorted(e_edges, e_avg, side="right") - 1, 0, e_bins - 1)
-    bn = np.clip(np.searchsorted(nu_edges, nu, side="right") - 1, 0, nu_bins - 1)
-
+    mag = np.abs(vals)
+    count, (mean_re, mean_im, mean_mag, mean_sq) = _bin_means(
+        flat, size, vals.real, vals.imag, mag, mag**2
+    )
+    _, (var,) = _bin_means(flat, size, (mag - mean_mag[flat]) ** 2)
+    sem = np.where(count > 1, np.sqrt(var) / np.sqrt(count), np.nan)
     shape = (e_bins, nu_bins)
-    mean_re = np.full(shape, np.nan)
-    mean_im = np.full(shape, np.nan)
-    mean_sq = np.full(shape, np.nan)
-    sem = np.full(shape, np.nan)
-    count = np.zeros(shape, dtype=int)
-    flat = be * nu_bins + bn
-    for b in range(e_bins * nu_bins):
-        sel = flat == b
-        c = int(sel.sum())
-        i, j = divmod(b, nu_bins)
-        count[i, j] = c
-        if c:
-            chunk = vals[sel]
-            mean_re[i, j] = chunk.real.mean()
-            mean_im[i, j] = chunk.imag.mean()
-            mean_sq[i, j] = float(np.mean(np.abs(chunk) ** 2))
-            sem[i, j] = float(np.abs(chunk).std() / np.sqrt(c)) if c > 1 else np.nan
     return ETHStats(
         diag_centers=centers,
         diag_mean=diag_mean,
         diag_count=diag_count,
-        off_e_centers=0.5 * (e_edges[:-1] + e_edges[1:]),
-        off_nu_centers=0.5 * (nu_edges[:-1] + nu_edges[1:]),
-        off_mean_re=mean_re,
-        off_mean_im=mean_im,
-        off_mean_sq=mean_sq,
-        off_sem=sem,
-        off_count=count,
+        off_e_centers=e_centers,
+        off_nu_centers=nu_centers,
+        off_mean_re=mean_re.reshape(shape),
+        off_mean_im=mean_im.reshape(shape),
+        off_mean_sq=mean_sq.reshape(shape),
+        off_sem=sem.reshape(shape),
+        off_count=count.reshape(shape),
     )

@@ -14,10 +14,10 @@ That costs 4(2S + 1) D^3 complex multiply-adds per jump, against
 4(2S + 1) (2D)^3 for the dense product of V^a's 2D x 2D factors.
 
 Every circuit function reads H's exponentials from the `model.Chain` it is
-given (`_coherent_unitary`).  A run's byte estimates live in
-`_protocol_parts` alone: `simulate_protocol` and `step_V` check them with
-`require_protocol_memory` before any work, and the CLI checks a grid's
-points with them before the first one runs.
+given (`_coherent_unitary`).  A sweep's byte estimates live in
+`_sweep_parts` and a run's in `_protocol_parts`: `step_V` and
+`simulate_protocol` check them before any work, and the CLI checks a
+grid's points with them before the first one runs.
 """
 
 import math
@@ -111,11 +111,14 @@ class NoiseSpec:
 
 
 def gate_count(noise, n, dt_ev):
-    """Two-qubit-gate budget per evolution step.
+    """Two-qubit-gate budget per evolution step, the N_g events of the
+    depolarizing budget; 0 for the other noise kinds, which place none.
 
     Uses the measured compiled counts for the n = 5 benchmarks at
     J dt_ev in {1, 3, 5}; otherwise the linear rule 50 * n * J dt_ev.
     """
+    if noise.kind != "depolarizing_budget":
+        return 0
     if noise.n_g_override is not None:
         return int(noise.n_g_override)
     if n == 5:
@@ -144,36 +147,38 @@ def _coherent_unitary(chain, mode, t, substeps):
     return np.linalg.matrix_power(step, substeps)
 
 
+def _sweep_parts(cfg, n_jump, dim, width):
+    """What `_sweep` holds for J jumps on a (2D, W) start block: the block
+    and the two coherent steps, the sweep's two halves and result, numpy's
+    buffers for the three operands of a gate's sums (np.getbufsize()
+    elements each, at most), and the OFT grid; a {part: bytes} dict."""
+    points = 2 * cfg.oft_steps + 1
+    block = n_jump * dim * width
+    return {
+        f"the start block of {width} columns and the two coherent steps":
+            32 * dim * (width + dim),
+        f"the sweep of {n_jump} jumps over {width} columns": 96 * block,
+        "the ufunc buffers of a gate": 48 * min(block, np.getbufsize()),
+        f"the OFT grid of {points} points": 128 * points,
+    }
+
+
 def _protocol_parts(chain, cfg, noise):
     """What a run holds at its peak, for R = n_rep repetitions of a D x D
-    state, and its N_g (0 without noise): the jump draws and the R streams
-    of jumps, then of noise placements; one step's N_g placements, the
-    Kraus pairs of J jumps (the sweep's two halves and result), the OFT
-    grid, the state batch with `ProtocolEngine.step_wtilde_batch`'s three
-    (R, 2, D, D) temporaries, and the record's buffers and series;
-    ({part: bytes}, N_g)."""
+    state: the jump draws and the R streams of jumps, then of noise
+    placements; one step's N_g placements, the sweep that builds the Kraus
+    pairs of J jumps, the state batch with `ProtocolEngine.step_wtilde_batch`'s
+    three (R, 2, D, D) temporaries, and the record's buffers and series."""
     reps, dim, n_steps = cfg.n_rep, chain.spec.dim, cfg.n_steps
-    n_g = gate_count(noise, chain.params.n, cfg.dt_ev) if noise.kind == "depolarizing_budget" else 0
-    n_jump, points = cfg.jump_count, 2 * cfg.oft_steps + 1
-    parts = {
+    n_g = gate_count(noise, chain.params.n, cfg.dt_ev)
+    return {
         f"the jump-draw array of {n_steps} steps and a stream a repetition":
             reps * (8 * n_steps + STREAM_BYTES),
         f"the placement draws of {n_g} depolarizing events": 8 * n_g,
-        f"the Kraus pairs of {n_jump} jumps": 96 * n_jump * dim**2,
-        f"the OFT grid of {points} points": 128 * points,
+        **_sweep_parts(cfg, cfg.jump_count, dim, dim),
         f"the state batch and step temporaries of {reps} repetitions": 112 * reps * dim**2,
         **_record_parts(reps, dim, n_steps, cfg.grid_points, 0),
     }
-    return parts, n_g
-
-
-def require_protocol_memory(chain, cfg, noise):
-    """Raise ResourceCeiling before any work unless a run's arrays,
-    `_protocol_parts`, fit in memory together (`numkernel.require_memory`).
-    Returns N_g."""
-    parts, n_g = _protocol_parts(chain, cfg, noise)
-    require_memory(parts)
-    return n_g
 
 
 def step_V(a, cfg, chain):
@@ -187,9 +192,9 @@ def step_V(a, cfg, chain):
     conjugated by e^{iHS Dt}; `step_v_reference` builds that target.  `a` is
     the jump's `PauliString` and `chain` the `model.Chain`.
     """
-    require_protocol_memory(chain, cfg, NoiseSpec())
-    dim = 2 * chain.spec.dim
-    return _sweep([a], cfg, chain, np.eye(dim, dtype=complex))[0].reshape(dim, dim)
+    dim = chain.spec.dim
+    require_memory(_sweep_parts(cfg, 1, dim, 2 * dim))
+    return _sweep([a], cfg, chain, np.eye(2 * dim, dtype=complex))[0].reshape(2 * dim, 2 * dim)
 
 
 def step_v_reference(a, cfg, chain):
@@ -272,7 +277,7 @@ class ProtocolEngine:
     W-tilde for the M-step loop.  The ancilla enters in |0>, so only the
     0-column blocks of V^a act: W-tilde(rho) = sum_m K_m rho K_m^dag with
     K_m = V^a[m-block, 0-block] U_ev.  Its caller checks the run's memory
-    first (`require_protocol_memory`).
+    first (`_protocol_parts`).
     """
 
     def __init__(self, chain, cfg):
@@ -351,7 +356,8 @@ def simulate_protocol(chain, cfg, noise):
     sampling and noise placement use separate per-repetition streams, so
     noiseless and noisy runs at the same seed share jump trajectories.
     """
-    n_g = require_protocol_memory(chain, cfg, noise)
+    require_memory(_protocol_parts(chain, cfg, noise))
+    n_g = gate_count(noise, chain.params.n, cfg.dt_ev)
     engine = ProtocolEngine(chain, cfg)
 
     # the jump streams are dropped once drawn, before the noise streams exist

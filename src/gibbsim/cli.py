@@ -459,7 +459,7 @@ def _plateau_grid(chain, runs, threads):
     chain.sigma
     if any(cfg.coherent_mode == "trotter2" for cfg, _ in runs):
         chain.split_spectra
-    _require_grid_memory([_protocol_parts(chain, *run)[0] for run in runs], threads)
+    _require_grid_memory([_protocol_parts(chain, *run) for run in runs], threads)
 
     def one(run):
         return plateau_level(simulate_protocol(chain, *run))

@@ -5,7 +5,8 @@ scheme (one jump operator sampled per step, Hermiticity-gated adaptive step),
 the exact full-Lindbladian RK4, and a Monte-Carlo wave-function unraveling
 used as a cross-check.  Times are in units of 1/J.  Each solver takes the
 prebuilt Lindblad operators as `(ham, lindblads, ...)`, one (n_jump, D, D)
-array; the randomized scheme runs each sampled jump at unit rate.
+array; the randomized scheme runs each sampled jump at unit rate.  Each
+first checks them as the Liouvillian does, and the states against them.
 
 All three, and the circuit protocol in `circuit.simulate_protocol`, run one
 trajectory loop, `_run_batched`: a batch of states advanced in lock step by
@@ -61,8 +62,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepUnderflow
-from .liouville import _generator_factors, drift_operator
+from .errors import DimensionMismatch, StepUnderflow
+from .liouville import _generator_factors, _generator_terms, drift_operator
 from .numkernel import require_memory, trace_distance
 
 DT_FLOOR = 1e-6
@@ -174,6 +175,12 @@ def _n_steps(cfg, dt):
     return n
 
 
+def _check_states(dim, *states):
+    """Raise DimensionMismatch unless every state is D x D."""
+    if any(np.shape(state) != (dim, dim) for state in states):
+        raise DimensionMismatch(f"state dimension mismatch for D = {dim}")
+
+
 def jump_draws(rngs, n_jump, n_steps):
     """The (R, n_steps) int64 jump indices in [0, n_jump) of R = len(rngs)
     trajectories, row r drawn in one call from rngs[r].  The rows fill one
@@ -199,9 +206,9 @@ def evolve_randomized(ham, lindblads, rho0, cfg, target):
     halves the step and restarts every trajectory from rho0; survivors are
     symmetrized and renormalized after every step.
     """
-    l_ops = np.asarray(lindblads, dtype=complex)
-    dim = l_ops.shape[-1]
-    n_jump, n_traj = len(l_ops), cfg.n_traj
+    ham, l_ops, _ = _generator_terms(ham, lindblads, np.ones(len(lindblads)))
+    dim, n_jump, n_traj = len(ham), len(l_ops), cfg.n_traj
+    _check_states(dim, rho0, target)
 
     def draw(n_steps):
         rngs = [np.random.default_rng([cfg.seed, i]) for i in range(n_traj)]
@@ -274,9 +281,9 @@ def evolve_exact(ham, lindblads, gammas, rho0, cfg, target):
     """Deterministic RK4 with the full Lindbladian (all jump channels at once);
     a zero `ham` leaves only the dissipator.  No CLI experiment runs it; it is
     the exact reference that the solver tests compare the randomized scheme with."""
-    l_ops = np.asarray(lindblads, dtype=complex)
-    gammas = np.asarray(gammas, dtype=float)
-    n_jump, dim = len(l_ops), l_ops.shape[-1]
+    ham, l_ops, gammas = _generator_terms(ham, lindblads, gammas)
+    n_jump, dim = len(l_ops), len(ham)
+    _check_states(dim, rho0, target)
 
     def parts(n_steps):
         return {
@@ -569,9 +576,9 @@ def mcwf_evolve(ham, lindblads, gammas, psi0, cfg, target):
     """
     import scipy.linalg  # imported here so that importing gibbsim loads numpy only
 
-    l_ops = np.asarray(lindblads, dtype=complex)
-    gammas = np.asarray(gammas, dtype=float)
-    n_jump, dim = len(l_ops), l_ops.shape[-1]
+    ham, l_ops, gammas = _generator_terms(ham, lindblads, gammas)
+    n_jump, dim = len(l_ops), len(ham)
+    _check_states(dim, target)
     dt = cfg.dt_rk0
     n_steps = _n_steps(cfg, dt)
     require_memory({

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateChain, DimensionMismatch, NonUniqueSteadyState, NotHermitian
+from .model import _cluster_starts
 from .numkernel import require_memory, trace_distance
 
 # Roundoff bound on the imaginary part dropped from the Hermitian-basis form,
@@ -90,28 +91,28 @@ class _GeneratorFactors:
         return self.drift.shape[0]
 
     def rows(self, i, j):
-        """Rows D i + j of S, for i and j each an int, a slice, an index
-        array or a basic index such as np.s_[:, None], over their broadcast;
-        entry [b, k, l] of the (rows, D, D) result is S[D i_b + j_b, D k + l]:
+        """Rows D i + j of S for every i in `i` and j in `j`, each an int or a
+        slice; entry [b, k, l] of the (rows, D, D) result, b running over
+        (i, j) in C order, is S[D i_b + j_b, D k + l]:
 
             sum_a gamma_a L_a[i, k] conj(L_a[j, l]) + [l = j] A[i, k]
                 + [k = i] M^T[j, l].
 
-        The jump sum of the block is one product over the jump index, and
-        a basic index reads its operands in place.
+        The jump sum of the block is one product over the jump index, its
+        operands read in place, and A and M^T are added on one basic view
+        per j and per i: fancy-indexed or diagonal views would copy.
         """
-        d = self.dim
-        out = np.matmul(self.l_weighted[i], self.l_bar[j]).reshape(-1, d, d)
-        iv, jv = (np.ravel(x) for x in np.broadcast_arrays(np.arange(d)[i], np.arange(d)[j]))
-        b = np.arange(len(out))
-        out[b, :, jv] += self.drift[iv]
-        out[b, iv] += self.right[jv]
-        return out
+        i, j = (slice(x, x + 1) if isinstance(x, int) else x for x in (i, j))
+        out = np.matmul(self.l_weighted[i, None], self.l_bar[j])  # [i, j, k, l]
+        for b, l in enumerate(range(self.dim)[j]):
+            out[:, b, :, l] += self.drift[i]
+        for b, k in enumerate(range(self.dim)[i]):
+            out[b, :, k] += self.right[j]
+        return out.reshape(-1, self.dim, self.dim)
 
     def matrix(self):
-        """S itself: the rows of every (i, j), as one (D^2, D^2) array.  The
-        index pair reads the factors as broadcast views, not gathered copies."""
-        return self.rows(np.s_[:, None], np.s_[:]).reshape(self.dim**2, -1)
+        """S itself: the rows of every (i, j), as one (D^2, D^2) array."""
+        return self.rows(slice(None), slice(None)).reshape(self.dim**2, -1)
 
 
 def _jump_stack(lindblads, gammas, d):
@@ -148,10 +149,9 @@ def _generator_parts(d, n_jump, square):
     }
 
 
-def _generator_factors(coherent, lindblads, gammas):
-    """Check (G, L_a, gamma_a) and gather the factors of the generator's rows;
-    D is G's dimension."""
-    g, l_ops, gammas = _generator_terms(coherent, lindblads, gammas)
+def _generator_factors(g, l_ops, gammas):
+    """Gather the factors of the generator's rows from the checked terms of
+    `_generator_terms`; D is G's dimension."""
     a = drift_operator(g, l_ops, gammas)
     # M^T = conj(A) when G is Hermitian; the correction keeps -i[G, .]
     # exact for any G.
@@ -354,19 +354,17 @@ def markov_restriction(spec, lindblads, gammas, sigma_beta, level_tol=None):
     from the (n_jump, D, D) jump stack and its weights (module docstring);
     a coherent term would drop out, so none is taken.
 
-    Near-degenerate levels (within 1e-9 * max|E| by default) are merged into
-    projector blocks so that exactly degenerate spectra collapse gracefully.
+    Levels within level_tol (1e-9 * max|E| by default) of a block's first
+    are merged into its projector block (`model._cluster_starts`, as for the
+    Bohr frequencies), so exactly degenerate spectra collapse gracefully.
     The stochastic matrix is P = q/r + I with r = max_i sum_{k != i} q_{i->k}.
     """
     w = spec.values
     l_ops, gammas = _jump_stack(lindblads, gammas, spec.dim)
     if level_tol is None:
         level_tol = 1e-9 * max(float(np.max(np.abs(w))), 1e-300)
-    starts = [0]
-    for k in range(1, len(w)):
-        if w[k] - w[starts[-1]] > level_tol:
-            starts.append(k)
-    sizes = np.diff(starts + [len(w)])
+    starts = _cluster_starts(w, level_tol)
+    sizes = np.diff(starts, append=len(w))
 
     # rates[k, l] = sum_a gamma_a |<k|L_a|l>|^2; flow[j, i] sums it over k in B_j, l in B_i
     rates = np.tensordot(gammas, np.abs(spec.to_eigenbasis(l_ops)) ** 2, axes=1)
@@ -393,26 +391,15 @@ class ConductanceResult:
     exhaustive: bool
 
 
-def _subset_masks_exhaustive(n):
-    for mask in range(1, (1 << n) - 1):
-        yield [(mask >> i) & 1 == 1 for i in range(n)]
-
-
-def _subset_masks_contiguous(n):
-    for lo in range(n):
-        for hi in range(lo, n):
-            if hi - lo + 1 == n:
-                continue
-            yield [lo <= i <= hi for i in range(n)]
-
-
 def conductance_cheeger(mc, exhaustive_limit=16):
     """Bottleneck ratio and reversibilized spectral gap of the restriction.
 
     phi is minimized exhaustively over all subsets with pi_S <= 1/2 when the
     chain has at most `exhaustive_limit` states, else over contiguous
-    energy-ordered subsets.  The gap is computed on the additive
-    reversibilization (P + hat P) / 2.
+    energy-ordered subsets.  Subsets are the rows of boolean masks M, in
+    blocks of 2^18 // n, each giving pi_S = M pi and the flow out,
+    ((M F) * not M) summed over the states, F_ij = pi_i P_ij.  The gap is
+    computed on the additive reversibilization (P + hat P) / 2.
     """
     P, pi = mc.P, mc.pi
     n = len(pi)
@@ -421,15 +408,25 @@ def conductance_cheeger(mc, exhaustive_limit=16):
     flow = pi[:, None] * P
 
     exhaustive = n <= exhaustive_limit
-    masks = _subset_masks_exhaustive(n) if exhaustive else _subset_masks_contiguous(n)
+    states = np.arange(n)
+    # exhaustive subset c holds the set bits of c + 1; contiguous subset c is
+    # [lo[c], hi[c]], every range but [0, n - 1]
+    count = 2**n - 2
+    if not exhaustive:
+        lo, hi = np.delete(np.triu_indices(n), n - 1, axis=1)
+        count = len(lo)
     phi = np.inf
-    for mask in masks:
-        sel = np.asarray(mask)
-        pi_s = pi[sel].sum()
-        if pi_s <= 0 or pi_s > 0.5 + 1e-12:
-            continue
-        q_out = flow[np.ix_(sel, ~sel)].sum()
-        phi = min(phi, q_out / pi_s)
+    block = 2**18 // n  # 2^18 mask entries, about 18 bytes each at the block's peak
+    for first in range(0, count, block):
+        c = np.arange(first, min(first + block, count))[:, None]
+        if exhaustive:
+            m = ((c + 1) >> states & 1).astype(bool)
+        else:
+            m = (lo[c] <= states) & (states <= hi[c])
+        pi_s = m @ pi
+        q_out = ((m @ flow) * ~m).sum(axis=1)
+        ok = (pi_s > 0) & (pi_s <= 0.5 + 1e-12)
+        phi = min(phi, np.min(q_out[ok] / pi_s[ok], initial=np.inf))
     if not np.isfinite(phi):
         raise DegenerateChain("no admissible subset with pi_S <= 1/2")
 

@@ -189,14 +189,24 @@ def in_fit_domain(dt_ev, dt_oft, beta, h_norm):
     return dt_ev <= 0.3 and dt_oft <= 0.37 and _alias_argument(dt_oft, beta, h_norm) > 0
 
 
+def _error_features(dt_ev, dt_oft, T, beta, h_norm, bohr_count, coeffs=(1.0, 1.0, 1.0, 1.0)):
+    """The four terms of the error ansatz, each times its coefficient: 1,
+    dt, T Dt^2/dt and sqrt(beta)|B_H| e^{-(2 pi beta/Dt - 2 beta ||H|| - 1)^2 / 8}.
+    With unit coefficients they are the fit's features; the coefficient is
+    applied first, as in a3 T Dt^2/dt, so the model keeps its rounding."""
+    a1, a2, a3, a4 = coeffs
+    dt_ev = np.asarray(dt_ev, dtype=float)
+    dt_oft = np.asarray(dt_oft, dtype=float)
+    alias = math.sqrt(beta) * bohr_count * np.exp(-(_alias_argument(dt_oft, beta, h_norm) ** 2) / 8.0)
+    return a1 * np.ones_like(dt_ev), a2 * dt_ev, a3 * T * dt_oft**2 / dt_ev, a4 * alias
+
+
 def error_model(params, dt_ev, dt_oft, T, beta, h_norm, bohr_count):
     """Algorithmic-error ansatz
     a1 + a2 dt + a3 T Dt^2/dt + a4 sqrt(beta)|B_H| e^{-(2 pi beta/Dt - 2 beta ||H|| - 1)^2 / 8}."""
-    dt_ev = np.asarray(dt_ev, dtype=float)
-    dt_oft = np.asarray(dt_oft, dtype=float)
-    arg = _alias_argument(dt_oft, beta, h_norm)
-    alias = math.sqrt(beta) * bohr_count * np.exp(-np.minimum(arg, 700.0) ** 2 / 8.0)
-    return params.a1 + params.a2 * dt_ev + params.a3 * T * dt_oft**2 / dt_ev + params.a4 * alias
+    coeffs = (params.a1, params.a2, params.a3, params.a4)
+    t1, t2, t3, t4 = _error_features(dt_ev, dt_oft, T, beta, h_norm, bohr_count, coeffs)
+    return t1 + t2 + t3 + t4
 
 
 def fit_error_model(grid, T, beta, h_norm, bohr_count):
@@ -218,16 +228,7 @@ def fit_error_model(grid, T, beta, h_norm, bohr_count):
     dt_oft = np.array([p[1] for p in pts])
     dist = np.array([p[2] for p in pts])
 
-    features = np.column_stack(
-        [
-            np.ones_like(dt_ev),
-            dt_ev,
-            T * dt_oft**2 / dt_ev,
-            math.sqrt(beta)
-            * bohr_count
-            * np.exp(-(_alias_argument(dt_oft, beta, h_norm) ** 2) / 8.0),
-        ]
-    )
+    features = np.column_stack(_error_features(dt_ev, dt_oft, T, beta, h_norm, bohr_count))
     target = np.log10(dist)
 
     def loss(log_coeffs):

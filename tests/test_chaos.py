@@ -91,6 +91,38 @@ def test_ratios_reject_degenerate():
         ratios_from_levels(np.array([0.0, 1.0, 1.0, 2.0]), scale=2.0)
 
 
+def even_sector_basis_loop(n):
+    """The per-state loop that `even_sector_basis` replaced: each basis
+    state x not yet seen, its reversal y built bit by bit, gives one
+    column."""
+    dim = 2**n
+    cols = []
+    seen = set()
+    for x in range(dim):
+        if x in seen:
+            continue
+        bits = [(x >> k) & 1 for k in range(n)]
+        y = 0
+        for k, b in enumerate(bits[::-1]):
+            y |= b << k
+        seen.add(x)
+        v = np.zeros(dim, dtype=complex)
+        if y == x:
+            v[x] = 1.0
+        else:
+            seen.add(y)
+            v[x] = v[y] = 1.0 / np.sqrt(2.0)
+        cols.append(v)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_even_sector_basis_is_the_per_state_loop_bitwise(n):
+    basis, loop = even_sector_basis(n), even_sector_basis_loop(n)
+    assert basis.dtype == loop.dtype and basis.tobytes() == loop.tobytes()
+    assert basis.shape == loop.shape
+
+
 def test_even_sector_dimension():
     basis = even_sector_basis(4)
     assert basis.shape == (16, 10)  # 4 palindromes + 6 orbit pairs
@@ -102,6 +134,12 @@ def test_spacing_ratios_requires_enough_qubits():
     setup = point_setup("CH", 3)
     with pytest.raises(ValueError):
         gs.spacing_ratios(setup["ham"])
+
+
+def test_spacing_ratios_of_a_zero_hamiltonian_are_degenerate():
+    # every level sits at 0, so no spacing ratio exists
+    with pytest.raises(DegenerateSpectrum):
+        gs.spacing_ratios(np.zeros((16, 16)))
 
 
 def test_spacing_ratios_ch_midscale():
@@ -143,3 +181,97 @@ def test_eth_diagonal_profile_reported_for_both_regimes():
         assert prof.size >= 6
         assert np.all(np.isfinite(prof))
         assert np.all(np.abs(prof) <= 1 + 1e-12)
+
+
+def eth_statistics_loops(a, spec, e_bins=8, nu_bins=8):
+    """The two hand-written bin loops that `eth_statistics` replaced: the
+    diagonal profile and the off-diagonal table, one bin at a time."""
+    tilde = spec.to_eigenbasis(np.asarray(a))
+    w = spec.values
+
+    edges = np.linspace(w[0], w[-1], e_bins + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    which = np.clip(np.searchsorted(edges, w, side="right") - 1, 0, e_bins - 1)
+    diag = np.real(np.diag(tilde))
+    diag_mean = np.full(e_bins, np.nan)
+    diag_count = np.zeros(e_bins, dtype=int)
+    for b in range(e_bins):
+        sel = which == b
+        diag_count[b] = sel.sum()
+        if diag_count[b]:
+            diag_mean[b] = diag[sel].mean()
+
+    ii, jj = np.meshgrid(np.arange(len(w)), np.arange(len(w)), indexing="ij")
+    off = ii != jj
+    e_avg = 0.5 * (w[ii] + w[jj])[off]
+    nu = (w[ii] - w[jj])[off]
+    vals = tilde[off]
+
+    e_edges = np.linspace(e_avg.min(), e_avg.max(), e_bins + 1)
+    nu_edges = np.linspace(nu.min(), nu.max(), nu_bins + 1)
+    be = np.clip(np.searchsorted(e_edges, e_avg, side="right") - 1, 0, e_bins - 1)
+    bn = np.clip(np.searchsorted(nu_edges, nu, side="right") - 1, 0, nu_bins - 1)
+
+    shape = (e_bins, nu_bins)
+    mean_re = np.full(shape, np.nan)
+    mean_im = np.full(shape, np.nan)
+    mean_sq = np.full(shape, np.nan)
+    sem = np.full(shape, np.nan)
+    count = np.zeros(shape, dtype=int)
+    flat = be * nu_bins + bn
+    for b in range(e_bins * nu_bins):
+        sel = flat == b
+        c = int(sel.sum())
+        i, j = divmod(b, nu_bins)
+        count[i, j] = c
+        if c:
+            chunk = vals[sel]
+            mean_re[i, j] = chunk.real.mean()
+            mean_im[i, j] = chunk.imag.mean()
+            mean_sq[i, j] = float(np.mean(np.abs(chunk) ** 2))
+            sem[i, j] = float(np.abs(chunk).std() / np.sqrt(c)) if c > 1 else np.nan
+    return {
+        "diag_centers": centers,
+        "diag_mean": diag_mean,
+        "diag_count": diag_count,
+        "off_e_centers": 0.5 * (e_edges[:-1] + e_edges[1:]),
+        "off_nu_centers": 0.5 * (nu_edges[:-1] + nu_edges[1:]),
+        "off_mean_re": mean_re,
+        "off_mean_im": mean_im,
+        "off_mean_sq": mean_sq,
+        "off_sem": sem,
+        "off_count": count,
+    }
+
+
+@pytest.mark.parametrize(
+    "key, n, observable, bins",
+    [
+        ("CH", 5, "Z", (8, 8)),
+        ("CH", 6, "Z", (6, 6)),
+        ("REG", 6, "Z", (8, 4)),
+        ("TFIM", 5, "identity", (8, 8)),
+        ("CH", 6, "random", (7, 5)),
+    ],
+)
+def test_eth_statistics_matches_the_bin_loops(key, n, observable, bins):
+    # bin sums in another order than np.mean: each field matches to 1e-12
+    # of its largest entry, the counts and empty bins exactly
+    spec = point_setup(key, n)["spec"]
+    rng = np.random.default_rng(n)
+    a = {
+        "Z": np.asarray(gs.PauliString(n=n, sites=(n // 2,), letters=("Z",))),
+        "identity": np.eye(2**n),
+        "random": rng.standard_normal((2**n, 2**n)) + 1j * rng.standard_normal((2**n, 2**n)),
+    }[observable]
+    stats = gs.eth_statistics(a, spec, *bins)
+    for field, want in eth_statistics_loops(a, spec, *bins).items():
+        got = getattr(stats, field)
+        assert got.dtype == want.dtype and got.shape == want.shape, field
+        if field.endswith("count"):
+            assert np.array_equal(got, want), field
+            continue
+        filled = ~np.isnan(want)
+        assert np.array_equal(np.isnan(got), ~filled), field
+        scale = np.max(np.abs(want[filled]), initial=0.0)
+        assert np.max(np.abs(got[filled] - want[filled]), initial=0.0) <= 1e-12 * scale, field

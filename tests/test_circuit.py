@@ -170,6 +170,16 @@ def test_step_v_unitary():
     assert np.max(np.abs(v @ v.conj().T - np.eye(8))) < 1e-12
 
 
+def test_step_v_does_not_depend_on_the_run_length():
+    # step_V builds one 2D x 2D V, so a horizon whose jump draws would not
+    # fit in memory leaves it alone
+    setup = point_setup("CH", 2)
+    a = gs.sample_jump_set(2, 2, 1, seed=1)[0]
+    kwargs = dict(dt_ev=0.1, dt_oft=0.1, T=1.6, jump_count=1, seed=1)
+    v = gs.step_V(a, CircuitConfig(t_max=1e12, **kwargs), setup["chain"])
+    assert np.array_equal(v, gs.step_V(a, CircuitConfig(**kwargs), setup["chain"]))
+
+
 def test_step_v_order_against_dense_exponential():
     setup = point_setup("CH", 2)
     a = gs.sample_jump_set(2, 2, 1, seed=1)[0]

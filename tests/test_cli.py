@@ -1098,7 +1098,8 @@ def test_no_call_in_the_package_passes_fortran_order():
 # before its first point.  A helper that checked the arrays it allocates
 # would check them alone, not as parts of its run's sum.
 MEMORY_CHECKS = [
-    "circuit.require_protocol_memory",
+    "circuit.simulate_protocol",
+    "circuit.step_V",
     "cli._evolve",
     "cli._require_grid_memory",
     "dynamics._evolve_with_halving",

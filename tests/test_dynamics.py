@@ -15,7 +15,7 @@ from gibbsim import dynamics
 from gibbsim.dynamics import (
     JUMP_PROB_CAP, PROPAGATOR_MAX_DIM, STREAM_BYTES, _taylor4_propagators, jump_draws,
 )
-from gibbsim.errors import ResourceCeiling, StepUnderflow
+from gibbsim.errors import DimensionMismatch, ResourceCeiling, StepUnderflow
 from gibbsim.model import RK_STEP_TABLE
 
 from conftest import BETA, apply_lindbladian, gap_setup, lindblad_setup, point_setup
@@ -662,6 +662,41 @@ def test_mcwf_honours_stop_below():
     assert rec.meta["stopped_early"]
     assert rec.avg_distance[-1] < 0.3 <= np.min(rec.avg_distance[:-1])
     assert rec.times[-1] < cfg.t_max
+
+
+# ------------------------------------------------------------ operand checks
+@pytest.mark.parametrize(
+    "solver, bad",
+    [
+        (solver, bad)
+        for solver in ("exact", "mcwf", "randomized")
+        for bad in ("one weight", "negative weight", "operator dimension", "state dimension")
+        if solver != "randomized" or "weight" not in bad
+    ],
+)
+def test_solvers_check_their_operands(solver, bad):
+    # a weight list of the wrong length, a negative weight, or H and the
+    # states of another dimension than the operators are refused before
+    # any run, the operators with the errors of steady_state_and_gap
+    s = lindblad_setup("CH", 3, 6)
+    ham, ls, gammas, rho0, target = s["ham"], s["lindblads"], s["gammas"], s["sigma"], s["sigma"]
+    error, match = DimensionMismatch, "dimension mismatch"
+    if bad == "one weight":
+        gammas, match = [0.5], "one weight"
+    elif bad == "negative weight":
+        gammas, error, match = -gammas, ValueError, "nonnegative"
+    elif bad == "operator dimension":
+        ham = np.zeros((16, 16))
+    else:
+        rho0 = target = gs.maximally_mixed(4)
+    cfg = gs.SolverConfig(dt_rk0=0.1, n_traj=2, t_max=1.0, grid_points=5)
+    run = {
+        "exact": lambda: gs.evolve_exact(ham, ls, gammas, rho0, cfg, target),
+        "mcwf": lambda: gs.mcwf_evolve(ham, ls, gammas, None, cfg, target),
+        "randomized": lambda: gs.evolve_randomized(ham, ls, rho0, cfg, target),
+    }[solver]
+    with pytest.raises(error, match=match):
+        run()
 
 
 # ------------------------------------------------------------ state blocks

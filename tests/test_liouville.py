@@ -12,6 +12,7 @@ from gibbsim.errors import (
 from gibbsim.liouville import (
     MarkovRestriction,
     _generator_factors,
+    _generator_terms,
     _hermitian_basis,
     _real_form,
     conductance_cheeger,
@@ -260,7 +261,8 @@ def test_real_form_matches_dense_basis_change(n, kind):
     }[kind]
     u = hermitian_basis_unitary(d)
     dense = u.conj().T @ gs.build_superop(coherent, ls, gammas) @ u
-    r, imag = _real_form(_generator_factors(coherent, ls, gammas), _hermitian_basis(d))
+    factors = _generator_factors(*_generator_terms(coherent, ls, gammas))
+    r, imag = _real_form(factors, _hermitian_basis(d))
     # 1e-15 per unit of max|U^dag S U|: the dense product sums each entry's
     # four terms in another order, which moves entries near 8 by one ulp.
     tol = 1e-15 * max(1.0, float(np.max(np.abs(dense))))
@@ -502,24 +504,125 @@ def test_markov_dissipation_free_degenerate():
         markov_restriction(setup["spec"], [np.zeros((8, 8))], [0.0], setup["sigma"])
 
 
-def test_markov_reg_degenerate_levels_grouped():
-    # REG at h=0 has exact degeneracies; blocks must absorb them
-    params = gs.IsingParams(n=3, J=1.0, h=0.0, m=3.0)
-    ham = gs.build_hamiltonian(params)
+def reg_h0_setup():
+    """REG at h = 0, whose levels are exactly degenerate: H, its spectrum,
+    10 exact OFT jumps of weight 0.1 and the Gibbs state."""
+    ham = gs.build_hamiltonian(gs.IsingParams(n=3, J=1.0, h=0.0, m=3.0))
     spec = gs.eig_hermitian(ham)
     bohr = bohr_frequencies(spec)
-    sigma = gibbs_state(spec, BETA)
     jumps = gs.sample_jump_set(3, 2, 10, seed=0)
     ls = np.stack([gs.lindblad_op_exact(a, spec, BETA, bohr) for a in jumps])
-    mc = markov_restriction(spec, ls, np.full(10, 0.1), sigma, level_tol=1e-8)
+    return ham, spec, ls, np.full(10, 0.1), gibbs_state(spec, BETA)
+
+
+def test_markov_reg_degenerate_levels_grouped():
+    # REG at h=0 has exact degeneracies; blocks must absorb them
+    ham, spec, ls, gammas, sigma = reg_h0_setup()
+    mc = markov_restriction(spec, ls, gammas, sigma, level_tol=1e-8)
     assert len(mc.pi) < 8
     assert np.max(np.abs(mc.P.sum(axis=1) - 1.0)) < 1e-12
-    sup = gs.build_superop(ham, ls, np.full(10, 0.1))
+    sup = gs.build_superop(ham, ls, gammas)
     expected, _ = superop_markov_rates(sup, spec, sigma, level_tol=1e-8)
     assert np.max(np.abs(mc.q - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+def loop_grouped_restriction(spec, lindblads, gammas, sigma, level_tol=None):
+    """`markov_restriction` with the level-grouping loop it replaced: a new
+    block starts at each level more than level_tol above its block's first."""
+    w = spec.values
+    l_ops, gammas = np.asarray(lindblads, dtype=complex), np.asarray(gammas, dtype=float)
+    if level_tol is None:
+        level_tol = 1e-9 * max(float(np.max(np.abs(w))), 1e-300)
+    starts = [0]
+    for k in range(1, len(w)):
+        if w[k] - w[starts[-1]] > level_tol:
+            starts.append(k)
+    sizes = np.diff(starts + [len(w)])
+    rates = np.tensordot(gammas, np.abs(spec.to_eigenbasis(l_ops)) ** 2, axes=1)
+    flow = np.add.reduceat(np.add.reduceat(rates, starts, axis=0), starts, axis=1)
+    q = flow.T / sizes[:, None]
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    r = float(np.max(-np.diag(q)))
+    P = q / r + np.eye(len(starts))
+    pi = np.add.reduceat(np.real(np.diag(spec.to_eigenbasis(sigma))), starts)
+    return q, P, pi / pi.sum()
+
+
+@pytest.mark.parametrize(
+    "case", ["CH-3", "CH-4", "REG-3", "REG-4", "TFIM-3", "TFIM-4", "REG-h0"]
+)
+def test_markov_restriction_groups_levels_as_the_loop_did(case):
+    # the blocks of model._cluster_starts are the loop's blocks, so q, P and
+    # pi are the same bits
+    if case == "REG-h0":
+        args, level_tol = reg_h0_setup()[1:], 1e-8
+    else:
+        key, n = case.split("-")
+        s = lindblad_setup(key, int(n), 20)
+        args, level_tol = (s["spec"], s["lindblads"], s["gammas"], s["sigma"]), None
+    mc = markov_restriction(*args, level_tol=level_tol)
+    for got, want in zip((mc.q, mc.P, mc.pi), loop_grouped_restriction(*args, level_tol)):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------- conductance
+def subset_loop_cheeger(mc, exhaustive_limit):
+    """phi and gap_P the way `conductance_cheeger` found them before its
+    mask blocks: one Python list per subset, and the flow out of it summed
+    over an np.ix_ block."""
+    P, pi = mc.P, mc.pi
+    n = len(pi)
+    flow = pi[:, None] * P
+    if n <= exhaustive_limit:
+        masks = ([(c >> i) & 1 == 1 for i in range(n)] for c in range(1, (1 << n) - 1))
+    else:
+        masks = (
+            [lo <= i <= hi for i in range(n)]
+            for lo in range(n) for hi in range(lo, n) if hi - lo + 1 != n
+        )
+    phi = np.inf
+    for mask in masks:
+        sel = np.asarray(mask)
+        pi_s = pi[sel].sum()
+        if pi_s <= 0 or pi_s > 0.5 + 1e-12:
+            continue
+        phi = min(phi, flow[np.ix_(sel, ~sel)].sum() / pi_s)
+    R = 0.5 * (P + (pi[None, :] * P.T) / pi[:, None])
+    sqrt_pi = np.sqrt(pi)
+    sym = (sqrt_pi[:, None] * R) / sqrt_pi[None, :]
+    ev = np.sort(np.linalg.eigvalsh(0.5 * (sym + sym.T)))
+    return phi, 1.0 - ev[-2]
+
+
+def random_reversible_restriction(n, seed):
+    """A chain with random weights pi and symmetric flows pi_i q_ij."""
+    rng = np.random.default_rng(seed)
+    pi = rng.random(n) + 0.1
+    pi /= pi.sum()
+    sym = rng.random((n, n))
+    q = (sym + sym.T) / pi[:, None]
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    r = float(np.max(-np.diag(q)))
+    return MarkovRestriction(q=q, P=q / r + np.eye(n), r=r, pi=pi, block_energies=np.arange(n))
+
+
+@pytest.mark.parametrize("chain", ["CH-4", "random-12"])
+@pytest.mark.parametrize("exhaustive_limit", [16, 2])
+def test_cheeger_mask_blocks_match_the_subset_loop(chain, exhaustive_limit):
+    # both subset families; CH n = 4 has 65534 subsets, several mask blocks
+    if chain == "CH-4":
+        mc = restriction(lindblad_setup("CH", 4, 20))
+    else:
+        mc = random_reversible_restriction(12, seed=5)
+    res = conductance_cheeger(mc, exhaustive_limit=exhaustive_limit)
+    phi, gap = subset_loop_cheeger(mc, exhaustive_limit)
+    assert res.exhaustive == (len(mc.pi) <= exhaustive_limit)
+    assert abs(res.phi - phi) <= 1e-15 * phi
+    assert abs(res.gap_P - gap) <= 1e-15 * gap
+
+
 def two_state_restriction(p, q):
     P = np.array([[1 - p, p], [q, 1 - q]])
     pi = np.array([q, p]) / (p + q)

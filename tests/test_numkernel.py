@@ -246,8 +246,8 @@ def _solve(solver, n, **cfg):
     return solver(s["ham"], s["lindblads"], s["gammas"], None, cfg, s["sigma"])
 
 
-def _generator(build):
-    s = lindblad_setup("CH", 4, 20)
+def _generator(build, n=4):
+    s = lindblad_setup("CH", n, 20)
     return build(s["ham"], s["lindblads"], s["gammas"])
 
 
@@ -264,14 +264,15 @@ ENTRY_POINTS = {
     "mcwf_evolve": lambda: _solve(gs.mcwf_evolve, 4, max_steps=400, state_blocks=1),
     "steady_state_and_gap": lambda: _generator(gs.steady_state_and_gap),
     "build_superop": lambda: _generator(gs.build_superop),
+    "build_superop.n5": lambda: _generator(gs.build_superop, 5),
     "build_hamiltonian": lambda: gs.build_hamiltonian(gs.named_point("CH", 8)),
     "simulate_protocol": lambda: gs.simulate_protocol(
         point_setup("CH", 3)["chain"], gs.CircuitConfig(**PROTOCOL), gs.NoiseSpec()
     ),
     "step_V": lambda: gs.step_V(
-        gs.sample_jump_set(3, 2, 1, 0)[0],
+        gs.sample_jump_set(6, 2, 1, 0)[0],
         gs.CircuitConfig(**PROTOCOL),
-        point_setup("CH", 3)["chain"],
+        point_setup("CH", 6)["chain"],
     ),
 }
 
@@ -283,8 +284,9 @@ class _Checked(Exception):
 def checked_parts(monkeypatch, entry):
     """The {part: bytes} of the one memory check that `entry` makes first,
     read by stopping the run there; the setups it reads are built before."""
-    for n in (3, 4):
+    for n in (3, 4, 5):
         lindblad_setup("CH", n, 20)
+    point_setup("CH", 6)
     seen = []
 
     def spy(parts):
